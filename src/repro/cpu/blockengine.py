@@ -887,8 +887,9 @@ class BlockEngine:
         max_steps: int,
         max_cycles: int | None,
         deadline: float | None,
-    ) -> None:
-        """Dispatch compiled superblocks until halt or a budget expires."""
+    ) -> int:
+        """Dispatch compiled superblocks until halt or a budget expires;
+        returns the steps executed."""
         mem = m.memory
         # attach (not set): multicore runs share one memory between
         # several block-compiling engines, each of which must keep
@@ -943,3 +944,4 @@ class BlockEngine:
                 check_at = steps + 1024
                 if time.monotonic() > deadline:
                     m._set_halted(HaltReason.WALL_CLOCK_LIMIT)
+        return steps

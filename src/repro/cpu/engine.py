@@ -89,8 +89,15 @@ class ExecutionEngine(Protocol):
         max_steps: int,
         max_cycles: int | None,
         deadline: float | None,
-    ) -> None:
-        """Run until halt or a watchdog budget expires (no reset)."""
+    ) -> int:
+        """Run until halt or a watchdog budget expires (no reset).
+
+        Returns the steps executed: one per reference-equivalent
+        ``step()``, so a trapped step counts even though it retires no
+        instruction, and a fused pair counts as two.  ``max_steps`` and
+        ``max_cycles`` halt at exactly the step boundary where the
+        reference oracle would halt.
+        """
         ...
 
     def telemetry_snapshot(self) -> dict:
@@ -274,8 +281,9 @@ class ReferenceEngine:
         max_steps: int,
         max_cycles: int | None,
         deadline: float | None,
-    ) -> None:
-        """Step the oracle until halt or a step/cycle/deadline budget expires."""
+    ) -> int:
+        """Step the oracle until halt or a step/cycle/deadline budget
+        expires; returns the steps executed."""
         steps = 0
         while m.halted is None:
             self.step(m)
@@ -292,6 +300,7 @@ class ReferenceEngine:
                 and time.monotonic() > deadline
             ):
                 m._set_halted(HaltReason.WALL_CLOCK_LIMIT)
+        return steps
 
     # -- operand / memory / jump helpers -------------------------------------
 

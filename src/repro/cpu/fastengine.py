@@ -353,6 +353,10 @@ def _codegen_fused(
     effects are already committed and sequencing already points at the
     second address, so :func:`_fused_second_trap` records the precise
     trap just as the dispatcher would for an unfused dispatch.
+
+    The thunk returns True when the second half issued (completed or
+    trapped) - the dispatch then counts as two steps - and None when it
+    stopped after the first half.
     """
     pre1, body1, xd1 = _inst_lines(inst1, nw, uw, "pc", "t1")
     pre2, body2, xd2 = _inst_lines(inst2, nw, uw, "pc2", "t2")
@@ -373,8 +377,9 @@ def _codegen_fused(
     body += [
         "except (_MemFault, _TrapSignal) as exc:",
         f"    _ft(m, exc, pc2, {word2}, {call_slot})",
-        "    return",
+        "    return True",
         "fh[0] += 1",
+        "return True",
     ]
     pre = "\n".join(f"    {line}" for line in (pre1 + pre2))
     inner = "\n".join(f"        {line}" for line in body)
@@ -429,6 +434,11 @@ _FACTORY_CACHE: dict[tuple[int, int, bool], object] = {}
 #: Fused-pair factories, keyed by (word1, word2, num_windows, use_windows).
 _FUSED_FACTORY_CACHE: dict[tuple[int, int, int, bool], object] = {}
 _FACTORY_CACHE_MAX = 65536
+
+#: Upper bound on the cycles a fused pair's first half can add (its own
+#: cycles plus a window spill); closer than this to the cycle watchdog,
+#: pairs dispatch unfused so the watchdog halts between the halves.
+_FUSED_CYCLE_MARGIN = 64
 
 _EXEC_GLOBALS = {
     "_TrapSignal": _TrapSignal,
@@ -701,9 +711,10 @@ class FastEngine:
         max_steps: int,
         max_cycles: int | None,
         deadline: float | None,
-    ) -> None:
+    ) -> int:
         """Run the inlined fetch/decode/dispatch loop until halt or a budget
-        expires, falling back to the oracle when observers demand it."""
+        expires, falling back to the oracle when observers demand it;
+        returns the steps executed (a fused pair counts as two)."""
         import time
 
         ref_step = self._ref.step
@@ -716,7 +727,12 @@ class FastEngine:
         cache = self._cache
         cache_get = cache.get
         from_bytes = int.from_bytes
+        # Past this cycle count a fused pair could cross the watchdog.
+        fuse_below = (
+            None if max_cycles is None else max_cycles - _FUSED_CYCLE_MARGIN
+        )
         steps = 0
+        check_at = 1024
         while m.halted is None:
             if bus.step_observed or m.pending_interrupt is not None:
                 ref_step(m)
@@ -733,10 +749,15 @@ class FastEngine:
                         if entry is not None:
                             cache[pc] = entry
                     if entry is not None and entry[4] is not None:
-                        if m._pending_jump:
+                        if (
+                            m._pending_jump
+                            or steps + 1 >= max_steps
+                            or (fuse_below is not None and stats.cycles >= fuse_below)
+                        ):
                             # The pair's first half sits in a live delay
-                            # slot this dispatch: run it unfused so the
-                            # slot accounting below stays exact.
+                            # slot this dispatch (run it unfused so the
+                            # slot accounting below stays exact), or a
+                            # watchdog may halt between the two halves.
                             entry = self._singleton(m, pc, word)
                         elif from_bytes(mem_bytes[pc + 4 : pc + 8], "big") != entry[4]:
                             # Second half rewritten: de-fuse this pc.
@@ -751,7 +772,8 @@ class FastEngine:
                                 stats.delay_slot_nops += 1
                             m._pending_jump = False
                         try:
-                            entry[1](m)
+                            if entry[1](m):
+                                steps += 1  # a fused pair's second half issued
                         except (MemoryFaultError, _TrapSignal) as exc:
                             self._dispatch_trap(m, pc, word, exc, pending)
             steps += 1
@@ -761,9 +783,8 @@ class FastEngine:
                 m._set_halted(HaltReason.STEP_LIMIT)
             elif max_cycles is not None and stats.cycles >= max_cycles:
                 m._set_halted(HaltReason.CYCLE_LIMIT)
-            elif (
-                deadline is not None
-                and steps % 1024 == 0
-                and time.monotonic() > deadline
-            ):
-                m._set_halted(HaltReason.WALL_CLOCK_LIMIT)
+            elif deadline is not None and steps >= check_at:
+                check_at = steps + 1024
+                if time.monotonic() > deadline:
+                    m._set_halted(HaltReason.WALL_CLOCK_LIMIT)
+        return steps

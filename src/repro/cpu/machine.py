@@ -87,10 +87,13 @@ class RiscMachine(ArchState):
             and statistics never leak between machines.
         strict_traps: raise :class:`~repro.errors.TrapError` on an
             unvectored trap instead of halting.
-        engine: execution backend - ``"reference"`` (default, the oracle
-            interpreter), ``"fast"`` (pre-decoded closure dispatch),
-            ``"block"`` (superblock compilation), or an
-            :class:`~repro.cpu.engine.ExecutionEngine` instance.
+        engine: execution backend - any scalar tier of the registry in
+            :mod:`repro.cpu.engines`: ``"reference"`` (default, the
+            oracle interpreter), ``"fast"`` (pre-decoded closure
+            dispatch), ``"block"`` (basic-block compilation),
+            ``"trace"`` (superblock traces compiled to generated
+            source) - or an :class:`~repro.cpu.engine.ExecutionEngine`
+            instance.
         telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry`
             to record run-boundary metrics into (``sim.runs``,
             ``sim.instructions``, ``sim.cycles``, ``sim.run_seconds``);
@@ -122,7 +125,8 @@ class RiscMachine(ArchState):
 
     @property
     def engine_name(self) -> str:
-        """Name of the active execution engine (reference/fast/block)."""
+        """Name of the active execution engine (a tier name from
+        :func:`repro.cpu.engines.engine_names`)."""
         return self.engine.name
 
     def step(self) -> Instruction | None:

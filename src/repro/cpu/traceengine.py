@@ -1488,8 +1488,9 @@ class TraceEngine:
         max_steps: int,
         max_cycles: int | None,
         deadline: float | None,
-    ) -> None:
-        """Dispatch compiled traces until halt or a budget expires."""
+    ) -> int:
+        """Dispatch compiled traces until halt or a budget expires;
+        returns the steps executed."""
         mem = m.memory
         self._machine = m
         if mem._exec_listener is not self:
@@ -1569,6 +1570,7 @@ class TraceEngine:
                     m._set_halted(HaltReason.WALL_CLOCK_LIMIT)
         if CY[0] or self._retired:
             self._reconcile()
+        return steps
 
 
 __all__ = ["TraceEngine", "TRACE_CODEGEN_VERSION"]

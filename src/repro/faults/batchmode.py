@@ -8,10 +8,10 @@ chunk of trials runs as lanes of one vectorized machine, and each lane
 is peeled back to its own scalar :class:`~repro.cpu.machine.RiscMachine`
 at the exact step boundary where its fault trigger would fire - the
 same boundary the serial :class:`~repro.faults.injector.FaultInjector`
-``pre_step`` hook fires on.  The injector is then attached to the
-peeled machine (with its PC-visit count pre-seeded to what it would
-have observed from trial start) and the faulted tail runs scalar,
-through the same classification as the serial path.
+``pre_step`` hook fires on.  The peeled machine then finishes through
+the serial path's trial runner (:func:`~repro.faults.campaign._run_trial`):
+the injector attaches mid-run, PC visits pre-seeded from the golden run,
+and the faulted tail runs scalar under the same classification.
 
 The result is **byte-identical** to ``run_campaign`` without batching:
 same trials, same :class:`~repro.faults.campaign.InjectionResult`
@@ -28,10 +28,14 @@ to the serial path, so ``--batch-lanes`` degrades gracefully.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from repro.cpu.state import HaltReason
-from repro.faults.injector import FaultInjector
+from repro.cpu.engines import fastest_scalar_engine
+from repro.faults.campaign import (
+    CampaignReport,
+    _campaign_schedule,
+    _classify,
+    _pc_trigger_step,
+    _run_trial,
+)
 
 __all__ = ["run_batch_campaign", "DEFAULT_LANES"]
 
@@ -40,18 +44,18 @@ __all__ = ["run_batch_campaign", "DEFAULT_LANES"]
 DEFAULT_LANES = 32
 
 
-def _fires(spec, pc: int, cycles: int, next_visit: int) -> bool:
-    """Would *spec*'s trigger fire at this step boundary?
+def _fires(spec, golden, step: int, cycles: int) -> bool:
+    """Would *spec*'s trigger fire at golden step boundary *step*?
 
     Mirrors :meth:`FaultInjector._pre_step`: cycle triggers fire once
     ``stats.cycles`` reaches the threshold; PC triggers fire on the
-    ``pc_hits``-th execution of the target PC (*next_visit* counts this
-    boundary as a visit).
+    ``pc_hits``-th execution of the target PC, whose step index the
+    golden run recorded.
     """
     trigger = spec.trigger
     if trigger.at_cycle is not None:
         return cycles >= trigger.at_cycle
-    return trigger.at_pc == pc and next_visit == trigger.pc_hits
+    return _pc_trigger_step(golden, trigger) == step
 
 
 def run_batch_campaign(config, *, lanes: int = DEFAULT_LANES, progress=None):
@@ -63,12 +67,6 @@ def run_batch_campaign(config, *, lanes: int = DEFAULT_LANES, progress=None):
     not installed.
     """
     from repro.cpu.batch import BatchExecutor, BatchUnavailableError, available
-    from repro.faults.campaign import (
-        CampaignReport,
-        _campaign_schedule,
-        _classify,
-        _crash_result,
-    )
 
     if not available():
         raise BatchUnavailableError(
@@ -97,47 +95,30 @@ def run_batch_campaign(config, *, lanes: int = DEFAULT_LANES, progress=None):
             chunk = indices[start : start + lanes]
             machines = []
             for _ in chunk:
-                machine = compiled.make_machine()
+                machine = compiled.make_machine(engine=fastest_scalar_engine())
                 machine.reset(entry)
                 machines.append(machine)
             executor = BatchExecutor(machines)
-            budget = schedule[chunk[0]][2]  # uniform per benchmark
+            golden, _spec, budget = schedule[chunk[0]]  # uniform per benchmark
 
-            # Shared PC-visit counter: the trajectory is uniform, so one
-            # count stands in for every lane's would-be injector count.
-            visits: Counter = Counter()
-            preload: dict[int, int] = {}
             while (
                 executor.halted is None
                 and executor.lanes_in_lockstep
                 and executor.steps < budget
             ):
-                pc = executor.pc
+                step = executor.steps
                 cycles = executor.stats.cycles
-                next_visit = visits[pc] + 1
                 for lane in range(len(chunk)):
                     if not executor.live[lane]:
                         continue
                     spec = schedule[chunk[lane]][1]
-                    if _fires(spec, pc, cycles, next_visit):
-                        # Peel *before* the step: the machine re-executes
-                        # this boundary scalar, and the freshly attached
-                        # injector's pre_step fires exactly here.
+                    if _fires(spec, golden, step, cycles):
+                        # Peel *before* the step: the trial runner
+                        # attaches the injector at exactly this boundary.
                         executor.peel(lane, "fault trigger")
-                        if spec.trigger.at_pc is not None:
-                            preload[lane] = visits[spec.trigger.at_pc]
                 if not executor.lanes_in_lockstep:
                     break
-                before = executor.steps
                 executor.step()
-                if executor.steps > before:
-                    visits[pc] += 1
-            # Lanes peeled inside step() (uniform trap / halt / budget
-            # exhaustion) left at the current boundary: same preload.
-            for lane in range(len(chunk)):
-                spec = schedule[chunk[lane]][1]
-                if lane not in preload and spec.trigger.at_pc is not None:
-                    preload[lane] = visits[spec.trigger.at_pc]
             executor.finish()
 
             for lane, index in enumerate(chunk):
@@ -149,21 +130,11 @@ def run_batch_campaign(config, *, lanes: int = DEFAULT_LANES, progress=None):
                     # the serial injector would have been a spectator.
                     results[index] = _classify(machine, golden, spec, steps)
                 else:
-                    injector = FaultInjector(machine, [spec])
-                    injector.attach()
-                    if spec.trigger.at_pc is not None and preload.get(lane):
-                        injector._pc_hits[spec.trigger.at_pc] = preload[lane]
-                    try:
-                        while machine.halted is None and steps < budget:
-                            machine.step()
-                            steps += 1
-                        if machine.halted is None:
-                            machine.halted = HaltReason.STEP_LIMIT
-                        results[index] = _classify(machine, golden, spec, steps)
-                    except Exception as exc:  # noqa: BLE001 - crash IS the finding
-                        results[index] = _crash_result(golden, spec, steps, exc)
-                    finally:
-                        injector.detach()
+                    # Peeled on the golden trajectory at or before its
+                    # trigger: the shared runner finishes the trial.
+                    results[index] = _run_trial(
+                        machine, golden, spec, budget, steps=steps
+                    )
                 done += 1
                 if progress is not None and done % 100 == 0:
                     progress(golden.benchmark, done, len(schedule))

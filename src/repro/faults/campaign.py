@@ -1,10 +1,10 @@
 """Golden-vs-faulted differential fault campaigns over the benchmarks.
 
 For each selected benchmark the runner executes one *golden* run
-(recording the result, dynamic instruction count, and the executed-PC
-histogram that seeds fault-site selection), takes a delta-tracked
-checkpoint of the freshly reset machine, and then replays the program
-once per injected fault, classifying every run:
+(recording the result, dynamic instruction count, and the step index
+of every PC visit, which seeds fault-site selection), takes a
+delta-tracked checkpoint of the freshly reset machine, and then replays
+the program once per injected fault, classifying every run:
 
 ===========  ======================================================
 MASKED       completed normally with the golden result (fault
@@ -23,6 +23,16 @@ INFRA_ERROR  the *infrastructure* failed the trial (worker death,
              trial is quarantined so one poisoned trial degrades
              the report instead of aborting the campaign
 ===========  ======================================================
+
+A trial runs in three phases on the fastest scalar tier
+(:func:`_run_trial`).  Until its trigger fires, a faulted run is
+bit-identical to the golden run, so the *prefix* runs unobserved on
+the compiled tier up to the trigger boundary.  The *fault* phase
+attaches the :class:`~repro.faults.injector.FaultInjector` and steps
+the reference oracle only while the fault needs watching.  Once the
+injector is idle, the *suffix* finishes the step budget unobserved
+again.  The classification is identical to stepping the oracle under
+the injector from instruction 0.
 
 Determinism: all randomness flows through one seeded
 :class:`random.Random`; no wall-clock inputs are consulted.  Two runs
@@ -63,10 +73,13 @@ import hashlib
 import json
 import random
 import time
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.common.bitops import to_signed
+from repro.cpu.engines import fastest_scalar_engine
 from repro.cpu.machine import HaltReason, RiscMachine
 from repro.evaluation.tables import Table
 from repro.faults.injector import FaultInjector
@@ -145,6 +158,11 @@ class GoldenRun:
     instructions: int
     cycles: int
     sites: FaultSites
+    #: pc -> ascending step indices at which that PC executed; a trial
+    #: fast-forwards to a PC trigger's boundary with it.
+    visits: dict[int, array] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -468,10 +486,10 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
     bench = benchmark(name)
     compiled = compile_cached(bench.source)
     machine = compiled.make_machine()
-    pc_counts: Counter = Counter()
+    trace = array("I")  # the PC at every step boundary
 
     def record_pc(m: RiscMachine) -> None:
-        pc_counts[m.pc] += 1
+        trace.append(m.pc)
 
     machine.observers.subscribe("pre_step", record_pc)
     machine.run(compiled.program.entry)
@@ -479,10 +497,16 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
         raise RuntimeError(
             f"golden run of {name} did not complete: {machine.halted}"
         )
+    visits: dict[int, array] = {}
+    for step, pc in enumerate(trace):
+        steps = visits.get(pc)
+        if steps is None:
+            visits[pc] = steps = array("I")
+        steps.append(step)
     sites = FaultSites(
         register_count=machine.regs.physical_count,
         memory_top=min(MEMORY_FAULT_TOP, machine.memory.size),
-        pcs=tuple(sorted(pc_counts.items())),
+        pcs=tuple(sorted((pc, len(steps)) for pc, steps in visits.items())),
         cycle_limit=max(1, machine.stats.cycles - 1),
     )
     golden = GoldenRun(
@@ -491,6 +515,7 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
         instructions=machine.stats.instructions,
         cycles=machine.stats.cycles,
         sites=sites,
+        visits=visits,
     )
     return golden, compiled
 
@@ -531,41 +556,142 @@ def _run_injection(
     spec: FaultSpec,
     budget: int,
     deadline: float | None = None,
+    tally: Counter | None = None,
 ) -> InjectionResult:
     """Replay one faulted run from *checkpoint* and classify it.
 
     When *deadline* (a ``time.monotonic()`` timestamp) is given, the
-    loop consults the wall clock every 1024 steps - the same pattern as
+    trial consults the wall clock every 1024 steps - the same pattern as
     the ``wall_clock_limit`` watchdog on :meth:`RiscMachine.run` - and
     raises :class:`TrialTimeoutError` past it.  The timeout escapes the
     CRASH classification on purpose: a host stall is an infrastructure
-    failure for the supervisor, not a simulator finding.
+    failure for the supervisor, not a simulator finding.  *tally*, when
+    given, receives the trial's steps by phase (see :func:`_run_trial`).
     """
     machine.restore(checkpoint)
+    return _run_trial(
+        machine, golden, spec, budget, deadline=deadline, tally=tally
+    )
+
+
+def _pc_trigger_step(golden: GoldenRun, trigger) -> int | None:
+    """Golden step index at which PC *trigger* fires (None: never)."""
+    visits = golden.visits.get(trigger.at_pc, ())
+    return visits[trigger.pc_hits - 1] if trigger.pc_hits <= len(visits) else None
+
+
+def _timeout(steps: int) -> TrialTimeoutError:
+    return TrialTimeoutError(
+        f"trial exceeded its wall-clock budget after {steps} steps"
+    )
+
+
+def _fast_forward(
+    machine: RiscMachine, max_steps: int, max_cycles: int | None,
+    deadline: float | None, steps: int,
+) -> int:
+    """Run unobserved on the machine's tier; returns the steps executed.
+
+    A step or cycle watchdog halt is cleared, so the trial continues
+    from that exact boundary; a wall-clock halt raises
+    :class:`TrialTimeoutError` (*steps* is the trial's count so far).
+    """
+    if max_steps <= 0:
+        return 0
+    ran = machine.engine.run_loop(machine, max_steps, max_cycles, deadline)
+    if machine.halted in (HaltReason.STEP_LIMIT, HaltReason.CYCLE_LIMIT):
+        machine.halted = None
+    elif machine.halted is HaltReason.WALL_CLOCK_LIMIT:
+        raise _timeout(steps + ran)
+    return ran
+
+
+def _run_trial(
+    machine: RiscMachine,
+    golden: GoldenRun,
+    spec: FaultSpec,
+    budget: int,
+    *,
+    steps: int = 0,
+    deadline: float | None = None,
+    tally: Counter | None = None,
+) -> InjectionResult:
+    """Finish one faulted run and classify it.
+
+    *machine* stands at step *steps* of the golden trajectory, before
+    *spec*'s trigger has fired.  The result equals stepping the oracle
+    under an attached :class:`FaultInjector` up to *budget* steps; only
+    the steps that need the injector run observed:
+
+    1. **prefix** - the run is still golden, so it fast-forwards
+       unobserved to the trigger boundary: the cycle watchdog stops at a
+       cycle trigger, the golden step index of the ``pc_hits``-th visit
+       locates a PC trigger;
+    2. **fault** - the injector attaches (PC visits pre-seeded from the
+       golden run) and the oracle steps while it is not idle: the firing
+       step, and every step of a stuck-at fault;
+    3. **suffix** - the injector detaches and the rest of the budget
+       runs unobserved.
+
+    *tally*, when given, counts the steps this call ran: ``observed``
+    on the oracle under the injector, ``compiled`` unobserved on the
+    machine's tier.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise _timeout(steps)
+    trigger = spec.trigger
     injector = FaultInjector(machine, [spec])
-    injector.attach()
-    steps = 0
+    start = steps
+    observed = 0
     try:
-        while machine.halted is None and steps < budget:
-            if (
-                deadline is not None
-                and (steps & _DEADLINE_CHECK_MASK) == 0
-                and time.monotonic() > deadline
-            ):
-                raise TrialTimeoutError(
-                    f"trial exceeded its wall-clock budget after {steps} steps"
+        if trigger.at_cycle is not None:
+            if machine.stats.cycles < trigger.at_cycle:
+                steps += _fast_forward(
+                    machine, budget - steps, trigger.at_cycle, deadline, steps
                 )
-            machine.step()
-            steps += 1
+            pc_visits = None
+        else:
+            fires_at = _pc_trigger_step(golden, trigger)
+            if fires_at is None:  # never fires: the run stays golden
+                fires_at = budget
+            steps += _fast_forward(
+                machine, min(fires_at, budget) - steps, None, deadline, steps
+            )
+            visits = golden.visits.get(trigger.at_pc, ())
+            pc_visits = {trigger.at_pc: bisect_left(visits, steps)}
+        if machine.halted is None:
+            injector.attach(pc_visits=pc_visits)
+            while (
+                machine.halted is None
+                and steps < budget
+                and not injector.idle
+            ):
+                if (
+                    deadline is not None
+                    and (steps & _DEADLINE_CHECK_MASK) == 0
+                    and time.monotonic() > deadline
+                ):
+                    raise _timeout(steps)
+                machine.step()
+                steps += 1
+                observed += 1
+            injector.detach()
+        if machine.halted is None:
+            steps += _fast_forward(machine, budget - steps, None, deadline, steps)
         if machine.halted is None:
             machine.halted = HaltReason.STEP_LIMIT
         return _classify(machine, golden, spec, steps)
     except TrialTimeoutError:
         raise
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
+        # A crash inside a compiled phase reports the steps completed
+        # before that phase began.
         return _crash_result(golden, spec, steps, exc)
     finally:
         injector.detach()
+        if tally is not None:
+            tally["observed"] += observed
+            tally["compiled"] += steps - start - observed
 
 
 def _crash_result(
@@ -622,7 +748,8 @@ def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
     Lazily built and cached in :data:`_POOL_STATE`; the compile is
     deterministic (and usually inherited from the parent's compile
     cache under a fork start method), so every process replays trials
-    from the same image the serial path uses.
+    from the same image the serial path uses.  The machine runs on the
+    fastest scalar tier, which executes the unobserved trial phases.
     """
     state = _POOL_STATE.get(name)
     if state is None:
@@ -630,7 +757,7 @@ def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
         from repro.workloads.cache import compile_cached
 
         compiled = compile_cached(benchmark(name).source)
-        machine = compiled.make_machine()
+        machine = compiled.make_machine(engine=fastest_scalar_engine())
         machine.reset(compiled.program.entry)
         checkpoint = machine.checkpoint(track_memory_deltas=True)
         _POOL_STATE[name] = state = (machine, checkpoint)
@@ -861,7 +988,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--baseline", default=None,
-        help="JSON baseline; fail if silent corruptions or crashes regress",
+        help="JSON baseline; fail if silent corruptions or crashes regress, "
+             "or if the fingerprint differs at the same seed, injections "
+             "and benchmarks",
     )
     parser.add_argument(
         "--write-baseline", default=None,
@@ -968,12 +1097,25 @@ def main(argv: list[str] | None = None) -> int:
                 baseline = json.load(handle)
             # Absolute-count comparison is only meaningful when both runs
             # sampled the same fault population.
-            for key in ("injections", "seed", "benchmarks"):
+            population = ("injections", "seed", "benchmarks")
+            for key in population:
                 if key in baseline and baseline[key] != summary[key]:
                     failures.append(
                         f"baseline not comparable: {key} differs "
                         f"({summary[key]!r} vs baseline {baseline[key]!r})"
                     )
+            # The same population must reproduce the same trials, byte
+            # for byte: a drifted fingerprint is a behaviour change.
+            if (
+                "fingerprint" in baseline
+                and all(baseline.get(key) == summary[key] for key in population)
+                and baseline["fingerprint"] != summary["fingerprint"]
+            ):
+                failures.append(
+                    f"fingerprint differs from the baseline "
+                    f"({summary['fingerprint'][:16]} vs "
+                    f"{baseline['fingerprint'][:16]})"
+                )
             for key in ("silent_corruption", "crash", "infra_error"):
                 if summary[key] > baseline.get(key, 0):
                     failures.append(

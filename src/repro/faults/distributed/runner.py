@@ -40,12 +40,19 @@ from repro.faults.distributed.streaming import (
     StreamingAggregator,
     StreamingCampaignReport,
 )
-from repro.faults.distributed.supervisor import RetryPolicy, TrialSupervisor
+from repro.faults.distributed.supervisor import (
+    RetryPolicy,
+    SupervisionStats,
+    TrialSupervisor,
+)
 
 __all__ = ["run_distributed_campaign"]
 
 
-def _publish_metrics(registry, report: StreamingCampaignReport, syncs: int) -> None:
+def _publish_metrics(
+    registry, report: StreamingCampaignReport, syncs: int,
+    stats: SupervisionStats,
+) -> None:
     """Record the ``campaign.*`` operational counters on *registry*."""
     if registry is None:
         return
@@ -71,6 +78,14 @@ def _publish_metrics(registry, report: StreamingCampaignReport, syncs: int) -> N
         ),
         "campaign.journal_syncs": (
             syncs, "fsync barriers issued by the trial journal"
+        ),
+        "campaign.steps_observed": (
+            stats.trial_steps["observed"],
+            "trial steps run on the oracle under the fault injector",
+        ),
+        "campaign.steps_compiled": (
+            stats.trial_steps["compiled"],
+            "trial steps run unobserved on the compiled tier",
         ),
     }
     for name, (value, help_text) in counters.items():
@@ -223,5 +238,5 @@ def run_distributed_campaign(
         n_shards=shards,
         shard_index=shard_index,
     )
-    _publish_metrics(registry, report, syncs)
+    _publish_metrics(registry, report, syncs, stats)
     return report

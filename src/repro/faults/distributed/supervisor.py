@@ -30,10 +30,11 @@ to fail before a trial is written off.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -111,29 +112,38 @@ class SupervisionStats:
     pool_restarts: int = 0
     #: per-trial error strings of quarantined trials (trial -> detail)
     quarantined: dict[int, str] = field(default_factory=dict)
+    #: steps the executed trials ran, by phase: ``observed`` on the
+    #: oracle under the fault injector, ``compiled`` unobserved
+    trial_steps: Counter = field(default_factory=Counter)
 
 
-def execute_trial(trial: Trial, timeout_s: float | None = None) -> dict:
+def execute_trial(
+    trial: Trial, timeout_s: float | None = None, tally: Counter | None = None
+) -> dict:
     """Run one trial in this process and return its canonical record.
 
     Uses the per-process machine cache (the same one the worker pool
     uses), arms the wall-clock deadline when *timeout_s* is given, and
     serialises the classification via
-    :func:`~repro.faults.campaign.injection_record`.
+    :func:`~repro.faults.campaign.injection_record`.  *tally*, when
+    given, counts the trial's steps by phase.
     """
     machine, checkpoint = _benchmark_state(trial.golden.benchmark)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     result = _run_injection(
         machine, checkpoint, trial.golden, trial.spec, trial.budget,
-        deadline=deadline,
+        deadline=deadline, tally=tally,
     )
     return injection_record(result)
 
 
-def _worker_execute(payload) -> tuple[int, dict]:
-    """Pool-side entry point: run a trial, return ``(index, record)``."""
+def _worker_execute(payload) -> tuple[int, dict, Counter]:
+    """Pool-side entry point: run a trial, return ``(index, record,
+    steps by phase)``."""
     trial, timeout_s = payload
-    return trial.index, execute_trial(trial, timeout_s)
+    tally: Counter = Counter()
+    record = execute_trial(trial, timeout_s, tally)
+    return trial.index, record, tally
 
 
 def infra_record(trial: Trial, error: BaseException | str) -> dict:
@@ -206,10 +216,12 @@ class TrialSupervisor:
         self.timeout_s = timeout_s
         self.policy = policy or RetryPolicy()
         self.sleep = sleep
-        self.execute = execute or execute_trial
+        self.stats = SupervisionStats()
+        self.execute = execute or functools.partial(
+            execute_trial, tally=self.stats.trial_steps
+        )
         self.event_writer = event_writer
         self.chaos_hook = chaos_hook
-        self.stats = SupervisionStats()
 
     # -- shared failure handling --------------------------------------------
 
@@ -318,11 +330,23 @@ class TrialSupervisor:
         try:
             while window or pending:
                 while pending and len(window) < window_size:
-                    submit(pending.popleft(), 0)
+                    try:
+                        submit(pending[0], 0)
+                    except BrokenProcessPool:
+                        # A worker died since the last result.  With
+                        # futures in flight, the head's result raises
+                        # and recovers below; with none, rebuild here.
+                        if window:
+                            break
+                        self.stats.pool_restarts += 1
+                        self._shutdown(executor, kill=True)
+                        executor = self._make_executor()
+                        continue
+                    pending.popleft()
                 trial, future, attempts = window[0]
                 attempts += 1
                 try:
-                    _index, record = future.result(timeout=hard_timeout)
+                    _index, record, tally = future.result(timeout=hard_timeout)
                 except KeyboardInterrupt:
                     raise
                 except (BrokenProcessPool, FutureTimeout) as error:
@@ -360,6 +384,7 @@ class TrialSupervisor:
                         continue
                 else:
                     window.popleft()
+                    self.stats.trial_steps.update(tally)
                 self.stats.executed += 1
                 sink(trial.index, record, attempts)
                 if self.chaos_hook is not None:

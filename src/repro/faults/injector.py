@@ -82,8 +82,15 @@ class FaultInjector:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def attach(self) -> None:
-        """Subscribe to the machine's observer bus (idempotent)."""
+    def attach(self, *, pc_visits: dict[int, int] | None = None) -> None:
+        """Subscribe to the machine's observer bus (idempotent).
+
+        To attach mid-run, pass *pc_visits*: how many times each PC has
+        already executed.  PC triggers then count on from those visits,
+        exactly as if the injector had watched from the start.
+        """
+        if pc_visits:
+            self._pc_hits.update(pc_visits)
         if self._attached:
             return
         bus = self.machine.observers
@@ -106,6 +113,16 @@ class FaultInjector:
         if self._filters_fetch:
             bus.unsubscribe("fetch_word", self._filter_fetch)
         self._attached = False
+
+    @property
+    def idle(self) -> bool:
+        """True once nothing remains to do: no pending trigger, no stuck
+        fault to re-assert, no armed fetch corruption.  An idle injector
+        can be detached without changing the rest of the run."""
+        return not (
+            self._pending or self._stuck
+            or self._fetch_transient or self._fetch_stuck
+        )
 
     # -- hook bodies -------------------------------------------------------
 

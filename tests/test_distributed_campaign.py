@@ -438,7 +438,9 @@ def injection_record_for(trial):
 
 
 class TestPoolPath:
-    def test_supervised_pool_matches_serial(self, serial_fp, tmp_path):
+    def test_supervised_pool_matches_serial(
+        self, serial_fp, serial_report, tmp_path
+    ):
         path = str(tmp_path / "j.jsonl")
         registry = MetricsRegistry()
         report = run_campaign(
@@ -447,6 +449,30 @@ class TestPoolPath:
         assert report.fingerprint() == serial_fp
         assert recover_journal(path).completed == N
         assert registry.get("campaign.pool_restarts").value == 0
+        # Workers ship each trial's step split back with its record.
+        assert registry.get("campaign.steps_observed").value + registry.get(
+            "campaign.steps_compiled"
+        ).value == sum(r.instructions for r in serial_report.results)
+
+    def test_worker_death_seen_at_submit_rebuilds_the_pool(self, serial_fp):
+        import signal
+        import time
+
+        killed = []
+
+        def chaos(done, pids):
+            if done == 3 and pids:
+                os.kill(pids[0], signal.SIGKILL)
+                killed.append(pids[0])
+                # Let the pool notice, so the next submit (not a pending
+                # result) is what raises BrokenProcessPool.
+                time.sleep(0.5)
+
+        report = run_distributed_campaign(CONFIG, workers=2, chaos_hook=chaos)
+        assert killed
+        assert report.fingerprint() == serial_fp
+        assert report.resume_info["pool_restarts"] >= 1
+        assert report.resume_info["infra_errors"] == 0
 
 
 class TestInterruption:

@@ -133,6 +133,75 @@ class TestInjector:
         run_to_halt(machine)
         assert machine.result == 5 ^ 2
 
+    LOOP = """
+    main:
+        li   r16, 0
+    loop:
+        add  r16, r16, #1
+        cmp  r16, #5
+        blt  loop
+        nop
+        mov  r26, r16
+        ret
+        nop
+    """
+
+    def test_attach_mid_run_with_seeded_pc_visits(self):
+        # Fire on the 4th execution of the loop body; attach after the
+        # 2nd, telling the injector about the visits it missed.
+        body = assemble(self.LOOP).symbols["loop"]
+        watched = make_machine(self.LOOP)
+        spec = FaultSpec(
+            FaultTarget.REGISTER, FaultKind.BIT_FLIP,
+            FaultTrigger(at_pc=body, pc_hits=4),
+            location=physical_index(0, 16, watched.num_windows), bits=(3,),
+        )
+        full = FaultInjector(watched, [spec])
+        full.attach()
+        run_to_halt(watched)
+
+        machine = make_machine(self.LOOP)
+        while machine.pc != body:
+            machine.step()
+        for __ in range(2):  # two loop iterations, unobserved
+            machine.step()
+            while machine.pc != body:
+                machine.step()
+        late = FaultInjector(machine, [spec])
+        late.attach(pc_visits={body: 2})
+        run_to_halt(machine)
+        assert machine.result == watched.result != 5
+        assert [e.describe() for e in late.events] == [
+            e.describe() for e in full.events
+        ]
+
+    def test_idle_once_nothing_remains_to_do(self):
+        machine = make_machine(MEM_ROUNDTRIP)
+        flip, stuck = (
+            FaultSpec(FaultTarget.MEMORY, kind, FaultTrigger(at_cycle=3),
+                      location=0x400, bits=(0,))
+            for kind in (FaultKind.BIT_FLIP, FaultKind.STUCK_AT_ONE)
+        )
+        transient = FaultInjector(machine, [flip])
+        persistent = FaultInjector(machine, [stuck])
+        assert not transient.idle and not persistent.idle
+        transient.attach()
+        persistent.attach()
+        run_to_halt(machine)
+        assert transient.idle  # fired once, nothing left
+        assert not persistent.idle  # re-asserted every step, forever
+
+    def test_armed_fetch_corruption_is_not_idle(self):
+        machine = make_machine(MEM_ROUNDTRIP)
+        spec = FaultSpec(
+            FaultTarget.INSTRUCTION, FaultKind.BIT_FLIP,
+            FaultTrigger(at_cycle=1), location=0xFFF0, bits=(0,),
+        )
+        injector = FaultInjector(machine, [spec])
+        injector.attach()
+        machine.step()  # fires: arms a fetch that never happens
+        assert not injector.idle
+
     def test_memory_stuck_at_one_survives_overwrite(self):
         machine = make_machine(
             """

@@ -100,6 +100,55 @@ bump:
 """
 
 
+class TestWatchdogsUnderFusion:
+    """A fused pair is two steps: step and cycle budgets must halt every
+    fusion tier at exactly the reference oracle's boundary."""
+
+    @pytest.fixture(scope="class")
+    def towers(self):
+        compiled = compile_for_risc(benchmark("towers").source)
+        return compiled, analyze_program(compiled.program, name="towers")
+
+    @staticmethod
+    def _armed_and_reference(compiled, report, engine, **budget):
+        reference = compiled.make_machine()
+        reference.run(compiled.program.entry, **budget)
+        machine = compiled.make_machine(engine=engine)
+        arm_machine(machine, report)
+        machine.run(compiled.program.entry, **budget)
+        return reference, machine
+
+    @pytest.mark.parametrize("engine", FUSION_ENGINES)
+    @pytest.mark.parametrize("max_steps", [1, 2, 99, 100, 101, 5000])
+    def test_step_budget_is_exact(self, towers, engine, max_steps):
+        compiled, report = towers
+        reference, machine = self._armed_and_reference(
+            compiled, report, engine, max_steps=max_steps
+        )
+        assert machine.halted.name == reference.halted.name == "STEP_LIMIT"
+        assert machine.stats.as_dict() == reference.stats.as_dict()
+
+    @pytest.mark.parametrize("engine", FUSION_ENGINES)
+    @pytest.mark.parametrize("max_cycles", [3, 150, 4001])
+    def test_cycle_budget_is_exact(self, towers, engine, max_cycles):
+        compiled, report = towers
+        reference, machine = self._armed_and_reference(
+            compiled, report, engine, max_cycles=max_cycles
+        )
+        assert machine.halted.name == reference.halted.name == "CYCLE_LIMIT"
+        assert machine.stats.as_dict() == reference.stats.as_dict()
+
+    @pytest.mark.parametrize("engine", FUSION_ENGINES)
+    def test_run_loop_counts_fused_pairs_as_two_steps(self, towers, engine):
+        compiled, report = towers
+        machine = compiled.make_machine(engine=engine)
+        arm_machine(machine, report)
+        machine.reset(compiled.program.entry)
+        steps = machine.engine.run_loop(machine, 10**9, None, None)
+        assert machine.engine.fused_dispatches > 0
+        assert steps == machine.stats.instructions
+
+
 class TestCounterConsistency:
     def test_fast_engine_hits_match_report(self):
         program = assemble(TOWERS_ASM)
