@@ -48,7 +48,7 @@ def _fresh_machines(n):
     compiled = compile_cached(SOURCE)
     machines = []
     for _ in range(n):
-        machine = compiled.make_machine(memory_size=MEMORY_SIZE)
+        machine = compiled.make_machine(memory_size=MEMORY_SIZE, engine="reference")
         machine.reset(compiled.program.entry)
         machines.append(machine)
     return machines

@@ -19,6 +19,7 @@ Semantics notes:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from repro.common.bitops import to_signed, to_unsigned
@@ -126,6 +127,16 @@ class CiscOp(enum.Enum):
 TWO_OPERAND_ALU = {
     CiscOp.ADD, CiscOp.SUB, CiscOp.MUL, CiscOp.DIV, CiscOp.MOD,
     CiscOp.AND, CiscOp.OR, CiscOp.XOR, CiscOp.ASL, CiscOp.ASR, CiscOp.LSR,
+}
+
+#: Branch conditions over the signed operands captured by the last CMP/TST.
+_RELOPS = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "ltu": lambda a, b: to_unsigned(a) < to_unsigned(b),
+    "leu": lambda a, b: to_unsigned(a) <= to_unsigned(b),
+    "gtu": lambda a, b: to_unsigned(a) > to_unsigned(b),
+    "geu": lambda a, b: to_unsigned(a) >= to_unsigned(b),
 }
 
 
@@ -301,32 +312,58 @@ class CiscExecutor:
     # -- execution -------------------------------------------------------------
 
     def run(self, entry: str | None = None, max_steps: int = 50_000_000) -> int:
-        """Run from *entry* until its RTS; returns r0 (signed)."""
-        pc = self.program.labels[entry or self.program.entry]
+        """Run from *entry* until its RTS; returns r0 (signed).
+
+        Pricing is a pure function of the static instruction, so each
+        one is priced once per run: per-pc cycle and fetch-byte tables,
+        plus branch and JSR labels resolved to indices.  An unknown
+        label still raises only when its instruction executes.
+        """
+        program = self.program
+        instructions = program.instructions
+        labels = program.labels
+        traits = self.traits
+        cycle_table = [traits.cycles(inst) for inst in instructions]
+        byte_table = [traits.bytes(inst) for inst in instructions]
+        targets = [labels.get(inst.target) for inst in instructions]
+        regs = self.regs
+        memory = self.memory
+        bra, bcc, jsr = CiscOp.BRA, CiscOp.BCC, CiscOp.JSR
+        pc = labels[entry or program.entry]
         # push the halt sentinel as the return "address"
-        self.regs[SP] -= WORD
-        self.memory.store_word(self.regs[SP], to_unsigned(_HALT_SENTINEL), count=False)
-        steps = 0
-        while True:
-            if steps >= max_steps:
-                raise BaselineError(f"step limit {max_steps} exceeded")
-            steps += 1
-            inst = self.program.instructions[pc]
-            self.instructions_executed += 1
-            self.cycles += self.traits.cycles(inst)
-            self.fetch_bytes += self.traits.bytes(inst)
-            next_pc = pc + 1
-            if inst.op is CiscOp.JSR:
-                self.regs[SP] = to_unsigned(self.regs[SP] - WORD)
-                self.memory.store_word(self.regs[SP], to_unsigned(next_pc))
-                pc = self.program.labels[inst.target]
-                continue
-            jump = self._execute(inst)
-            if jump is not None:
-                if jump == _HALT_SENTINEL:
-                    return to_signed(self.regs[RESULT_REG])
-                next_pc = jump
-            pc = next_pc
+        regs[SP] -= WORD
+        memory.store_word(regs[SP], to_unsigned(_HALT_SENTINEL), count=False)
+        steps = cycles = fetch_bytes = 0
+        try:
+            while True:
+                if steps >= max_steps:
+                    raise BaselineError(f"step limit {max_steps} exceeded")
+                steps += 1
+                inst = instructions[pc]
+                cycles += cycle_table[pc]
+                fetch_bytes += byte_table[pc]
+                op = inst.op
+                if op is bra or op is bcc or op is jsr:
+                    if op is bcc and not self._cond(inst.relop):
+                        pc += 1
+                        continue
+                    if op is jsr:
+                        regs[SP] = to_unsigned(regs[SP] - WORD)
+                        memory.store_word(regs[SP], to_unsigned(pc + 1))
+                    target = targets[pc]
+                    pc = labels[inst.target] if target is None else target
+                    continue
+                jump = self._execute(inst)
+                if jump is None:
+                    pc += 1
+                elif jump == _HALT_SENTINEL:
+                    return to_signed(regs[RESULT_REG])
+                else:
+                    pc = jump
+        finally:
+            self.instructions_executed += steps
+            self.cycles += cycles
+            self.fetch_bytes += fetch_bytes
 
     def _execute(self, inst: CInst) -> int | None:
         op = inst.op
@@ -350,13 +387,6 @@ class CiscExecutor:
             )
         elif op is CiscOp.TST:
             self.last_cmp = (to_signed(self.read(inst.operands[0])), 0)
-        elif op is CiscOp.BCC:
-            if self._cond(inst.relop):
-                return self.program.labels[inst.target]
-        elif op is CiscOp.BRA:
-            return self.program.labels[inst.target]
-        elif op is CiscOp.JSR:  # pragma: no cover - handled inline by run()
-            raise BaselineError("JSR must be executed via the run loop")
         elif op is CiscOp.RTS:
             self.regs[SP] = to_unsigned(self.regs[SP] + WORD)
             return to_signed(self.memory.load_word(self.regs[SP] - WORD))
@@ -413,13 +443,8 @@ class CiscExecutor:
         raise BaselineError(f"not an ALU op {op!r}")  # pragma: no cover
 
     def _cond(self, relop: str) -> bool:
-        a, b = self.last_cmp
-        ua, ub = to_unsigned(a), to_unsigned(b)
-        table = {
-            "==": a == b, "!=": a != b,
-            "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-            "ltu": ua < ub, "leu": ua <= ub, "gtu": ua > ub, "geu": ua >= ub,
-        }
-        if relop not in table:
+        test = _RELOPS.get(relop)
+        if test is None:
             raise BaselineError(f"unknown relop {relop!r}")
-        return table[relop]
+        return test(*self.last_cmp)
+

@@ -47,6 +47,9 @@ class BenchmarkRecord:
     decode_hits: int = 0
     decode_misses: int = 0
     decode_evictions: int = 0
+    # Execution tier that produced the decode counters above (RISC
+    # records only); None for baselines, which have no tiers.
+    engine: str | None = None
 
     @property
     def time_ms(self) -> float:
@@ -100,6 +103,7 @@ def _run_risc(bench: Benchmark) -> BenchmarkRecord:
         decode_hits=decode_info["hits"],
         decode_misses=decode_info["misses"],
         decode_evictions=decode_info["evictions"],
+        engine=machine.engine_name,
     )
 
 

@@ -30,7 +30,8 @@ def run(names: tuple[str, ...] | None = None) -> Table:
     )
     for bench in benches:
         compiled = compile_cached(bench.source)
-        machine = compiled.make_machine()
+        # The tracer observes every step: run the oracle directly.
+        machine = compiled.make_machine(engine="reference")
         tracer = ExecutionTracer(machine, limit=TRACE_LIMIT)
         trace = tracer.run(compiled.program.entry)
         estimate = estimate_cycles(trace)

@@ -3,7 +3,9 @@
 ``python -m repro.evaluation.export out.json [--fast]`` writes the full
 benchmark matrix (per benchmark x machine: code bytes, instructions,
 cycles, simulated time, memory references, window overflows, and - for
-RISC rows - decode-cache hit/miss/eviction counters).
+RISC rows - decode-cache hit/miss/eviction counters plus the ``engine``
+tier whose decoder produced them; baseline rows have ``engine: null``).
+Every field except the decode counters is identical on every tier.
 
 ``python -m repro.evaluation.export out.json --campaign [--injections N]
 [--seed S]`` instead writes the R1 fault-campaign report: the

@@ -164,7 +164,7 @@ def _benchmark_manifest(task: tuple[str, str, str | None]):
     from repro.cpu.batch import run_batch
     from repro.telemetry.manifest import capture_manifest
 
-    machine = compiled.make_machine()
+    machine = compiled.make_machine(engine="reference")
     machine.reset(entry)
     executor = run_batch([machine])
     manifest = capture_manifest(machine, workload=name, entry=entry)

@@ -485,7 +485,8 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
 
     bench = benchmark(name)
     compiled = compile_cached(bench.source)
-    machine = compiled.make_machine()
+    # Every step is observed, so a compiled tier would only fall back.
+    machine = compiled.make_machine(engine="reference")
     trace = array("I")  # the PC at every step boundary
 
     def record_pc(m: RiscMachine) -> None:

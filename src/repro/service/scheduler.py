@@ -230,6 +230,7 @@ def _execute_batch(payloads: list[dict]) -> list[dict]:
         machine = compiled.make_machine(
             num_windows=config["num_windows"],
             memory_size=config["memory_size"],
+            engine="reference",
         )
         machine.reset(compiled.program.entry)
         machines.append(machine)

@@ -115,7 +115,7 @@ class TestLockstepBitExactness:
         compiled = compile_cached(benchmark(name).source)
         machines = []
         for _ in range(3):
-            machine = compiled.make_machine()
+            machine = compiled.make_machine(engine="reference")
             machine.reset(compiled.program.entry)
             machines.append(machine)
         executor = batch.run_batch(machines)

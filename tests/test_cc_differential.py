@@ -2,8 +2,8 @@
 
 The core correctness property of the whole reproduction: a Mini-C
 program produces the same result through the reference interpreter, the
-compiled RISC I image (with and without windows / delay-slot filling),
-and the generic-CISC images for all four baseline machines.  Hypothesis
+compiled RISC I image (with and without windows / delay-slot filling,
+on the reference oracle and on ``CompiledRisc.run``'s default tier), and the generic-CISC images for all four baseline machines.  Hypothesis
 generates random straight-line programs on top of the curated cases.
 """
 
@@ -49,7 +49,8 @@ def all_targets(source: str) -> dict[str, int]:
             key = f"risc(w={int(use_windows)},opt={int(optimize)})"
             compiled = compile_for_risc(source, use_windows=use_windows,
                                         optimize_delay_slots=optimize)
-            results[key], __ = compiled.run()
+            results[key], __ = compiled.run(engine="reference")
+            results[key + "/default"], __ = compiled.run()
     ir = compile_to_ir(source)
     for traits in ALL_TRAITS:
         generated = compile_for_cisc(ir, traits)
@@ -106,6 +107,8 @@ def programs(draw):
 def test_random_programs_interp_vs_risc(source):
     expected = run_program(source, max_ops=5_000_000).value
     compiled = compile_for_risc(source)
+    got, __ = compiled.run(engine="reference")
+    assert got == expected, source
     got, __ = compiled.run()
     assert got == expected, source
 
@@ -128,5 +131,7 @@ def test_random_programs_interp_vs_vax_model(source):
 def test_window_count_never_changes_results(num_windows, source):
     expected = run_program(source, max_ops=5_000_000).value
     compiled = compile_for_risc(source)
+    got, __ = compiled.run(num_windows=num_windows, engine="reference")
+    assert got == expected
     got, __ = compiled.run(num_windows=num_windows)
     assert got == expected

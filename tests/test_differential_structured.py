@@ -89,16 +89,20 @@ COMMON_SETTINGS = dict(deadline=None,
 @given(structured_programs())
 def test_structured_interp_vs_risc(source):
     expected = run_program(source, max_ops=2_000_000).value
-    value, __ = compile_for_risc(source).run()
-    assert value == expected, source
+    compiled = compile_for_risc(source)
+    for engine in ("reference", "fast"):
+        value, __ = compiled.run(engine=engine)
+        assert value == expected, (engine, source)
 
 
 @settings(max_examples=10, **COMMON_SETTINGS)
 @given(structured_programs())
 def test_structured_interp_vs_risc_flat(source):
     expected = run_program(source, max_ops=2_000_000).value
-    value, __ = compile_for_risc(source, use_windows=False).run()
-    assert value == expected, source
+    compiled = compile_for_risc(source, use_windows=False)
+    for engine in ("reference", "fast"):
+        value, __ = compiled.run(engine=engine)
+        assert value == expected, (engine, source)
 
 
 @settings(max_examples=10, **COMMON_SETTINGS)

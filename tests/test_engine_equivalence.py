@@ -25,7 +25,9 @@ from repro.cpu.equivalence import (
     state_digest,
 )
 from repro.cpu.machine import HaltReason, TrapCause
+from repro.evaluation.common import FAST_SUBSET
 from repro.workloads import BENCHMARKS, benchmark
+from repro.workloads.cache import compile_cached
 
 from repro.cpu.engines import default_sweep_engines
 
@@ -70,6 +72,21 @@ class TestWorkloadEquivalence:
             digests.append(state_digest(machine))
         for digest in digests[1:]:
             assert not diff_digests(digests[0], digest)
+
+    @pytest.mark.parametrize(
+        "flags", [{"use_windows": False}, {"optimize_delay_slots": False}],
+        ids=["flat", "nop-slots"],
+    )
+    @pytest.mark.parametrize("name", FAST_SUBSET)
+    def test_report_variant_default_tier_bit_identical(self, name, flags):
+        # The a1 (flat register file) and a2 (NOP-filled delay slots)
+        # ablations run through CompiledRisc.run's default tier, which
+        # must be the fast tier and must match the oracle.
+        compiled = compile_cached(benchmark(name).source, **flags)
+        __, oracle = compiled.run(engine="reference")
+        __, default = compiled.run()
+        assert default.engine_name == "fast"
+        assert not diff_digests(state_digest(oracle), state_digest(default))
 
     def test_few_windows_spill_heavy_bit_identical(self):
         # num_windows=2 forces constant overflow/underflow trap traffic.

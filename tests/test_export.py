@@ -2,7 +2,7 @@
 
 import json
 
-from repro.evaluation.common import FAST_SUBSET
+from repro.evaluation.common import FAST_SUBSET, RISC_NAME
 from repro.evaluation.export import export_json, matrix_as_records
 
 
@@ -14,6 +14,16 @@ class TestExport:
         for key in ("benchmark", "machine", "code_bytes", "cycles",
                     "data_refs", "time_ms", "result"):
             assert key in sample
+
+    def test_rows_name_the_tier_that_decoded_them(self):
+        rows = matrix_as_records(FAST_SUBSET)
+        for row in rows:
+            if row["machine"] == RISC_NAME:
+                assert row["engine"] == "fast"
+                assert row["decode_misses"] > 0
+            else:
+                assert row["engine"] is None
+                assert row["decode_misses"] == 0
 
     def test_call_trace_not_exported(self):
         rows = matrix_as_records(FAST_SUBSET)

@@ -111,7 +111,7 @@ class TestWatchdogsUnderFusion:
 
     @staticmethod
     def _armed_and_reference(compiled, report, engine, **budget):
-        reference = compiled.make_machine()
+        reference = compiled.make_machine(engine="reference")
         reference.run(compiled.program.entry, **budget)
         machine = compiled.make_machine(engine=engine)
         arm_machine(machine, report)

@@ -106,7 +106,7 @@ class TestOnRealPrograms:
         }
         """
         compiled = compile_for_risc(source)
-        machine = compiled.make_machine()
+        machine = compiled.make_machine(engine="reference")
         trace = ExecutionTracer(machine).run(compiled.program.entry)
         estimate = estimate_cycles(trace)
         assert estimate.three_stage_cycles <= estimate.two_stage_cycles

@@ -26,7 +26,7 @@ class TestProfiler:
 
     def profile(self):
         compiled = compile_for_risc(self.SOURCE)
-        machine = compiled.make_machine()
+        machine = compiled.make_machine(engine="reference")
         profiler = Profiler(machine, function_symbols(compiled.program.symbols))
         profiler.run(compiled.program.entry)
         return profiler
