@@ -70,6 +70,34 @@ def test_fast_engine_fusion_simulator_speed(benchmark):
     assert 0 < fused < instructions
 
 
+def _observed_run(compiled, engine):
+    """A run under a ``pre_step`` PC recorder: a campaign golden run."""
+    machine = compiled.make_machine(engine=engine)
+    pcs = []
+    machine.observers.subscribe("pre_step", lambda m: pcs.append(m.pc))
+    machine.run(compiled.program.entry)
+    return len(pcs)
+
+
+def test_observed_reference_simulator_speed(benchmark):
+    compiled = compile_for_risc(SOURCE)
+    steps = benchmark(lambda: _observed_run(compiled, "reference"))
+    benchmark.extra_info["engine"] = "reference+pre_step"
+    benchmark.extra_info["steps"] = steps
+    assert steps > 10_000
+
+
+def test_observed_fast_simulator_speed(benchmark):
+    """Paired with the observed reference run by the
+    observed-fast-vs-reference baseline entry: ``pre_step`` observers
+    must keep the fast tier on its pre-decoded thunks."""
+    compiled = compile_for_risc(SOURCE)
+    steps = benchmark(lambda: _observed_run(compiled, "fast"))
+    benchmark.extra_info["engine"] = "fast+pre_step"
+    benchmark.extra_info["steps"] = steps
+    assert steps > 10_000
+
+
 def test_block_engine_simulator_speed(benchmark):
     compiled = compile_for_risc(SOURCE)
     instructions = benchmark(lambda: _risc_run(compiled, "block"))

@@ -58,8 +58,9 @@ class CompiledRisc:
         ``reference`` oracle, about 4x its speed, and cheap to start.
         The ``trace`` tier runs long programs faster still, but its
         codegen costs more time and memory than a short run pays back.
-        Pass ``engine="reference"`` when every step is observed (the
-        compiled tiers would fall back to the oracle on each one).
+        Observed runs stay on ``fast`` too: it calls ``pre_step`` and
+        ``step`` observers itself.  Only ``fetch_word``/``mem_access``
+        observers send its steps to the reference oracle.
         """
         from repro.common.memory import Memory
 

@@ -5,13 +5,18 @@ an :class:`~repro.cpu.state.ArchState` into a running processor.  Four
 scalar backends ship:
 
 * ``"reference"`` - :class:`ReferenceEngine`, the original interpreter
-  preserved as the semantic oracle.  It honours every observer event and
-  is the fallback whenever per-step observation is required.
+  preserved as the semantic oracle.  It honours every observer event.
+  Its :meth:`~ReferenceEngine.step` is the ``pre_step`` hooks followed
+  by :meth:`~ReferenceEngine.step_body`, which the compiled tiers call
+  for the steps they cannot run themselves: a latched interrupt, or a
+  ``fetch_word``/``mem_access`` observer.
 * ``"fast"`` - :class:`~repro.cpu.fastengine.FastEngine`, a pre-decoding
   interpreter that compiles each instruction word into a specialised
   closure and skips all observer bookkeeping while nothing per-step is
-  attached.  Verified against the reference by the differential harness
-  in :mod:`repro.cpu.equivalence`.
+  attached.  Under ``pre_step``/``step`` observers it still runs its
+  closures, one unfused step at a time, and fires those events itself.
+  Verified against the reference by the differential harness in
+  :mod:`repro.cpu.equivalence`.
 * ``"block"`` - :class:`~repro.cpu.blockengine.BlockEngine`, a
   basic-block compiler that executes whole CFG basic blocks as single
   closures with batched stats and write-invalidation for self-modifying
@@ -19,8 +24,9 @@ scalar backends ship:
 * ``"trace"`` - :class:`~repro.cpu.traceengine.TraceEngine`, a
   superblock compiler that chains basic blocks across static control
   transfers into linear traces compiled to generated Python source,
-  eliminating the per-block closure-call overhead.  Same admission
-  rule.
+  eliminating the per-block closure-call overhead.  Whatever it runs
+  one step at a time, observed steps included, goes through an inner
+  fast engine.  Same admission rule.
 
 plus the non-scalar ``"batch"`` tier (:mod:`repro.cpu.batch`), a numpy
 lockstep executor over N machines.  The tier registry lives in
@@ -137,10 +143,19 @@ class ReferenceEngine:
         """
         if m.halted is not None:
             raise SimulationError(f"machine is halted ({m.halted.value})")
+        for hook in m.observers.on_pre_step:
+            hook(m)
+        return self.step_body(m)
+
+    def step_body(self, m: ArchState) -> Instruction | None:
+        """Everything of :meth:`step` after the ``pre_step`` hooks.
+
+        Takes a latched interrupt, fetches (through any ``fetch_word``
+        filters), executes, and emits ``mem_access`` and ``step``.  A
+        compiled tier that has already run the ``pre_step`` hooks itself
+        hands the rest of an observed step here.
+        """
         bus = m.observers
-        if bus.on_pre_step:
-            for hook in bus.on_pre_step:
-                hook(m)
         if (
             m.pending_interrupt is not None
             and m.psw.interrupts_enabled

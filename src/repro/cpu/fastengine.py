@@ -21,12 +21,16 @@ machine's register list, PSW, stats and memory as default arguments;
 place, so a checkpoint/rollback - even one taken mid-delay-slot - never
 invalidates a thunk.
 
-Anything that needs per-instruction observation falls back to the
-reference oracle: while :attr:`ObserverBus.step_observed` is true or an
-interrupt is latched, each step is delegated to
-:class:`~repro.cpu.engine.ReferenceEngine`, which emits every event.
-Boundary events (``call``/``return``/``trap``/``halt``) are emitted from
-the shared state core and therefore fire identically under every engine.
+While :attr:`ObserverBus.step_observed` is true or an interrupt is
+latched, steps run one at a time: the engine calls the ``pre_step``
+hooks itself, dispatches the *unfused* thunk (a fused pair would skip a
+step boundary) and fires ``step`` after a completed instruction.  Only
+a latched interrupt or a ``fetch_word``/``mem_access`` observer - the
+events that change fetch or data-side semantics - hands the rest of the
+step to :meth:`ReferenceEngine.step_body
+<repro.cpu.engine.ReferenceEngine.step_body>`.  Boundary events
+(``call``/``return``/``trap``/``halt``) are emitted from the shared
+state core and therefore fire identically under every engine.
 
 Bit-identical results versus the reference are enforced by
 :mod:`repro.cpu.equivalence` on every bundled workload.
@@ -494,7 +498,7 @@ class FastEngine:
     thunks naturally.  Fused entries execute both halves in one
     dispatch with bit-identical architectural effects; only proved
     pairs ever fuse, and :meth:`step` (single-instruction semantics by
-    contract) always executes unfused.
+    contract) and every observed step always execute unfused.
     """
 
     name = "fast"
@@ -510,14 +514,21 @@ class FastEngine:
         self._fused_hits: dict[int, list[int]] = {}
         #: thunks built over the engine's lifetime (recompiles included).
         self.thunks_compiled = 0
+        #: steps whose thunk ran under per-step observers.
+        self.observed_steps = 0
+        #: steps handed to the reference engine's step body.
+        self.oracle_steps = 0
 
     def telemetry_snapshot(self) -> dict:
-        """Thunk-cache counters for the manifest's engine section."""
+        """Thunk-cache and execution-path counters for the manifest's
+        engine section."""
         return {
             "thunks_cached": len(self._cache),
             "thunks_compiled": self.thunks_compiled,
             "fused_pairs_armed": len(self._fused),
             "fused_dispatches": self.fused_dispatches,
+            "observed_steps": self.observed_steps,
+            "oracle_steps": self.oracle_steps,
         }
 
     # -- fusion -------------------------------------------------------------
@@ -669,11 +680,40 @@ class FastEngine:
     # -- ExecutionEngine ----------------------------------------------------
 
     def step(self, m: ArchState) -> Instruction | None:
-        """One instruction through the thunk cache (oracle on observation)."""
+        """One instruction through the thunk cache, always unfused."""
         if m.halted is not None:
             raise SimulationError(f"machine is halted ({m.halted.value})")
         if m.observers.step_observed or m.pending_interrupt is not None:
-            return self._ref.step(m)
+            return self._observed_step(m)
+        return self._dispatch(m)
+
+    def _observed_step(self, m: ArchState) -> Instruction | None:
+        """One step under per-step observers or a latched interrupt.
+
+        Runs the ``pre_step`` hooks first, as the oracle does.  The rest
+        of the step goes to the oracle's body only if a hook left work
+        that changes fetch or memory semantics: a latched interrupt, or
+        a ``fetch_word``/``mem_access`` observer.  Otherwise the unfused
+        thunk runs, and a completed instruction fires ``step``.
+        """
+        bus = m.observers
+        for hook in bus.on_pre_step:
+            hook(m)
+        if m.pending_interrupt is not None or bus.on_fetch_word or bus.on_mem_access:
+            self.oracle_steps += 1
+            return self._ref.step_body(m)
+        self.observed_steps += 1
+        pc = m.pc
+        inst = self._dispatch(m)
+        if inst is not None and bus.on_step:
+            taken = m._pending_jump  # set by exactly the taken transfers
+            for fn in bus.on_step:
+                fn(m, pc, inst, taken)
+        return inst
+
+    def _dispatch(self, m: ArchState) -> Instruction | None:
+        """Fetch, compile if needed, and run one unfused thunk; None
+        when the step trapped."""
         mem = m.memory
         pc = m.pc
         if pc & 3 or pc < 0 or pc + 4 > mem.size:
@@ -713,11 +753,12 @@ class FastEngine:
         deadline: float | None,
     ) -> int:
         """Run the inlined fetch/decode/dispatch loop until halt or a budget
-        expires, falling back to the oracle when observers demand it;
-        returns the steps executed (a fused pair counts as two)."""
+        expires; observed steps run one at a time through
+        :meth:`_observed_step`.  Returns the steps executed (a fused pair
+        counts as two)."""
         import time
 
-        ref_step = self._ref.step
+        observed_step = self._observed_step
         bus = m.observers
         stats = m.stats
         mem = m.memory
@@ -735,7 +776,7 @@ class FastEngine:
         check_at = 1024
         while m.halted is None:
             if bus.step_observed or m.pending_interrupt is not None:
-                ref_step(m)
+                observed_step(m)
             else:
                 pc = m.pc
                 if pc & 3 or pc < 0 or pc + 4 > size:

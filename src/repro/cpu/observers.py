@@ -32,10 +32,14 @@ Events and callback signatures:
 
 The first four events fire on (nearly) every instruction, so engines
 check :attr:`ObserverBus.step_observed` once per step and skip all
-bookkeeping when nothing is attached; the fast engine additionally
-requires ``step_observed`` to be False before entering its pre-decoded
-loop.  The last four fire only at procedure/trap/halt boundaries and are
-honoured by every engine.
+bookkeeping when nothing is attached.  While it is set, the fast tier
+(and the trace tier, which single-steps through it) runs one unfused
+pre-decoded thunk per step and calls ``pre_step`` and ``step``
+observers itself.  ``fetch_word`` and ``mem_access`` observers change
+what a step fetches or report each data access, so a step with either
+attached goes to the reference oracle; so does the block tier's every
+observed step.  The last four fire only at procedure/trap/halt
+boundaries and are honoured by every engine.
 
 Mutate subscriptions only through :meth:`ObserverBus.subscribe` /
 :meth:`ObserverBus.unsubscribe` so ``step_observed`` stays coherent;

@@ -25,8 +25,8 @@ counter bump (``exit_hits[j] += 1``) plus a pending-cycles cell the run
 loop's watchdog reads, and the full per-exit stat bundle (instructions,
 cycles, per-category/per-opcode counts, taken jumps, delay slots,
 calls, returns) - all statically known per exit - is reconciled into
-``machine.stats`` lazily: at run-loop exit, before any oracle
-fallback step, and inside every trap unwind.  Register moves, operand
+``machine.stats`` lazily: at run-loop exit, before any single-step
+fallback, and inside every trap unwind.  Register moves, operand
 sums and memory addresses are constant-folded (``r0`` reads and
 immediates are literals), so the common ALU instruction compiles to a
 single masked - or unmasked, when provably clean - assignment.
@@ -38,8 +38,11 @@ on everything observable (enforced by the 4-engine differential sweep
 in ``tests/test_engine_equivalence.py``).  The correctness machinery is
 the block engine's, inherited wholesale:
 
-* per-step observers, latched interrupts, or a pending delay slot fall
-  back to the reference oracle (``step()`` always delegates);
+* per-step observers, latched interrupts, a pending delay slot, an
+  uncompilable entry or a watchdog tail single-step through an inner
+  :class:`~repro.cpu.fastengine.FastEngine` (``step()`` always
+  delegates), which itself hands a step to the reference oracle only
+  for a latched interrupt or a ``fetch_word``/``mem_access`` observer;
 * a mid-trace trap unwinds through :func:`_trace_trap_exit`, which
   reconciles deferred stats and replays the exact prefix; taken delay
   slots are marked statically in the trap index (traces duplicate slot
@@ -76,8 +79,8 @@ from repro.cpu.blockengine import (
     _hoist_lines,
     _pair_positions,
 )
-from repro.cpu.engine import ReferenceEngine
 from repro.cpu.fastengine import (
+    FastEngine,
     _ADD_OPS,
     _COND_EXPR,
     _SUB_OPS,
@@ -310,7 +313,7 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
         except DecodingError:
             if seq:
                 events.append(("end", addr))
-            break  # the oracle raises the illegal-instruction trap
+            break  # single-stepping raises the illegal-instruction trap
         if not inst.spec.is_delayed:
             i = len(seq)
             seq.append((addr, word, inst))
@@ -332,7 +335,7 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
             continue
         saddr = addr + 4
         # Leave exotic slots (unfetchable, undecodable, another
-        # transfer, CALLINT, the halt address) to the oracle: end the
+        # transfer, CALLINT, the halt address) to single-stepping: end the
         # trace just before the transfer.
         if saddr + 4 > size or saddr == halt_addr:
             if seq:
@@ -1068,7 +1071,7 @@ def _codegen_trace(
                 lines.extend(_hoist_lines(nw))  # linkage + slot: NEW window
             write_dest(inst, str(addr))  # return linkage
             # The slow path's spill may have rewritten the delay slot;
-            # re-enter via the oracle with the jump latched if so.
+            # re-enter by single-stepping with the jump latched if so.
             emit("if not T.live:")
             emit(f"    m.npc = {target}")
             emit_exit(si, pendc, "    ")
@@ -1209,15 +1212,17 @@ class TraceEngine:
     Per-machine state: compiled traces keyed by entry pc, plus the
     word-index watch (:attr:`code_words`) registered with the machine's
     memory so stores into compiled regions invalidate stale traces.
-    ``step()`` always delegates to the reference oracle - single-step
-    callers (debugger, campaign budget loops) get reference semantics by
-    construction; only ``run_loop`` uses compiled traces.
+    ``step()`` always delegates to an inner
+    :class:`~repro.cpu.fastengine.FastEngine`, whose unfused thunks are
+    oracle-exact one instruction at a time; ``run_loop`` uses compiled
+    traces and single-steps through the same inner engine wherever a
+    trace cannot run.
     """
 
     name = "trace"
 
     def __init__(self) -> None:
-        self._ref = ReferenceEngine()
+        self._fast = FastEngine()
         self._traces: dict[int, _Trace] = {}
         #: word index (address >> 2) -> traces whose code covers it.
         #: This dict doubles as the Memory write watch.
@@ -1240,6 +1245,8 @@ class TraceEngine:
         self.code_flushes = 0
         self.instructions_compiled = 0
         self.max_trace_length = 0
+        #: steps single-stepped through the inner fast engine.
+        self.fallback_steps = 0
         #: statically proved pairs armed via :meth:`arm_fusion`, keyed by
         #: first-half address, plus hits folded out of reconciled exits.
         self._fused: dict[int, object] = {}
@@ -1258,6 +1265,8 @@ class TraceEngine:
             "max_trace_length": self.max_trace_length,
             "fused_pairs_armed": len(self._fused),
             "fused_dispatches": self.fused_dispatches,
+            "fallback_steps": self.fallback_steps,
+            "oracle_steps": self._fast.oracle_steps,
         }
 
     # -- macro-op fusion (counting only: pairs already run fused) -----------
@@ -1298,7 +1307,7 @@ class TraceEngine:
         """Fold pending per-exit hit counters into the machine's stats.
 
         Called whenever deferred state could become observable: before
-        any oracle fallback step, on every trap unwind, before an
+        any single-step fallback, on every trap unwind, before an
         in-trace halt fires observers, and at run-loop exit.
         """
         m = self._machine
@@ -1478,9 +1487,10 @@ class TraceEngine:
     # -- ExecutionEngine ----------------------------------------------------
 
     def step(self, m: ArchState) -> Instruction | None:
-        """Single-step with full reference semantics (trace compilation
+        """Single-step through the inner fast engine (trace compilation
         is a ``run_loop``-only optimisation)."""
-        return self._ref.step(m)
+        self.fallback_steps += 1
+        return self._fast.step(m)
 
     def run_loop(
         self,
@@ -1501,7 +1511,7 @@ class TraceEngine:
                 self.flush_code()
             self._halt_addr = m.halt_address
             self._halt_known = True
-        ref_step = self._ref.step
+        fast_step = self._fast.step
         bus = m.observers
         stats = m.stats
         traces_get = self._traces.get
@@ -1522,8 +1532,9 @@ class TraceEngine:
             ):
                 if CY[0]:
                     self._reconcile()
-                ref_step(m)
+                fast_step(m)
                 steps += 1
+                self.fallback_steps += 1
             else:
                 pc = m.pc
                 trc = traces_get(pc)
@@ -1534,11 +1545,12 @@ class TraceEngine:
                 if trc is None:
                     trc = self._lookup(m, pc)
                 if trc is None:
-                    # Unfetchable/undecodable entry: the oracle traps.
+                    # Unfetchable/undecodable entry: the single step traps.
                     if CY[0]:
                         self._reconcile()
-                    ref_step(m)
+                    fast_step(m)
                     steps += 1
+                    self.fallback_steps += 1
                 elif steps + trc.n > max_steps or (
                     max_cycles is not None
                     and stats.cycles + CY[0] + trc.cycles_bound >= max_cycles
@@ -1547,8 +1559,9 @@ class TraceEngine:
                     # single-step granularity for exact halt points.
                     if CY[0]:
                         self._reconcile()
-                    ref_step(m)
+                    fast_step(m)
                     steps += 1
+                    self.fallback_steps += 1
                 else:
                     # Frame-op fast paths are licensed per dispatch: the
                     # boundary observers must be exactly the default

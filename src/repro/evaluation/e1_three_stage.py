@@ -30,8 +30,7 @@ def run(names: tuple[str, ...] | None = None) -> Table:
     )
     for bench in benches:
         compiled = compile_cached(bench.source)
-        # The tracer observes every step: run the oracle directly.
-        machine = compiled.make_machine(engine="reference")
+        machine = compiled.make_machine()
         tracer = ExecutionTracer(machine, limit=TRACE_LIMIT)
         trace = tracer.run(compiled.program.entry)
         estimate = estimate_cycles(trace)

@@ -28,11 +28,11 @@ A trial runs in three phases on the fastest scalar tier
 (:func:`_run_trial`).  Until its trigger fires, a faulted run is
 bit-identical to the golden run, so the *prefix* runs unobserved on
 the compiled tier up to the trigger boundary.  The *fault* phase
-attaches the :class:`~repro.faults.injector.FaultInjector` and steps
-the reference oracle only while the fault needs watching.  Once the
-injector is idle, the *suffix* finishes the step budget unobserved
-again.  The classification is identical to stepping the oracle under
-the injector from instruction 0.
+attaches the :class:`~repro.faults.injector.FaultInjector` and
+single-steps the same tier under it only while the fault needs
+watching.  Once the injector is idle, the *suffix* finishes the step
+budget unobserved again.  The classification is identical to stepping
+the oracle under the injector from instruction 0.
 
 Determinism: all randomness flows through one seeded
 :class:`random.Random`; no wall-clock inputs are consulted.  Two runs
@@ -485,8 +485,7 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
 
     bench = benchmark(name)
     compiled = compile_cached(bench.source)
-    # Every step is observed, so a compiled tier would only fall back.
-    machine = compiled.make_machine(engine="reference")
+    machine = compiled.make_machine()
     trace = array("I")  # the PC at every step boundary
 
     def record_pc(m: RiscMachine) -> None:
@@ -629,13 +628,15 @@ def _run_trial(
        cycle trigger, the golden step index of the ``pc_hits``-th visit
        locates a PC trigger;
     2. **fault** - the injector attaches (PC visits pre-seeded from the
-       golden run) and the oracle steps while it is not idle: the firing
-       step, and every step of a stuck-at fault;
+       golden run) and the machine single-steps under it while it is
+       not idle: the firing step, and every step of a stuck-at fault
+       (pre-decoded, except that an instruction fault's fetch filter
+       hands its steps to the oracle);
     3. **suffix** - the injector detaches and the rest of the budget
        runs unobserved.
 
     *tally*, when given, counts the steps this call ran: ``observed``
-    on the oracle under the injector, ``compiled`` unobserved on the
+    single-stepped under the injector, ``compiled`` unobserved on the
     machine's tier.
     """
     if deadline is not None and time.monotonic() > deadline:

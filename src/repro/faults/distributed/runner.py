@@ -81,7 +81,7 @@ def _publish_metrics(
         ),
         "campaign.steps_observed": (
             stats.trial_steps["observed"],
-            "trial steps run on the oracle under the fault injector",
+            "trial steps single-stepped under the fault injector",
         ),
         "campaign.steps_compiled": (
             stats.trial_steps["compiled"],

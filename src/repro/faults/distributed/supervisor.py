@@ -112,8 +112,8 @@ class SupervisionStats:
     pool_restarts: int = 0
     #: per-trial error strings of quarantined trials (trial -> detail)
     quarantined: dict[int, str] = field(default_factory=dict)
-    #: steps the executed trials ran, by phase: ``observed`` on the
-    #: oracle under the fault injector, ``compiled`` unobserved
+    #: steps the executed trials ran, by phase: ``observed``
+    #: single-stepped under the fault injector, ``compiled`` unobserved
     trial_steps: Counter = field(default_factory=Counter)
 
 

@@ -11,12 +11,16 @@ Three layers of assurance:
 * the stateful tools - checkpoint/rollback and the debugger - exercised
   against both engines, including a rollback taken mid-delay-slot on
   the fast engine (whose pre-decoded thunk cache must survive an
-  in-place state rewind).
+  in-place state rewind);
+* observed runs: ``pre_step``/``step`` observers on every workload,
+  and ``pre_step`` hooks that latch an interrupt, subscribe a fetch
+  filter, patch code or move the register window mid-run.
 """
 
 import pytest
 
 from repro import RiscMachine, assemble
+from repro.analysis.fusion import analyze_program, arm_machine
 from repro.cpu.debugger import Debugger, StopReason
 from repro.cpu.equivalence import (
     assert_engines_equivalent,
@@ -25,6 +29,7 @@ from repro.cpu.equivalence import (
     state_digest,
 )
 from repro.cpu.machine import HaltReason, TrapCause
+from repro.cpu.tracing import ExecutionTracer
 from repro.evaluation.common import FAST_SUBSET
 from repro.workloads import BENCHMARKS, benchmark
 from repro.workloads.cache import compile_cached
@@ -93,6 +98,173 @@ class TestWorkloadEquivalence:
         result = run_differential(benchmark("ackermann").source, num_windows=2)
         assert result.equivalent, "\n".join(result.mismatches)
         assert result.digests[0]["stats"]["window_overflows"] > 0
+
+
+#: Observed workload runs stop here: five workloads finish inside the
+#: cap, and the others must halt on the oracle's exact STEP_LIMIT step.
+OBSERVED_STEP_CAP = 60_000
+
+_OBSERVED_ORACLE: dict = {}
+
+
+def observed_run(name: str, engine: str, *, fusion: bool = False):
+    """One capped run of workload *name* under a ``pre_step`` PC recorder
+    and an :class:`ExecutionTracer`: (pcs, records, digest, machine)."""
+    compiled = compile_cached(benchmark(name).source)
+    machine = compiled.make_machine(engine=engine)
+    if fusion:
+        arm_machine(machine, analyze_program(compiled.program, name=name))
+    pcs = []
+    machine.observers.subscribe("pre_step", lambda m: pcs.append(m.pc))
+    tracer = ExecutionTracer(machine, limit=OBSERVED_STEP_CAP)
+    records = tracer.run(compiled.program.entry, max_steps=OBSERVED_STEP_CAP)
+    return pcs, records, state_digest(machine), machine
+
+
+def observed_oracle(name: str):
+    """The reference engine's (pcs, records, digest), computed once."""
+    if name not in _OBSERVED_ORACLE:
+        _OBSERVED_ORACLE[name] = observed_run(name, "reference")[:3]
+    return _OBSERVED_ORACLE[name]
+
+
+class TestObservedRunEquivalence:
+    @pytest.mark.parametrize("engine", ["fast", "trace"])
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_observed_run_bit_identical(self, name, engine):
+        # Fusion is armed: an observed step must still be one unfused
+        # step, so pre_step fires exactly once per oracle step.
+        pcs, records, digest = observed_oracle(name)
+        got_pcs, got_records, got_digest, machine = observed_run(
+            name, engine, fusion=True
+        )
+        assert got_pcs == pcs
+        assert got_records == records
+        mismatches = diff_digests(digest, got_digest)
+        assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
+        detail = machine.engine.telemetry_snapshot()
+        assert detail["fused_pairs_armed"] > 0
+        assert detail["oracle_steps"] == 0  # no step left the thunks
+        if engine == "fast":
+            assert detail["observed_steps"] == len(pcs)
+            assert machine.engine.fused_dispatches == 0
+        else:
+            assert detail["fallback_steps"] == len(pcs)
+
+
+INTERRUPT_PROGRAM = """
+main:
+    getpsw r16
+    or    r16, r16, #16    ; set the interrupt-enable bit
+    putpsw r16, #0
+loop:
+    add   r6, r6, #1       ; r6 (global): loop counter
+    cmp   r6, #40
+    blt   loop
+    nop
+    mov   r26, r5
+    ret
+    nop
+handler:
+    gtlpc r16              ; interrupted PC
+    add   r5, r5, #7       ; r5 (global): interrupt evidence
+    retint r16, 0
+    nop
+"""
+
+
+def run_with_hook(source: str, engine: str, action) -> tuple[RiscMachine, list, list]:
+    """Run *source* on *engine* under a ``pre_step`` hook that records the
+    PC and calls ``action(machine, program, step)`` at every step, plus a
+    ``step`` recorder; returns (machine, pcs, completed steps)."""
+    program = assemble(source)
+    machine = RiscMachine(engine=engine)
+    program.load_into(machine.memory)
+    pcs: list = []
+    completed: list = []
+
+    def hook(m):
+        pcs.append(m.pc)
+        action(m, program, len(pcs))
+
+    machine.observers.subscribe("pre_step", hook)
+    machine.observers.subscribe("step", lambda m, *event: completed.append(event))
+    machine.run(program.entry, max_steps=10_000)
+    return machine, pcs, completed
+
+
+def assert_hooked_runs_equivalent(source: str, action) -> dict:
+    """Every engine's hooked run equals the reference's; returns each
+    engine's machine by name."""
+    runs = {engine: run_with_hook(source, engine, action) for engine in ENGINES}
+    oracle, oracle_pcs, oracle_completed = runs[ENGINES[0]]
+    for engine in ENGINES[1:]:
+        machine, pcs, completed = runs[engine]
+        assert pcs == oracle_pcs, engine
+        assert completed == oracle_completed, engine
+        mismatches = diff_digests(state_digest(oracle), state_digest(machine))
+        assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
+    return {engine: run[0] for engine, run in runs.items()}
+
+
+def oracle_steps(machines: dict) -> dict:
+    """``oracle_steps`` of the fast and trace machines."""
+    return {
+        engine: machines[engine].engine.telemetry_snapshot()["oracle_steps"]
+        for engine in ("fast", "trace")
+    }
+
+
+class TestPreStepHookEdges:
+    """``pre_step`` hooks that change what the rest of the step does."""
+
+    def test_hook_latches_an_interrupt(self):
+        def action(m, program, step):
+            if step == 12:
+                m.request_interrupt(program.symbols["handler"])
+
+        machines = assert_hooked_runs_equivalent(INTERRUPT_PROGRAM, action)
+        assert machines["reference"].interrupts_taken == 1
+        assert machines["reference"].result == 7
+        # Only the interrupted step went to the oracle.
+        assert oracle_steps(machines) == {"fast": 1, "trace": 1}
+
+    def test_hook_subscribes_a_fetch_filter(self):
+        def action(m, program, step):
+            if step == 12:
+                sub_pc = program.symbols["loop"] + 4  # sub r16, r16, #1
+                m.observers.subscribe(
+                    "fetch_word",
+                    lambda pc, word: word ^ 2 if pc == sub_pc else word,
+                )
+
+        machines = assert_hooked_runs_equivalent(DELAY_SLOT_PROGRAM, action)
+        assert machines["reference"].result != DELAY_SLOT_RESULT
+        # The filter applies from the step that subscribed it on.
+        steps_from_12 = machines["fast"].stats.instructions - 11  # no traps
+        assert oracle_steps(machines) == {"fast": steps_from_12, "trace": steps_from_12}
+
+    def test_hook_stores_over_the_next_instruction(self):
+        def action(m, program, step):
+            sub_pc = program.symbols["loop"] + 4
+            if step == 9:  # the second iteration's sub, not yet fetched
+                assert m.pc == sub_pc
+                # sub r16, r16, #1 -> sub r16, r16, #2
+                word = m.memory.load_word(sub_pc, count=False)
+                m.memory.store_word(sub_pc, word ^ 3, count=False)
+
+        machines = assert_hooked_runs_equivalent(DELAY_SLOT_PROGRAM, action)
+        assert machines["reference"].result != DELAY_SLOT_RESULT
+        assert oracle_steps(machines) == {"fast": 0, "trace": 0}
+
+    def test_hook_rewrites_the_window_pointer(self):
+        def action(m, program, step):
+            if step == 10:
+                m.psw.cwp = (m.psw.cwp + 1) % m.num_windows
+
+        machines = assert_hooked_runs_equivalent(DELAY_SLOT_PROGRAM, action)
+        assert machines["reference"].result != DELAY_SLOT_RESULT
+        assert oracle_steps(machines) == {"fast": 0, "trace": 0}
 
 
 class TestTrapPathEquivalence:

@@ -1,12 +1,15 @@
 """Campaign trials run in phases on the compiled tier, bit-identical to
 the oracle.
 
-A trial fast-forwards unobserved to its trigger boundary, steps the
-reference oracle under the fault injector only while the fault needs
-watching, and finishes unobserved.  The contract under test: every
+A trial fast-forwards unobserved to its trigger boundary, single-steps
+under the fault injector only while the fault needs watching, and
+finishes unobserved.  The contract under test: every
 :class:`InjectionResult` - outcome, halt reason, trap cause, step count,
 result - equals the one the fully observed oracle loop below produces.
-That loop is the original trial runner, kept here as the reference.
+That loop is the original trial runner, kept here as the reference and
+pinned to the reference engine.  Every phased trial runs twice: on
+the campaign's tier (``trace``) and on the tier it single-steps through
+(``fast``).
 """
 
 import json
@@ -48,6 +51,12 @@ FINGERPRINT_1981_16 = (
 COVERING = CampaignConfig(seed=286, injections=28)
 
 
+#: Tiers the phased trial machine runs on.
+TRIAL_TIERS = ("fast", "trace")
+
+_TRIAL_STATES: dict = {}
+
+
 def oracle_trial(golden, spec, budget):
     """The fully observed trial: the reference oracle, stepped under an
     attached injector from instruction 0."""
@@ -70,15 +79,37 @@ def oracle_trial(golden, spec, budget):
         injector.detach()
 
 
-def phased_trial(golden, spec, budget):
-    machine, checkpoint = _benchmark_state(golden.benchmark)
-    return _run_injection(machine, checkpoint, golden, spec, budget)
+def trial_state(name, engine):
+    """A (machine, delta checkpoint) pair for *name* on *engine*, built
+    the way the campaign's per-process state is."""
+    key = (name, engine)
+    if key not in _TRIAL_STATES:
+        compiled = compile_cached(benchmark(name).source)
+        machine = compiled.make_machine(engine=engine)
+        machine.reset(compiled.program.entry)
+        checkpoint = machine.checkpoint(track_memory_deltas=True)
+        _TRIAL_STATES[key] = (machine, checkpoint)
+    return _TRIAL_STATES[key]
+
+
+def phased_trials(golden, spec, budget):
+    """The phased trial's result on each tier, keyed by tier name."""
+    results = {}
+    for engine in TRIAL_TIERS:
+        machine, checkpoint = trial_state(golden.benchmark, engine)
+        results[engine] = _run_injection(machine, checkpoint, golden, spec, budget)
+    return results
 
 
 @pytest.fixture(scope="module")
 def covering_schedule():
     goldens: dict = {}
     return _campaign_schedule(COVERING, goldens), goldens
+
+
+def test_campaign_trials_run_on_a_tested_tier():
+    machine, _checkpoint = _benchmark_state("towers")
+    assert machine.engine_name in TRIAL_TIERS
 
 
 def test_covering_schedule_matches_the_oracle(covering_schedule):
@@ -88,7 +119,9 @@ def test_covering_schedule_matches_the_oracle(covering_schedule):
     outcomes = set()
     for golden, spec, budget in schedule:
         expected = oracle_trial(golden, spec, budget)
-        assert phased_trial(golden, spec, budget) == expected, spec.describe()
+        assert phased_trials(golden, spec, budget) == dict.fromkeys(
+            TRIAL_TIERS, expected
+        ), spec.describe()
         outcomes.add(expected.outcome)
     assert outcomes == {
         Outcome.MASKED, Outcome.DETECTED, Outcome.SILENT_CORRUPTION,
@@ -114,13 +147,13 @@ def test_cycle_trigger_between_jump_and_delay_slot(covering_schedule, name):
     _schedule, goldens = covering_schedule
     golden = goldens[name]
     step, cycles, slot_pc, cwp = _delay_slot_boundary(name, after=777)
-    machine, checkpoint = _benchmark_state(name)
-
-    # The prefix stops exactly at the boundary, jump still pending.
-    machine.restore(checkpoint)
-    assert _fast_forward(machine, 10**9, cycles, None, 0) == step
-    assert machine.halted is None and machine._pending_jump
-    assert machine.pc == slot_pc
+    for engine in TRIAL_TIERS:
+        machine, checkpoint = trial_state(name, engine)
+        # The prefix stops exactly at the boundary, jump still pending.
+        machine.restore(checkpoint)
+        assert _fast_forward(machine, 10**9, cycles, None, 0) == step, engine
+        assert machine.halted is None and machine._pending_jump, engine
+        assert machine.pc == slot_pc, engine
 
     trigger = FaultTrigger(at_cycle=cycles)
     specs = [
@@ -141,7 +174,9 @@ def test_cycle_trigger_between_jump_and_delay_slot(covering_schedule, name):
     outcomes = set()
     for spec in specs:
         expected = oracle_trial(golden, spec, budget)
-        assert phased_trial(golden, spec, budget) == expected, spec.describe()
+        assert phased_trials(golden, spec, budget) == dict.fromkeys(
+            TRIAL_TIERS, expected
+        ), spec.describe()
         outcomes.add(expected.outcome)
     assert {Outcome.MASKED, Outcome.DETECTED, Outcome.TIMEOUT} <= outcomes
 
@@ -154,8 +189,10 @@ def test_pc_trigger_past_the_golden_visits_never_fires(covering_schedule):
         FaultTarget.INSTRUCTION, FaultKind.STUCK_AT_ONE,
         FaultTrigger(at_pc=pc, pc_hits=count + 1), location=pc, bits=(3,),
     )
-    result = phased_trial(golden, spec, golden.instructions * 2)
-    assert result == oracle_trial(golden, spec, golden.instructions * 2)
+    result = oracle_trial(golden, spec, golden.instructions * 2)
+    assert phased_trials(golden, spec, golden.instructions * 2) == dict.fromkeys(
+        TRIAL_TIERS, result
+    )
     assert result.outcome is Outcome.MASKED
     assert result.instructions == golden.instructions
 
