@@ -16,9 +16,9 @@ from repro.baselines import VaxTraits, CiscExecutor
 from repro.cc import compile_for_risc, compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
 from repro.hll import run_program
-from repro.workloads import benchmark
+from repro.workloads import benchmark as benchmark_program
 
-SOURCE = benchmark("towers").source
+SOURCE = benchmark_program("towers").source
 
 
 def _risc_run(compiled, engine):
@@ -110,6 +110,22 @@ def test_trace_engine_simulator_speed(benchmark):
     compiled = compile_for_risc(SOURCE)
     instructions = benchmark(lambda: _risc_run(compiled, "trace"))
     benchmark.extra_info["engine"] = "trace"
+    benchmark.extra_info["instructions"] = instructions
+    assert instructions > 10_000
+
+
+def test_trace_engine_ackermann_speed(benchmark):
+    """Ackermann on the trace tier: about one window trap per 19 steps.
+
+    Paired with the towers trace run by the trace-ackermann-vs-towers
+    baseline entry: a spill or refill that moves its 16 registers one
+    word at a time makes ackermann about 7x slower than towers instead
+    of about 3x.
+    """
+    compiled = compile_for_risc(benchmark_program("ackermann").source)
+    instructions = benchmark(lambda: _risc_run(compiled, "trace"))
+    benchmark.extra_info["engine"] = "trace"
+    benchmark.extra_info["workload"] = "ackermann"
     benchmark.extra_info["instructions"] = instructions
     assert instructions > 10_000
 

@@ -78,7 +78,15 @@ class Program:
         return [int.from_bytes(padded[i : i + WORD], "big") for i in range(0, len(padded), WORD)]
 
     def load_into(self, memory) -> None:
-        """Copy the image into a :class:`~repro.common.memory.Memory`."""
+        """Copy the image into a :class:`~repro.common.memory.Memory`.
+
+        A whole-word image at an aligned base goes through
+        :meth:`~repro.common.memory.Memory.load_program` (one span write);
+        any other image is stored byte by byte.
+        """
+        if not self.base % WORD and not len(self.image) % WORD:
+            memory.load_program(self.to_words(), self.base)
+            return
         for offset, byte in enumerate(self.image):
             memory.store_byte(self.base + offset, byte, count=False)
 

@@ -8,6 +8,7 @@ counted.  Instruction fetches and data accesses are tracked separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from struct import error as struct_error, pack_into, unpack_from
 
 from repro.errors import MemoryFaultError
 
@@ -365,17 +366,73 @@ class Memory:
 
     # -- bulk helpers -------------------------------------------------------
 
-    def load_words(self, address: int, count: int) -> list[int]:
-        """Read *count* consecutive words without touching the counters."""
-        return [self.load_word(address + 4 * i, count=False) for i in range(count)]
+    def _plain_span(self, address: int, end: int) -> bool:
+        """Whether ``[address, end)`` is aligned in-range RAM, free of the
+        console and MMIO window, so one bytes operation moves all of it."""
+        return (
+            not address & 3
+            and 0 <= address
+            and end <= self.size
+            and not address <= CONSOLE_ADDRESS < end
+            and (
+                self._mmio is None or end <= self._mmio_base or address >= self._mmio_limit
+            )
+        )
 
-    def store_words(self, address: int, values: list[int]) -> None:
-        """Write consecutive words without touching the counters."""
+    def load_words(self, address: int, n: int, *, count: bool = False) -> list[int]:
+        """Read *n* consecutive words, exactly as *n* :meth:`load_word` calls.
+
+        With ``count`` each word raises ``data_reads`` by one.  A span of
+        plain RAM (see :meth:`_plain_span`) is read with one
+        ``unpack_from``; any other span - one that reaches the console, the
+        MMIO window, is misaligned or leaves memory - takes the per-word
+        loop, so device reads and the faulting word stay exact.
+        """
+        if self._plain_span(address, address + 4 * n):
+            if count:
+                self.stats.data_reads += n
+            return list(unpack_from(f">{n}I", self._bytes, address))
+        return [self.load_word(address + 4 * i, count=count) for i in range(n)]
+
+    def store_words(self, address: int, values: list[int], *, count: bool = False) -> None:
+        """Write consecutive words, exactly as one :meth:`store_word` each.
+
+        With ``count`` each word raises ``data_writes`` by one.  A span of
+        plain RAM that covers no watched code word and has no extra
+        compiled-code listener is written with one ``pack_into`` after
+        journaling its pages.  Any other span takes the per-word loop, so
+        console output, MMIO writes, code invalidation after each word and
+        the partial writes before a fault stay exact.
+        """
+        n = len(values)
+        end = address + 4 * n
+        watch = self._exec_watch
+        if (
+            self._plain_span(address, end)
+            and (watch is None or watch.keys().isdisjoint(range(address >> 2, end >> 2)))
+            and not self._extra_exec_listeners
+        ):
+            if count:
+                self.stats.data_writes += n
+            if self._journal is not None and n:
+                for page_start in range(address, end, JOURNAL_PAGE_BYTES):
+                    self._journal_touch(page_start)
+                self._journal_touch(end - 1)
+            try:
+                pack_into(f">{n}I", self._bytes, address, *values)
+            except struct_error:  # a value wider than 32 bits: mask as store_word does
+                masked = [value & 0xFFFFFFFF for value in values]
+                pack_into(f">{n}I", self._bytes, address, *masked)
+            return
         for i, value in enumerate(values):
-            self.store_word(address + 4 * i, value, count=False)
+            self.store_word(address + 4 * i, value, count=count)
 
     def load_program(self, words: list[int], base: int = 0) -> None:
-        """Copy an encoded program image into memory starting at *base*."""
+        """Copy an encoded program image into memory starting at *base*.
+
+        The image goes through :meth:`store_words` uncounted (one span
+        write on plain RAM); compiled code is then dropped wholesale.
+        """
         self.store_words(base, words)
         self._flush_exec_listeners()
 

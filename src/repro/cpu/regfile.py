@@ -14,9 +14,11 @@ from __future__ import annotations
 from repro.common.bitops import MASK32
 from repro.isa.registers import (
     NUM_GLOBALS,
+    NUM_LOCALS,
     NUM_WINDOWS,
     REGS_PER_WINDOW_UNIQUE,
     VISIBLE_REGISTERS,
+    WINDOW_OVERLAP,
     physical_index,
 )
 
@@ -62,6 +64,14 @@ class WindowedRegisterFile:
         """Write a register by physical index, bypassing windowing."""
         self._regs[index] = value & MASK32
 
+    def _unit_bases(self, window: int) -> tuple[int, int]:
+        """Physical starts of *window*'s LOCAL block and its HIGH block."""
+        nw = self.num_windows
+        window = window % nw if self.use_windows else 0
+        local = NUM_GLOBALS + REGS_PER_WINDOW_UNIQUE * window + WINDOW_OVERLAP  # past LOW
+        high = NUM_GLOBALS + REGS_PER_WINDOW_UNIQUE * ((window + 1) % nw)
+        return local, high
+
     def spill_unit(self, window: int) -> list[int]:
         """The 16 registers the overflow trap saves for the frame at *window*.
 
@@ -70,16 +80,27 @@ class WindowedRegisterFile:
         is *not* part of the unit: it is the HIGH of the frame's callee and
         is saved by the callee's own spill when its turn comes.  This is
         the overlap-respecting save set (the same one SPARC's window
-        overflow handler uses: "locals + ins").
+        overflow handler uses: "locals + ins").  Both blocks are
+        contiguous in the physical file, so the unit is two list slices,
+        in the order ``read(window, 16)`` ... ``read(window, 31)`` gives.
         """
-        return [self.read(window, reg) for reg in range(16, 32)]
+        local, high = self._unit_bases(window)
+        regs = self._regs
+        return regs[local : local + NUM_LOCALS] + regs[high : high + WINDOW_OVERLAP]
 
     def set_spill_unit(self, window: int, values: list[int]) -> None:
-        """Restore a previously spilled LOCAL+HIGH unit for *window*."""
+        """Restore a previously spilled LOCAL+HIGH unit for *window*.
+
+        Writes the same two slices :meth:`spill_unit` reads, masking each
+        value to 32 bits as :meth:`write` does.
+        """
         if len(values) != REGS_PER_WINDOW_UNIQUE:
             raise ValueError(f"spill unit must have {REGS_PER_WINDOW_UNIQUE} values")
-        for reg, value in zip(range(16, 32), values):
-            self.write(window, reg, value)
+        local, high = self._unit_bases(window)
+        masked = [value & MASK32 for value in values]
+        regs = self._regs
+        regs[local : local + NUM_LOCALS] = masked[:NUM_LOCALS]
+        regs[high : high + WINDOW_OVERLAP] = masked[NUM_LOCALS:]
 
     def snapshot(self, window: int) -> dict[str, int]:
         """Visible 32-register view for debugging and tests."""

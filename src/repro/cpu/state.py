@@ -446,9 +446,7 @@ class ArchState:
                 address=new_pointer,
             )
         self.window_save_pointer = new_pointer
-        unit = self.regs.spill_unit(window)
-        for i, value in enumerate(unit):
-            self.memory.store_word(self.window_save_pointer + 4 * i, value)
+        self.memory.store_words(new_pointer, self.regs.spill_unit(window), count=True)
         self.stats.window_overflows += 1
         self.stats.cycles += TRAP_OVERHEAD_CYCLES + 2 * REGS_PER_WINDOW_UNIQUE
 
@@ -460,10 +458,9 @@ class ArchState:
                 "window underflow with empty save stack",
                 address=self.window_save_pointer,
             )
-        values = [
-            self.memory.load_word(self.window_save_pointer + 4 * i)
-            for i in range(REGS_PER_WINDOW_UNIQUE)
-        ]
+        values = self.memory.load_words(
+            self.window_save_pointer, REGS_PER_WINDOW_UNIQUE, count=True
+        )
         self.regs.set_spill_unit(window, values)
         self.window_save_pointer += 4 * REGS_PER_WINDOW_UNIQUE
         self.stats.window_underflows += 1

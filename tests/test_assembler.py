@@ -3,6 +3,7 @@
 import pytest
 
 from repro.asm import assemble, disassemble_program
+from repro.common.memory import Memory
 from repro.errors import AssemblerError
 from repro.isa import Instruction, Opcode, decode
 from repro.isa.conditions import Cond
@@ -164,6 +165,21 @@ class TestDirectivesAndSymbols:
         program = assemble(".org 16\nstart: .word 1")
         assert program.symbols["start"] == 16
         assert program.to_words()[4] == 1
+
+    @pytest.mark.parametrize(
+        "source, base",
+        [(".word 1, 2, 0xFF", 0x40), ('.asciiz "ABCDE"', 0x40), ('.ascii "ABCD"', 0x41)],
+        ids=["whole-words", "partial-word", "unaligned-base"],
+    )
+    def test_load_into_copies_exactly_the_image(self, source, base):
+        program = assemble(source, base=base)
+        memory = Memory(size=256)
+        memory._bytes[:] = b"\xee" * 256
+        program.load_into(memory)
+        expected = bytearray(b"\xee" * 256)
+        expected[base : base + program.size] = program.image
+        assert memory._bytes == expected
+        assert memory.stats.total_refs == 0
 
     def test_org_backwards_rejected(self):
         with pytest.raises(AssemblerError):

@@ -14,12 +14,18 @@ Three layers of assurance:
   in-place state rewind);
 * observed runs: ``pre_step``/``step`` observers on every workload,
   and ``pre_step`` hooks that latch an interrupt, subscribe a fetch
-  filter, patch code or move the register window mid-run.
+  filter, patch code or move the register window mid-run;
+* window traps: every tier shares one slice-based spill/refill, so the
+  spill-heavy runs are also diffed against an oracle that moves the
+  unit one register and one word at a time.
 """
+
+from types import MethodType
 
 import pytest
 
 from repro import RiscMachine, assemble
+from repro.common.memory import Memory
 from repro.analysis.fusion import analyze_program, arm_machine
 from repro.cpu.debugger import Debugger, StopReason
 from repro.cpu.equivalence import (
@@ -29,8 +35,10 @@ from repro.cpu.equivalence import (
     state_digest,
 )
 from repro.cpu.machine import HaltReason, TrapCause
+from repro.cpu.state import TRAP_OVERHEAD_CYCLES, _TrapSignal
 from repro.cpu.tracing import ExecutionTracer
 from repro.evaluation.common import FAST_SUBSET
+from repro.isa.registers import REGS_PER_WINDOW_UNIQUE
 from repro.workloads import BENCHMARKS, benchmark
 from repro.workloads.cache import compile_cached
 
@@ -265,6 +273,167 @@ class TestPreStepHookEdges:
         machines = assert_hooked_runs_equivalent(DELAY_SLOT_PROGRAM, action)
         assert machines["reference"].result != DELAY_SLOT_RESULT
         assert oracle_steps(machines) == {"fast": 0, "trace": 0}
+
+
+def per_word_spill(self, window: int) -> None:
+    """Overflow trap body with the unit read per register, stored per word."""
+    new_pointer = self.window_save_pointer - 4 * REGS_PER_WINDOW_UNIQUE
+    if new_pointer < self.window_stack_limit:
+        raise _TrapSignal(
+            TrapCause.WINDOW_OVERFLOW_STACK,
+            f"window-save stack exhausted (limit {self.window_stack_limit:#x})",
+            address=new_pointer,
+        )
+    self.window_save_pointer = new_pointer
+    for i, reg in enumerate(range(16, 32)):
+        self.memory.store_word(new_pointer + 4 * i, self.regs.read(window, reg))
+    self.stats.window_overflows += 1
+    self.stats.cycles += TRAP_OVERHEAD_CYCLES + 2 * REGS_PER_WINDOW_UNIQUE
+
+
+def per_word_refill(self, window: int) -> None:
+    """Underflow trap body with the unit loaded per word, written per register."""
+    if self.window_save_pointer >= self.memory.size:
+        raise _TrapSignal(
+            TrapCause.WINDOW_UNDERFLOW_EMPTY,
+            "window underflow with empty save stack",
+            address=self.window_save_pointer,
+        )
+    for i, reg in enumerate(range(16, 32)):
+        self.regs.write(window, reg, self.memory.load_word(self.window_save_pointer + 4 * i))
+    self.window_save_pointer += 4 * REGS_PER_WINDOW_UNIQUE
+    self.stats.window_underflows += 1
+    self.stats.cycles += TRAP_OVERHEAD_CYCLES + 2 * REGS_PER_WINDOW_UNIQUE
+
+
+def per_word_oracle(machine: RiscMachine) -> RiscMachine:
+    """Move *machine*'s window traps one register and one word at a time."""
+    machine._spill_window = MethodType(per_word_spill, machine)
+    machine._refill_window = MethodType(per_word_refill, machine)
+    return machine
+
+
+SPILL_WORKLOADS = ["ackermann", "towers", "recursive_qsort"]
+SPILL_WINDOWS = [2, 3, 4, 8]
+_SPILL_ORACLE: dict = {}
+
+
+def spill_oracle_digest(name: str, num_windows: int) -> dict:
+    """The per-word reference run's digest, computed once per shape."""
+    key = (name, num_windows)
+    if key not in _SPILL_ORACLE:
+        compiled = compile_cached(benchmark(name).source)
+        machine = compiled.make_machine(engine="reference", num_windows=num_windows)
+        per_word_oracle(machine).run(compiled.program.entry)
+        _SPILL_ORACLE[key] = state_digest(machine)
+    return _SPILL_ORACLE[key]
+
+
+# leaf sits in the top spill unit: main's first overflow stores main's
+# r16-r18 over it, so the later leaf calls add 100 instead of 1.
+SPILL_OVER_CODE_PROGRAM = """
+main:
+    li    r16, {patched:#x}
+    li    r17, {ret:#x}
+    li    r18, {nop:#x}
+    li    r11, 0
+    li    r19, 3
+warm:
+    callr r31, leaf
+    nop
+    sub   r19, r19, #1
+    cmp   r19, #0
+    bgt   warm
+    nop
+    li    r10, 12
+    callr r31, deep
+    nop
+    li    r19, 3
+again:
+    callr r31, leaf
+    nop
+    sub   r19, r19, #1
+    cmp   r19, #0
+    bgt   again
+    nop
+    mov   r26, r11
+    ret
+    nop
+deep:
+    cmp   r26, #0
+    ble   deep_done
+    nop
+    sub   r10, r26, #1
+    callr r31, deep
+    nop
+deep_done:
+    ret
+    nop
+    .org  {leaf:#x}
+leaf:
+    add   r27, r27, #1
+    ret
+    nop
+"""
+SPILL_OVER_CODE_MEMORY = 0x400
+
+
+def spill_over_code_source() -> str:
+    ret, nop = assemble("ret\nnop").to_words()
+    (patched,) = assemble("add r27, r27, #100").to_words()
+    leaf = SPILL_OVER_CODE_MEMORY - 4 * REGS_PER_WINDOW_UNIQUE
+    return SPILL_OVER_CODE_PROGRAM.format(patched=patched, ret=ret, nop=nop, leaf=leaf)
+
+
+class TestWindowTrapsMatchPerWordOracle:
+    @pytest.mark.parametrize("num_windows", SPILL_WINDOWS)
+    @pytest.mark.parametrize("name", SPILL_WORKLOADS)
+    def test_whole_run_bit_identical(self, name, num_windows):
+        oracle = spill_oracle_digest(name, num_windows)
+        compiled = compile_cached(benchmark(name).source)
+        for engine in ENGINES:
+            machine = compiled.make_machine(engine=engine, num_windows=num_windows)
+            machine.run(compiled.program.entry)
+            mismatches = diff_digests(oracle, state_digest(machine))
+            assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
+        assert oracle["stats"]["window_overflows"] > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_delta_checkpoint_rerun_after_spills(self, engine):
+        # The campaign trial shape: checkpoint at reset with a write
+        # journal, run into the spills, restore, run again to the end.
+        oracle = spill_oracle_digest("ackermann", 2)
+        compiled = compile_cached(benchmark("ackermann").source)
+        machine = compiled.make_machine(engine=engine, num_windows=2)
+        machine.reset(compiled.program.entry)
+        cp = machine.checkpoint(track_memory_deltas=True)
+        machine.engine.run_loop(machine, 5_000, None, None)
+        assert machine.stats.window_overflows > 0
+        machine.restore(cp)
+        machine.engine.run_loop(machine, 50_000_000, None, None)
+        assert not diff_digests(oracle, state_digest(machine))
+
+    def test_spill_over_compiled_trace_code(self):
+        program = assemble(spill_over_code_source())
+        digests = {}
+        for engine in ("oracle",) + ENGINES:
+            machine = RiscMachine(
+                Memory(size=SPILL_OVER_CODE_MEMORY), num_windows=4,
+                engine="reference" if engine == "oracle" else engine,
+            )
+            if engine == "oracle":
+                per_word_oracle(machine)
+            program.load_into(machine.memory)
+            machine.run(program.entry)
+            digests[engine] = state_digest(machine)
+            if engine == "trace":
+                assert machine.engine.telemetry_snapshot()["traces_invalidated"] > 0
+        assert digests["oracle"]["stats"]["window_overflows"] > 0
+        # Three leaf calls add 1 before the spill, three add 100 after it.
+        assert machine.result == 3 + 3 * 100
+        for engine in ENGINES:
+            mismatches = diff_digests(digests["oracle"], digests[engine])
+            assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
 
 
 class TestTrapPathEquivalence:

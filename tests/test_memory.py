@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.memory import Memory
+from repro.common.memory import CONSOLE_ADDRESS, JOURNAL_PAGE_BYTES, Memory
 from repro.errors import MemoryError_, MemoryFaultError
 
 
@@ -132,6 +132,138 @@ class TestBulkHelpers:
         mem = Memory(size=256)
         mem.write_cstring(32, "")
         assert mem.read_cstring(32) == ""
+
+
+def oracle_load_words(mem: Memory, address: int, n: int, count: bool) -> list[int]:
+    """The per-word loop the span path must reproduce."""
+    return [mem.load_word(address + 4 * i, count=count) for i in range(n)]
+
+
+def oracle_store_words(mem: Memory, address: int, values: list[int], count: bool) -> None:
+    for i, value in enumerate(values):
+        mem.store_word(address + 4 * i, value, count=count)
+
+
+class RecordingDevice:
+    """An MMIO device that logs every access."""
+
+    def __init__(self, base: int, limit: int):
+        self.base, self.limit = base, limit
+        self.log: list[tuple] = []
+
+    def read(self, address: int) -> int:
+        self.log.append(("read", address))
+        return address ^ 0x5A5A5A5A
+
+    def write(self, address: int, value: int) -> None:
+        self.log.append(("write", address, value))
+
+
+class RecordingListener:
+    """A compiled-code watch that logs every notification."""
+
+    def __init__(self, words):
+        self.code_words = dict.fromkeys(words, True)
+        self.calls: list = []
+
+    def invalidate_code(self, address: int) -> None:
+        self.calls.append(address)
+
+    def flush_code(self) -> None:
+        self.calls.append("flush")
+
+
+MMIO_BASE = 0x8000
+WATCHED = 0x5008
+
+#: name -> (address, words): every span shape the bulk helpers route.
+SPANS = {
+    "plain": (0x4000, 16),
+    "plain-across-pages": (0x4000 + JOURNAL_PAGE_BYTES - 32, 16),
+    "long-across-pages": (0x4000, 3 * JOURNAL_PAGE_BYTES // 4 + 5),
+    "empty": (0x4000, 0),
+    "straddles-console": (CONSOLE_ADDRESS - 32, 16),
+    "overlaps-mmio": (MMIO_BASE - 24, 16),
+    "covers-watched-word": (WATCHED - 32, 16),
+    "misaligned": (0x4002, 16),
+    "off-the-end": ((1 << 20) - 32, 16),
+    "negative": (-8, 4),
+}
+
+
+def bulk_memory(*, extra_listener: bool = False):
+    mem = Memory()
+    for i in range(0x3000, 0x6000, 4):
+        mem.store_word(i, i * 0x01010101, count=False)
+    device = RecordingDevice(MMIO_BASE, MMIO_BASE + 16)
+    mem.map_mmio(device)
+    listener = RecordingListener([WATCHED >> 2])
+    mem.attach_exec_listener(listener)
+    listeners = [listener]
+    if extra_listener:
+        listeners.append(RecordingListener([(0x4000 >> 2) + 3]))
+        mem.attach_exec_listener(listeners[-1])
+    cp = mem.checkpoint(track_deltas=True)
+    return mem, cp, device, listeners
+
+
+def observe(mem: Memory, device, listeners, outcome) -> tuple:
+    return (
+        outcome,
+        bytes(mem._bytes),
+        (mem.stats.inst_reads, mem.stats.data_reads, mem.stats.data_writes),
+        list(mem.console),
+        list(device.log),
+        [list(listener.calls) for listener in listeners],
+    )
+
+
+def attempt(action):
+    try:
+        return ("ok", action())
+    except MemoryFaultError as exc:
+        return ("fault", exc.address, exc.kind)
+
+
+class TestBulkHelpersMatchPerWordOracle:
+    @pytest.mark.parametrize("extra_listener", [False, True], ids=["one-watch", "extra-watch"])
+    @pytest.mark.parametrize("count", [False, True], ids=["uncounted", "counted"])
+    @pytest.mark.parametrize("span", SPANS)
+    def test_store_words(self, span, count, extra_listener):
+        address, n = SPANS[span]
+        # Values wider than 32 bits and negative ones are masked like store_word.
+        values = [0x1_0000_0041 + i if i % 3 else -i - 1 for i in range(n)]
+        results = []
+        for store in (Memory.store_words, oracle_store_words):
+            mem, cp, device, listeners = bulk_memory(extra_listener=extra_listener)
+            outcome = attempt(lambda: store(mem, address, values, count=count))
+            after = observe(mem, device, listeners, outcome)
+            mem.restore(cp)
+            results.append((after, bytes(mem._bytes)))
+        assert results[0] == results[1]
+        # The journal rolled every touched page back.
+        assert results[0][1] == bytes(bulk_memory()[0]._bytes)
+
+    @pytest.mark.parametrize("count", [False, True], ids=["uncounted", "counted"])
+    @pytest.mark.parametrize("span", SPANS)
+    def test_load_words(self, span, count):
+        address, n = SPANS[span]
+        results = []
+        for load in (Memory.load_words, oracle_load_words):
+            mem, __, device, listeners = bulk_memory()
+            outcome = attempt(lambda: load(mem, address, n, count=count))
+            results.append(observe(mem, device, listeners, outcome))
+        assert results[0] == results[1]
+
+    def test_fallback_spans_reach_devices(self):
+        mem, __, device, (listener,) = bulk_memory()
+        mem.store_words(SPANS["overlaps-mmio"][0], list(range(16)), count=True)
+        # The span covers all four device registers, one write each.
+        assert [entry[0] for entry in device.log] == ["write"] * 4
+        mem.store_words(SPANS["covers-watched-word"][0], [0] * 16)
+        assert listener.calls == [WATCHED]
+        mem.store_words(SPANS["straddles-console"][0], [ord("x")] * 16)
+        assert mem.console_output == "x"
 
 
 class TestCheckpoint:

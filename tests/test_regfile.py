@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.bitops import MASK32
 from repro.cpu.regfile import WindowedRegisterFile
-from repro.isa.registers import NUM_PHYSICAL_REGISTERS, REGS_PER_WINDOW_UNIQUE
+from repro.isa.registers import NUM_PHYSICAL_REGISTERS, REGS_PER_WINDOW_UNIQUE, physical_index
 
 
 class TestBasics:
@@ -90,6 +91,37 @@ class TestSpillUnit:
         rf.write(4, 10, 123)
         rf.set_spill_unit(4, [0] * 16)
         assert rf.read(4, 10) == 123
+
+
+def oracle_index(rf: WindowedRegisterFile, window: int, reg: int) -> int:
+    """The per-register mapping the slice-based spill unit must reproduce."""
+    return physical_index(window if rf.use_windows else 0, reg, rf.num_windows)
+
+
+def oracle_spill_unit(rf: WindowedRegisterFile, window: int) -> list[int]:
+    return [rf._regs[oracle_index(rf, window, reg)] for reg in range(16, 32)]
+
+
+def oracle_set_spill_unit(rf: WindowedRegisterFile, window: int, values: list[int]) -> None:
+    for reg, value in zip(range(16, 32), values):
+        rf._regs[oracle_index(rf, window, reg)] = value & MASK32
+
+
+class TestSpillUnitAgainstPerRegisterOracle:
+    @pytest.mark.parametrize("use_windows", [True, False], ids=["windowed", "flat"])
+    @pytest.mark.parametrize("num_windows", range(2, 17))
+    def test_every_window_matches_oracle(self, num_windows, use_windows):
+        rf = WindowedRegisterFile(num_windows=num_windows, use_windows=use_windows)
+        rf._regs[:] = [0x1000 + i for i in range(rf.physical_count)]
+        # Out-of-range window numbers wrap exactly as physical_index does.
+        for window in range(-1, num_windows + 1):
+            assert rf.spill_unit(window) == oracle_spill_unit(rf, window)
+            values = [(window << 20) + 0xFFFF_FFF0 + i for i in range(16)]  # wider than 32 bits
+            expected = WindowedRegisterFile(num_windows=num_windows, use_windows=use_windows)
+            expected._regs[:] = rf._regs
+            oracle_set_spill_unit(expected, window, values)
+            rf.set_spill_unit(window, values)
+            assert rf._regs == expected._regs
 
 
 class TestFlatMode:
