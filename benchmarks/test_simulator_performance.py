@@ -130,6 +130,53 @@ def test_trace_engine_ackermann_speed(benchmark):
     assert instructions > 10_000
 
 
+def _cold_rounds(benchmark, compiled, engine, caches, rounds=5):
+    """Time whole runs of *compiled*, each after emptying *caches*: the
+    process-level factory caches a first run in a fresh process finds
+    empty, so every round pays the tier's codegen again."""
+
+    def clear():
+        for cache in caches:
+            cache.clear()
+
+    return benchmark.pedantic(
+        _risc_run, args=(compiled, engine), setup=clear, rounds=rounds,
+        iterations=1, warmup_rounds=0,
+    )
+
+
+def test_trace_engine_cold_speed(benchmark):
+    """sed_batch on the trace tier with no cached trace factories.
+
+    Paired with the cold fast-tier run by the trace-cold-vs-fast
+    baseline entry: a trace tier that generates more code than a cold
+    run can amortize (loop bodies unrolled into every trace) falls to
+    about the fast tier's speed.
+    """
+    from repro.cpu import fastengine, traceengine
+
+    compiled = compile_for_risc(benchmark_program("sed_batch").source)
+    caches = (traceengine._TRACE_FACTORY_CACHE, fastengine._FACTORY_CACHE)
+    instructions = _cold_rounds(benchmark, compiled, "trace", caches)
+    benchmark.extra_info["engine"] = "trace"
+    benchmark.extra_info["workload"] = "sed_batch"
+    benchmark.extra_info["instructions"] = instructions
+    assert instructions > 10_000
+
+
+def test_fast_engine_cold_speed(benchmark):
+    """sed_batch on the fast tier with no cached thunk factories."""
+    from repro.cpu import fastengine
+
+    compiled = compile_for_risc(benchmark_program("sed_batch").source)
+    caches = (fastengine._FACTORY_CACHE,)
+    instructions = _cold_rounds(benchmark, compiled, "fast", caches)
+    benchmark.extra_info["engine"] = "fast"
+    benchmark.extra_info["workload"] = "sed_batch"
+    benchmark.extra_info["instructions"] = instructions
+    assert instructions > 10_000
+
+
 def test_fast_engine_speedup_at_least_2x():
     """The pre-decoded engine's reason to exist, asserted directly.
 

@@ -46,11 +46,15 @@ class EngineSpec:
 
     * ``scalar`` - usable as ``RiscMachine(engine=...)``; the batch
       executor is the one non-scalar tier.
-    * ``supports_observers`` - executes per-step observer events
-      natively.  Non-oracle tiers fall back to the reference oracle
-      whenever per-step observation is attached, so every tier is
-      *correct* under observers; this flag records which tier runs
-      them at full speed.
+    * ``supports_observers`` - executes every per-step observer event
+      natively, ``fetch_word`` and ``mem_access`` included.  Every tier
+      is *correct* under observers, but only the oracle sets this flag.
+      The fast tier runs ``pre_step``/``step`` observers on its own
+      pre-decoded thunks, and the trace tier single-steps observed runs
+      through its inner fast engine; both hand a step to the oracle
+      only for a latched interrupt or a ``fetch_word``/``mem_access``
+      observer.  The block tier hands every observed step to the
+      oracle.
     * ``supports_batch`` - steps N independent simulations in lockstep
       (see :mod:`repro.cpu.batch`).
     * ``supports_fusion`` - accepts statically proved macro-op fusion

@@ -18,7 +18,11 @@ generated Python function ``exec``'d once per trace:
   architectural state;
 * a conditional transfer keeps the trace going on the fall-through arm
   and compiles the taken arm as a *side exit*: delay slot executed,
-  ``pc``/``npc`` stored, done.
+  ``pc``/``npc`` stored, done;
+* a trace visits each address at most once: a transfer back into code
+  already in the trace (a loop back-edge, a recursive call) ends it,
+  and the next dispatch enters the trace compiled at that address, so
+  a loop body or a recursive callee is generated once, not unrolled.
 
 Statistics are *deferred*: every static exit point of a trace is one
 counter bump (``exit_hits[j] += 1``) plus a pending-cycles cell the run
@@ -102,7 +106,7 @@ from repro.isa.opcodes import Category, Opcode
 #: Version of the trace codegen scheme.  Bump on ANY change to the
 #: generated code's shape or semantics; caches keyed on compiled
 #: artefacts include it so stale traces cannot survive a revision.
-TRACE_CODEGEN_VERSION = 1
+TRACE_CODEGEN_VERSION = 2
 
 _M32 = MASK32
 _SIGN = SIGN_BIT32
@@ -110,13 +114,6 @@ _TWO32 = 1 << 32
 
 #: Longest trace (instruction count) compiled into one function.
 _MAX_TRACE = 256
-
-#: How many times one address may recur inside a single trace.  Chained
-#: transfers re-entering code already in the trace (loop back-edges,
-#: inlined recursion) unroll the body up to this factor instead of
-#: ending the trace at the first revisit; every iteration keeps its own
-#: guarded side exits, so unrolling is invisible architecturally.
-_MAX_REVISIT = 8
 
 #: ``ix`` offset marking "trapped in a *taken* delay slot": slot code is
 #: duplicated per arm, so taken-ness is known statically at each site.
@@ -163,9 +160,10 @@ class _Trace:
         self.cycles_bound = cycles_bound
         self.live = True
         self.thunk: Any = None
-        #: word indices this trace's code occupies (non-contiguous:
-        #: traces hop across the image through chained transfers).
-        self.widx = tuple(sorted({a >> 2 for a in addrs}))
+        #: word indices this trace's code occupies, one per address
+        #: (non-contiguous: traces hop across the image through chained
+        #: transfers, but never revisit an address).
+        self.widx = tuple(sorted(a >> 2 for a in addrs))
         #: owning engine (deferred-stat reconciliation on cold paths).
         self.eng: Any = None
         #: per-exit-point hit counters, reconciled lazily against
@@ -292,14 +290,14 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
     halt_addr = m.halt_address
     seq: list[tuple[int, int, Instruction]] = []
     events: list[tuple] = []
-    visits: dict[int, int] = {}
+    seen: set[int] = set()
     call_stack: list[int] = []
     addr = pc
     while True:
         if (
             len(seq) >= _MAX_TRACE
             or (seq and addr == halt_addr)
-            or visits.get(addr, 0) >= _MAX_REVISIT
+            or addr in seen
             or addr & 3
             or addr < 0
             or addr + 4 > size
@@ -317,7 +315,7 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
         if not inst.spec.is_delayed:
             i = len(seq)
             seq.append((addr, word, inst))
-            visits[addr] = visits.get(addr, 0) + 1
+            seen.add(addr)
             events.append(("straight", i))
             if inst.opcode is Opcode.CALLINT:
                 events.append(("end", addr + 4))
@@ -329,15 +327,16 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
             # Never taken: the "slot" is an ordinary next instruction.
             i = len(seq)
             seq.append((addr, word, inst))
-            visits[addr] = visits.get(addr, 0) + 1
+            seen.add(addr)
             events.append(("never", i))
             addr += 4
             continue
         saddr = addr + 4
         # Leave exotic slots (unfetchable, undecodable, another
-        # transfer, CALLINT, the halt address) to single-stepping: end the
-        # trace just before the transfer.
-        if saddr + 4 > size or saddr == halt_addr:
+        # transfer, CALLINT, the halt address) to single-stepping, and a
+        # slot already in the trace to the next dispatch: end the trace
+        # just before the transfer.
+        if saddr + 4 > size or saddr == halt_addr or saddr in seen:
             if seq:
                 events.append(("end", addr))
             break
@@ -355,8 +354,8 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
         i = len(seq)
         seq.append((addr, word, inst))
         seq.append((saddr, sword, sinst))
-        visits[addr] = visits.get(addr, 0) + 1
-        visits[saddr] = visits.get(saddr, 0) + 1
+        seen.add(addr)
+        seen.add(saddr)
         if op is Opcode.JMPR:
             target = (addr + inst.imm19) & _M32
             if _COND_EXPR[inst.cond] == "True":
@@ -1205,6 +1204,30 @@ def _codegen_trace(
 _TRACE_FACTORY_CACHE: dict[tuple, tuple] = {}
 _TRACE_FACTORY_CACHE_MAX = 4096
 
+#: Process-lifetime codegen counters behind :func:`trace_codegen_info`.
+_CODEGEN_COUNTERS: dict[str, int | float] = {
+    "hits": 0,
+    "misses": 0,
+    "clears": 0,
+    "source_lines": 0,
+    "codegen_s": 0.0,
+    "compile_s": 0.0,
+}
+
+
+def trace_codegen_info() -> dict[str, int | float]:
+    """Size and process-lifetime counters of the trace factory cache.
+
+    ``hits`` counts traces whose factory came from the cache, ``misses``
+    the traces that generated source (``source_lines`` lines in total,
+    ``codegen_s`` seconds) and ran ``compile()``/``exec`` on it
+    (``compile_s`` seconds); ``clears`` counts wholesale drops of a full
+    cache.  Like :func:`repro.workloads.cache.compile_cache_info`, these
+    describe the host process, not a simulated run, so run manifests
+    carry them in the ``host`` section.
+    """
+    return {"entries": len(_TRACE_FACTORY_CACHE), **_CODEGEN_COUNTERS}
+
 
 class TraceEngine:
     """Trace-compiling interpreter, oracle-verified like the others.
@@ -1414,19 +1437,29 @@ class TraceEngine:
             top,
         )
         cached = _TRACE_FACTORY_CACHE.get(key)
+        info = _CODEGEN_COUNTERS
         if cached is None:
+            t0 = time.perf_counter()
             source, recs, ixs, ixs_tk = _codegen_trace(
                 ir, nw, uw, m.halt_address, m.memory.size, hr, top
             )
+            t1 = time.perf_counter()
             namespace = dict(_TRACE_GLOBALS)
             exec(
                 compile(source, f"<trace {pc:#010x} n={len(seq)}>", "exec"),
                 namespace,
             )
+            info["codegen_s"] += t1 - t0
+            info["compile_s"] += time.perf_counter() - t1
+            info["source_lines"] += source.count("\n")
+            info["misses"] += 1
             cached = (namespace["make"], recs, ixs, ixs_tk)
             if len(_TRACE_FACTORY_CACHE) >= _TRACE_FACTORY_CACHE_MAX:
                 _TRACE_FACTORY_CACHE.clear()
+                info["clears"] += 1
             _TRACE_FACTORY_CACHE[key] = cached
+        else:
+            info["hits"] += 1
         make, recs, ixs, ixs_tk = cached
         addrs = tuple(item[0] for item in seq)
         meta = tuple(
@@ -1586,4 +1619,4 @@ class TraceEngine:
         return steps
 
 
-__all__ = ["TraceEngine", "TRACE_CODEGEN_VERSION"]
+__all__ = ["TraceEngine", "TRACE_CODEGEN_VERSION", "trace_codegen_info"]

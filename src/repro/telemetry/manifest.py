@@ -96,8 +96,8 @@ class RunManifest:
     entry: int = 0
     #: campaign linkage (seed, injections, fingerprint), when applicable
     campaign: dict | None = None
-    #: host facts (wall_seconds, compile_cache counters); excluded from
-    #: every canonical form
+    #: host facts (wall_seconds, compile_cache and trace_codegen
+    #: counters); excluded from every canonical form
     host: dict = field(default_factory=dict)
 
     # -- serialisation -------------------------------------------------------
@@ -419,9 +419,14 @@ def capture_manifest(
     # process, not the simulated run, so they live in the host section:
     # two engines - or a cold and a warm worker - still agree on every
     # canonical byte.
+    from repro.cpu.traceengine import trace_codegen_info
     from repro.workloads.cache import compile_cache_info
 
     host["compile_cache"] = compile_cache_info()
+    # Trace codegen cost and factory-cache behaviour are process facts
+    # too; engine_detail holds only per-machine counters, which agree
+    # across workers.
+    host["trace_codegen"] = trace_codegen_info()
     return RunManifest(
         workload=workload,
         engine=engine_name,
