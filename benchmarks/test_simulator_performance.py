@@ -11,12 +11,15 @@ machine-independent fast-vs-reference speedup ratio (see
 """
 
 import time
+from array import array
 
 from repro.baselines import VaxTraits, CiscExecutor
 from repro.cc import compile_for_risc, compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
+from repro.faults.campaign import _golden_run
 from repro.hll import run_program
 from repro.workloads import benchmark as benchmark_program
+from repro.workloads.cache import compile_cached
 
 SOURCE = benchmark_program("towers").source
 
@@ -71,7 +74,8 @@ def test_fast_engine_fusion_simulator_speed(benchmark):
 
 
 def _observed_run(compiled, engine):
-    """A run under a ``pre_step`` PC recorder: a campaign golden run."""
+    """A run under a ``pre_step`` PC recorder, the way campaign golden
+    runs were recorded before they ran unobserved on the trace tier."""
     machine = compiled.make_machine(engine=engine)
     pcs = []
     machine.observers.subscribe("pre_step", lambda m: pcs.append(m.pc))
@@ -96,6 +100,43 @@ def test_observed_fast_simulator_speed(benchmark):
     benchmark.extra_info["engine"] = "fast+pre_step"
     benchmark.extra_info["steps"] = steps
     assert steps > 10_000
+
+
+def _observed_golden_run(name):
+    """A campaign golden run as it used to be recorded: a ``pre_step``
+    PC recorder on the fast tier, then the per-PC visit index."""
+    compiled = compile_cached(benchmark_program(name).source)
+    machine = compiled.make_machine(engine="fast")
+    pcs = array("I")
+    machine.observers.subscribe("pre_step", lambda m: pcs.append(m.pc))
+    machine.run(compiled.program.entry)
+    visits = {}
+    for step, pc in enumerate(pcs):
+        visits.setdefault(pc, array("I")).append(step)
+    return len(pcs)
+
+
+def test_observed_golden_run_speed(benchmark):
+    steps = benchmark(lambda: _observed_golden_run("ackermann"))
+    benchmark.extra_info["engine"] = "fast+pre_step"
+    benchmark.extra_info["workload"] = "ackermann"
+    benchmark.extra_info["steps"] = steps
+    assert steps > 10_000
+
+
+def test_golden_run_speed(benchmark):
+    """The campaign's golden run on ackermann: unobserved on the trace
+    tier, with the PC trace rebuilt from the dispatch path.
+
+    Paired with the observed recorder by the golden-unobserved-vs-
+    observed baseline entry: a golden run that subscribes a per-step
+    observer again runs at about the observed recorder's speed.
+    """
+    golden = benchmark(lambda: _golden_run("ackermann")[0])
+    benchmark.extra_info["engine"] = "trace"
+    benchmark.extra_info["workload"] = "ackermann"
+    benchmark.extra_info["steps"] = golden.instructions
+    assert golden.instructions > 10_000
 
 
 def test_block_engine_simulator_speed(benchmark):

@@ -19,6 +19,7 @@ HALF_BYTES = 2
 #: is small enough that a faulted run touching a few hundred words rolls
 #: back in microseconds, and aligned accesses never straddle a page.
 JOURNAL_PAGE_BYTES = 256
+_PAGE_WORDS = JOURNAL_PAGE_BYTES // WORD_BYTES
 
 #: Memory-mapped console: bytes stored here appear on the simulated
 #: terminal instead of in RAM (reads return 0 = "ready").  Below the
@@ -292,9 +293,10 @@ class Memory:
 
         *listener* must expose ``code_words`` (a dict keyed by word index,
         ``address >> 2``, covering every word with compiled code behind it),
-        ``invalidate_code(address)`` and ``flush_code()``.  Stores that hit
-        a watched word call ``invalidate_code``; wholesale image rewrites
-        (``restore``, ``load_program``) call ``flush_code``.
+        ``invalidate_code(address)``, ``flush_code()`` and
+        ``rewind_code(dirty)``.  Stores that hit a watched word call
+        ``invalidate_code``; ``load_program`` calls ``flush_code``;
+        :meth:`restore` calls ``rewind_code``.
         """
         self._exec_listener = listener
         self._exec_watch = listener.code_words if listener is not None else None
@@ -337,13 +339,27 @@ class Memory:
         return MemoryCheckpoint(image=image, stats=stats, console_len=len(self.console))
 
     def restore(self, cp: MemoryCheckpoint) -> None:
-        """Rewind to *cp*; a delta checkpoint stays live for reuse."""
+        """Rewind to *cp*; a delta checkpoint stays live for reuse.
+
+        Every compiled-code listener hears ``rewind_code(dirty)``.  A
+        full-image restore is always *dirty*; a delta restore is dirty
+        for a listener only when it rolls back a word the listener
+        watches.  Compiled code always matches the current value of its
+        watched words (stores to them invalidate it), so code whose
+        words the restore leaves alone stays valid.
+        """
+        listeners = self._exec_listeners()
         if cp.image is not None:
             self._bytes[:] = cp.image
+            dirty = [True] * len(listeners)
         else:
             journal = self._journal
             if journal is None:
                 raise ValueError("delta checkpoint restore without an active journal")
+            dirty = [
+                self._rolls_back(journal, listener.code_words)
+                for listener in listeners
+            ]
             data = self._bytes
             for page, original in journal.items():
                 start = page * JOURNAL_PAGE_BYTES
@@ -351,13 +367,30 @@ class Memory:
             journal.clear()
         self.stats.inst_reads, self.stats.data_reads, self.stats.data_writes = cp.stats
         del self.console[cp.console_len :]
-        self._flush_exec_listeners()
+        for listener, code_dirty in zip(listeners, dirty):
+            listener.rewind_code(code_dirty)
+
+    def _rolls_back(self, journal: dict[int, bytes], words) -> bool:
+        """Whether restoring *journal* changes any of *words* (word
+        indices, ``address >> 2``)."""
+        data = self._bytes
+        for wi in words:
+            original = journal.get(wi // _PAGE_WORDS)
+            if original is not None:
+                offset = (wi % _PAGE_WORDS) * WORD_BYTES
+                address = wi * WORD_BYTES
+                if original[offset : offset + WORD_BYTES] != data[address : address + WORD_BYTES]:
+                    return True
+        return False
+
+    def _exec_listeners(self) -> list:
+        """The primary compiled-code listener, if any, then the extras."""
+        primary = [] if self._exec_listener is None else [self._exec_listener]
+        return primary + self._extra_exec_listeners
 
     def _flush_exec_listeners(self) -> None:
         """Drop all compiled code after a wholesale image rewrite."""
-        if self._exec_listener is not None:
-            self._exec_listener.flush_code()
-        for listener in self._extra_exec_listeners:
+        for listener in self._exec_listeners():
             listener.flush_code()
 
     def stop_tracking(self) -> None:

@@ -714,8 +714,16 @@ class BlockEngine:
             self._drop(blk)
             self.blocks_invalidated += 1
 
+    def rewind_code(self, dirty: bool) -> None:
+        """A checkpoint restore rewound memory (Memory protocol): keep
+        the blocks unless it rolled back a watched code word."""
+        self._nocompile.clear()
+        if dirty:
+            self.flush_code()
+
     def flush_code(self) -> None:
-        """Wholesale image change (restore/load_program): drop everything."""
+        """Wholesale image change (load_program, a code-dirtying
+        restore): drop everything."""
         self.code_flushes += 1
         for blk in self._blocks.values():
             blk.live = False

@@ -57,7 +57,15 @@ the block engine's, inherited wholesale:
   invalidates itself exits early with exact sequential state;
 * watchdog budgets are enforced by a conservative per-dispatch bound
   (a trace never starts unless it could run to completion within the
-  remaining budget), falling back to single-stepping for the tail.
+  remaining budget), falling back to single-stepping for the tail;
+* a checkpoint restore drops pending exit hits (the stats they would
+  fold into were rewound) and keeps the compiled traces unless it
+  rolled back one of their code words.
+
+With :attr:`TraceEngine.path` set to a list, ``run_loop`` logs which
+trace each dispatch ran and how many of its steps completed; since a
+trace never revisits an address, that rebuilds the PC at every step
+boundary exactly, with no per-step observer (campaign golden runs).
 
 ``TRACE_CODEGEN_VERSION`` names the codegen scheme; bump it whenever
 generated-trace semantics change so that any cache keyed on compiled
@@ -1268,8 +1276,20 @@ class TraceEngine:
         self.code_flushes = 0
         self.instructions_compiled = 0
         self.max_trace_length = 0
-        #: steps single-stepped through the inner fast engine.
-        self.fallback_steps = 0
+        #: steps single-stepped through the inner fast engine, by reason:
+        #: a step observer, a latched interrupt or pending delay slot, an
+        #: uncompilable entry, a watchdog tail, and ``step()`` calls.
+        self.fallback_observed = 0
+        self.fallback_pending = 0
+        self.fallback_uncompilable = 0
+        self.fallback_watchdog = 0
+        self.fallback_step_calls = 0
+        #: ``None``, or a list ``run_loop`` extends with one ``(addrs,
+        #: completed)`` pair per dispatch: a trace's addresses and the
+        #: steps its thunk returned (it ran exactly ``addrs[:completed]``,
+        #: since a trace visits each address once, in order), or
+        #: ``((pc,), 1)`` for a single-stepped fallback.
+        self.path: list | None = None
         #: statically proved pairs armed via :meth:`arm_fusion`, keyed by
         #: first-half address, plus hits folded out of reconciled exits.
         self._fused: dict[int, object] = {}
@@ -1289,8 +1309,24 @@ class TraceEngine:
             "fused_pairs_armed": len(self._fused),
             "fused_dispatches": self.fused_dispatches,
             "fallback_steps": self.fallback_steps,
+            "fallback_observed": self.fallback_observed,
+            "fallback_pending": self.fallback_pending,
+            "fallback_uncompilable": self.fallback_uncompilable,
+            "fallback_watchdog": self.fallback_watchdog,
+            "fallback_step_calls": self.fallback_step_calls,
             "oracle_steps": self._fast.oracle_steps,
         }
+
+    @property
+    def fallback_steps(self) -> int:
+        """Steps single-stepped through the inner fast engine, all reasons."""
+        return (
+            self.fallback_observed
+            + self.fallback_pending
+            + self.fallback_uncompilable
+            + self.fallback_watchdog
+            + self.fallback_step_calls
+        )
 
     # -- macro-op fusion (counting only: pairs already run fused) -----------
 
@@ -1326,12 +1362,15 @@ class TraceEngine:
 
     # -- deferred-stat reconciliation ---------------------------------------
 
-    def _reconcile(self) -> None:
+    def _reconcile(self, *, rewound: bool = False) -> None:
         """Fold pending per-exit hit counters into the machine's stats.
 
         Called whenever deferred state could become observable: before
         any single-step fallback, on every trap unwind, before an
-        in-trace halt fires observers, and at run-loop exit.
+        in-trace halt fires observers, and at run-loop exit.  With
+        *rewound* (a checkpoint restore already rewound the stats past
+        those hits) the pending hits are dropped instead; only the
+        fused-pair telemetry, which no restore rewinds, keeps them.
         """
         m = self._machine
         cy = self._cycles_cell
@@ -1357,6 +1396,8 @@ class TraceEngine:
                     hits[j] = 0
                     if efp is not None and efp[j]:
                         self._fused_retired += h * efp[j]
+                    if rewound:
+                        continue
                     done, cyc, cats, ops, tj, ds, dn, cl, rt = trc.exit_recs[j]
                     stats.instructions += h * done
                     stats.cycles += h * cyc
@@ -1383,8 +1424,23 @@ class TraceEngine:
             self._drop(trc)
             self.traces_invalidated += 1
 
+    def rewind_code(self, dirty: bool) -> None:
+        """A checkpoint restore rewound the machine (Memory protocol).
+
+        Pending exit hits belong to the abandoned run, so they are
+        dropped, never folded into the rewound stats.  Traces stay
+        compiled unless *dirty*: the restore rolled back a watched code
+        word.  Uncompilable entries are retried, since their words are
+        not watched.
+        """
+        self._reconcile(rewound=True)
+        self._nocompile.clear()
+        if dirty:
+            self.flush_code()
+
     def flush_code(self) -> None:
-        """Wholesale image change (restore/load_program): drop everything."""
+        """Wholesale image change (load_program, a code-dirtying
+        restore): drop everything."""
         self.code_flushes += 1
         self._reconcile()
         for trc in self._traces.values():
@@ -1522,7 +1578,7 @@ class TraceEngine:
     def step(self, m: ArchState) -> Instruction | None:
         """Single-step through the inner fast engine (trace compilation
         is a ``run_loop``-only optimisation)."""
-        self.fallback_steps += 1
+        self.fallback_step_calls += 1
         return self._fast.step(m)
 
     def run_loop(
@@ -1555,21 +1611,22 @@ class TraceEngine:
             exp_call, exp_ret = [rec._on_call], [rec._on_return]
         else:
             exp_call, exp_ret = [], []
+        path = self.path
         steps = 0
         check_at = 1024
         while m.halted is None:
+            pc = m.pc
             if (
                 bus.step_observed
                 or m.pending_interrupt is not None
                 or m._pending_jump
             ):
-                if CY[0]:
-                    self._reconcile()
-                fast_step(m)
-                steps += 1
-                self.fallback_steps += 1
+                if bus.step_observed:
+                    self.fallback_observed += 1
+                else:
+                    self.fallback_pending += 1
+                trc = None
             else:
-                pc = m.pc
                 trc = traces_get(pc)
                 if trc is not None and trc.top != m.trap_on_overflow:
                     # trap_on_overflow is baked into the generated code.
@@ -1579,28 +1636,31 @@ class TraceEngine:
                     trc = self._lookup(m, pc)
                 if trc is None:
                     # Unfetchable/undecodable entry: the single step traps.
-                    if CY[0]:
-                        self._reconcile()
-                    fast_step(m)
-                    steps += 1
-                    self.fallback_steps += 1
+                    self.fallback_uncompilable += 1
                 elif steps + trc.n > max_steps or (
                     max_cycles is not None
                     and stats.cycles + CY[0] + trc.cycles_bound >= max_cycles
                 ):
                     # A watchdog could fire mid-trace; run the tail at
                     # single-step granularity for exact halt points.
-                    if CY[0]:
-                        self._reconcile()
-                    fast_step(m)
-                    steps += 1
-                    self.fallback_steps += 1
-                else:
-                    # Frame-op fast paths are licensed per dispatch: the
-                    # boundary observers must be exactly the default
-                    # call-trace recorder's handlers (or none at all).
-                    PL[0] = bus.on_call == exp_call and bus.on_return == exp_ret
-                    steps += trc.thunk()
+                    self.fallback_watchdog += 1
+                    trc = None
+            if trc is None:
+                if CY[0]:
+                    self._reconcile()
+                fast_step(m)
+                steps += 1
+                if path is not None:
+                    path.append(((pc,), 1))
+            else:
+                # Frame-op fast paths are licensed per dispatch: the
+                # boundary observers must be exactly the default
+                # call-trace recorder's handlers (or none at all).
+                PL[0] = bus.on_call == exp_call and bus.on_return == exp_ret
+                done = trc.thunk()
+                steps += done
+                if path is not None:
+                    path.append((trc.addrs, done))
             if m.halted is not None:
                 break
             if steps >= max_steps:

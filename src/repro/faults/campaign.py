@@ -485,14 +485,16 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
 
     bench = benchmark(name)
     compiled = compile_cached(bench.source)
-    machine = compiled.make_machine()
-    trace = array("I")  # the PC at every step boundary
-
-    def record_pc(m: RiscMachine) -> None:
-        trace.append(m.pc)
-
-    machine.observers.subscribe("pre_step", record_pc)
+    # Unobserved on the trace tier: the engine logs which trace ran and
+    # how many of its instructions completed, which rebuilds the PC at
+    # every step boundary exactly.
+    machine = compiled.make_machine(engine="trace")
+    path: list = []
+    machine.engine.path = path
     machine.run(compiled.program.entry)
+    trace = array("I")  # the PC at every step boundary
+    for addrs, done in path:
+        trace.extend(addrs[:done])
     if machine.halted is not HaltReason.RETURNED:
         raise RuntimeError(
             f"golden run of {name} did not complete: {machine.halted}"

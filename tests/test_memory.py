@@ -172,6 +172,9 @@ class RecordingListener:
     def flush_code(self) -> None:
         self.calls.append("flush")
 
+    def rewind_code(self, dirty: bool) -> None:
+        self.calls.append(("rewind", dirty))
+
 
 MMIO_BASE = 0x8000
 WATCHED = 0x5008
@@ -286,6 +289,23 @@ class TestCheckpoint:
         mem.restore(cp)
         assert mem.load_word(0, count=False) == 0x11111111
         assert mem.load_byte(3000, count=False) == 0
+
+    def test_delta_restore_dirties_code_only_when_a_watched_word_rolls_back(self):
+        mem = Memory(size=4096)
+        listener = RecordingListener([0x100 >> 2])
+        mem.set_exec_listener(listener)
+        cp = mem.checkpoint(track_deltas=True)
+        mem.store_word(0x104, 7)  # the watched word's page, another word
+        mem.restore(cp)
+        mem.store_word(0x100, 0)  # the watched word, rewritten unchanged
+        mem.restore(cp)
+        mem.store_word(0x100, 9)
+        mem.restore(cp)
+        mem.restore(mem.checkpoint())  # a full image is always dirty
+        assert listener.calls == [
+            ("rewind", False), 0x100, ("rewind", False), 0x100,
+            ("rewind", True), ("rewind", True),
+        ]
 
     def test_restore_rewinds_stats_and_console(self):
         mem = Memory(size=1024)
