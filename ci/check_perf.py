@@ -2,7 +2,7 @@
 
 Usage::
 
-    python ci/check_perf.py BENCH_simulator.json [BENCH_batch.json ...] \
+    python ci/check_perf.py BENCH_simulator.json [BENCH_multicore.json ...] \
         [ci/perf_baseline.json]
 
 Reads one or more pytest-benchmark JSON reports (``pytest
@@ -16,10 +16,8 @@ than ``tolerance`` (fractional) below the committed ``speedup``.
 Arguments are classified by content, not position: a JSON document
 whose top-level ``benchmarks`` is an *object* is the baseline (default
 ``ci/perf_baseline.json``), anything else is a report, so the legacy
-two-argument form keeps working.  Baseline names listed under
-``optional`` may be absent from every report - their entries are
-skipped with a note instead of failing, which is how the numpy-gated
-batch benchmarks degrade when the optional dependency is missing.
+two-argument form keeps working.  Every benchmark the baseline names
+must be present in some report.
 
 Absolute times vary wildly across CI hosts; the *ratio* of two
 interpreters timed in the same process does not, which is what makes
@@ -40,14 +38,10 @@ def mean_time(reports: list[dict], name: str) -> float | None:
     return None
 
 
-def check_entry(entry: dict, times: dict[str, float | None]) -> str | None:
+def check_entry(entry: dict, times: dict[str, float]) -> str | None:
     """Check one baseline entry; returns a failure message or ``None``."""
     numerator = times[entry["numerator"]]
     denominator = times[entry["denominator"]]
-    if numerator is None or denominator is None:
-        missing = entry["numerator"] if numerator is None else entry["denominator"]
-        print(f"{entry['name']}: skipped (optional benchmark {missing!r} absent)")
-        return None
     measured = numerator / denominator
     floor = entry["speedup"] * (1.0 - entry["tolerance"])
     print(
@@ -84,11 +78,10 @@ def main(argv: list[str]) -> int:
         print("error: no benchmark reports given", file=sys.stderr)
         return 2
 
-    optional = set(baseline.get("optional", ()))
-    times: dict[str, float | None] = {}
+    times: dict[str, float] = {}
     for engine, bench_name in baseline["benchmarks"].items():
         mean = mean_time(reports, bench_name)
-        if mean is None and engine not in optional:
+        if mean is None:
             raise SystemExit(
                 f"error: benchmark {bench_name!r} not found in any report"
             )

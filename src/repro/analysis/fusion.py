@@ -260,7 +260,7 @@ def arm_machine(machine, source) -> FusionReport:
 
     *source* is a :class:`FusionReport`, an assembled ``Program``, or a
     ``CompiledRisc``.  Engines that do not advertise fusion (the
-    reference oracle, the batch executor) are silently left unarmed -
+    reference oracle) are silently left unarmed -
     the report is still returned so callers can inspect the proofs.
     """
     if isinstance(source, FusionReport):

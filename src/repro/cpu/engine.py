@@ -28,9 +28,7 @@ scalar backends ship:
   one step at a time, observed steps included, goes through an inner
   fast engine.  Same admission rule.
 
-plus the non-scalar ``"batch"`` tier (:mod:`repro.cpu.batch`), a numpy
-lockstep executor over N machines.  The tier registry lives in
-:mod:`repro.cpu.engines`.
+The tier registry lives in :mod:`repro.cpu.engines`.
 
 Every engine must produce **bit-identical** architectural results:
 the same :class:`~repro.cpu.state.ExecutionStats`, trap log, final

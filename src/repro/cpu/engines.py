@@ -8,17 +8,13 @@ flags - so call sites ask *what an engine can do* rather than matching
 on its name.  No call site outside this module is allowed to dispatch
 on ``engine == "..."`` string comparisons.
 
-The four scalar tiers, in ascending speed::
+The four tiers, in ascending speed, each usable as
+``RiscMachine(engine=...)``::
 
     reference  the oracle interpreter   (full observer events)
     fast       pre-decoded closures     (~3x)
     block      basic-block compilation  (~9x)
     trace      superblock source traces (~25x+)
-
-plus ``batch``, the numpy lockstep executor
-(:mod:`repro.cpu.batch`), which is not a scalar
-:class:`~repro.cpu.engine.ExecutionEngine` - it steps N machines at
-once - and is therefore flagged ``supports_batch`` / ``scalar=False``.
 
 To add a backend: call :func:`register_engine` (or add a spec to the
 ``_SPECS`` tuple below) and extend the equivalence-harness
@@ -44,8 +40,6 @@ class EngineSpec:
     stateful; they are never shared between machines).  The capability
     flags let call sites route work without name matching:
 
-    * ``scalar`` - usable as ``RiscMachine(engine=...)``; the batch
-      executor is the one non-scalar tier.
     * ``supports_observers`` - executes every per-step observer event
       natively, ``fetch_word`` and ``mem_access`` included.  Every tier
       is *correct* under observers, but only the oracle sets this flag.
@@ -55,8 +49,6 @@ class EngineSpec:
       only for a latched interrupt or a ``fetch_word``/``mem_access``
       observer.  The block tier hands every observed step to the
       oracle.
-    * ``supports_batch`` - steps N independent simulations in lockstep
-      (see :mod:`repro.cpu.batch`).
     * ``supports_fusion`` - accepts statically proved macro-op fusion
       pairs via ``engine.arm_fusion(pairs)`` (see
       :mod:`repro.analysis.fusion`) and reports ``fused_dispatches``.
@@ -68,32 +60,17 @@ class EngineSpec:
       MMIO devices are honoured) and the tier shares a memory with
       other cores' engines via ``attach_exec_listener``.  The trace
       tier inlines RAM fast paths into generated source and installs an
-      exclusive write watch, and the batch executor steps private
-      per-lane images - neither can share a live device-mapped memory,
-      so both are flagged ``False``.
-    * ``requires`` - name of an optional third-party dependency the
-      tier needs (``None`` for the pure-python tiers).  Use
-      :func:`available` to probe.
+      exclusive write watch, so it cannot share a live device-mapped
+      memory and is flagged ``False``.
     """
 
     name: str
     factory: Callable[[], "ExecutionEngine"]
     tier: int
     description: str
-    scalar: bool = True
     supports_observers: bool = False
-    supports_batch: bool = False
     supports_fusion: bool = False
     supports_smp: bool = False
-    requires: str | None = None
-
-    def available(self) -> bool:
-        """Whether the tier's optional dependency (if any) is importable."""
-        if self.requires is None:
-            return True
-        import importlib.util
-
-        return importlib.util.find_spec(self.requires) is not None
 
     def capabilities(self) -> dict:
         """Flags + metadata as plain data (CLI listings, docs, manifests)."""
@@ -101,13 +78,9 @@ class EngineSpec:
             "name": self.name,
             "tier": self.tier,
             "description": self.description,
-            "scalar": self.scalar,
             "supports_observers": self.supports_observers,
-            "supports_batch": self.supports_batch,
             "supports_fusion": self.supports_fusion,
             "supports_smp": self.supports_smp,
-            "requires": self.requires,
-            "available": self.available(),
         }
 
 
@@ -133,13 +106,6 @@ def _make_trace() -> "ExecutionEngine":
     from repro.cpu.traceengine import TraceEngine
 
     return TraceEngine()
-
-
-def _make_batch() -> "ExecutionEngine":
-    raise ValueError(
-        '"batch" is not a scalar engine; use repro.cpu.batch.BatchExecutor '
-        "(or run_all --engine batch) to step N machines in lockstep"
-    )
 
 
 _SPECS: tuple[EngineSpec, ...] = (
@@ -174,15 +140,6 @@ _SPECS: tuple[EngineSpec, ...] = (
         description="superblock traces compiled to generated source",
         supports_fusion=True,
     ),
-    EngineSpec(
-        name="batch",
-        factory=_make_batch,
-        tier=4,
-        description="numpy lockstep executor over N machines",
-        scalar=False,
-        supports_batch=True,
-        requires="numpy",
-    ),
 )
 
 #: name -> spec, in tier order.  Mutated only by :func:`register_engine`.
@@ -208,23 +165,22 @@ def get_spec(name: str) -> EngineSpec:
 def engine_names(*, scalar_only: bool = False) -> tuple[str, ...]:
     """Registered tier names in tier order.
 
-    ``scalar_only=True`` restricts to engines usable as
-    ``RiscMachine(engine=...)`` - the list test matrices and the
-    differential sweep parametrise over.
+    Every registered tier is scalar (usable as
+    ``RiscMachine(engine=...)``), so ``scalar_only`` filters nothing; it
+    is still accepted because callers ask for "the scalar tiers" by
+    name.
     """
     specs = sorted(REGISTRY.values(), key=lambda spec: spec.tier)
-    return tuple(
-        spec.name for spec in specs if spec.scalar or not scalar_only
-    )
+    return tuple(spec.name for spec in specs)
 
 
 def default_sweep_engines() -> tuple[str, ...]:
     """Engines the differential equivalence sweep covers by default.
 
-    All scalar tiers, oracle first - the first name is the oracle the
+    All tiers, oracle first - the first name is the oracle the
     rest are diffed against.
     """
-    return engine_names(scalar_only=True)
+    return engine_names()
 
 
 def smp_engine_names() -> tuple[str, ...]:
@@ -238,20 +194,12 @@ def smp_engine_names() -> tuple[str, ...]:
 
 
 def fastest_scalar_engine() -> str:
-    """Name of the fastest *available* scalar tier.
+    """Name of the highest registered tier.
 
-    Capability-driven selection for callers that want "as fast as this
-    host allows" without naming a tier: the execution service resolves
-    ``engine="auto"`` jobs through this, and batch-tier requests fall
-    back to it when the optional numpy dependency is missing.  Scalar
-    tiers are pure python, so today this is always the top tier; the
-    ``available()`` probe keeps the choice honest if a scalar tier ever
-    grows an optional dependency.
+    For callers that want "as fast as this host allows" without naming
+    a tier.
     """
-    for spec in sorted(REGISTRY.values(), key=lambda s: -s.tier):
-        if spec.scalar and spec.available():
-            return spec.name
-    raise ValueError("no scalar execution engine is available")
+    return max(REGISTRY.values(), key=lambda spec: spec.tier).name
 
 
 def create_engine(engine: "str | ExecutionEngine") -> "ExecutionEngine":

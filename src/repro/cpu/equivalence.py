@@ -198,20 +198,15 @@ def main(argv: list[str] | None = None) -> int:
 
     args = list(argv) if argv is not None else sys.argv[1:]
     if "--list-engines" in args:
-        header = f"{'tier':>4}  {'engine':<10} {'scalar':<7} {'observers':<10} " \
-                 f"{'batch':<6} {'fusion':<7} {'requires':<9} description"
+        header = f"{'tier':>4}  {'engine':<10} {'observers':<10} " \
+                 f"{'fusion':<7} description"
         print(header)
         for row in capability_matrix():
-            requires = row["requires"] or "-"
-            if row["requires"] and not row["available"]:
-                requires += " (missing)"
             print(
                 f"{row['tier']:>4}  {row['name']:<10} "
-                f"{'yes' if row['scalar'] else 'no':<7} "
                 f"{'yes' if row['supports_observers'] else 'no':<10} "
-                f"{'yes' if row['supports_batch'] else 'no':<6} "
                 f"{'yes' if row['supports_fusion'] else 'no':<7} "
-                f"{requires:<9} {row['description']}"
+                f"{row['description']}"
             )
         return 0
     fusion = False

@@ -54,8 +54,8 @@ def run(
     (:class:`repro.faults.distributed.StreamingCampaignReport`): trials
     fold into fixed-size counters as they complete, so the experiment's
     memory footprint is independent of the injection count.  The table
-    (and the fingerprint behind it) is byte-identical to the batch
-    path's - :func:`run_report` keeps the batch report for callers that
+    (and the fingerprint behind it) is byte-identical to the in-memory
+    path's - :func:`run_report` keeps the in-memory report for callers that
     need per-trial records.
     """
     config = CampaignConfig(

@@ -14,27 +14,29 @@ wall-clock time); ``--out`` also writes the report to a file.
 ``--manifest FILE`` additionally writes the evaluation manifest: one
 canonical :class:`~repro.telemetry.manifest.RunManifest` per benchmark,
 executed on ``--engine`` (default ``reference``; any tier registered in
-:mod:`repro.cpu.engines`, including the non-scalar ``batch`` executor)
-and aggregated with
+:mod:`repro.cpu.engines`) and aggregated with
 :func:`~repro.telemetry.manifest.aggregate_manifests`.  Manifest
 collection honours ``--workers`` and the aggregate is **byte-identical**
 for any worker count: runs are deterministic, results are collected in
 schedule order, and host wall-clock never enters the canonical form.
 
-``--store DIR`` routes manifest collection through the execution
-service's :class:`~repro.service.store.ManifestStore`: benchmarks whose
-``(workload fingerprint, seed, config, engine)`` key is already stored
-are served from disk instead of re-simulated, and fresh runs populate
-the store for the next invocation (or for the service itself - the two
-share one store format and one key derivation).  Because stored
-manifests are the canonical bytes of the run that produced them, the
-aggregate is byte-identical with or without the store.
+``--store DIR`` routes manifest collection through a
+:class:`~repro.telemetry.store.ManifestStore`: benchmarks whose
+``(workload fingerprint, engine)`` entry is already stored are served
+from disk instead of re-simulated, and fresh runs populate the store
+for the next invocation.  Because stored manifests are the canonical
+bytes of the run that produced them, the aggregate is byte-identical
+with or without the store.
+
+``--engine`` and ``--store`` apply only with ``--manifest``.  Every
+flag is validated before any section renders.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 
+from repro.cpu.engines import engine_names
 from repro.evaluation import (
     ablations,
     e1_three_stage,
@@ -123,55 +125,34 @@ def _benchmark_manifest(task: tuple[str, str, str | None]):
     Module-level so pools can import it.  The run is a deterministic
     function of (benchmark, engine) - fresh machine, fixed image - so
     the returned manifest is identical wherever it executes.  With a
-    *store_dir*, the benchmark's service job key is consulted first and
-    fresh results are stored: determinism is what makes serving the
-    stored bytes indistinguishable from re-simulating.
+    *store_dir*, the benchmark's store key is consulted first and fresh
+    results are stored: determinism is what makes serving the stored
+    bytes indistinguishable from re-simulating.
     """
     name, engine, store_dir = task
-    from repro.cpu.engines import get_spec
     from repro.workloads import benchmark
     from repro.workloads.cache import compile_cached
 
-    store = spec_key = None
+    source = benchmark(name).source
+    store = key = None
     if store_dir is not None:
-        from repro.service.jobs import JobSpec
-        from repro.service.store import ManifestStore
+        from repro.telemetry.store import ManifestStore, manifest_key
 
-        # Default config only - exactly what make_machine()/run() below
-        # use - so run_all and the service agree on every key.
-        spec_key = JobSpec(
-            workload=name, source=benchmark(name).source, engine=engine
-        ).key()
+        # The key covers the default config - exactly what
+        # make_machine()/run() below use.
+        key = manifest_key(name, source)
         store = ManifestStore(store_dir)
-        cached = store.get(spec_key, engine)
+        cached = store.get(key, engine)
         if cached is not None:
             return cached
 
-    spec = get_spec(engine)
-    compiled = compile_cached(benchmark(name).source)
+    compiled = compile_cached(source)
     entry = compiled.program.entry
-    if spec.scalar:
-        machine = compiled.make_machine(engine=engine)
-        machine.run(entry)
-        manifest = machine.run_manifest(workload=name, entry=entry)
-        if store is not None:
-            store.put(spec_key, manifest)
-        return manifest
-    # Non-scalar tier (batch): run through the lockstep executor.  The
-    # machine ends bit-identical to a scalar run, so the manifest's
-    # shared sections (and fingerprint) match every other engine; only
-    # the simulation section reports the executor's telemetry.
-    from repro.cpu.batch import run_batch
-    from repro.telemetry.manifest import capture_manifest
-
-    machine = compiled.make_machine(engine="reference")
-    machine.reset(entry)
-    executor = run_batch([machine])
-    manifest = capture_manifest(machine, workload=name, entry=entry)
-    manifest.engine = spec.name
-    manifest.engine_detail = executor.telemetry_snapshot()
+    machine = compiled.make_machine(engine=engine)
+    machine.run(entry)
+    manifest = machine.run_manifest(workload=name, entry=entry)
     if store is not None:
-        store.put(spec_key, manifest)
+        store.put(key, manifest)
     return manifest
 
 
@@ -235,32 +216,59 @@ def render_sections(
     return [_render_section(task) for task in tasks]
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.evaluation.run_all",
+        description="Run every experiment and print the full report.",
+    )
+    parser.add_argument(
+        "--fast", action="store_true",
+        help="restrict the expensive sweeps to a four-benchmark subset",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="render sections (and collect manifests) on N processes",
+    )
+    parser.add_argument("--out", default=None, help="also write the report here")
+    parser.add_argument(
+        "--manifest", default=None,
+        help="write the aggregated evaluation manifest to this path",
+    )
+    parser.add_argument(
+        "--engine", choices=engine_names(), default=None,
+        help="tier the manifest runs execute on (default reference; "
+             "needs --manifest)",
+    )
+    parser.add_argument(
+        "--store", default=None,
+        help="manifest-store directory to consult and populate "
+             "(needs --manifest)",
+    )
+    return parser
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; see the module docstring for flags."""
-    args = argv if argv is not None else sys.argv[1:]
-    names = FAST_SUBSET if "--fast" in args else None
-    workers = None
-    if "--workers" in args:
-        workers = int(args[args.index("--workers") + 1])
-    report = "\n\n\n".join(render_sections(names, workers=workers))
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.manifest is None:
+        for flag, value in (("--engine", args.engine), ("--store", args.store)):
+            if value is not None:
+                parser.error(f"{flag} needs --manifest")
+    names = FAST_SUBSET if args.fast else None
+    report = "\n\n\n".join(render_sections(names, workers=args.workers))
     print(report)
-    if "--out" in args:
-        path = args[args.index("--out") + 1]
-        with open(path, "w") as handle:
+    if args.out is not None:
+        with open(args.out, "w") as handle:
             handle.write(report + "\n")
-    if "--manifest" in args:
-        path = args[args.index("--manifest") + 1]
-        engine = "reference"
-        if "--engine" in args:
-            engine = args[args.index("--engine") + 1]
-        store = None
-        if "--store" in args:
-            store = args[args.index("--store") + 1]
+    if args.manifest is not None:
+        engine = args.engine or "reference"
         count = write_manifest(
-            path, names, engine=engine, workers=workers, store=store
+            args.manifest, names, engine=engine, workers=args.workers,
+            store=args.store,
         )
         print(f"\nwrote evaluation manifest ({count} runs, engine={engine}) "
-              f"to {path}")
+              f"to {args.manifest}")
     return report
 
 

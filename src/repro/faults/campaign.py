@@ -284,7 +284,7 @@ def rate_table_from_counts(
 ) -> Table:
     """Render the R1 rate table from per-target outcome tallies.
 
-    Shared by the batch (:class:`CampaignReport`) and streaming
+    Shared by the in-memory (:class:`CampaignReport`) and streaming
     (:class:`repro.faults.distributed.StreamingCampaignReport`)
     aggregation paths, so both produce the identical table.
     """
@@ -788,7 +788,6 @@ def run_campaign(
     timeout_s: float | None = None,
     retry=None,
     registry=None,
-    batch_lanes: int | None = None,
 ):
     """Execute the campaign described by *config* deterministically.
 
@@ -821,13 +820,6 @@ def run_campaign(
     Either way the executed trials - and therefore the fingerprint -
     are identical; the options only change how the campaign survives
     infrastructure failure.
-
-    ``batch_lanes`` > 1 routes the trials through the numpy lockstep
-    executor (:mod:`repro.faults.batchmode`): chunks of that many trials
-    share one vectorized golden prefix and peel to scalar machines when
-    their faults fire.  Still byte-identical (same fingerprint); falls
-    back to the serial path silently when numpy is not installed.  Not
-    combinable with the worker-pool or supervised streaming paths.
     """
     distributed = (
         stream
@@ -857,18 +849,6 @@ def run_campaign(
             progress=progress,
         )
 
-    if batch_lanes is not None and batch_lanes > 1 and (
-        workers is None or workers <= 1
-    ):
-        from repro.cpu.batch import BatchUnavailableError
-        from repro.faults.batchmode import run_batch_campaign
-
-        try:
-            return run_batch_campaign(
-                config, lanes=batch_lanes, progress=progress
-            )
-        except BatchUnavailableError:
-            pass  # numpy absent: the serial path below is the fallback
     goldens: dict[str, GoldenRun] = {}
     report = CampaignReport(config=config, golden=goldens)
     schedule = _campaign_schedule(config, goldens)
@@ -942,13 +922,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--benchmarks", default=",".join(DEFAULT_BENCHMARKS),
         help="comma-separated benchmark names",
-    )
-    parser.add_argument(
-        "--batch-lanes", type=_positive_int, default=1,
-        help="run trials through the numpy lockstep executor in chunks "
-             "of N lanes (byte-identical fingerprint; default 1 = "
-             "scalar; ignored with --workers > 1 or streaming flags; "
-             "falls back to scalar when numpy is missing)",
     )
     parser.add_argument(
         "--shards", type=_positive_int, default=1,
@@ -1047,7 +1020,6 @@ def main(argv: list[str] | None = None) -> int:
                 config,
                 progress=progress,
                 workers=args.workers,
-                batch_lanes=args.batch_lanes,
             )
         from repro.faults.distributed import RetryPolicy
 

@@ -14,7 +14,7 @@ process to millions of trials on infrastructure that fails:
   timeouts, bounded retry with deterministic backoff jitter,
   permanent-failure quarantine, and dead-worker pool recovery.
 * :mod:`~repro.faults.distributed.streaming` - O(1)-memory aggregation
-  into the same rate table / summary / fingerprint the batch report
+  into the same rate table / summary / fingerprint the in-memory report
   produces.
 * :mod:`~repro.faults.distributed.runner` - the orchestrating
   :func:`run_distributed_campaign` behind

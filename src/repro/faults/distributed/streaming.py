@@ -1,6 +1,6 @@
 """Streaming campaign aggregation: O(1) memory at any trial count.
 
-The batch :class:`~repro.faults.campaign.CampaignReport` keeps every
+The in-memory :class:`~repro.faults.campaign.CampaignReport` keeps every
 :class:`~repro.faults.campaign.InjectionResult` in a list - fine for
 thousands of trials, fatal for millions.  The streaming path folds
 each canonical injection record into fixed-size state the moment it
@@ -14,7 +14,7 @@ it:
   composable per-shard fingerprints without retaining a single trial.
 
 :class:`StreamingCampaignReport` then renders the identical rate
-table, summary, and fingerprint the batch report would have produced
+table, summary, and fingerprint the in-memory report would have produced
 for the same trials - the equivalence the test suite pins - plus the
 ``shards`` / ``resume`` manifest sections the distributed machinery
 adds.
@@ -191,13 +191,13 @@ class StreamingCampaignReport:
         }
 
     def rate_table(self):
-        """The R1 rate table - identical to the batch report's."""
+        """The R1 rate table - identical to the in-memory report's."""
         return rate_table_from_counts(
             self.config, self.aggregate.by_target, self.aggregate.count
         )
 
     def fingerprint(self) -> str:
-        """Ordered hash-of-hashes fingerprint (equals the batch one)."""
+        """Ordered hash-of-hashes fingerprint (equals the in-memory one)."""
         return self.aggregate.fingerprint()
 
     def summary(self) -> dict:

@@ -19,6 +19,10 @@ overhead, execution-time ratios - so every part of this repository that
   observers (:class:`TraceEventExporter`, ``events_from_*`` adapters).
 * :mod:`repro.telemetry.report` - ``python -m repro.telemetry.report``
   renders manifests to text/Markdown comparison tables.
+* :mod:`repro.telemetry.store` - :class:`~repro.telemetry.store.ManifestStore`,
+  the content-addressed on-disk manifest store behind
+  ``run_all --store``, and its key derivation
+  (:func:`~repro.telemetry.store.manifest_key`).
 
 See ``docs/OBSERVABILITY.md`` for the metrics catalog, the annotated
 manifest schema, and the event taxonomy.  Schema stability is gated in

@@ -75,14 +75,6 @@ EVENT_KINDS = (
     "retry",       # a trial attempt was re-dispatched (supervisor)
     "resume",      # a journal was recovered (distributed runner)
     "slice",       # one scheduler slice (adapter: multicore schedule log)
-    # execution-service kinds (repro.service; see docs/SERVICE.md)
-    "request",       # a job submission was accepted for scheduling
-    "response",      # a job submission was answered (any status)
-    "cache_hit",     # the manifest store served the request
-    "cache_miss",    # the request fell through to simulation
-    "cache_store",   # a freshly simulated manifest was persisted
-    "cache_evict",   # a store entry was evicted over capacity
-    "rate_limited",  # a tenant's token bucket rejected the request
 )
 
 

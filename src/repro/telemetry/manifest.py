@@ -414,8 +414,8 @@ def capture_manifest(
         wall_seconds = getattr(machine, "last_run_wall_seconds", None)
     if wall_seconds is not None:
         host["wall_seconds"] = wall_seconds
-    # Compile-cache counters make warm-process reuse (a service worker
-    # serving its Nth job) measurable per run.  They describe the host
+    # Compile-cache counters make warm-process reuse (a process running
+    # its Nth workload) measurable per run.  They describe the host
     # process, not the simulated run, so they live in the host section:
     # two engines - or a cold and a warm worker - still agree on every
     # canonical byte.

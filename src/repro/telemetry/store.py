@@ -1,7 +1,7 @@
 """On-disk manifest store: content-addressed simulation results.
 
-One directory per shared job key (:meth:`repro.service.jobs.JobSpec.key`),
-two kinds of file inside it::
+One directory per store key (:func:`manifest_key`), two kinds of file
+inside it::
 
     <dir>/<key[:2]>/<key>/shared.json        canonical shared sections
     <dir>/<key[:2]>/<key>/engine-<name>.json canonical simulation section
@@ -13,38 +13,96 @@ split mirrors the manifest determinism classes: engines *must* agree on
 the shared bytes (the store verifies this on every write and refuses a
 mismatch - a failed write here means a determinism bug, not a cache
 problem), while simulation sections differ per engine and are kept
-separate.  A full cache hit needs both files; a request for a new
+separate.  A full cache hit needs both files; a lookup for a new
 engine under a known key is a *shared hit*: the architectural result is
 already on disk, only the engine's own counters are missing.
 
 Writes are atomic (temp file + ``os.replace`` in the same directory),
-so concurrent writers - service workers, ``run_all --store`` worker
-pools - can share a store without locks: the worst case is two
-processes computing the same bytes and one rename winning.
+so concurrent writers - ``run_all --store`` worker pools - can share a
+store without locks: the worst case is two processes computing the same
+bytes and one rename winning.
 
-The store is bounded by ``max_entries`` (keys, not files); over
-capacity the oldest entries by modification time are evicted whole.
-Hit/miss/store/eviction counters are per-instance and surface through
-:meth:`ManifestStore.stats` and the service's ``service.*`` metrics.
+Key derivation (``risc1-repro/job-key/v1``):
+
+* ``workload fingerprint`` - SHA-256 over the canonical JSON of the
+  Mini-C source, the codegen flags, and the engine stack's
+  ``TRACE_CODEGEN_VERSION`` (the same version the in-process compile
+  cache folds into its keys, so a codegen change invalidates both
+  caches together);
+* ``key`` - SHA-256 over the canonical JSON of the workload label, the
+  workload fingerprint, the seed and the machine config.  The seed and
+  config are always the defaults ``run_all`` runs with.
+  **Engine-independent**: every engine must produce byte-identical
+  shared sections for the same key, which is what lets the store keep
+  one ``shared.json`` per key with per-engine simulation sections
+  beside it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.telemetry.manifest import ManifestError, RunManifest
 
-__all__ = ["ManifestStore", "StoreIntegrityError"]
+__all__ = [
+    "JOB_KEY_SCHEMA",
+    "ManifestStore",
+    "StoreIntegrityError",
+    "manifest_key",
+]
+
+#: Version tag folded into every store key; bump on incompatible change.
+JOB_KEY_SCHEMA = "risc1-repro/job-key/v1"
+
+#: The machine configuration every keyed run uses: the defaults of
+#: ``CompiledRisc.make_machine()`` and ``RiscMachine.run()``.
+_DEFAULT_CONFIG = {
+    "num_windows": 8,
+    "memory_size": 1 << 20,
+    "max_steps": 20_000_000,
+    "use_windows": True,
+}
+
+
+def _sha256_canonical(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def manifest_key(workload: str, source: str) -> str:
+    """The engine-independent store key (64-char hex) of one run.
+
+    The run compiles *source* with the default codegen flags and runs
+    it on a default-config machine with no seed, under the manifest
+    label *workload*.  Everything that can change a shared manifest
+    byte is in here; the engine deliberately is not (per-engine
+    simulation sections are stored beside one shared document).
+    """
+    from repro.cpu.traceengine import TRACE_CODEGEN_VERSION
+
+    workload_fingerprint = _sha256_canonical({
+        "source": source,
+        "use_windows": _DEFAULT_CONFIG["use_windows"],
+        "optimize_delay_slots": True,
+        "optimize_ir": True,
+        "codegen_version": TRACE_CODEGEN_VERSION,
+    })
+    return _sha256_canonical({
+        "schema": JOB_KEY_SCHEMA,
+        "workload": workload,
+        "workload_fingerprint": workload_fingerprint,
+        "seed": None,
+        "config": _DEFAULT_CONFIG,
+    })
 
 
 class StoreIntegrityError(RuntimeError):
     """Stored shared bytes disagree with a freshly simulated manifest.
 
-    This can only happen when two runs with the same job key produced
+    This can only happen when two runs with the same store key produced
     different architectural results - a determinism violation the store
     must surface loudly rather than paper over.
     """
@@ -56,9 +114,7 @@ class _StoreCounters:
     shared_hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     integrity_errors: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class ManifestStore:
@@ -66,17 +122,12 @@ class ManifestStore:
 
     Args:
         root: store directory (created on first use).
-        max_entries: bound on distinct job keys; ``None`` = unbounded.
-            Exceeding it evicts the oldest entries (by mtime) on store.
     """
 
     _SHARED = "shared.json"
 
-    def __init__(self, root: str, *, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.max_entries = max_entries
         self._counters = _StoreCounters()
 
     # -- paths ---------------------------------------------------------------
@@ -161,8 +212,6 @@ class ManifestStore:
         text = self._read(os.path.join(self._entry_dir(key), self._SHARED))
         if text is None:
             return None
-        import hashlib
-
         return hashlib.sha256(text.encode()).hexdigest()
 
     def engines(self, key: str) -> tuple[str, ...]:
@@ -179,13 +228,12 @@ class ManifestStore:
 
     # -- writes --------------------------------------------------------------
 
-    def put(self, key: str, manifest: RunManifest) -> list[str]:
-        """Persist *manifest* under *key*; returns evicted keys (if any).
+    def put(self, key: str, manifest: RunManifest) -> None:
+        """Persist *manifest* under *key*.
 
         Verifies byte-identity against any already-stored shared
-        sections (raising :class:`StoreIntegrityError` on disagreement),
-        writes the engine's simulation section beside them, and evicts
-        over-capacity entries.
+        sections (raising :class:`StoreIntegrityError` on disagreement)
+        and writes the engine's simulation section beside them.
         """
         entry = self._entry_dir(key)
         shared_path = os.path.join(entry, self._SHARED)
@@ -211,64 +259,30 @@ class ManifestStore:
             json.dumps(simulation, sort_keys=True),
         )
         self._counters.stores += 1
-        return self._evict_over_capacity(keep=key)
-
-    # -- capacity ------------------------------------------------------------
-
-    def _entries(self) -> list[tuple[float, str]]:
-        """(mtime, key) of every stored entry, oldest first."""
-        entries: list[tuple[float, str]] = []
-        try:
-            shards = os.listdir(self.root)
-        except FileNotFoundError:
-            return entries
-        for shard in shards:
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for key in os.listdir(shard_dir):
-                path = os.path.join(shard_dir, key)
-                try:
-                    entries.append((os.path.getmtime(path), key))
-                except OSError:
-                    continue
-        entries.sort()
-        return entries
-
-    def _evict_over_capacity(self, *, keep: str) -> list[str]:
-        if self.max_entries is None:
-            return []
-        entries = self._entries()
-        evicted: list[str] = []
-        excess = len(entries) - self.max_entries
-        for _mtime, key in entries:
-            if excess <= 0:
-                break
-            if key == keep:  # never evict the entry just written
-                continue
-            shutil.rmtree(self._entry_dir(key), ignore_errors=True)
-            self._counters.evictions += 1
-            evicted.append(key)
-            excess -= 1
-        return evicted
 
     # -- introspection -------------------------------------------------------
 
     def entry_count(self) -> int:
-        """Number of distinct job keys currently stored."""
-        return len(self._entries())
+        """Number of distinct keys currently stored."""
+        try:
+            shards = os.listdir(self.root)
+        except FileNotFoundError:
+            return 0
+        return sum(
+            len(os.listdir(path))
+            for path in (os.path.join(self.root, shard) for shard in shards)
+            if os.path.isdir(path)
+        )
 
     def stats(self) -> dict:
-        """Counters + occupancy, JSON-friendly (``/v1/stats``, metrics)."""
+        """Counters + occupancy, JSON-friendly."""
         counters = self._counters
         return {
             "root": self.root,
             "entries": self.entry_count(),
-            "max_entries": self.max_entries,
             "hits": counters.hits,
             "shared_hits": counters.shared_hits,
             "misses": counters.misses,
             "stores": counters.stores,
-            "evictions": counters.evictions,
             "integrity_errors": counters.integrity_errors,
         }

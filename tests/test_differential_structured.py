@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.baselines import Pdp11Traits, Z8002Traits, CiscExecutor
 from repro.cc import compile_for_risc, compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
+from repro.cpu.engines import default_sweep_engines
 from repro.hll import run_program
 
 VARS = ["a", "b", "c"]
@@ -85,14 +86,26 @@ COMMON_SETTINGS = dict(deadline=None,
                                               HealthCheck.data_too_large])
 
 
+def _check_every_tier(source, compiled, expected):
+    """Every tier returns *expected* and the oracle's manifest fingerprint."""
+    oracle_fingerprint = None
+    for engine in default_sweep_engines():  # oracle first
+        value, machine = compiled.run(engine=engine)
+        assert value == expected, (engine, source)
+        fingerprint = machine.run_manifest(
+            workload="fuzz", entry=compiled.program.entry
+        ).fingerprint()
+        if oracle_fingerprint is None:
+            oracle_fingerprint = fingerprint
+        assert fingerprint == oracle_fingerprint, (engine, source)
+
+
 @settings(max_examples=25, **COMMON_SETTINGS)
 @given(structured_programs())
 def test_structured_interp_vs_risc(source):
     expected = run_program(source, max_ops=2_000_000).value
     compiled = compile_for_risc(source)
-    for engine in ("reference", "fast"):
-        value, __ = compiled.run(engine=engine)
-        assert value == expected, (engine, source)
+    _check_every_tier(source, compiled, expected)
 
 
 @settings(max_examples=10, **COMMON_SETTINGS)
@@ -100,9 +113,7 @@ def test_structured_interp_vs_risc(source):
 def test_structured_interp_vs_risc_flat(source):
     expected = run_program(source, max_ops=2_000_000).value
     compiled = compile_for_risc(source, use_windows=False)
-    for engine in ("reference", "fast"):
-        value, __ = compiled.run(engine=engine)
-        assert value == expected, (engine, source)
+    _check_every_tier(source, compiled, expected)
 
 
 @settings(max_examples=10, **COMMON_SETTINGS)

@@ -55,7 +55,7 @@ N = CONFIG.injections
 
 @pytest.fixture(scope="module")
 def serial_report():
-    """The uninterrupted serial reference run (batch path)."""
+    """The uninterrupted serial reference run (in-memory report)."""
     return run_campaign(CONFIG)
 
 

@@ -1,14 +1,14 @@
 """Store-key correctness: keys agree iff shared fingerprints agree.
 
 The manifest store's whole correctness argument is that the
-``risc1-repro/job-key/v1`` input key and the PR 5 shared-section
-fingerprint are two names for the same equivalence class: simulation is
-a deterministic function of the key's inputs, so two jobs share a store
-key iff their runs' shared sections are byte-identical.  These tests
-pin both directions - on the pure key function (property-based) and on
-real simulations across engines (concrete) - plus the store mechanics
-(atomic layout, shared-byte verification, eviction, corruption) and the
-compile-cache counters that satellite the service work.
+``risc1-repro/job-key/v1`` input key and the shared-section fingerprint
+are two names for the same equivalence class: simulation is a
+deterministic function of the key's inputs, so two runs share a store
+key iff their shared sections are byte-identical.  These tests pin both
+directions - on the pure key function (property-based) and on real
+simulations across engines (concrete) - plus the store mechanics
+(atomic layout, shared-byte verification, corruption), the key
+``run_all --store`` derives, and the compile-cache counters.
 """
 
 import json
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.jobs import JobError, JobSpec
-from repro.service.store import ManifestStore, StoreIntegrityError
+from repro.cpu.engines import engine_names
+from repro.telemetry.store import ManifestStore, StoreIntegrityError, manifest_key
 from repro.workloads import benchmark
 from repro.workloads.cache import (
     clear_compile_cache,
@@ -40,94 +40,104 @@ int main(void) {
 }
 """
 
+#: The same loop one iteration longer: a different program.
+OTHER_SOURCE = SOURCE.replace("index < 10", "index < 11")
 
-def _simulate(spec: JobSpec, engine: str):
-    """Run *spec* on *engine* exactly the way the service workers do."""
-    compiled = compile_cached(spec.source, use_windows=spec.use_windows)
-    machine = compiled.make_machine(
-        num_windows=spec.num_windows,
-        memory_size=spec.memory_size,
-        engine=engine,
-    )
-    machine.run(compiled.program.entry, max_steps=spec.max_steps)
+
+def _simulate(source: str, engine: str, *, workload: str = "adhoc", seed=None):
+    """Run *source* on a default-config machine, as ``run_all`` does."""
+    compiled = compile_cached(source)
+    machine = compiled.make_machine(engine=engine)
+    machine.run(compiled.program.entry)
     return machine.run_manifest(
-        workload=spec.workload, seed=spec.seed, entry=compiled.program.entry
+        workload=workload, seed=seed, entry=compiled.program.entry
     )
 
 
 # -- the key <-> fingerprint property ----------------------------------------
 
-# The key inputs a client can vary; drawing pairs of these and comparing
+# The key inputs a caller can vary; drawing pairs of these and comparing
 # keys checks both directions of the iff on the pure function.
-_spec_inputs = st.fixed_dictionaries({
+_key_inputs = st.fixed_dictionaries({
     "workload": st.sampled_from(["alpha", "beta"]),
-    "source": st.sampled_from([SOURCE, SOURCE + "\n"]),
-    "seed": st.one_of(st.none(), st.integers(0, 3)),
-    "num_windows": st.sampled_from([4, 8]),
-    "memory_size": st.sampled_from([1 << 18, 1 << 20]),
-    "max_steps": st.sampled_from([1000, 20_000_000]),
-    "use_windows": st.booleans(),
+    "source": st.sampled_from([SOURCE, SOURCE + "\n", OTHER_SOURCE]),
 })
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_spec_inputs, b=_spec_inputs)
+@given(a=_key_inputs, b=_key_inputs)
 def test_key_agrees_iff_inputs_agree(a, b):
-    """Two jobs share a store key iff every key input matches.
+    """Two runs share a store key iff every key input matches.
 
     Determinism makes the runs a pure function of these inputs, so this
     is exactly "key agrees iff shared fingerprints agree" without
     paying for 400 simulations.
     """
-    key_a = JobSpec(**a).key()
-    key_b = JobSpec(**b).key()
+    key_a = manifest_key(a["workload"], a["source"])
+    key_b = manifest_key(b["workload"], b["source"])
     assert (key_a == key_b) == (a == b)
 
 
-@settings(max_examples=50, deadline=None)
-@given(inputs=_spec_inputs, engine_a=st.sampled_from(["reference", "fast"]),
-       engine_b=st.sampled_from(["reference", "fast"]))
-def test_key_is_engine_independent(inputs, engine_a, engine_b):
-    """The engine never enters the key: shared sections are per-inputs."""
-    spec_a = JobSpec(**inputs, engine=engine_a)
-    spec_b = JobSpec(**inputs, engine=engine_b)
-    assert spec_a.key() == spec_b.key()
+def test_key_is_engine_independent():
+    """The engine never enters the key: every tier's shared bytes agree."""
+    shared = {
+        engine: _simulate(SOURCE, engine).shared_json()
+        for engine in engine_names()
+    }
+    assert len(set(shared.values())) == 1, sorted(shared)
+
+
+def test_towers_key_is_pinned():
+    """``run_all --store`` keys stay valid across releases.
+
+    Computed with the key derivation as first released, at
+    ``TRACE_CODEGEN_VERSION`` 2.  A change here orphans every existing
+    store directory; bump ``TRACE_CODEGEN_VERSION`` or the schema tag
+    on purpose instead.
+    """
+    from repro.cpu.traceengine import TRACE_CODEGEN_VERSION
+
+    assert TRACE_CODEGEN_VERSION == 2
+    assert manifest_key("towers", benchmark("towers").source) == (
+        "b11c0ab099c17c0f24e5c04449b1d86900962bf1e9aff70d17677c118670cb65"
+    )
 
 
 @pytest.mark.parametrize("variant", [
-    {"seed": 7},
-    {"num_windows": 4},
-    {"max_steps": 500_000},
-    {"workload": "other", "source": SOURCE + "\n"},
+    {"workload": "other"},
+    {"source": SOURCE + "\n"},
+    {"source": OTHER_SOURCE},
+    {"workload": "other", "source": OTHER_SOURCE},
 ])
 def test_different_inputs_are_store_misses(tmp_path, variant):
-    """Different seed/config/workload -> different key -> store miss."""
-    base = JobSpec(workload="adhoc", source=SOURCE)
-    other = JobSpec(**{**base.__dict__, **variant})
+    """Different workload label or source -> different key -> store miss."""
+    base = {"workload": "adhoc", "source": SOURCE}
+    other = {**base, **variant}
     store = ManifestStore(str(tmp_path))
-    store.put(base.key(), _simulate(base, "reference"))
-    assert base.key() != other.key()
-    assert store.get(other.key(), "reference") is None
+    store.put(manifest_key(**base), _simulate(SOURCE, "reference"))
+    assert manifest_key(**base) != manifest_key(**other)
+    assert store.get(manifest_key(**other), "reference") is None
     assert store.stats()["misses"] == 1
 
 
 def test_key_equality_matches_fingerprint_equality_end_to_end():
     """The iff, on real runs: vary one input, fingerprints diverge too."""
-    base = JobSpec(workload="adhoc", source=SOURCE)
-    reseeded = JobSpec(workload="adhoc", source=SOURCE, seed=3)
-    rewindowed = JobSpec(workload="adhoc", source=SOURCE, num_windows=4)
     fp = {
-        "base": _simulate(base, "reference").fingerprint(),
-        "base2": _simulate(base, "fast").fingerprint(),
-        "reseeded": _simulate(reseeded, "reference").fingerprint(),
-        "rewindowed": _simulate(rewindowed, "reference").fingerprint(),
+        "base": _simulate(SOURCE, "reference").fingerprint(),
+        "base2": _simulate(SOURCE, "fast").fingerprint(),
+        "relabelled": _simulate(SOURCE, "reference", workload="other").fingerprint(),
+        "other": _simulate(OTHER_SOURCE, "reference").fingerprint(),
+    }
+    keys = {
+        manifest_key("adhoc", SOURCE),
+        manifest_key("other", SOURCE),
+        manifest_key("adhoc", OTHER_SOURCE),
     }
     # same key (engine excluded) -> same fingerprint ...
-    assert base.key() == base.key()
     assert fp["base"] == fp["base2"]
     # ... different key -> different fingerprint
-    assert len({base.key(), reseeded.key(), rewindowed.key()}) == 3
-    assert len({fp["base"], fp["reseeded"], fp["rewindowed"]}) == 3
+    assert len(keys) == 3
+    assert len({fp["base"], fp["relabelled"], fp["other"]}) == 3
 
 
 # -- cross-engine sharing ----------------------------------------------------
@@ -141,16 +151,15 @@ def test_second_engine_is_shared_hit_with_separate_sections(tmp_path):
     after both puts the entry serves both engines from one shared
     document with byte-identical shared sections.
     """
-    spec = JobSpec(workload="adhoc", source=SOURCE)
-    key = spec.key()
+    key = manifest_key("adhoc", SOURCE)
     store = ManifestStore(str(tmp_path))
 
-    store.put(key, _simulate(spec, "reference"))
+    store.put(key, _simulate(SOURCE, "reference"))
     assert store.get(key, "fast") is None  # engine section missing
     assert store.stats()["shared_hits"] == 1
     assert store.has_shared(key)
 
-    store.put(key, _simulate(spec, "fast"))
+    store.put(key, _simulate(SOURCE, "fast"))
     assert store.engines(key) == ("fast", "reference")
     assert store.entry_count() == 1  # one key, not one per engine
 
@@ -164,22 +173,19 @@ def test_second_engine_is_shared_hit_with_separate_sections(tmp_path):
 
 def test_put_verifies_shared_bytes(tmp_path):
     """A put whose shared sections disagree with disk raises loudly."""
-    spec = JobSpec(workload="adhoc", source=SOURCE)
+    key = manifest_key("adhoc", SOURCE)
     store = ManifestStore(str(tmp_path))
-    store.put(spec.key(), _simulate(spec, "reference"))
-    impostor = _simulate(
-        JobSpec(workload="adhoc", source=SOURCE, seed=99), "reference"
-    )
+    store.put(key, _simulate(SOURCE, "reference"))
+    impostor = _simulate(SOURCE, "reference", seed=99)
     with pytest.raises(StoreIntegrityError):
-        store.put(spec.key(), impostor)
+        store.put(key, impostor)
     assert store.stats()["integrity_errors"] == 1
 
 
 def test_corrupt_entry_reads_as_miss(tmp_path):
-    spec = JobSpec(workload="adhoc", source=SOURCE)
-    key = spec.key()
+    key = manifest_key("adhoc", SOURCE)
     store = ManifestStore(str(tmp_path))
-    store.put(key, _simulate(spec, "reference"))
+    store.put(key, _simulate(SOURCE, "reference"))
     entry_dir = os.path.join(str(tmp_path), key[:2], key)
     with open(os.path.join(entry_dir, "shared.json"), "w") as handle:
         handle.write("{not json")
@@ -187,27 +193,10 @@ def test_corrupt_entry_reads_as_miss(tmp_path):
     assert store.stats()["integrity_errors"] == 1
 
 
-def test_eviction_is_oldest_first_and_never_the_fresh_key(tmp_path):
-    store = ManifestStore(str(tmp_path), max_entries=2)
-    specs = [
-        JobSpec(workload="adhoc", source=SOURCE, seed=seed)
-        for seed in range(3)
-    ]
-    manifests = [_simulate(spec, "reference") for spec in specs]
-    evicted = []
-    for spec, manifest in zip(specs, manifests):
-        evicted += store.put(spec.key(), manifest)
-    assert evicted == [specs[0].key()]  # oldest out
-    assert store.entry_count() == 2
-    assert store.get(specs[2].key(), "reference") is not None
-    assert store.stats()["evictions"] == 1
-
-
 def test_stored_files_are_canonical_json(tmp_path):
     """Stored bytes are the canonical serialisations, byte for byte."""
-    spec = JobSpec(workload="adhoc", source=SOURCE)
-    key = spec.key()
-    manifest = _simulate(spec, "reference")
+    key = manifest_key("adhoc", SOURCE)
+    manifest = _simulate(SOURCE, "reference")
     store = ManifestStore(str(tmp_path))
     store.put(key, manifest)
     entry_dir = os.path.join(str(tmp_path), key[:2], key)
@@ -229,42 +218,48 @@ def test_store_rejects_bad_keys_and_engine_names(tmp_path):
         store.get("0" * 64, "../escape")
 
 
-# -- JobSpec validation ------------------------------------------------------
-
-
-def test_from_request_resolves_benchmarks_and_validates():
-    spec = JobSpec.from_request({"workload": "towers", "seed": 1})
-    assert spec.source == benchmark("towers").source
-    assert spec.seed == 1 and spec.engine == "auto"
-    for bad in [
-        [],                                        # not an object
-        {},                                        # neither workload nor source
-        {"workload": "towers", "source": "x"},     # both
-        {"workload": "nope"},                      # unknown benchmark
-        {"source": "   "},                         # empty source
-        {"workload": "towers", "engine": "nope"},  # unknown engine
-        {"workload": "towers", "seed": "one"},     # bad seed
-        {"workload": "towers", "config": {"num_windows": 1}},   # range
-        {"workload": "towers", "config": {"mystery": True}},    # unknown
-    ]:
-        with pytest.raises(JobError):
-            JobSpec.from_request(bad)
-
-
 def test_codegen_version_invalidates_workload_fingerprint(monkeypatch):
     """A codegen bump must miss every stored entry, like the compile cache."""
     import repro.cpu.traceengine as traceengine
 
-    spec = JobSpec(workload="adhoc", source=SOURCE)
-    before = spec.key()
+    before = manifest_key("adhoc", SOURCE)
     monkeypatch.setattr(
         traceengine, "TRACE_CODEGEN_VERSION",
         traceengine.TRACE_CODEGEN_VERSION + 1,
     )
-    assert spec.key() != before
+    assert manifest_key("adhoc", SOURCE) != before
 
 
-# -- compile-cache counters (satellite) --------------------------------------
+# -- run_all --store ---------------------------------------------------------
+
+
+def test_run_all_manifest_reuses_store(tmp_path):
+    from repro.evaluation.run_all import write_manifest
+
+    store_dir = str(tmp_path / "store")
+    out1, out2 = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
+    names = ("towers",)
+    write_manifest(out1, names, engine="fast", store=store_dir)
+
+    # Preload proof: the store now answers the towers key.
+    store = ManifestStore(store_dir)
+    key = manifest_key("towers", benchmark("towers").source)
+    assert store.get(key, "fast") is not None
+
+    # mtimes unchanged across the second run -> no re-simulation.
+    paths = {}
+    for root, _dirs, files in os.walk(store_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            paths[path] = os.stat(path).st_mtime_ns
+    write_manifest(out2, names, engine="fast", store=store_dir)
+    for path, mtime in paths.items():
+        assert os.stat(path).st_mtime_ns == mtime
+    with open(out1, "rb") as a, open(out2, "rb") as b:
+        assert a.read() == b.read()
+
+
+# -- compile-cache counters --------------------------------------------------
 
 
 def test_compile_cache_counters_track_hits_misses_stores():
@@ -288,10 +283,9 @@ def test_compile_cache_counters_track_hits_misses_stores():
 
 def test_manifest_host_section_carries_compile_cache_counters():
     clear_compile_cache()
-    spec = JobSpec(workload="adhoc", source=SOURCE)
     from repro.telemetry.manifest import capture_manifest
 
-    compiled = compile_cached(spec.source)
+    compiled = compile_cached(SOURCE)
     machine = compiled.make_machine()
     machine.run(compiled.program.entry)
     manifest = capture_manifest(machine, workload="adhoc")

@@ -13,7 +13,7 @@ manifest mismatch.
 
 import pytest
 
-from repro.cpu.engines import get_spec, smp_engine_names
+from repro.cpu.engines import engine_names, get_spec, smp_engine_names
 from repro.multicore import (
     assert_multicore_equivalent,
     run_differential_multicore,
@@ -28,10 +28,10 @@ def test_smp_tier_registry():
     for name in names:
         assert get_spec(name).supports_smp
     # The trace tier inlines RAM fast paths that bypass MMIO and owns
-    # the exec listener exclusively; the batch executor runs private
-    # per-lane memory images.  Neither is SMP-legal.
+    # the exec listener exclusively, so it is not SMP-legal.
     assert not get_spec("trace").supports_smp
-    assert not get_spec("batch").supports_smp
+    for name in set(engine_names()) - set(names):
+        assert not get_spec(name).supports_smp
 
 
 @pytest.mark.parametrize("name", scenario_names())
