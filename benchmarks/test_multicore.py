@@ -4,8 +4,8 @@ Two benchmark families, both shapes for ``ci/check_perf.py`` ratios
 (absolute times vary across hosts; same-process ratios do not):
 
 * the 4-core ``producer_consumer`` run - the lock-contention workload -
-  timed on the reference, fast, and block tiers.  The compiled tiers
-  must keep their speedup even though every slice re-enters the engine
+  timed on the reference and fast tiers.  The fast tier must keep its
+  speedup even though every slice re-enters the engine
   through the interleaver (the ratio floor catches an accidentally
   quadratic slice restart);
 * the 4-core ``timer_ticks`` run - the interrupt-latency workload -
@@ -53,10 +53,6 @@ def test_multicore_reference_contention(once):
 
 def test_multicore_fast_contention(once):
     once(_contention, "fast")
-
-
-def test_multicore_block_contention(once):
-    once(_contention, "block")
 
 
 def test_multicore_interrupt_latency_reference(once):

@@ -139,14 +139,6 @@ def test_golden_run_speed(benchmark):
     assert golden.instructions > 10_000
 
 
-def test_block_engine_simulator_speed(benchmark):
-    compiled = compile_for_risc(SOURCE)
-    instructions = benchmark(lambda: _risc_run(compiled, "block"))
-    benchmark.extra_info["engine"] = "block"
-    benchmark.extra_info["instructions"] = instructions
-    assert instructions > 10_000
-
-
 def test_trace_engine_simulator_speed(benchmark):
     compiled = compile_for_risc(SOURCE)
     instructions = benchmark(lambda: _risc_run(compiled, "trace"))
@@ -241,32 +233,6 @@ def test_fast_engine_speedup_at_least_2x():
     assert reference / fast >= 2.0, (
         f"fast engine only {reference / fast:.2f}x faster "
         f"({reference * 1e3:.1f}ms vs {fast * 1e3:.1f}ms)"
-    )
-
-
-def test_block_engine_speedup_at_least_2x_over_fast():
-    """The block compiler's reason to exist, asserted directly.
-
-    Same best-of-N scheme as the fast-engine assertion.  Measured ~2.6x
-    over the fast engine (~9x over reference) on the towers workload;
-    2.0x is the issue's target with the same slack philosophy as above.
-    """
-    compiled = compile_for_risc(SOURCE)
-
-    def best_of(engine, rounds=3):
-        _risc_run(compiled, engine)  # warm decode/thunk/block caches
-        best = float("inf")
-        for __ in range(rounds):
-            start = time.perf_counter()
-            _risc_run(compiled, engine)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    fast = best_of("fast")
-    block = best_of("block")
-    assert fast / block >= 2.0, (
-        f"block engine only {fast / block:.2f}x faster than fast "
-        f"({fast * 1e3:.1f}ms vs {block * 1e3:.1f}ms)"
     )
 
 

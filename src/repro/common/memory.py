@@ -90,20 +90,15 @@ class Memory:
         # bytes.  ``None`` means journaling is off (the common case; the
         # store paths pay a single identity test per write).
         self._journal: dict[int, bytes] | None = None
-        # Executable-code write watch, installed by a block-compiling
-        # execution engine (see repro.cpu.blockengine).  ``_exec_watch``
+        # Executable-code write watch, installed by a code-compiling
+        # execution engine (see repro.cpu.traceengine).  ``_exec_watch``
         # maps word index (address >> 2) -> anything truthy for every
         # word covered by compiled code; a store that lands on a watched
-        # word notifies the listener so stale compiled blocks are
+        # word notifies the listener so stale compiled code is
         # invalidated.  ``None`` means no engine is watching (the common
         # case; store paths pay one identity test per write).
         self._exec_watch: dict | None = None
         self._exec_listener = None
-        # Additional compiled-code listeners beyond the primary one -
-        # used when several cores' engines share one memory (see
-        # repro.multicore).  Empty in the single-core common case, so
-        # the store paths pay one truthiness test per write.
-        self._extra_exec_listeners: list = []
         # Optional memory-mapped device region (see Memory.map_mmio).
         # ``None`` keeps every access on the plain-RAM fast path.
         self._mmio = None
@@ -211,8 +206,6 @@ class Memory:
         watch = self._exec_watch
         if watch is not None and (address >> 2) in watch:
             self._exec_listener.invalidate_code(address)
-        if self._extra_exec_listeners:
-            self._notify_extra_listeners(address)
 
     def store_half(self, address: int, value: int, *, count: bool = True) -> None:
         self._check(address, HALF_BYTES, HALF_BYTES)
@@ -229,8 +222,6 @@ class Memory:
         watch = self._exec_watch
         if watch is not None and (address >> 2) in watch:
             self._exec_listener.invalidate_code(address)
-        if self._extra_exec_listeners:
-            self._notify_extra_listeners(address)
 
     def store_word(self, address: int, value: int, *, count: bool = True) -> None:
         if address == CONSOLE_ADDRESS:
@@ -253,8 +244,6 @@ class Memory:
         watch = self._exec_watch
         if watch is not None and (address >> 2) in watch:
             self._exec_listener.invalidate_code(address)
-        if self._extra_exec_listeners:
-            self._notify_extra_listeners(address)
 
     # -- memory-mapped devices ----------------------------------------------
 
@@ -281,13 +270,6 @@ class Memory:
 
     # -- compiled-code write watch ------------------------------------------
 
-    def _notify_extra_listeners(self, address: int) -> None:
-        """Propagate a store to every non-primary compiled-code watch."""
-        word = address >> 2
-        for listener in self._extra_exec_listeners:
-            if word in listener.code_words:
-                listener.invalidate_code(address)
-
     def set_exec_listener(self, listener) -> None:
         """Install (or clear, with ``None``) a compiled-code write watch.
 
@@ -300,22 +282,6 @@ class Memory:
         """
         self._exec_listener = listener
         self._exec_watch = listener.code_words if listener is not None else None
-
-    def attach_exec_listener(self, listener) -> None:
-        """Add a compiled-code write watch without displacing existing ones.
-
-        Multi-core safe variant of :meth:`set_exec_listener`: the first
-        listener becomes the primary fast-path watch, later ones join
-        ``_extra_exec_listeners`` so several block-compiling engines over
-        one shared memory each see cross-core code writes.  Attaching a
-        listener that is already installed is a no-op.
-        """
-        if listener is self._exec_listener or listener in self._extra_exec_listeners:
-            return
-        if self._exec_listener is None:
-            self.set_exec_listener(listener)
-        else:
-            self._extra_exec_listeners.append(listener)
 
     # -- checkpoint / rollback ---------------------------------------------
 
@@ -341,25 +307,22 @@ class Memory:
     def restore(self, cp: MemoryCheckpoint) -> None:
         """Rewind to *cp*; a delta checkpoint stays live for reuse.
 
-        Every compiled-code listener hears ``rewind_code(dirty)``.  A
-        full-image restore is always *dirty*; a delta restore is dirty
-        for a listener only when it rolls back a word the listener
-        watches.  Compiled code always matches the current value of its
-        watched words (stores to them invalidate it), so code whose
-        words the restore leaves alone stays valid.
+        The compiled-code listener, if any, hears ``rewind_code(dirty)``.
+        A full-image restore is always *dirty*; a delta restore is dirty
+        only when it rolls back a word the listener watches.  Compiled
+        code always matches the current value of its watched words
+        (stores to them invalidate it), so code whose words the restore
+        leaves alone stays valid.
         """
-        listeners = self._exec_listeners()
+        listener = self._exec_listener
         if cp.image is not None:
             self._bytes[:] = cp.image
-            dirty = [True] * len(listeners)
+            dirty = True
         else:
             journal = self._journal
             if journal is None:
                 raise ValueError("delta checkpoint restore without an active journal")
-            dirty = [
-                self._rolls_back(journal, listener.code_words)
-                for listener in listeners
-            ]
+            dirty = listener is not None and self._rolls_back(journal, listener.code_words)
             data = self._bytes
             for page, original in journal.items():
                 start = page * JOURNAL_PAGE_BYTES
@@ -367,8 +330,8 @@ class Memory:
             journal.clear()
         self.stats.inst_reads, self.stats.data_reads, self.stats.data_writes = cp.stats
         del self.console[cp.console_len :]
-        for listener, code_dirty in zip(listeners, dirty):
-            listener.rewind_code(code_dirty)
+        if listener is not None:
+            listener.rewind_code(dirty)
 
     def _rolls_back(self, journal: dict[int, bytes], words) -> bool:
         """Whether restoring *journal* changes any of *words* (word
@@ -382,16 +345,6 @@ class Memory:
                 if original[offset : offset + WORD_BYTES] != data[address : address + WORD_BYTES]:
                     return True
         return False
-
-    def _exec_listeners(self) -> list:
-        """The primary compiled-code listener, if any, then the extras."""
-        primary = [] if self._exec_listener is None else [self._exec_listener]
-        return primary + self._extra_exec_listeners
-
-    def _flush_exec_listeners(self) -> None:
-        """Drop all compiled code after a wholesale image rewrite."""
-        for listener in self._exec_listeners():
-            listener.flush_code()
 
     def stop_tracking(self) -> None:
         """Drop the delta journal (delta checkpoints become unusable)."""
@@ -431,11 +384,10 @@ class Memory:
         """Write consecutive words, exactly as one :meth:`store_word` each.
 
         With ``count`` each word raises ``data_writes`` by one.  A span of
-        plain RAM that covers no watched code word and has no extra
-        compiled-code listener is written with one ``pack_into`` after
-        journaling its pages.  Any other span takes the per-word loop, so
-        console output, MMIO writes, code invalidation after each word and
-        the partial writes before a fault stay exact.
+        plain RAM that covers no watched code word is written with one
+        ``pack_into`` after journaling its pages.  Any other span takes the
+        per-word loop, so console output, MMIO writes, code invalidation
+        after each word and the partial writes before a fault stay exact.
         """
         n = len(values)
         end = address + 4 * n
@@ -443,7 +395,6 @@ class Memory:
         if (
             self._plain_span(address, end)
             and (watch is None or watch.keys().isdisjoint(range(address >> 2, end >> 2)))
-            and not self._extra_exec_listeners
         ):
             if count:
                 self.stats.data_writes += n
@@ -467,7 +418,8 @@ class Memory:
         write on plain RAM); compiled code is then dropped wholesale.
         """
         self.store_words(base, words)
-        self._flush_exec_listeners()
+        if self._exec_listener is not None:
+            self._exec_listener.flush_code()
 
     def read_cstring(self, address: int, limit: int = 4096) -> str:
         """Read a NUL-terminated byte string (for the sed-style workloads)."""

@@ -1,7 +1,7 @@
 """Pluggable execution engines for the RISC I architectural state.
 
 Layer 2 of the execution architecture: an :class:`ExecutionEngine` turns
-an :class:`~repro.cpu.state.ArchState` into a running processor.  Four
+an :class:`~repro.cpu.state.ArchState` into a running processor.  Three
 scalar backends ship:
 
 * ``"reference"`` - :class:`ReferenceEngine`, the original interpreter
@@ -17,14 +17,11 @@ scalar backends ship:
   closures, one unfused step at a time, and fires those events itself.
   Verified against the reference by the differential harness in
   :mod:`repro.cpu.equivalence`.
-* ``"block"`` - :class:`~repro.cpu.blockengine.BlockEngine`, a
-  basic-block compiler that executes whole CFG basic blocks as single
-  closures with batched stats and write-invalidation for self-modifying
-  code.  Same differential-harness admission rule.
 * ``"trace"`` - :class:`~repro.cpu.traceengine.TraceEngine`, a
   superblock compiler that chains basic blocks across static control
   transfers into linear traces compiled to generated Python source,
-  eliminating the per-block closure-call overhead.  Whatever it runs
+  with deferred stats and write-invalidation for self-modifying code,
+  eliminating the per-instruction dispatch overhead.  Whatever it runs
   one step at a time, observed steps included, goes through an inner
   fast engine.  Same admission rule.
 
@@ -35,7 +32,7 @@ the same :class:`~repro.cpu.state.ExecutionStats`, trap log, final
 register/memory state, memory-traffic counters and console output for
 any program.  ``tests/test_engine_equivalence.py`` enforces this on
 every bundled workload.  Engine-*internal* counters (thunks compiled,
-blocks invalidated, ...) are exposed through
+traces invalidated, ...) are exposed through
 :meth:`ExecutionEngine.telemetry_snapshot` and land in the run
 manifest's engine-specific section, never in the shared architectural
 fields.

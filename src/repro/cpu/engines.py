@@ -8,12 +8,11 @@ flags - so call sites ask *what an engine can do* rather than matching
 on its name.  No call site outside this module is allowed to dispatch
 on ``engine == "..."`` string comparisons.
 
-The four tiers, in ascending speed, each usable as
+The three tiers, in ascending speed, each usable as
 ``RiscMachine(engine=...)``::
 
     reference  the oracle interpreter   (full observer events)
     fast       pre-decoded closures     (~3x)
-    block      basic-block compilation  (~9x)
     trace      superblock source traces (~25x+)
 
 To add a backend: call :func:`register_engine` (or add a spec to the
@@ -47,8 +46,7 @@ class EngineSpec:
       pre-decoded thunks, and the trace tier single-steps observed runs
       through its inner fast engine; both hand a step to the oracle
       only for a latched interrupt or a ``fetch_word``/``mem_access``
-      observer.  The block tier hands every observed step to the
-      oracle.
+      observer.
     * ``supports_fusion`` - accepts statically proved macro-op fusion
       pairs via ``engine.arm_fusion(pairs)`` (see
       :mod:`repro.analysis.fusion`) and reports ``fused_dispatches``.
@@ -57,11 +55,11 @@ class EngineSpec:
     * ``supports_smp`` - legal as a per-core engine under the multicore
       interleaver (see :mod:`repro.multicore`): every data access goes
       through the :class:`~repro.common.memory.Memory` accessors (so
-      MMIO devices are honoured) and the tier shares a memory with
-      other cores' engines via ``attach_exec_listener``.  The trace
-      tier inlines RAM fast paths into generated source and installs an
-      exclusive write watch, so it cannot share a live device-mapped
-      memory and is flagged ``False``.
+      MMIO devices are honoured) and the tier installs no compiled-code
+      write watch, so any number of cores' engines can share one
+      memory.  The trace tier inlines RAM fast paths into generated
+      source and installs the memory's single write watch, so it cannot
+      share a live device-mapped memory and is flagged ``False``.
     """
 
     name: str
@@ -96,12 +94,6 @@ def _make_fast() -> "ExecutionEngine":
     return FastEngine()
 
 
-def _make_block() -> "ExecutionEngine":
-    from repro.cpu.blockengine import BlockEngine
-
-    return BlockEngine()
-
-
 def _make_trace() -> "ExecutionEngine":
     from repro.cpu.traceengine import TraceEngine
 
@@ -126,17 +118,9 @@ _SPECS: tuple[EngineSpec, ...] = (
         supports_smp=True,
     ),
     EngineSpec(
-        name="block",
-        factory=_make_block,
-        tier=2,
-        description="CFG basic blocks compiled to single closures",
-        supports_fusion=True,
-        supports_smp=True,
-    ),
-    EngineSpec(
         name="trace",
         factory=_make_trace,
-        tier=3,
+        tier=2,
         description="superblock traces compiled to generated source",
         supports_fusion=True,
     ),

@@ -26,11 +26,11 @@ Used two ways:
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
-import sys
 from dataclasses import dataclass
 
-from repro.cpu.engines import capability_matrix, default_sweep_engines
+from repro.cpu.engines import capability_matrix, default_sweep_engines, engine_names
 from repro.cpu.machine import RiscMachine
 
 
@@ -184,6 +184,57 @@ def assert_engines_equivalent(
     return result
 
 
+def engine_list(choices: tuple[str, ...]):
+    """argparse ``type`` for ``--engines``: two or more names from *choices*.
+
+    Shared with ``python -m repro.multicore``, whose *choices* are the
+    SMP-legal tiers.
+    """
+
+    def parse(text: str) -> tuple[str, ...]:
+        """Split *text* on commas; reject unknown names and singletons."""
+        names = tuple(name.strip() for name in text.split(",") if name.strip())
+        unknown = [name for name in names if name not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown engine(s) {', '.join(unknown)} "
+                f"(choose from {', '.join(choices)})"
+            )
+        if len(names) < 2:
+            raise argparse.ArgumentTypeError("needs at least two engines")
+        return names
+
+    return parse
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.cpu.equivalence",
+        description="Sweep the bundled benchmarks across engine tiers; "
+                    "exit 0 when every tier is bit-identical.",
+    )
+    parser.add_argument(
+        "--list-engines", action="store_true",
+        help="print the registry's capability matrix and exit",
+    )
+    parser.add_argument(
+        "--engines", type=engine_list(engine_names()),
+        default=default_sweep_engines(),
+        help="comma-separated tiers to sweep, oracle first "
+             "(default: every tier)",
+    )
+    parser.add_argument(
+        "--fusion", action="store_true",
+        help="arm every statically proved macro-op pair on the "
+             "fusion-capable tiers before each run",
+    )
+    parser.add_argument(
+        "names", nargs="*", metavar="workload",
+        help="workloads to sweep (default: every bundled benchmark)",
+    )
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Sweep the bundled benchmarks across all engines; 0 = all identical.
 
@@ -192,12 +243,14 @@ def main(argv: list[str] | None = None) -> int:
     is the oracle); ``--fusion`` arms every statically proved macro-op
     pair on the fusion-capable tiers before each run (the sweep still
     requires bit-identity against the unfused oracle); remaining
-    positional arguments select workloads.
+    positional arguments select workloads.  Bad arguments exit 2
+    before anything runs.
     """
     from repro.workloads import BENCHMARKS, benchmark
 
-    args = list(argv) if argv is not None else sys.argv[1:]
-    if "--list-engines" in args:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.list_engines:
         header = f"{'tier':>4}  {'engine':<10} {'observers':<10} " \
                  f"{'fusion':<7} description"
         print(header)
@@ -209,29 +262,21 @@ def main(argv: list[str] | None = None) -> int:
                 f"{row['description']}"
             )
         return 0
-    fusion = False
-    if "--fusion" in args:
-        fusion = True
-        args.remove("--fusion")
-    engines = default_sweep_engines()
-    if "--engines" in args:
-        at = args.index("--engines")
-        try:
-            spec = args[at + 1]
-        except IndexError:
-            print("--engines needs a comma-separated list", file=sys.stderr)
-            return 2
-        engines = tuple(name.strip() for name in spec.split(",") if name.strip())
-        if len(engines) < 2:
-            print("--engines needs at least two engines", file=sys.stderr)
-            return 2
-        del args[at : at + 2]
-    names = args or [bench.name for bench in BENCHMARKS]
+    known = [bench.name for bench in BENCHMARKS]
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(
+            f"unknown workload(s) {', '.join(unknown)} "
+            f"(choose from {', '.join(known)})"
+        )
+    names = args.names or known
     failures = 0
-    mode = " [fusion armed]" if fusion else ""
+    mode = " [fusion armed]" if args.fusion else ""
     for name in names:
         bench = benchmark(name)
-        result = run_differential(bench.source, engines=engines, fusion=fusion)
+        result = run_differential(
+            bench.source, engines=args.engines, fusion=args.fusion
+        )
         if result.equivalent:
             print(f"  ok  {name:<20} {result.instructions:>10} instructions "
                   f"bit-identical on {', '.join(result.engines)}{mode}")
@@ -242,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"      {line}")
     print(f"{len(names) - failures}/{len(names)} workloads equivalent")
     return 1 if failures else 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

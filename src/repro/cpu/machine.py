@@ -90,8 +90,7 @@ class RiscMachine(ArchState):
         engine: execution backend - any scalar tier of the registry in
             :mod:`repro.cpu.engines`: ``"reference"`` (default, the
             oracle interpreter), ``"fast"`` (pre-decoded closure
-            dispatch), ``"block"`` (basic-block compilation),
-            ``"trace"`` (superblock traces compiled to generated
+            dispatch), ``"trace"`` (superblock traces compiled to generated
             source) - or an :class:`~repro.cpu.engine.ExecutionEngine`
             instance.
         telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry`

@@ -37,8 +37,7 @@ bookkeeping when nothing is attached.  While it is set, the fast tier
 pre-decoded thunk per step and calls ``pre_step`` and ``step``
 observers itself.  ``fetch_word`` and ``mem_access`` observers change
 what a step fetches or report each data access, so a step with either
-attached goes to the reference oracle; so does the block tier's every
-observed step.  The last four fire only at procedure/trap/halt
+attached goes to the reference oracle.  The last four fire only at procedure/trap/halt
 boundaries and are honoured by every engine.
 
 Mutate subscriptions only through :meth:`ObserverBus.subscribe` /

@@ -1,10 +1,10 @@
 """Trace-compiling execution engine (superblocks across block boundaries).
 
-Where :mod:`repro.cpu.blockengine` compiles one closure per *basic
-block* and pays a Python closure call plus dispatch bookkeeping at
-every block boundary, this backend compiles linear *traces* that chain
-basic blocks across statically-resolvable control transfers into one
-generated Python function ``exec``'d once per trace:
+Where :mod:`repro.cpu.fastengine` pays a closure call plus fetch,
+dispatch and PC bookkeeping on every instruction, this backend compiles
+linear *traces* that chain basic blocks across statically-resolvable
+control transfers into one generated Python function ``exec``'d once
+per trace:
 
 * a taken ``JMPR`` with an always-true condition continues the trace at
   its target;
@@ -35,32 +35,37 @@ sums and memory addresses are constant-folded (``r0`` reads and
 immediates are literals), so the common ALU instruction compiles to a
 single masked - or unmasked, when provably clean - assignment.
 
-Each trace still begins and ends at reference-exact instruction
-boundaries, so the admission rule is unchanged: bit-identical
-architectural results against :class:`~repro.cpu.engine.ReferenceEngine`
-on everything observable (enforced by the 4-engine differential sweep
-in ``tests/test_engine_equivalence.py``).  The correctness machinery is
-the block engine's, inherited wholesale:
+Each trace begins and ends at reference-exact instruction boundaries,
+so the admission rule is bit-identical architectural results against
+:class:`~repro.cpu.engine.ReferenceEngine` on everything observable
+(enforced by the all-tier differential sweep in
+``tests/test_engine_equivalence.py``).  The invariants that keep it so:
 
-* per-step observers, latched interrupts, a pending delay slot, an
-  uncompilable entry or a watchdog tail single-step through an inner
-  :class:`~repro.cpu.fastengine.FastEngine` (``step()`` always
-  delegates), which itself hands a step to the reference oracle only
-  for a latched interrupt or a ``fetch_word``/``mem_access`` observer;
-* a mid-trace trap unwinds through :func:`_trace_trap_exit`, which
-  reconciles deferred stats and replays the exact prefix; taken delay
-  slots are marked statically in the trap index (traces duplicate slot
-  code per arm), so ``in_delay_slot`` is exact even for conditional
-  transfers;
-* stores into compiled code invalidate covering traces through the
-  :class:`~repro.common.memory.Memory` write watch; a trace that
-  invalidates itself exits early with exact sequential state;
-* watchdog budgets are enforced by a conservative per-dispatch bound
-  (a trace never starts unless it could run to completion within the
-  remaining budget), falling back to single-stepping for the tail;
-* a checkpoint restore drops pending exit hits (the stats they would
-  fold into were rewound) and keeps the compiled traces unless it
-  rolled back one of their code words.
+* **exact watchdogs** - a trace never starts unless it could run to
+  completion within the remaining ``max_steps``/``max_cycles`` budget
+  (a conservative per-dispatch bound); the tail single-steps, so a run
+  stops at exactly the reference's instruction;
+* **exact early exits** - a mid-trace trap unwinds through
+  :func:`_trace_trap_exit`, which reconciles deferred stats and replays
+  the completed prefix's per-instruction counts with :func:`_credit`
+  before dispatching the trap with reference ``pc``/``npc`` state;
+  taken delay slots are marked statically in the trap index (traces
+  duplicate slot code per arm), so ``in_delay_slot`` is exact even for
+  conditional transfers;
+* **write invalidation** - stores into compiled code invalidate every
+  covering trace through the :class:`~repro.common.memory.Memory`
+  write watch (``set_exec_listener``); a trace that invalidates itself
+  exits early with exact sequential state, and the next dispatch
+  recompiles from the rewritten image;
+* **rollback through the oracle path** - a checkpoint restore drops
+  pending exit hits (the stats they would fold into were rewound) and
+  keeps the compiled traces unless it rolled back one of their code
+  words; a restore into the middle of a delay slot leaves the jump
+  pending, and a pending delay slot, like per-step observers, a latched
+  interrupt, an uncompilable entry or a watchdog tail, single-steps
+  through an inner :class:`~repro.cpu.fastengine.FastEngine` (``step()``
+  always delegates), which hands a step to the reference oracle for a
+  latched interrupt or a ``fetch_word``/``mem_access`` observer.
 
 With :attr:`TraceEngine.path` set to a list, ``run_loop`` logs which
 trace each dispatch ran and how many of its steps completed; since a
@@ -82,15 +87,6 @@ from typing import Any
 
 from repro.common.bitops import MASK32, SIGN_BIT32
 from repro.common.memory import CONSOLE_ADDRESS
-from repro.cpu.blockengine import (
-    _LOAD_BIND,
-    _STORE_BIND,
-    _bidx,
-    _bread,
-    _credit,
-    _hoist_lines,
-    _pair_positions,
-)
 from repro.cpu.fastengine import (
     FastEngine,
     _ADD_OPS,
@@ -132,6 +128,21 @@ _TK = 1 << 20
 _CYCLE_MARGIN = 128
 _FRAME_OP_MARGIN = 40
 
+#: Memory-access helpers bound as thunk default arguments, per opcode:
+#: (default name, bound expression, call template).
+_LOAD_BIND = {
+    Opcode.LDL: ("f_ldl", "mem.load_word", "{f}(addr)"),
+    Opcode.LDSU: ("f_ldsu", "mem.load_half", "{f}(addr)"),
+    Opcode.LDSS: ("f_ldss", "mem.load_half", f"{{f}}(addr, signed=True) & {_M32}"),
+    Opcode.LDBU: ("f_ldbu", "mem.load_byte", "{f}(addr)"),
+    Opcode.LDBS: ("f_ldbs", "mem.load_byte", f"{{f}}(addr, signed=True) & {_M32}"),
+}
+_STORE_BIND = {
+    Opcode.STL: ("f_stl", "mem.store_word"),
+    Opcode.STS: ("f_sts", "mem.store_half"),
+    Opcode.STB: ("f_stb", "mem.store_byte"),
+}
+
 
 class _Trace:
     """One compiled trace and the metadata its cold exits need."""
@@ -162,7 +173,7 @@ class _Trace:
         self.n = len(addrs)
         self.addrs = addrs
         #: per-instruction (category name, opcode name, cycles) replayed
-        #: by :func:`repro.cpu.blockengine._credit` on trap exits.
+        #: by :func:`_credit` on trap exits.
         self.meta = meta
         self.words = words
         self.cycles_bound = cycles_bound
@@ -187,10 +198,37 @@ class _Trace:
         #: the per-exit completed-pair counts (parallel to ``exit_recs``;
         #: None when nothing is armed) - counting only, codegen is
         #: untouched by fusion.  ``fused_hits`` collects trap-unwind
-        #: counts via :func:`repro.cpu.blockengine._credit`.
+        #: counts via :func:`_credit`.
         self.pair_seconds: tuple[int, ...] = ()
         self.exit_fp: tuple[int, ...] | None = None
         self.fused_hits = 0
+
+
+def _credit(m: ArchState, B: _Trace, done: int, fetches: int) -> None:
+    """Replay exact per-instruction stats for the completed prefix.
+
+    The hot path batches ``instructions``/``cycles``/``by_category``/
+    ``by_opcode``/``inst_reads`` at trace exit; when a trace exits early
+    after *done* completed instructions this reconciles the counters to
+    what the reference engine would have accumulated step by step.
+    """
+    stats = m.stats
+    by_cat = stats.by_category
+    by_op = stats.by_opcode
+    meta = B.meta
+    cycles = 0
+    for j in range(done):
+        cat, opn, cyc = meta[j]
+        by_cat[cat] += 1
+        by_op[opn] += 1
+        cycles += cyc
+    stats.instructions += done
+    stats.cycles += cycles
+    m.memory.stats.inst_reads += fetches
+    if B.pair_seconds:
+        B.fused_hits += bisect_right(B.pair_seconds, done - 1)
+    if done:
+        m.lpc = B.addrs[done - 1]
 
 
 def _trace_trap_exit(m: ArchState, T: _Trace, ix: int, exc: Exception) -> int:
@@ -278,7 +316,7 @@ class _TraceIR:
     * ``("ret", i, target)`` - ``RET`` whose matching call was inlined;
       guarded at runtime, frame ops inlined, chained;
     * ``("term", i)`` - trace-final transfer (dynamic target), compiled
-      like a block-engine terminator;
+      as a terminator that stores the computed ``pc``/``npc`` and exits;
     * ``("end", next_pc)`` - sequential or chain end of the trace.
     """
 
@@ -397,6 +435,32 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
     if not seq:
         return None
     return _TraceIR(seq, events)
+
+
+def _hoist_lines(nw: int) -> list[str]:
+    """Window base indices, hoisted once per trace (and re-hoisted after
+    anything that can move ``psw.cwp``: frame ops and PUTPSW)."""
+    if nw == 8:
+        return ["w = psw.cwp << 4", "wh = ((psw.cwp + 1) & 7) << 4"]
+    return [
+        f"w = (psw.cwp % {nw}) << 4",
+        f"wh = ((psw.cwp + 1) % {nw}) << 4",
+    ]
+
+
+def _bidx(reg: int, uw: bool) -> str:
+    """Physical-index expression over the hoisted ``w``/``wh`` locals."""
+    if not uw or reg < 10:
+        return str(reg)
+    if reg < 26:  # LOW+LOCAL: 16*w + reg
+        return f"w + {reg}"
+    return f"wh + {reg - 16}"  # HIGH: caller's LOW
+
+
+def _bread(reg: int, uw: bool) -> str:
+    if reg == 0:
+        return "0"
+    return f"R[{_bidx(reg, uw)}]"
 
 
 def _codegen_trace(
@@ -1237,6 +1301,30 @@ def trace_codegen_info() -> dict[str, int | float]:
     return {"entries": len(_TRACE_FACTORY_CACHE), **_CODEGEN_COUNTERS}
 
 
+def _pair_positions(armed: dict, seq) -> tuple[int, ...]:
+    """Positions of armed fused-pair second halves inside *seq*.
+
+    A pair lands in a trace only when both halves sit at consecutive
+    positions with the exact words the static proof was issued for;
+    anything else (trace cut between the halves, rewritten code) simply
+    is not counted - correctness never depends on fusion bookkeeping.
+    """
+    if not armed:
+        return ()
+    out = []
+    for i in range(len(seq) - 1):
+        addr, word, _inst = seq[i]
+        pair = armed.get(addr)
+        if (
+            pair is not None
+            and pair.word1 == word
+            and seq[i + 1][0] == addr + 4
+            and seq[i + 1][1] == pair.word2
+        ):
+            out.append(i + 1)
+    return tuple(out)
+
+
 class TraceEngine:
     """Trace-compiling interpreter, oracle-verified like the others.
 
@@ -1262,7 +1350,7 @@ class TraceEngine:
         self._halt_addr: int | None = None
         self._halt_known = False
         #: one-cell latch licensing the inlined frame-op fast paths;
-        #: refreshed at every dispatch (= block-boundary granularity).
+        #: refreshed at every dispatch (= trace-boundary granularity).
         self._plain: list[bool] = [False]
         #: pending deferred cycles across all traces (one cell, bound
         #: into every thunk); nonzero iff any exit hit is unreconciled.

@@ -26,7 +26,7 @@ Reported quantities:
   where cores burn cycles waiting).
 
 Every run here executes on the reference engine; the equivalence sweep
-(``python -m repro.multicore``) separately proves fast and block runs
+(``python -m repro.multicore``) separately proves fast runs
 byte-identical, so these numbers are tier-independent.
 """
 
@@ -85,6 +85,8 @@ def run(names: tuple[str, ...] | None = None) -> Table:
             "on the device's shared lock bank",
             "util = per-core share of retired instructions; spin-waiting "
             "counts, so skew localises where cores wait",
+            # benchmarks/perf/golden.json pins this note's bytes; the
+            # stale "/block" goes with the next golden change.
             "reference engine; the equivalence sweep proves fast/block "
             "runs byte-identical (python -m repro.multicore)",
         ],

@@ -17,9 +17,9 @@ Determinism contract (why this device is bit-identical on every engine
 tier): register reads and writes happen at architecturally identical
 points on all tiers, so handlers may mutate device state freely - but
 the device may only *sample a core's instruction count* at slice
-boundaries, inside :meth:`service`.  The block tier batches
-``ExecutionStats`` updates until a block retires, so a mid-slice sample
-would read engine-dependent garbage; the boundary state after an exact
+boundaries, inside :meth:`service`.  A compiled tier may batch
+``ExecutionStats`` updates until a compiled unit retires, so a mid-slice
+sample would read engine-dependent garbage; the boundary state after an exact
 ``max_steps`` budget is precise on every tier.  That is also why
 ``TIMER_COUNT`` reads return the *boundary-cached* count and why
 interrupt latency is measured boundary-to-boundary (granularity = the

@@ -22,10 +22,11 @@ Used two ways:
 
 from __future__ import annotations
 
-import sys
+import argparse
 from dataclasses import dataclass
 
 from repro.cpu.engines import smp_engine_names
+from repro.cpu.equivalence import engine_list
 from repro.multicore.scenarios import (
     DEFAULT_QUANTUM,
     run_scenario,
@@ -179,41 +180,67 @@ def assert_multicore_equivalent(
     return result
 
 
+def _core_counts(text: str) -> tuple[int, ...]:
+    """argparse ``type`` for ``--cores``: comma-separated ints, each >= 1."""
+    try:
+        counts = tuple(int(n) for n in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated int list"
+        ) from None
+    if any(count < 1 for count in counts):
+        raise argparse.ArgumentTypeError("core counts must be >= 1")
+    return counts
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.multicore",
+        description="Sweep multicore scenarios x core counts across the "
+                    "SMP tiers; exit 0 when every run is bit-identical.",
+    )
+    parser.add_argument(
+        "--engines", type=engine_list(smp_engine_names()),
+        default=smp_engine_names(),
+        help="comma-separated SMP tiers to sweep, oracle first "
+             "(default: every SMP tier)",
+    )
+    parser.add_argument(
+        "--cores", type=_core_counts, default=SWEEP_CORE_COUNTS,
+        help="comma-separated core counts (default: 1,2,4)",
+    )
+    parser.add_argument(
+        "names", nargs="*", metavar="scenario",
+        help="scenarios to sweep (default: every registered scenario)",
+    )
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Sweep scenarios x core counts across SMP tiers; 0 = all identical.
 
     ``--engines ref,fast,...`` restricts the sweep (first name is the
     oracle); ``--cores 1,2,4`` picks core counts; remaining positional
-    arguments select scenarios (default: all registered).
+    arguments select scenarios (default: all registered).  Bad
+    arguments exit 2 before anything runs.
     """
-    args = list(argv) if argv is not None else sys.argv[1:]
-    engines = None
-    if "--engines" in args:
-        at = args.index("--engines")
-        try:
-            spec = args[at + 1]
-        except IndexError:
-            print("--engines needs a comma-separated list", file=sys.stderr)
-            return 2
-        engines = tuple(n.strip() for n in spec.split(",") if n.strip())
-        del args[at : at + 2]
-    core_counts = SWEEP_CORE_COUNTS
-    if "--cores" in args:
-        at = args.index("--cores")
-        try:
-            core_counts = tuple(int(n) for n in args[at + 1].split(","))
-        except (IndexError, ValueError):
-            print("--cores needs a comma-separated int list", file=sys.stderr)
-            return 2
-        del args[at : at + 2]
-    names = args or list(scenario_names())
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    known = scenario_names()
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(
+            f"unknown scenario(s) {', '.join(unknown)} "
+            f"(choose from {', '.join(known)})"
+        )
+    names = args.names or list(known)
     failures = 0
     runs = 0
     for name in names:
-        for num_cores in core_counts:
+        for num_cores in args.cores:
             runs += 1
             result = run_differential_multicore(
-                name, num_cores=num_cores, engines=engines
+                name, num_cores=num_cores, engines=args.engines
             )
             tag = f"{name}@{num_cores}"
             if result.equivalent:
@@ -228,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"      {line}")
     print(f"{runs - failures}/{runs} runs equivalent")
     return 1 if failures else 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

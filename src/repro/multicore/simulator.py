@@ -68,8 +68,8 @@ __all__ = [
 MULTICORE_SCHEMA = "risc1-repro/multicore-manifest/v1"
 
 #: Default instructions per slice.  Small enough that interrupt latency
-#: (granularity = one quantum) stays low, large enough that the block
-#: tier still amortises compilation across a slice.
+#: (granularity = one quantum) stays low, large enough that a compiled
+#: tier still amortises its run-loop entry across a slice.
 DEFAULT_QUANTUM = 200
 
 #: Default bytes of guest stack per core (r9 spacing).
@@ -90,7 +90,7 @@ class MulticoreSimulator:
             with the interrupt handler linked in).
         num_cores: core count (the evaluation sweeps {1, 2, 4}).
         engine: per-core execution tier; must carry the ``smp``
-            capability flag (reference, fast, or block).
+            capability flag (reference or fast).
         quantum: instructions per round-robin slice.
         entry_symbol: per-core entry label.  Defaults to ``_main`` -
             cores skip the single-core bootstrap (which would give every
@@ -373,7 +373,7 @@ def compose_fingerprint(doc: dict) -> str:
     Excludes ``simulation`` (engine-dependent by design) and the
     ``fingerprint`` field itself; everything else - schedule, device
     counters, console text, per-core shared sections - must agree
-    bit-for-bit across reference/fast/block runs of the same scenario.
+    bit-for-bit across reference/fast runs of the same scenario.
     """
     shared = {
         key: value

@@ -123,8 +123,9 @@ class TraceEventExporter:
         events: which bus-driven kinds to capture - any subset of
             ``("step", "mem_access", "call", "return", "trap", "halt")``.
             ``step`` and ``mem_access`` are step-granular: subscribing
-            them drops the fast/block engines to the oracle path
-            (fidelity over speed, as for every per-step observer).
+            them drops the compiled tiers to one step at a time, and
+            ``mem_access`` sends each step to the oracle (fidelity
+            over speed, as for every per-step observer).
         limit: stop recording step-granular events after this many
             (boundary events still stream).
 

@@ -14,8 +14,8 @@ counters.  The registry exists in two modes:
   *run boundaries* - never once per instruction - so even an enabled
   registry cannot slow the hot loop.
 
-Metric names are dotted lowercase paths (``sim.runs``, ``engine.block.
-blocks_compiled``); the catalog of names the execution stack emits is
+Metric names are dotted lowercase paths (``sim.runs``, ``engine.trace.
+traces_compiled``); the catalog of names the execution stack emits is
 documented in ``docs/OBSERVABILITY.md``.  Registering the same name
 twice returns the existing instrument; registering it as a different
 *type* is an error (one name, one meaning).

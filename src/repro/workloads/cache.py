@@ -16,7 +16,7 @@ three codegen flags, and the engine stack's codegen version
 part of the key so that bumping it - the required step whenever the
 trace tier's generated-source scheme changes - can never serve a
 ``CompiledRisc`` whose cached artifacts (trace closures hanging off a
-``Memory`` execution listener, block caches, manifests) were built
+``Memory`` execution listener, manifests) were built
 under the previous scheme.  Callers that need ``verify=True`` or a
 pre-checked AST keep calling :func:`repro.cc.compile_for_risc`
 directly.

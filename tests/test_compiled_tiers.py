@@ -1,17 +1,17 @@
-"""Block-engine specifics: invalidation, watchdogs, rollback, fuzzing.
+"""Compiled-tier specifics: invalidation, watchdogs, rollback, fuzzing.
 
 The differential harness in ``tests/test_engine_equivalence.py`` already
-sweeps every workload and trap path across all three engines.  This file
-targets what is unique to the block compiler:
+sweeps every workload and trap path across every tier.  This file
+targets what compiling code adds:
 
-* self-modifying code must invalidate compiled blocks (including the
-  block currently executing) and re-compile from the rewritten image;
+* self-modifying code must invalidate compiled traces (including the
+  trace currently executing) and re-compile from the rewritten image;
 * watchdog budgets (``max_steps`` / ``max_cycles``) must stop at exactly
-  the same instruction as the reference engine, even mid-block;
-* checkpoints taken mid-block and mid-delay-slot must round-trip through
-  ``restore`` and resume through the block path bit-identically;
+  the same instruction as the reference engine, even mid-trace;
+* checkpoints taken mid-trace and mid-delay-slot must round-trip through
+  ``restore`` and resume through the compiled path bit-identically;
 * randomly generated instruction sequences (hypothesis) must execute
-  identically on reference, fast, and block engines.
+  identically on every tier.
 """
 
 import pytest
@@ -43,8 +43,8 @@ def assert_all_engines_identical(source: str, *, max_steps: int = 20_000_000):
 
 
 # The store at `stl` rewrites the `li r26, 1` *later in the same
-# straight-line block* with the word at `donor` (li r26, 42); the block
-# engine must abort the running block and re-compile from the patched
+# straight-line block* with the word at `donor` (li r26, 42); a compiled
+# tier must abort the running trace and re-compile from the patched
 # image, exactly as the reference engine simply fetches the new word.
 SAME_BLOCK_PATCH = """
 main:
@@ -95,12 +95,13 @@ class TestSelfModifyingCode:
         assert machine.halted is HaltReason.RETURNED
         assert machine.result == 43
 
-    def test_block_engine_recompiles_after_patch(self):
+    def test_trace_engine_recompiles_after_patch(self):
         program = assemble(LOOP_HEAD_PATCH)
-        machine = RiscMachine(engine="block")
+        machine = RiscMachine(engine="trace")
         program.load_into(machine.memory)
         machine.run(program.entry)
         assert machine.result == 43
+        assert machine.engine.telemetry_snapshot()["traces_invalidated"] > 0
 
 
 # Same program as the equivalence suite's delay-slot workhorse: the
@@ -125,9 +126,9 @@ DELAY_SLOT_RESULT = 515
 class TestWatchdogExactness:
     @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 13, 21, 34, 100])
     def test_step_limit_stops_identically(self, limit):
-        # A block must never overshoot the step budget: the engine has
-        # to hand the tail of a partially affordable block back to the
-        # reference path so STEP_LIMIT lands on the same instruction.
+        # A trace must never overshoot the step budget: the engine has
+        # to single-step the tail of a partially affordable trace so
+        # STEP_LIMIT lands on the same instruction.
         digests = []
         for engine in ENGINES:
             program = assemble(DELAY_SLOT_PROGRAM)
@@ -153,7 +154,7 @@ class TestWatchdogExactness:
             assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
 
 
-class TestBlockRollback:
+class TestCompiledRollback:
     def _mid_slot_run(self, engine):
         """Checkpoint mid-delay-slot, finish via run_loop, rewind, redo."""
         program = assemble(DELAY_SLOT_PROGRAM)
@@ -176,31 +177,33 @@ class TestBlockRollback:
         assert machine.result == DELAY_SLOT_RESULT
         return first
 
-    def test_mid_delay_slot_rollback_through_block_path(self):
-        # The rewound run resumes through the block engine's compiled
-        # path (not the oracle), and must still match the reference.
+    def test_mid_delay_slot_rollback_through_compiled_path(self):
+        # The rewound run resumes through each tier's compiled path
+        # (not the oracle), and must still match the reference.
         finals = [self._mid_slot_run(engine) for engine in ENGINES]
         for engine, final in zip(ENGINES[1:], finals[1:]):
             mismatches = diff_digests(finals[0], final)
             assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
 
-    def test_restore_flushes_compiled_blocks(self):
+    def test_restore_flushes_compiled_traces(self):
         # A full-image restore rewrites memory wholesale; every compiled
-        # block must be dropped, not just ones a store touched.
+        # trace must be dropped, not just ones a store touched.
         program = assemble(DELAY_SLOT_PROGRAM)
-        machine = RiscMachine(engine="block")
+        machine = RiscMachine(engine="trace")
         program.load_into(machine.memory)
         machine.reset(program.entry)
         cp = machine.checkpoint()
         machine.engine.run_loop(machine, 100_000, None, None)
         first = state_digest(machine)
+        flushes = machine.engine.telemetry_snapshot()["code_flushes"]
         machine.restore(cp)
+        assert machine.engine.telemetry_snapshot()["code_flushes"] > flushes
         machine.engine.run_loop(machine, 100_000, None, None)
         assert not diff_digests(first, state_digest(machine))
 
     def test_rerun_after_halt(self):
         program = assemble(DELAY_SLOT_PROGRAM)
-        machine = RiscMachine(engine="block")
+        machine = RiscMachine(engine="trace")
         program.load_into(machine.memory)
         machine.run(program.entry)
         first = machine.result
@@ -245,7 +248,7 @@ _store_load = st.tuples(
 
 # A forward-only conditional skip: terminates regardless of the flags,
 # exercises scc + condition codes + the taken and fall-through arms of
-# the block terminator (the delay slot is a real instruction).
+# a compiled conditional (the delay slot is a real instruction).
 _branch = st.tuples(
     st.sampled_from(["bgt", "ble", "beq", "bne", "bge", "blt"]),
     st.sampled_from(_REGS), st.integers(-64, 63), st.sampled_from(_REGS),

@@ -194,20 +194,22 @@ SPANS = {
 }
 
 
-def bulk_memory(*, extra_listener: bool = False):
+def bulk_memory(*, extra_watch: bool = False):
+    """A memory with a device and one compiled-code listener; with
+    ``extra_watch`` the listener also watches a word inside the plain
+    spans, so their bulk writes must take the per-word path."""
     mem = Memory()
     for i in range(0x3000, 0x6000, 4):
         mem.store_word(i, i * 0x01010101, count=False)
     device = RecordingDevice(MMIO_BASE, MMIO_BASE + 16)
     mem.map_mmio(device)
-    listener = RecordingListener([WATCHED >> 2])
-    mem.attach_exec_listener(listener)
-    listeners = [listener]
-    if extra_listener:
-        listeners.append(RecordingListener([(0x4000 >> 2) + 3]))
-        mem.attach_exec_listener(listeners[-1])
+    words = [WATCHED >> 2]
+    if extra_watch:
+        words.append((0x4000 >> 2) + 3)
+    listener = RecordingListener(words)
+    mem.set_exec_listener(listener)
     cp = mem.checkpoint(track_deltas=True)
-    return mem, cp, device, listeners
+    return mem, cp, device, [listener]
 
 
 def observe(mem: Memory, device, listeners, outcome) -> tuple:
@@ -229,16 +231,16 @@ def attempt(action):
 
 
 class TestBulkHelpersMatchPerWordOracle:
-    @pytest.mark.parametrize("extra_listener", [False, True], ids=["one-watch", "extra-watch"])
+    @pytest.mark.parametrize("extra_watch", [False, True], ids=["one-watch", "extra-watch"])
     @pytest.mark.parametrize("count", [False, True], ids=["uncounted", "counted"])
     @pytest.mark.parametrize("span", SPANS)
-    def test_store_words(self, span, count, extra_listener):
+    def test_store_words(self, span, count, extra_watch):
         address, n = SPANS[span]
         # Values wider than 32 bits and negative ones are masked like store_word.
         values = [0x1_0000_0041 + i if i % 3 else -i - 1 for i in range(n)]
         results = []
         for store in (Memory.store_words, oracle_store_words):
-            mem, cp, device, listeners = bulk_memory(extra_listener=extra_listener)
+            mem, cp, device, listeners = bulk_memory(extra_watch=extra_watch)
             outcome = attempt(lambda: store(mem, address, values, count=count))
             after = observe(mem, device, listeners, outcome)
             mem.restore(cp)

@@ -358,14 +358,15 @@ class TestMulticoreSimulator:
     def test_cross_core_smc_invalidation(self):
         program = assemble(_CROSS_CORE_SMC)
         outcomes = {}
-        for engine in ("reference", "block"):
+        for engine in smp_engine_names():
             sim = MulticoreSimulator(
                 program, num_cores=2, engine=engine, handler_symbol=None
             ).run(100_000)
             assert [c.halted for c in sim.cores] == [HaltReason.RETURNED] * 2
             outcomes[engine] = (sim.results, sim.schedule_fingerprint())
         assert outcomes["reference"][0] == [7, 43]
-        assert outcomes["block"] == outcomes["reference"]
+        for engine in smp_engine_names():
+            assert outcomes[engine] == outcomes["reference"], engine
 
     def test_watchdog_preserves_liveness_under_contention(self):
         # Far too small a budget for the 4-core producer/consumer run:

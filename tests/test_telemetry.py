@@ -177,10 +177,10 @@ class TestRunManifest:
     def test_engine_detail_reflects_backend(self):
         reference = towers_manifest("reference")
         fast = towers_manifest("fast")
-        block = towers_manifest("block")
+        trace = towers_manifest("trace")
         assert reference.engine_detail == {}
         assert fast.engine_detail["thunks_compiled"] > 0
-        assert block.engine_detail["blocks_compiled"] > 0
+        assert trace.engine_detail["traces_compiled"] > 0
 
     def test_round_trip_and_validation(self):
         manifest = towers_manifest("reference")
@@ -208,7 +208,7 @@ class TestRunManifest:
         assert "host" not in json.loads(manifest.canonical_json())
 
     def test_schema_paths_are_stable_keys(self):
-        doc = towers_manifest("block").as_dict()
+        doc = towers_manifest("trace").as_dict()
         paths = schema_paths(doc)
         assert "run.workload" in paths
         assert "stats.instructions" in paths
