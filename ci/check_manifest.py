@@ -15,7 +15,7 @@ Runs the ``towers`` benchmark on every execution engine, captures a
    matches the committed ``ci/manifest_schema.json``, so schema changes
    are deliberate, reviewed diffs rather than silent drift.
 
-It also runs a small streaming fault campaign and applies the same two
+It also runs a small two-shard fault campaign and applies the same two
 gates to the **campaign manifest** (v2: ``shards``/``resume``/``events``
 sections): :func:`~repro.telemetry.manifest.validate_campaign_manifest`
 must pass and its key structure must match the schema file's
@@ -63,16 +63,16 @@ def capture(engine: str):
 
 
 def capture_campaign() -> dict:
-    """A small streaming fault campaign's manifest document.
+    """A small two-shard fault campaign's manifest document.
 
     Tiny on purpose (schema shape does not depend on trial count), and
-    streamed so the gate covers the distributed report's manifest path -
-    the one with real ``shards``/``resume`` sections.
+    sharded so the gate covers real ``shards``/``resume`` sections: two
+    per-shard fingerprints, not the single-shard default.
     """
     from repro.faults.campaign import CampaignConfig, run_campaign
 
     config = CampaignConfig(seed=7, injections=6, benchmarks=(WORKLOAD,))
-    return run_campaign(config, stream=True, shards=2).manifest()
+    return run_campaign(config, shards=2).manifest()
 
 
 def capture_multicore() -> dict[str, dict]:

@@ -17,7 +17,9 @@ three pieces the robustness methodology needs:
 * :mod:`repro.faults.campaign` - golden-vs-faulted differential runs
   over the paper's benchmarks, classifying each injection as masked,
   detected (trapped), silent data corruption, or timeout, with
-  bit-identical reproducibility for a fixed seed.
+  bit-identical reproducibility for a fixed seed.  Every campaign runs
+  one supervised trial loop; :mod:`repro.faults.distributed` adds the
+  optional journal, resume, and sharding around it.
 
 Checkpoint/rollback itself lives on the machine
 (:meth:`~repro.cpu.machine.RiscMachine.checkpoint`); the campaign runner
@@ -46,11 +48,9 @@ _EXPORTS = {
     "random_spec": "repro.faults.models",
     "JournalError": "repro.faults.distributed",
     "RetryPolicy": "repro.faults.distributed",
-    "StreamingCampaignReport": "repro.faults.distributed",
     "TrialJournal": "repro.faults.distributed",
     "compose_fingerprints": "repro.faults.distributed",
     "recover_journal": "repro.faults.distributed",
-    "run_distributed_campaign": "repro.faults.distributed",
     "shard_schedule": "repro.faults.distributed",
 }
 
@@ -85,13 +85,11 @@ __all__ = [
     "JournalError",
     "Outcome",
     "RetryPolicy",
-    "StreamingCampaignReport",
     "TrialJournal",
     "TrialTimeoutError",
     "compose_fingerprints",
     "random_spec",
     "recover_journal",
     "run_campaign",
-    "run_distributed_campaign",
     "shard_schedule",
 ]

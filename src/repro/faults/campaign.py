@@ -39,9 +39,9 @@ Determinism: all randomness flows through one seeded
 with the same :class:`CampaignConfig` produce byte-identical reports
 (verified by :meth:`CampaignReport.fingerprint`).  That holds for
 parallel runs too: ``--workers N`` (``run_campaign(..., workers=N)``)
-draws the fault schedule serially, fans the trials out to worker
-processes, and reassembles results in schedule order, so the
-fingerprint matches the serial run bit for bit.
+draws the fault schedule before any trial runs, fans the trials out to
+worker processes, and delivers results in schedule order, so the
+fingerprint matches the in-process run bit for bit.
 
 The fingerprint is an **ordered hash-of-hashes**: each injection
 record is canonically serialised and SHA-256 hashed
@@ -49,14 +49,15 @@ record is canonically serialised and SHA-256 hashed
 over the concatenated per-trial digests in schedule order
 (:class:`FingerprintStream`).  That construction is what lets sharded
 campaigns (:mod:`repro.faults.distributed`) compose per-shard
-fingerprints back into exactly the serial fingerprint, and lets the
-streaming aggregation path compute it in O(1) memory.
+fingerprints back into exactly the whole campaign's fingerprint.
 
-Crash-safety and scale live in :mod:`repro.faults.distributed`:
-``run_campaign(journal=...)`` appends every completed trial to a
-crash-safe journal, ``run_campaign(resume=...)`` replays the journal
-and re-executes only the remainder, and ``shards``/``shard_index``
-split the schedule deterministically across processes or machines.
+:func:`run_campaign` has one execution path, built from the pieces in
+:mod:`repro.faults.distributed`: the trials run under a supervisor
+(per-trial timeout, retry, worker-pool recovery), ``journal=`` appends
+every completed trial to a crash-safe journal, ``resume=`` replays the
+journal and re-executes only the remainder, and ``shards``/
+``shard_index`` split the schedule deterministically across processes
+or machines.
 
 CLI (used by the CI smoke campaign)::
 
@@ -71,7 +72,9 @@ import argparse
 import enum
 import hashlib
 import json
+import math
 import random
+import sys
 import time
 from array import array
 from bisect import bisect_left
@@ -93,9 +96,9 @@ DEFAULT_BENCHMARKS = ("towers", "ackermann")
 #: software stack of every benchmark live there.
 MEMORY_FAULT_TOP = 1 << 16
 
-#: Default per-trial wall-clock budget (seconds) on the supervised
-#: (streaming/distributed) path.  A healthy trial finishes in well
-#: under a second; 60 s only fires when the host itself is wedged.
+#: Default per-trial wall-clock budget (seconds).  A healthy trial
+#: finishes in well under a second; 60 s only fires when the host
+#: itself is wedged.
 DEFAULT_TRIAL_TIMEOUT_S = 60.0
 
 #: How often (in steps) the trial loop consults the wall clock when a
@@ -180,6 +183,24 @@ class InjectionResult:
 
 
 @dataclass(frozen=True)
+class Trial:
+    """One schedulable unit: a fault spec bound to its golden run.
+
+    Attributes:
+        index: 0-based position in the canonical schedule; doubles as
+            the trial's identity in journals and shards.
+        golden: the reference run of the trial's benchmark.
+        spec: the fault to inject.
+        budget: dynamic-instruction budget for the faulted replay.
+    """
+
+    index: int
+    golden: GoldenRun
+    spec: FaultSpec
+    budget: int
+
+
+@dataclass(frozen=True)
 class CampaignConfig:
     """Everything that determines a campaign, and nothing else."""
 
@@ -249,12 +270,11 @@ class FingerprintStream:
     """Ordered hash-of-hashes accumulator for campaign fingerprints.
 
     Feed per-trial digests (:func:`trial_digest`) in schedule order;
-    :meth:`hexdigest` is then the campaign fingerprint.  Because the
-    outer hash consumes only the fixed-size trial digests, the stream
-    costs O(1) memory at any trial count, and a shard's contribution
-    is exactly its ordered digest sequence - which is how
+    :meth:`hexdigest` is then the campaign fingerprint.  The outer hash
+    consumes only the fixed-size trial digests, so a shard's
+    contribution is exactly its ordered digest sequence - which is how
     :func:`repro.faults.distributed.compose_fingerprints` rebuilds the
-    serial fingerprint from per-shard journals.
+    whole campaign's fingerprint from per-shard journals.
     """
 
     def __init__(self) -> None:
@@ -277,148 +297,47 @@ class FingerprintStream:
         return self._outer.hexdigest()
 
 
-def rate_table_from_counts(
-    config: CampaignConfig,
-    by_target: dict[FaultTarget, Counter],
-    total_injections: int,
-) -> Table:
-    """Render the R1 rate table from per-target outcome tallies.
-
-    Shared by the in-memory (:class:`CampaignReport`) and streaming
-    (:class:`repro.faults.distributed.StreamingCampaignReport`)
-    aggregation paths, so both produce the identical table.
-    """
-    table = Table(
-        title=(
-            f"R1: fault campaign ({total_injections} injections, "
-            f"seed {config.seed})"
-        ),
-        headers=["fault site", "n", "masked", "detected", "SDC",
-                 "timeout", "crash", "infra", "det %", "SDC %"],
-    )
-
-    def row(label: str, counts: Counter) -> None:
-        """Append one labelled outcome-count row to the table."""
-        total = sum(counts.values())
-        table.add_row(
-            label,
-            total,
-            counts[Outcome.MASKED],
-            counts[Outcome.DETECTED],
-            counts[Outcome.SILENT_CORRUPTION],
-            counts[Outcome.TIMEOUT],
-            counts[Outcome.CRASH],
-            counts[Outcome.INFRA_ERROR],
-            round(100.0 * counts[Outcome.DETECTED] / total, 1) if total else 0.0,
-            round(100.0 * counts[Outcome.SILENT_CORRUPTION] / total, 1)
-            if total else 0.0,
-        )
-
-    overall: Counter = Counter()
-    for target in config.targets:
-        counts = by_target.get(target, Counter())
-        overall.update(counts)
-        if sum(counts.values()) == 0:
-            continue
-        row(target.value, counts)
-    row("all", overall)
-    table.notes.append("benchmarks: " + ", ".join(config.benchmarks))
-    table.notes.append(
-        "DETECTED = structured trap; SDC = wrong result with clean halt; "
-        "infra = quarantined infrastructure failure"
-    )
-    return table
-
-
-def summary_from_counts(
-    config: CampaignConfig,
-    overall: Counter,
-    total_injections: int,
-    fingerprint: str,
-) -> dict:
-    """Aggregate outcome counts plus the campaign fingerprint."""
-    return {
-        "seed": config.seed,
-        "injections": total_injections,
-        "benchmarks": list(config.benchmarks),
-        "masked": overall[Outcome.MASKED],
-        "detected": overall[Outcome.DETECTED],
-        "silent_corruption": overall[Outcome.SILENT_CORRUPTION],
-        "timeout": overall[Outcome.TIMEOUT],
-        "crash": overall[Outcome.CRASH],
-        "infra_error": overall[Outcome.INFRA_ERROR],
-        "fingerprint": fingerprint,
-    }
-
-
-def campaign_manifest_doc(
-    config: CampaignConfig,
-    golden: dict[str, "GoldenRun"],
-    by_target: dict[FaultTarget, Counter],
-    summary: dict,
-    *,
-    shards: dict | None = None,
-    resume: dict | None = None,
-    events: dict | None = None,
-) -> dict:
-    """Build the canonical campaign-manifest document (v2 schema).
-
-    Deterministic for a fixed config: neither host facts nor file paths
-    appear.  ``shards`` and ``resume`` default to the values of an
-    uninterrupted single-shard run so the key structure - gated by
-    ``ci/check_manifest.py`` - is identical however the campaign ran.
-    """
-    from repro.telemetry.manifest import CAMPAIGN_SCHEMA
-
-    if shards is None:
-        shards = {
-            "count": 1,
-            "sizes": [summary["injections"]],
-            "fingerprints": [summary["fingerprint"]],
-        }
-    if resume is None:
-        resume = {
-            "resumed_trials": 0,
-            "executed_trials": summary["injections"],
-            "retries": 0,
-            "timeouts": 0,
-            "infra_errors": summary["infra_error"],
-            "pool_restarts": 0,
-        }
-    return {
-        "schema": CAMPAIGN_SCHEMA,
-        "config": config_dict(config),
-        "golden": {
-            name: {
-                "result": run.result,
-                "instructions": run.instructions,
-                "cycles": run.cycles,
-            }
-            for name, run in sorted(golden.items())
-        },
-        "outcomes_by_target": {
-            target.value: {
-                outcome.value: counts[outcome]
-                for outcome in Outcome if counts[outcome]
-            }
-            for target, counts in sorted(
-                by_target.items(), key=lambda kv: kv[0].value
-            )
-        },
-        "shards": shards,
-        "resume": resume,
-        "events": dict(events or {}),
-        "summary": summary,
-    }
+def _fingerprint(results) -> str:
+    """Ordered hash-of-hashes over *results*' canonical records."""
+    stream = FingerprintStream()
+    for result in results:
+        stream.add_record(injection_record(result))
+    return stream.hexdigest()
 
 
 @dataclass
 class CampaignReport:
-    """All injections of one campaign plus the golden references."""
+    """The injections of one campaign (or one shard of it) in schedule
+    order, plus the golden references."""
 
     config: CampaignConfig
     golden: dict[str, GoldenRun]
     results: list[InjectionResult] = field(default_factory=list)
+    #: shard count of the schedule partition
+    n_shards: int = 1
+    #: ``[start, stop)`` trial-index range of every shard this report
+    #: covers (just one when a single shard ran); empty means the whole
+    #: campaign as one shard
+    bounds: tuple[tuple[int, int], ...] = ()
+    #: operational counters of the run (the manifest's ``resume``
+    #: section): ``resumed_trials``, ``executed_trials``, ``retries``,
+    #: ``timeouts``, ``infra_errors``, ``pool_restarts``
+    resume_info: dict = field(default_factory=dict)
+
+    def add(self, index: int, result: InjectionResult) -> None:
+        """Append the result of trial *index*.
+
+        Raises :class:`ValueError` unless *index* is the next trial the
+        report expects: an out-of-order append would silently change
+        the fingerprint, so it is never allowed.
+        """
+        expected = (self.bounds[0][0] if self.bounds else 0) + len(self.results)
+        if index != expected:
+            raise ValueError(
+                f"campaign results are ordered: expected trial {expected}, "
+                f"got {index}"
+            )
+        self.results.append(result)
 
     # -- aggregation -------------------------------------------------------
 
@@ -435,9 +354,48 @@ class CampaignReport:
 
     def rate_table(self) -> Table:
         """Detection / silent-corruption / crash rates per fault site."""
-        return rate_table_from_counts(
-            self.config, self.counts_by_target(), len(self.results)
+        table = Table(
+            title=(
+                f"R1: fault campaign ({len(self.results)} injections, "
+                f"seed {self.config.seed})"
+            ),
+            headers=["fault site", "n", "masked", "detected", "SDC",
+                     "timeout", "crash", "infra", "det %", "SDC %"],
         )
+
+        def row(label: str, counts: Counter) -> None:
+            """Append one labelled outcome-count row to the table."""
+            total = sum(counts.values())
+            table.add_row(
+                label,
+                total,
+                counts[Outcome.MASKED],
+                counts[Outcome.DETECTED],
+                counts[Outcome.SILENT_CORRUPTION],
+                counts[Outcome.TIMEOUT],
+                counts[Outcome.CRASH],
+                counts[Outcome.INFRA_ERROR],
+                round(100.0 * counts[Outcome.DETECTED] / total, 1)
+                if total else 0.0,
+                round(100.0 * counts[Outcome.SILENT_CORRUPTION] / total, 1)
+                if total else 0.0,
+            )
+
+        by_target = self.counts_by_target()
+        overall: Counter = Counter()
+        for target in self.config.targets:
+            counts = by_target.get(target, Counter())
+            overall.update(counts)
+            if sum(counts.values()) == 0:
+                continue
+            row(target.value, counts)
+        row("all", overall)
+        table.notes.append("benchmarks: " + ", ".join(self.config.benchmarks))
+        table.notes.append(
+            "DETECTED = structured trap; SDC = wrong result with clean halt; "
+            "infra = quarantined infrastructure failure"
+        )
+        return table
 
     def as_records(self) -> list[dict]:
         """JSON-friendly rows, one per injection."""
@@ -448,34 +406,89 @@ class CampaignReport:
 
         Equal <=> bit-identical campaigns.  The construction (SHA-256
         over concatenated per-trial SHA-256 digests, in schedule order)
-        is shared with the streaming and sharded paths, so a resumed,
-        sharded, or worker-pool campaign that executed the same trials
-        reports the identical fingerprint.
+        is what sharding composes, so a resumed, sharded, or worker-pool
+        campaign that executed the same trials reports the identical
+        fingerprint.
         """
-        stream = FingerprintStream()
-        for result in self.results:
-            stream.add_record(injection_record(result))
-        return stream.hexdigest()
+        return _fingerprint(self.results)
 
     def summary(self) -> dict:
         """Aggregate outcome counts plus the campaign fingerprint."""
-        return summary_from_counts(
-            self.config, self.outcome_counts(), len(self.results),
-            self.fingerprint(),
-        )
+        overall = self.outcome_counts()
+        return {
+            "seed": self.config.seed,
+            "injections": len(self.results),
+            "benchmarks": list(self.config.benchmarks),
+            "masked": overall[Outcome.MASKED],
+            "detected": overall[Outcome.DETECTED],
+            "silent_corruption": overall[Outcome.SILENT_CORRUPTION],
+            "timeout": overall[Outcome.TIMEOUT],
+            "crash": overall[Outcome.CRASH],
+            "infra_error": overall[Outcome.INFRA_ERROR],
+            "fingerprint": self.fingerprint(),
+        }
+
+    def shards_section(self) -> dict:
+        """The manifest's ``shards`` section (count/sizes/fingerprints)."""
+        bounds = self.bounds or ((0, len(self.results)),)
+        first = bounds[0][0]
+        slices = [self.results[start - first:stop - first]
+                  for start, stop in bounds]
+        return {
+            "count": self.n_shards,
+            "sizes": [len(part) for part in slices],
+            "fingerprints": [_fingerprint(part) for part in slices],
+        }
 
     def manifest(self) -> dict:
         """Canonical campaign-manifest document (JSON-serialisable).
 
         Same determinism contract as :meth:`fingerprint`: two campaigns
         with the same :class:`CampaignConfig` produce byte-identical
-        manifests, whatever the worker count.  The schema mirrors the
-        run manifest (``docs/OBSERVABILITY.md``); single-run manifests
-        link back through their ``campaign`` section's ``fingerprint``.
+        manifests, whatever the worker count.  The ``resume`` section
+        is operational by design (a resumed run reports its resumed
+        count), while ``summary.fingerprint`` stays byte-identical
+        either way.  Neither host facts nor file paths appear.  The
+        schema mirrors the run manifest (``docs/OBSERVABILITY.md``);
+        single-run manifests link back through their ``campaign``
+        section's ``fingerprint``.
         """
-        return campaign_manifest_doc(
-            self.config, self.golden, self.counts_by_target(), self.summary()
-        )
+        from repro.telemetry.manifest import CAMPAIGN_SCHEMA
+
+        summary = self.summary()
+        resume = self.resume_info or {
+            "resumed_trials": 0,
+            "executed_trials": len(self.results),
+            "retries": 0,
+            "timeouts": 0,
+            "infra_errors": summary["infra_error"],
+            "pool_restarts": 0,
+        }
+        return {
+            "schema": CAMPAIGN_SCHEMA,
+            "config": config_dict(self.config),
+            "golden": {
+                name: {
+                    "result": run.result,
+                    "instructions": run.instructions,
+                    "cycles": run.cycles,
+                }
+                for name, run in sorted(self.golden.items())
+            },
+            "outcomes_by_target": {
+                target.value: {
+                    outcome.value: counts[outcome]
+                    for outcome in Outcome if counts[outcome]
+                }
+                for target, counts in sorted(
+                    self.counts_by_target().items(), key=lambda kv: kv[0].value
+                )
+            },
+            "shards": self.shards_section(),
+            "resume": dict(resume),
+            "events": {},
+            "summary": summary,
+        }
 
 
 def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
@@ -716,17 +729,17 @@ def _crash_result(
 
 def _campaign_schedule(
     config: CampaignConfig, goldens: dict[str, GoldenRun]
-) -> list[tuple[GoldenRun, FaultSpec, int]]:
+) -> list[Trial]:
     """Draw every fault of the campaign, in the canonical order.
 
     All randomness flows through one generator seeded with
     ``config.seed``, and golden runs never consult it, so the spec
-    stream here is identical whether the trials later execute serially,
-    on a worker pool, or sharded across machines.  Populates *goldens*
-    as a side effect.
+    stream here is identical however the trials later execute: in
+    process, on a worker pool, or sharded across machines.  Populates
+    *goldens* as a side effect.
     """
     rng = random.Random(config.seed)
-    schedule: list[tuple[GoldenRun, FaultSpec, int]] = []
+    schedule: list[Trial] = []
     share, extra = divmod(config.injections, len(config.benchmarks))
     for index, name in enumerate(config.benchmarks):
         count = share + (1 if index < extra else 0)
@@ -738,7 +751,7 @@ def _campaign_schedule(
         budget += config.step_budget_slack
         for _ in range(count):
             spec = random_spec(rng, golden.sites, targets=config.targets)
-            schedule.append((golden, spec, budget))
+            schedule.append(Trial(len(schedule), golden, spec, budget))
     return schedule
 
 
@@ -751,8 +764,8 @@ def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
 
     Lazily built and cached in :data:`_POOL_STATE`; the compile is
     deterministic (and usually inherited from the parent's compile
-    cache under a fork start method), so every process replays trials
-    from the same image the serial path uses.  The machine runs on the
+    cache under a fork start method), so every worker process replays
+    trials from the same image as an in-process run.  The machine runs on the
     fastest scalar tier, which executes the unobserved trial phases.
     """
     state = _POOL_STATE.get(name)
@@ -768,11 +781,78 @@ def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
     return state
 
 
-def _pool_injection(task) -> InjectionResult:
-    """Worker-side trial: lazily build the benchmark machine, then replay."""
-    golden, spec, budget = task
-    machine, checkpoint = _benchmark_state(golden.benchmark)
-    return _run_injection(machine, checkpoint, golden, spec, budget)
+def _journalled_result(
+    trials: tuple[Trial, ...], index: int, record: dict, path: str
+) -> InjectionResult:
+    """Rebuild trial *index*'s result from its journal *record*.
+
+    The spec and golden come from the re-drawn schedule, the outcome
+    fields from the record.  The rebuilt result must serialise back to
+    exactly *record*, so the fingerprint hashes what the journal holds;
+    anything else raises :class:`~repro.faults.distributed.JournalError`.
+    """
+    from repro.faults.distributed import JournalError
+
+    result = None
+    if 0 <= index < len(trials):
+        trial = trials[index]
+        try:
+            result = InjectionResult(
+                benchmark=trial.golden.benchmark,
+                spec=trial.spec,
+                outcome=Outcome(record["outcome"]),
+                halt=record["halt"],
+                trap_cause=record["trap_cause"],
+                instructions=record["instructions"],
+                result=record["result"],
+            )
+        except (KeyError, ValueError):
+            pass
+    if result is None or injection_record(result) != record:
+        raise JournalError(
+            f"{path}: trial {index} does not match this campaign's schedule"
+        )
+    return result
+
+
+def _publish_metrics(registry, report: CampaignReport, syncs: int, stats) -> None:
+    """Record the ``campaign.*`` operational counters on *registry*."""
+    if registry is None:
+        return
+    info = report.resume_info
+    counters = {
+        "campaign.trials": (
+            len(report.results), "trials folded into the campaign report"
+        ),
+        "campaign.trials_resumed": (
+            info["resumed_trials"], "trials replayed from a journal, not executed"
+        ),
+        "campaign.retries": (
+            info["retries"], "trial attempts re-dispatched after failure"
+        ),
+        "campaign.timeouts": (
+            info["timeouts"], "trial attempts killed by the wall-clock deadline"
+        ),
+        "campaign.infra_errors": (
+            info["infra_errors"], "trials quarantined after exhausting retries"
+        ),
+        "campaign.pool_restarts": (
+            info["pool_restarts"], "worker-pool rebuilds after a dead worker"
+        ),
+        "campaign.journal_syncs": (
+            syncs, "fsync barriers issued by the trial journal"
+        ),
+        "campaign.steps_observed": (
+            stats.trial_steps["observed"],
+            "trial steps single-stepped under the fault injector",
+        ),
+        "campaign.steps_compiled": (
+            stats.trial_steps["compiled"],
+            "trial steps run unobserved on the compiled tier",
+        ),
+    }
+    for name, (value, help_text) in counters.items():
+        registry.counter(name, help_text).inc(value)
 
 
 def run_campaign(
@@ -782,110 +862,126 @@ def run_campaign(
     workers: int | None = None,
     journal: str | None = None,
     resume: str | None = None,
-    shards: int | None = None,
+    shards: int = 1,
     shard_index: int | None = None,
-    stream: bool = False,
-    timeout_s: float | None = None,
+    timeout_s: float | None = DEFAULT_TRIAL_TIMEOUT_S,
     retry=None,
     registry=None,
-):
+    chaos_hook=None,
+) -> CampaignReport:
     """Execute the campaign described by *config* deterministically.
 
-    With ``workers`` > 1 the trials run on a ``multiprocessing`` pool:
-    the fault schedule is still drawn serially (identical RNG stream),
-    trials are distributed in schedule order, and results are collected
-    by index - so a parallel campaign is byte-identical (same
-    :meth:`CampaignReport.fingerprint`) to the serial one, just faster.
+    Every call takes the same path: draw the :class:`Trial` schedule,
+    open or recover the journal if one is asked for, run the remaining
+    trials under :class:`~repro.faults.distributed.TrialSupervisor`, and
+    append each result to a :class:`CampaignReport` in schedule order.
+    A call with no options is one shard, in process, with no journal.
 
-    Any of the crash-safety options route the campaign through the
-    supervised streaming path (:mod:`repro.faults.distributed`) and
-    return a
-    :class:`~repro.faults.distributed.StreamingCampaignReport`:
+    Args:
+        config: the campaign to execute.
+        progress: optional ``(benchmark, done, total)`` callback,
+            invoked every 100 completed trials.
+        workers: pool size; None or <= 1 runs trials in-process.  The
+            schedule is drawn before any trial runs and results are
+            delivered in schedule order, so the report is byte-identical
+            at any worker count.
+        journal: path for a fresh crash-safe JSONL trial journal
+            (refuses to overwrite an existing file; ``kill -9`` loses at
+            most one trial).
+        resume: path of an existing journal to recover; its completed
+            trials are rebuilt without re-execution and new completions
+            are appended to the same file.  Mutually exclusive with
+            *journal*.
+        shards: contiguous shard count of the schedule partition; the
+            manifest reports per-shard fingerprints, which compose to
+            the campaign fingerprint.
+        shard_index: execute only this shard (the report then covers
+            just its slice).
+        timeout_s: per-trial wall-clock budget (None disables).
+        retry: :class:`~repro.faults.distributed.RetryPolicy`; default
+            allows 3 attempts.
+        registry: optional :class:`~repro.telemetry.MetricsRegistry`
+            receiving the ``campaign.*`` operational counters.
+        chaos_hook: test/CI-only fault injector passed through to the
+            supervisor (``(done, worker_pids)`` after each trial).
 
-    * ``journal`` - append every completed trial to a crash-safe JSONL
-      journal at this path (``kill -9`` loses at most one trial);
-    * ``resume`` - replay completed trials from this journal, execute
-      only the remainder, and keep appending to it;
-    * ``shards`` / ``shard_index`` - deterministic contiguous sharding
-      of the schedule (per-shard fingerprints compose to the serial
-      fingerprint); ``shard_index`` restricts execution to one shard;
-    * ``stream`` - force streaming aggregation (O(1) memory; no
-      per-trial result list is retained);
-    * ``timeout_s`` / ``retry`` - per-trial wall-clock budget and
-      :class:`~repro.faults.distributed.RetryPolicy` for worker
-      supervision;
-    * ``registry`` - a :class:`~repro.telemetry.MetricsRegistry`
-      receiving the ``campaign.*`` operational counters.
-
-    Either way the executed trials - and therefore the fingerprint -
-    are identical; the options only change how the campaign survives
-    infrastructure failure.
+    Raises :class:`CampaignInterrupted` on Ctrl-C (journal flushed and
+    closed first) and :class:`~repro.faults.distributed.JournalError`
+    when *resume* points at a journal of a different campaign, or at a
+    record that does not match the re-drawn schedule.
     """
-    distributed = (
-        stream
-        or journal is not None
-        or resume is not None
-        or shard_index is not None
-        or (shards is not None and shards > 1)
-        or timeout_s is not None
-        or retry is not None
-        or registry is not None
+    from repro.faults.distributed import (
+        TrialJournal,
+        TrialSupervisor,
+        shard_schedule,
     )
-    if distributed:
-        from repro.faults.distributed import run_distributed_campaign
 
-        return run_distributed_campaign(
-            config,
-            workers=workers,
-            journal=journal,
-            resume=resume,
-            shards=shards or 1,
-            shard_index=shard_index,
-            timeout_s=(
-                DEFAULT_TRIAL_TIMEOUT_S if timeout_s is None else timeout_s
+    if journal is not None and resume is not None:
+        raise ValueError(
+            "pass either journal= (fresh) or resume= (recover), not both"
+        )
+    if shard_index is not None and not 0 <= shard_index < shards:
+        raise ValueError(
+            f"shard_index {shard_index} out of range for {shards} shard(s)"
+        )
+
+    plan = shard_schedule(config, shards)
+    if shard_index is None:
+        trials, bounds = plan.trials, plan.bounds
+    else:
+        trials, bounds = plan.shard(shard_index), (plan.bounds[shard_index],)
+    report = CampaignReport(
+        config=config, golden=plan.goldens, n_shards=shards, bounds=bounds
+    )
+    total = len(trials)
+
+    jour = None
+    if resume is not None:
+        jour, _stats = TrialJournal.resume(
+            resume, config,
+            sink=lambda index, attempt, record: report.add(
+                index, _journalled_result(plan.trials, index, record, resume)
             ),
-            retry=retry,
-            registry=registry,
-            progress=progress,
         )
+    elif journal is not None:
+        jour = TrialJournal.create(journal, config)
+    resumed = len(report.results)
 
-    goldens: dict[str, GoldenRun] = {}
-    report = CampaignReport(config=config, golden=goldens)
-    schedule = _campaign_schedule(config, goldens)
-    if workers is not None and workers > 1:
-        import multiprocessing
+    def sink(index: int, result: InjectionResult, attempts: int) -> None:
+        """Write-ahead journal one completed trial, then append it."""
+        if jour is not None:
+            jour.append(index, injection_record(result), attempt=attempts)
+        report.add(index, result)
+        if progress is not None and len(report.results) % 100 == 0:
+            progress(result.benchmark, len(report.results), total)
 
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork
-            ctx = multiprocessing.get_context("spawn")
-        chunksize = max(1, len(schedule) // (workers * 8))
-        with ctx.Pool(processes=workers) as pool:
-            try:
-                for done, result in enumerate(
-                    pool.imap(_pool_injection, schedule, chunksize=chunksize), 1
-                ):
-                    report.results.append(result)
-                    if progress is not None and done % 100 == 0:
-                        progress(result.benchmark, done, len(schedule))
-            except KeyboardInterrupt:
-                # Terminate the pool cleanly, then surface a structured
-                # interruption (no journal on the legacy path, so the
-                # completed prefix is lost - the message says so).
-                pool.terminate()
-                raise CampaignInterrupted(
-                    completed=len(report.results),
-                    total=len(schedule),
-                    journal=None,
-                ) from None
-        return report
-    for done, (golden, spec, budget) in enumerate(schedule, 1):
-        machine, checkpoint = _benchmark_state(golden.benchmark)
-        report.results.append(
-            _run_injection(machine, checkpoint, golden, spec, budget)
-        )
-        if progress is not None and done % 100 == 0:
-            progress(golden.benchmark, done, len(schedule))
+    supervisor = TrialSupervisor(
+        workers=workers, timeout_s=timeout_s, policy=retry,
+        chaos_hook=chaos_hook,
+    )
+    try:
+        stats = supervisor.run(trials[resumed:], sink)
+    except KeyboardInterrupt:
+        # The journal is closed by the finally below; every completed
+        # trial is already fsynced, so the run is resumable as-is.
+        raise CampaignInterrupted(
+            completed=len(report.results),
+            total=total,
+            journal=jour.path if jour is not None else None,
+        ) from None
+    finally:
+        if jour is not None:
+            jour.close()
+
+    report.resume_info = {
+        "resumed_trials": resumed,
+        "executed_trials": stats.executed,
+        "retries": stats.retries,
+        "timeouts": stats.timeouts,
+        "infra_errors": report.outcome_counts()[Outcome.INFRA_ERROR],
+        "pool_restarts": stats.pool_restarts,
+    }
+    _publish_metrics(registry, report, jour.syncs if jour is not None else 0, stats)
     return report
 
 
@@ -907,6 +1003,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """Argparse type: a finite, strictly positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {text!r}"
+        ) from None
+    if not 0 < value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {text}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.campaign",
@@ -917,7 +1028,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=_positive_int, default=1,
         help="run trials on N worker processes (results stay byte-identical "
-             "to the serial run; default 1 = serial)",
+             "to the in-process run; default 1 = in-process)",
     )
     parser.add_argument(
         "--benchmarks", default=",".join(DEFAULT_BENCHMARKS),
@@ -926,7 +1037,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shards", type=_positive_int, default=1,
         help="deterministically shard the schedule into N contiguous "
-             "shards; per-shard fingerprints compose to the serial one",
+             "shards; per-shard fingerprints compose to the whole "
+             "campaign's",
     )
     parser.add_argument(
         "--shard-index", type=int, default=None,
@@ -944,14 +1056,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "the remainder, and keep appending to it",
     )
     parser.add_argument(
-        "--stream", action="store_true",
-        help="use streaming aggregation (O(1) memory; implied by "
-             "--journal/--resume/--shards > 1)",
-    )
-    parser.add_argument(
-        "--timeout-s", type=float, default=DEFAULT_TRIAL_TIMEOUT_S,
-        help="per-trial wall-clock budget in seconds on the supervised "
-             f"path; timed-out trials are retried then quarantined as "
+        "--timeout-s", type=_positive_float, default=DEFAULT_TRIAL_TIMEOUT_S,
+        help="per-trial wall-clock budget in seconds; timed-out trials "
+             f"are retried then quarantined as "
              f"INFRA_ERROR (default {DEFAULT_TRIAL_TIMEOUT_S:.0f})",
     )
     parser.add_argument(
@@ -981,21 +1088,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _streaming_requested(args) -> bool:
-    """Whether the CLI flags route through the supervised streaming path."""
-    return bool(
-        args.stream
-        or args.journal
-        or args.resume
-        or args.shards > 1
-        or args.shard_index is not None
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; see ``--help`` for flags."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.journal is not None and args.resume is not None:
+        parser.error("--journal starts a fresh journal and --resume "
+                     "continues one; pass only one of them")
     if args.shard_index is not None and not 0 <= args.shard_index < args.shards:
         parser.error(
             f"--shard-index must be in [0, {args.shards}) "
@@ -1011,18 +1110,10 @@ def main(argv: list[str] | None = None) -> int:
         """Per-benchmark progress line."""
         print(f"  {name}: {done}/{total} injections")
 
-    streaming = _streaming_requested(args)
+    from repro.faults.distributed import JournalError, RetryPolicy
 
     def execute(*, resume: str | None, journal: str | None):
         """One campaign run with the CLI's supervision options."""
-        if not streaming:
-            return run_campaign(
-                config,
-                progress=progress,
-                workers=args.workers,
-            )
-        from repro.faults.distributed import RetryPolicy
-
         return run_campaign(
             config,
             progress=progress,
@@ -1031,18 +1122,22 @@ def main(argv: list[str] | None = None) -> int:
             resume=resume,
             shards=args.shards,
             shard_index=args.shard_index,
-            stream=True,
             timeout_s=args.timeout_s,
             retry=RetryPolicy(max_attempts=args.retries, seed=args.seed),
         )
 
     try:
         report = execute(resume=args.resume, journal=args.journal)
+    except (FileNotFoundError, FileExistsError, JournalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CampaignInterrupted as exc:
         print(f"\n{exc.describe()}")
         return 130
     except KeyboardInterrupt:
-        print("\ncampaign interrupted; no journal was kept (use --journal)")
+        # Trial-phase interrupts arrive as CampaignInterrupted; this one
+        # came while the golden runs or the journal recovery ran.
+        print("\ncampaign interrupted before its trials started")
         return 130
     print(report.rate_table().render())
     summary = report.summary()
@@ -1111,53 +1206,25 @@ def main(argv: list[str] | None = None) -> int:
             handle.write("\n")
         print(f"wrote campaign manifest to {args.manifest}")
     if args.json:
-        records = _report_records(report, args.journal or args.resume)
-        if records is None:
-            failures.append(
-                "--json needs per-injection records: streaming reports "
-                "retain none, so pass --journal as well"
+        records = report.as_records()
+        with open(args.json, "w") as handle:
+            json.dump(
+                {"schema": "risc1-repro/fault-campaign/v1",
+                 "summary": summary, "records": records},
+                handle, indent=2,
             )
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(
-                    {"schema": "risc1-repro/fault-campaign/v1",
-                     "summary": summary, "records": records},
-                    handle, indent=2,
-                )
-            print(f"wrote {len(records)} records to {args.json}")
+        print(f"wrote {len(records)} records to {args.json}")
 
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
 
 
-def _report_records(report, journal_path: str | None) -> list[dict] | None:
-    """Per-injection records for ``--json``, from the report or journal.
-
-    Batch reports carry their records; streaming reports retain none,
-    so the records are re-read from the journal when one was written.
-    Returns None when no record source exists.
-    """
-    as_records = getattr(report, "as_records", None)
-    if callable(as_records):
-        return as_records()
-    if journal_path:
-        from repro.faults.distributed import recover_journal
-
-        records: list[dict] = []
-        recover_journal(
-            journal_path,
-            sink=lambda index, attempt, record: records.append(record),
-        )
-        return records
-    return None
-
-
 if __name__ == "__main__":
     # Re-enter through the canonical module: under ``python -m`` this
-    # file also exists as ``__main__``, and the runner raises the
-    # *imported* module's CampaignInterrupted - which the __main__
-    # copy's ``except CampaignInterrupted`` would not catch.
+    # file also exists as ``__main__``, while the supervisor and the
+    # journal import the canonical module; one copy means one set of
+    # classes and one per-process machine cache.
     from repro.faults.campaign import main as _canonical_main
 
     raise SystemExit(_canonical_main())

@@ -103,9 +103,8 @@ def recover_journal(
     malformed line anywhere else raises :class:`JournalError`.
 
     Each intact entry is passed to *sink* as
-    ``(trial_index, attempt, record)`` in order, so callers can fold
-    records into a streaming aggregate without ever materialising the
-    journal in memory.
+    ``(trial_index, attempt, record)`` in order, so callers can rebuild
+    results one entry at a time without reading the whole file first.
     """
     completed = 0
     last_trial: int | None = None

@@ -1,12 +1,12 @@
 """Deterministic sharding of a campaign's fault schedule.
 
 A shard is a *contiguous* slice of the canonical schedule: the full
-spec stream is drawn serially from the campaign RNG (exactly as the
-serial runner draws it - same generator, same order), then partitioned
+spec stream is drawn in order from the campaign RNG (the same
+generator and order however the trials later run), then partitioned
 into ``n_shards`` balanced, order-preserving ranges.  Contiguity is
 what makes fingerprints compose: concatenating the shards' per-trial
-digest streams in shard order reproduces the serial digest stream, so
-:func:`compose_fingerprints` rebuilds exactly the serial
+digest streams in shard order reproduces the unsharded digest stream,
+so :func:`compose_fingerprints` rebuilds exactly the unsharded
 :meth:`~repro.faults.campaign.CampaignReport.fingerprint`.
 
 Each shard can then run in its own process or on its own machine
@@ -23,9 +23,9 @@ from repro.faults.campaign import (
     CampaignConfig,
     FingerprintStream,
     GoldenRun,
+    Trial,
     _campaign_schedule,
 )
-from repro.faults.models import FaultSpec
 
 __all__ = [
     "Trial",
@@ -34,24 +34,6 @@ __all__ = [
     "shard_bounds",
     "shard_schedule",
 ]
-
-
-@dataclass(frozen=True)
-class Trial:
-    """One schedulable unit: a fault spec bound to its golden run.
-
-    Attributes:
-        index: 0-based position in the canonical (serial) schedule;
-            doubles as the trial's identity in journals and shards.
-        golden: the reference run of the trial's benchmark.
-        spec: the fault to inject.
-        budget: dynamic-instruction budget for the faulted replay.
-    """
-
-    index: int
-    golden: GoldenRun
-    spec: FaultSpec
-    budget: int
 
 
 def shard_bounds(n_trials: int, n_shards: int) -> tuple[tuple[int, int], ...]:
@@ -116,19 +98,14 @@ class ShardedSchedule:
 def shard_schedule(config: CampaignConfig, n_shards: int) -> ShardedSchedule:
     """Draw the campaign schedule and partition it into *n_shards*.
 
-    The trials are drawn serially from the campaign RNG - the byte-wise
-    identical spec stream the serial runner executes - so two calls
+    The trials are drawn in order from the campaign RNG, so two calls
     with the same config produce the same schedule, and the per-shard
     SHA-256 fingerprints compose (ordered hash-of-hashes via
-    :func:`compose_fingerprints`) to exactly the serial
+    :func:`compose_fingerprints`) to exactly the unsharded
     :meth:`~repro.faults.campaign.CampaignReport.fingerprint`.
     """
     goldens: dict[str, GoldenRun] = {}
-    schedule = _campaign_schedule(config, goldens)
-    trials = tuple(
-        Trial(index=index, golden=golden, spec=spec, budget=budget)
-        for index, (golden, spec, budget) in enumerate(schedule)
-    )
+    trials = tuple(_campaign_schedule(config, goldens))
     return ShardedSchedule(
         config=config,
         goldens=goldens,
@@ -144,8 +121,8 @@ def compose_fingerprints(shard_digests: Iterable[Iterable[str]]) -> str:
     *shard_digests* yields, **in shard order**, each shard's ordered
     per-trial digests (:func:`~repro.faults.campaign.trial_digest`).
     Because shards are contiguous slices of the schedule, the
-    concatenation is the serial digest stream, and the result equals
-    the uninterrupted serial run's
+    concatenation is the unsharded digest stream, and the result equals
+    the uninterrupted unsharded run's
     :meth:`~repro.faults.campaign.CampaignReport.fingerprint` - the
     byte-identity invariant the crash/resume CI gate enforces.
     """

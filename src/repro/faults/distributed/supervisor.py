@@ -23,7 +23,7 @@ infrastructure failure:
   detects, rebuilds, and re-dispatches the in-flight window into.
 
 Trial *execution* is deterministic (same spec, same machine image =>
-same record), so none of this machinery can change a healthy
+same result), so none of this machinery can change a healthy
 campaign's fingerprint - it only decides how many times the host gets
 to fail before a trial is written off.
 """
@@ -39,23 +39,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.faults.campaign import (
+    InjectionResult,
+    Outcome,
+    Trial,
     TrialTimeoutError,
     _benchmark_state,
     _run_injection,
-    injection_record,
 )
-from repro.faults.distributed.sharding import Trial
 
 __all__ = [
     "RetryPolicy",
     "SupervisionStats",
     "TrialSupervisor",
     "execute_trial",
-    "infra_record",
+    "infra_result",
 ]
 
-#: A sink receives ``(trial_index, record, attempts)`` per finished trial.
-TrialSink = Callable[[int, dict, int], None]
+#: A sink receives ``(trial_index, result, attempts)`` per finished trial.
+TrialSink = Callable[[int, InjectionResult, int], None]
 
 
 @dataclass(frozen=True)
@@ -119,56 +120,48 @@ class SupervisionStats:
 
 def execute_trial(
     trial: Trial, timeout_s: float | None = None, tally: Counter | None = None
-) -> dict:
-    """Run one trial in this process and return its canonical record.
+) -> InjectionResult:
+    """Run one trial in this process and return its classification.
 
     Uses the per-process machine cache (the same one the worker pool
-    uses), arms the wall-clock deadline when *timeout_s* is given, and
-    serialises the classification via
-    :func:`~repro.faults.campaign.injection_record`.  *tally*, when
-    given, counts the trial's steps by phase.
+    uses) and arms the wall-clock deadline when *timeout_s* is given.
+    *tally*, when given, counts the trial's steps by phase.
     """
     machine, checkpoint = _benchmark_state(trial.golden.benchmark)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    result = _run_injection(
+    return _run_injection(
         machine, checkpoint, trial.golden, trial.spec, trial.budget,
         deadline=deadline, tally=tally,
     )
-    return injection_record(result)
 
 
-def _worker_execute(payload) -> tuple[int, dict, Counter]:
-    """Pool-side entry point: run a trial, return ``(index, record,
+def _worker_execute(payload) -> tuple[int, InjectionResult, Counter]:
+    """Pool-side entry point: run a trial, return ``(index, result,
     steps by phase)``."""
     trial, timeout_s = payload
     tally: Counter = Counter()
-    record = execute_trial(trial, timeout_s, tally)
-    return trial.index, record, tally
+    result = execute_trial(trial, timeout_s, tally)
+    return trial.index, result, tally
 
 
-def infra_record(trial: Trial, error: BaseException | str) -> dict:
-    """The quarantine record of a trial the infrastructure failed.
+def infra_result(trial: Trial, detail: str) -> InjectionResult:
+    """The quarantine result of a trial the infrastructure failed.
 
-    Mirrors :func:`~repro.faults.campaign.injection_record` so INFRA
-    quarantines flow through journals, fingerprints, and rate tables
-    exactly like architectural outcomes.
+    An ordinary :class:`~repro.faults.campaign.InjectionResult`, so
+    INFRA quarantines flow through journals, fingerprints, and rate
+    tables exactly like architectural outcomes; *detail* (the error)
+    is not part of the canonical record.
     """
-    from repro.faults.campaign import Outcome
-
-    spec = trial.spec
-    return {
-        "benchmark": trial.golden.benchmark,
-        "target": spec.target.value,
-        "kind": spec.kind.value,
-        "location": spec.location,
-        "bits": list(spec.bits),
-        "trigger": spec.trigger.describe(),
-        "outcome": Outcome.INFRA_ERROR.value,
-        "halt": "INFRA_ERROR",
-        "trap_cause": None,
-        "instructions": 0,
-        "result": None,
-    }
+    return InjectionResult(
+        benchmark=trial.golden.benchmark,
+        spec=trial.spec,
+        outcome=Outcome.INFRA_ERROR,
+        halt="INFRA_ERROR",
+        trap_cause=None,
+        instructions=0,
+        result=None,
+        detail=detail,
+    )
 
 
 def _is_timeout(error: BaseException) -> bool:
@@ -180,8 +173,8 @@ class TrialSupervisor:
     """Executes a trial sequence with retry, timeout, and pool recovery.
 
     Results are delivered to the sink **in schedule order** whatever
-    the completion order, which is what lets the streaming aggregator
-    fold them with O(1) memory and reproduce the serial fingerprint.
+    the completion order, which is what lets the campaign report append
+    them as they arrive and reproduce the in-process fingerprint.
 
     Args:
         workers: pool size; None or <= 1 executes in-process.
@@ -189,7 +182,8 @@ class TrialSupervisor:
         policy: the :class:`RetryPolicy`; default allows 3 attempts.
         sleep: backoff sleep hook (injectable for tests).
         execute: trial executor hook (injectable for tests); receives
-            ``(trial, timeout_s)`` and returns the canonical record.
+            ``(trial, timeout_s)`` and returns the trial's
+            :class:`~repro.faults.campaign.InjectionResult`.
         event_writer: optional
             :class:`~repro.telemetry.events.JsonlEventWriter` receiving
             ``retry`` events as supervision decisions happen.
@@ -208,7 +202,7 @@ class TrialSupervisor:
         timeout_s: float | None = None,
         policy: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        execute: Callable[[Trial, float | None], dict] | None = None,
+        execute: Callable[[Trial, float | None], InjectionResult] | None = None,
         event_writer=None,
         chaos_hook: Callable[[int, list[int]], None] | None = None,
     ) -> None:
@@ -227,8 +221,8 @@ class TrialSupervisor:
 
     def _note_failure(
         self, trial: Trial, attempts: int, error: BaseException
-    ) -> dict | None:
-        """Account one failed attempt; returns a quarantine record when
+    ) -> InjectionResult | None:
+        """Account one failed attempt; returns a quarantine result when
         the trial is out of attempts, else None (meaning: retry)."""
         if _is_timeout(error):
             self.stats.timeouts += 1
@@ -236,7 +230,7 @@ class TrialSupervisor:
             self.stats.infra_errors += 1
             detail = f"{type(error).__name__}: {error}"
             self.stats.quarantined[trial.index] = detail
-            return infra_record(trial, error)
+            return infra_result(trial, detail)
         self.stats.retries += 1
         delay = self.policy.delay(trial.index, attempts)
         if self.event_writer is not None:
@@ -258,16 +252,16 @@ class TrialSupervisor:
             while True:
                 attempts += 1
                 try:
-                    record = self.execute(trial, self.timeout_s)
+                    result = self.execute(trial, self.timeout_s)
                 except KeyboardInterrupt:
                     raise
                 except BaseException as error:  # noqa: BLE001 - supervised
-                    record = self._note_failure(trial, attempts, error)
-                    if record is None:
+                    result = self._note_failure(trial, attempts, error)
+                    if result is None:
                         continue
                 break
             self.stats.executed += 1
-            sink(trial.index, record, attempts)
+            sink(trial.index, result, attempts)
             if self.chaos_hook is not None:
                 self.chaos_hook(self.stats.executed, [])
 
@@ -346,7 +340,7 @@ class TrialSupervisor:
                 trial, future, attempts = window[0]
                 attempts += 1
                 try:
-                    _index, record, tally = future.result(timeout=hard_timeout)
+                    _index, result, tally = future.result(timeout=hard_timeout)
                 except KeyboardInterrupt:
                     raise
                 except (BrokenProcessPool, FutureTimeout) as error:
@@ -360,21 +354,21 @@ class TrialSupervisor:
                     window.clear()
                     self._shutdown(executor, kill=True)
                     executor = self._make_executor()
-                    record = self._note_failure(trial, attempts, error)
-                    if record is not None:
+                    result = self._note_failure(trial, attempts, error)
+                    if result is not None:
                         resubmit = resubmit[1:]  # head quarantined
                     for other, other_attempts in resubmit:
                         submit(
                             other,
                             other_attempts + (1 if other is trial else 0),
                         )
-                    if record is None:
+                    if result is None:
                         continue
-                    # fall through: deliver the head's quarantine record
+                    # fall through: deliver the head's quarantine result
                 except BaseException as error:  # noqa: BLE001 - supervised
                     window.popleft()
-                    record = self._note_failure(trial, attempts, error)
-                    if record is None:
+                    result = self._note_failure(trial, attempts, error)
+                    if result is None:
                         # Preserve schedule order: the retried trial
                         # goes back to the *front* of the window.
                         future = executor.submit(
@@ -386,7 +380,7 @@ class TrialSupervisor:
                     window.popleft()
                     self.stats.trial_steps.update(tally)
                 self.stats.executed += 1
-                sink(trial.index, record, attempts)
+                sink(trial.index, result, attempts)
                 if self.chaos_hook is not None:
                     self.chaos_hook(
                         self.stats.executed, self._worker_pids(executor)
@@ -399,7 +393,7 @@ class TrialSupervisor:
     # -- entry point ---------------------------------------------------------
 
     def run(self, trials: Sequence[Trial], sink: TrialSink) -> SupervisionStats:
-        """Execute *trials*, delivering records to *sink* in order.
+        """Execute *trials*, delivering results to *sink* in order.
 
         Returns the accumulated :class:`SupervisionStats`.  Raises
         :class:`KeyboardInterrupt` through (after tearing the pool

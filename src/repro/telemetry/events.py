@@ -336,8 +336,8 @@ def events_from_journal(entries: Iterable[dict]) -> list[dict]:
     :class:`repro.faults.distributed.TrialJournal`); lines without a
     ``trial`` field - the journal header - are skipped.  Each event
     carries the trial index, the attempt that produced the record, and
-    the record's benchmark/outcome, so a journal can be replayed into
-    the same stream shape the live distributed runner emits.
+    the record's benchmark/outcome, so a journal replays as a stream of
+    ``trial`` events.
     """
     events = []
     for entry in entries:

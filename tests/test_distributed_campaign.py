@@ -5,8 +5,8 @@ trials are a pure function of the campaign config, so however a
 campaign is sharded, killed, resumed, retried, or parallelised, its
 fingerprint is byte-identical to the uninterrupted serial run's.
 
-A module-scoped serial reference run (small, ``towers``-only) keeps
-the suite fast; every scenario compares against its fingerprint.
+A module-scoped reference run with no options (small, ``towers``-only)
+keeps the suite fast; every scenario compares against its fingerprint.
 """
 
 import io
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignInterrupted,
+    CampaignReport,
     FingerprintStream,
     Outcome,
     TrialTimeoutError,
@@ -31,14 +32,11 @@ from repro.faults.campaign import (
 from repro.faults.distributed import (
     JournalError,
     RetryPolicy,
-    StreamingAggregator,
-    StreamingCampaignReport,
     TrialJournal,
     TrialSupervisor,
     compose_fingerprints,
     execute_trial,
     recover_journal,
-    run_distributed_campaign,
     shard_bounds,
     shard_schedule,
 )
@@ -55,7 +53,7 @@ N = CONFIG.injections
 
 @pytest.fixture(scope="module")
 def serial_report():
-    """The uninterrupted serial reference run (in-memory report)."""
+    """The uninterrupted reference run: one shard, in process, no journal."""
     return run_campaign(CONFIG)
 
 
@@ -120,31 +118,44 @@ class TestSharding:
         self, serial_records
     ):
         plan = shard_schedule(CONFIG, 3)
-        report = run_campaign(CONFIG, stream=True, shards=3, shard_index=1)
+        report = run_campaign(CONFIG, shards=3, shard_index=1)
         start, stop = plan.bounds[1]
         expected = FingerprintStream()
         for record in serial_records[start:stop]:
             expected.add_record(record)
         assert report.fingerprint() == expected.hexdigest()
-        assert report.count == stop - start
+        assert len(report.results) == stop - start
 
 
 class TestStreamingReport:
-    def test_streaming_matches_batch(self, serial_report, serial_fp):
-        report = run_campaign(CONFIG, stream=True)
-        assert isinstance(report, StreamingCampaignReport)
+    def test_streaming_matches_batch(self, serial_report, serial_fp, tmp_path):
+        """A sharded, journalled run folds each trial as it arrives; its
+        report equals the default run's in every view."""
+        report = run_campaign(
+            CONFIG, shards=2, journal=str(tmp_path / "j.jsonl")
+        )
         assert report.fingerprint() == serial_fp
-        assert report.summary() == serial_report.summary()
+        assert report.as_records() == serial_report.as_records()
         assert report.rate_table().render() == serial_report.rate_table().render()
+        assert report.summary() == serial_report.summary()
         assert report.outcome_counts() == serial_report.outcome_counts()
 
-    def test_streaming_retains_no_results(self):
-        report = run_campaign(CONFIG, stream=True)
-        assert not hasattr(report, "results")
-        assert not hasattr(report, "as_records")
+    def test_batch_manifest_has_same_schema_sections(
+        self, serial_report, tmp_path
+    ):
+        batch_doc = serial_report.manifest()
+        assert validate_campaign_manifest(batch_doc) == []
+        assert batch_doc["shards"]["count"] == 1
+        doc = run_campaign(
+            CONFIG, shards=2, journal=str(tmp_path / "j.jsonl")
+        ).manifest()
+        assert doc["shards"]["count"] == 2
+        assert {k: v for k, v in doc.items() if k != "shards"} == {
+            k: v for k, v in batch_doc.items() if k != "shards"
+        }
 
     def test_manifest_validates_and_has_v2_sections(self, serial_fp):
-        report = run_campaign(CONFIG, stream=True, shards=2)
+        report = run_campaign(CONFIG, shards=2)
         doc = report.manifest()
         assert validate_campaign_manifest(doc) == []
         assert doc["shards"]["count"] == 2
@@ -153,25 +164,11 @@ class TestStreamingReport:
         assert doc["resume"]["resumed_trials"] == 0
         assert doc["summary"]["fingerprint"] == serial_fp
 
-    def test_batch_manifest_has_same_schema_sections(self, serial_report):
-        batch_doc = serial_report.manifest()
-        assert validate_campaign_manifest(batch_doc) == []
-        assert batch_doc["shards"]["count"] == 1
-
-    def test_aggregator_rejects_out_of_order_folds(self, serial_records):
-        agg = StreamingAggregator(CONFIG, range(N))
-        agg.add(0, serial_records[0])
+    def test_aggregator_rejects_out_of_order_folds(self, serial_report):
+        report = CampaignReport(CONFIG, serial_report.golden)
+        report.add(0, serial_report.results[0])
         with pytest.raises(ValueError, match="expected trial 1"):
-            agg.add(2, serial_records[2])
-
-    def test_fold_events_counts_by_kind(self):
-        agg = StreamingAggregator(CONFIG, range(N))
-        folded = agg.fold_events([
-            {"event": "trial"}, {"event": "trial"}, {"event": "retry"},
-            {"not_an_event": 1},
-        ])
-        assert folded == 3
-        assert agg.event_counts == {"trial": 2, "retry": 1}
+            report.add(2, serial_report.results[2])
 
 
 class TestJournal:
@@ -280,7 +277,7 @@ class TestResume:
                 handle.write(full_journal_lines[1 + kill_index][:torn_bytes])
         report = run_campaign(CONFIG, resume=path, shards=n_shards)
         assert report.fingerprint() == serial_fp
-        assert report.count == N
+        assert len(report.results) == N
         expected_resumed = kill_index - (
             1 if torn_bytes >= len(full_journal_lines[1 + kill_index]) else 0
         )
@@ -291,6 +288,28 @@ class TestResume:
         again = run_campaign(CONFIG, resume=path)
         assert again.fingerprint() == serial_fp
         assert again.resume_info["executed_trials"] == 0
+
+    def test_resumed_report_keeps_every_record(
+        self, full_journal_lines, serial_report, tmp_path
+    ):
+        path = str(tmp_path / "half.jsonl")
+        with open(path, "wb") as handle:
+            handle.writelines(full_journal_lines[: 1 + N // 2])
+        report = run_campaign(CONFIG, resume=path)
+        assert report.resume_info["resumed_trials"] == N // 2
+        assert report.as_records() == serial_report.as_records()
+
+    def test_record_that_contradicts_the_schedule_is_a_journal_error(
+        self, full_journal_lines, tmp_path
+    ):
+        path = str(tmp_path / "bad.jsonl")
+        entry = json.loads(full_journal_lines[3])
+        entry["record"]["outcome"] = "bogus"
+        with open(path, "wb") as handle:
+            handle.writelines(full_journal_lines[:3])
+            handle.write((json.dumps(entry, sort_keys=True) + "\n").encode())
+        with pytest.raises(JournalError, match="trial 2 "):
+            run_campaign(CONFIG, resume=path)
 
     def test_journalled_run_is_fully_recoverable(self, tmp_path, serial_fp):
         path = str(tmp_path / "j.jsonl")
@@ -357,9 +376,10 @@ class TestSupervision:
         )
         assert stats.infra_errors == 1
         assert 1 in stats.quarantined
-        record = dict(out)[1]
-        assert record["outcome"] == Outcome.INFRA_ERROR.value
-        assert record["halt"] == "INFRA_ERROR"
+        result = dict(out)[1]
+        assert result.outcome is Outcome.INFRA_ERROR
+        assert result.halt == "INFRA_ERROR"
+        assert result.detail == "RuntimeError: permanent"
         # quarantine preserves delivery order
         assert [i for i, _ in out] == [0, 1, 2]
 
@@ -389,7 +409,7 @@ class TestSupervision:
             plan.trials[:1], lambda i, r, a: out.append(r)
         )
         assert stats.timeouts == 2
-        assert out[0]["outcome"] == Outcome.INFRA_ERROR.value
+        assert out[0].outcome is Outcome.INFRA_ERROR
 
     def test_backoff_is_deterministic_and_bounded(self):
         policy = RetryPolicy(
@@ -429,11 +449,12 @@ class TestSupervision:
 
     def test_execute_trial_matches_serial_record(self, serial_records):
         plan = _plan()
-        assert execute_trial(plan.trials[0], None) == serial_records[0]
+        result = execute_trial(plan.trials[0], None)
+        assert injection_record(result) == serial_records[0]
 
 
 def injection_record_for(trial):
-    """A real record for *trial* (used by injected fake executors)."""
+    """A real result for *trial* (used by injected fake executors)."""
     return execute_trial(trial, None)
 
 
@@ -468,7 +489,7 @@ class TestPoolPath:
                 # result) is what raises BrokenProcessPool.
                 time.sleep(0.5)
 
-        report = run_distributed_campaign(CONFIG, workers=2, chaos_hook=chaos)
+        report = run_campaign(CONFIG, workers=2, chaos_hook=chaos)
         assert killed
         assert report.fingerprint() == serial_fp
         assert report.resume_info["pool_restarts"] >= 1
@@ -486,7 +507,7 @@ class TestInterruption:
                 raise KeyboardInterrupt
 
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_distributed_campaign(CONFIG, journal=path, chaos_hook=chaos)
+            run_campaign(CONFIG, journal=path, chaos_hook=chaos)
         exc = excinfo.value
         assert isinstance(exc, KeyboardInterrupt)
         assert exc.completed == 5
@@ -542,3 +563,70 @@ class TestCliValidation:
         help_text = capsys.readouterr().out
         assert "--timeout-s" in help_text
         assert f"default {DEFAULT_TRIAL_TIMEOUT_S:.0f}" in help_text
+
+    def test_journal_and_resume_are_exclusive(self, tmp_path, capsys):
+        from repro.faults.campaign import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--journal", str(tmp_path / "a"),
+                  "--resume", str(tmp_path / "b")])
+        assert excinfo.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "x"])
+    def test_timeout_must_be_positive_and_finite(self, value, capsys):
+        from repro.faults.campaign import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--timeout-s", value])
+        assert excinfo.value.code == 2
+        assert "positive number" in capsys.readouterr().err
+
+
+#: CLI flags naming CONFIG's campaign.
+CLI_CONFIG = ["--injections", str(N), "--seed", "7", "--benchmarks", "towers"]
+
+
+class TestCli:
+    def _fails_cleanly(self, argv, capsys) -> str:
+        from repro.faults.campaign import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_resume_of_a_missing_journal(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.jsonl")
+        assert path in self._fails_cleanly(
+            [*CLI_CONFIG, "--resume", path], capsys
+        )
+
+    def test_journal_onto_an_existing_file(self, tmp_path, capsys):
+        path = tmp_path / "exists.jsonl"
+        path.write_text("keep me\n")
+        self._fails_cleanly([*CLI_CONFIG, "--journal", str(path)], capsys)
+        assert path.read_text() == "keep me\n"
+
+    def test_resume_of_another_campaigns_journal(
+        self, full_journal_lines, tmp_path, capsys
+    ):
+        path = str(tmp_path / "other.jsonl")
+        with open(path, "wb") as handle:
+            handle.writelines(full_journal_lines)
+        line = self._fails_cleanly(
+            ["--injections", str(N), "--seed", "8", "--benchmarks", "towers",
+             "--resume", path],
+            capsys,
+        )
+        assert "different campaign" in line
+
+    def test_json_needs_no_journal(self, serial_report, tmp_path):
+        from repro.faults.campaign import main
+
+        out = tmp_path / "out.json"
+        assert main([*CLI_CONFIG, "--shards", "2", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["records"] == serial_report.as_records()

@@ -114,10 +114,11 @@ def test_campaign_trials_run_on_a_tested_tier():
 
 def test_covering_schedule_matches_the_oracle(covering_schedule):
     schedule, _goldens = covering_schedule
-    drawn = {(spec.target, spec.kind) for _golden, spec, _budget in schedule}
+    drawn = {(trial.spec.target, trial.spec.kind) for trial in schedule}
     assert drawn == {(t, k) for t in FaultTarget for k in FaultKind}
     outcomes = set()
-    for golden, spec, budget in schedule:
+    for trial in schedule:
+        golden, spec, budget = trial.golden, trial.spec, trial.budget
         expected = oracle_trial(golden, spec, budget)
         assert phased_trials(golden, spec, budget) == dict.fromkeys(
             TRIAL_TIERS, expected
