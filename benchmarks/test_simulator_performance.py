@@ -264,6 +264,12 @@ def test_trace_engine_speedup_at_least_10x():
 
 
 def test_cisc_simulator_speed(benchmark):
+    """The VAX-11/780 baseline executor on towers.
+
+    Paired with the reference-tier towers run by the cisc-vs-reference
+    baseline entry: the executor decodes each static instruction once
+    per run, and its floor fails if every step goes back to an if-chain.
+    """
     traits = VaxTraits()
     generated = compile_for_cisc(compile_to_ir(SOURCE), traits)
 

@@ -30,6 +30,7 @@ from repro.baselines.framework import (
     Ind,
     MachineTraits,
     Reg,
+    run_distinct,
 )
 from repro.baselines.m68k import M68KTraits
 from repro.baselines.pdp11 import Pdp11Traits
@@ -55,4 +56,5 @@ __all__ = [
     "Reg",
     "VaxTraits",
     "Z8002Traits",
+    "run_distinct",
 ]

@@ -14,15 +14,25 @@ Semantics notes:
   (an exact model of condition codes without flag-encoding bugs);
 * byte accounting: static code size = sum of encoded sizes; dynamic
   instruction-fetch traffic = size of every executed instruction.
+
+Execution never depends on the traits, and an instruction's price
+depends only on the static instruction.  So :meth:`CiscExecutor.run`
+decodes each static instruction once into a closure with its operand
+readers, writer and ALU op bound, counts how often each pc executes,
+and prices the counts when the run ends.  Machines whose generated
+programs are equal run the same steps: :func:`run_distinct` runs each
+distinct program once, and :meth:`CiscExecutor.price` prices the one
+run for every machine that shares it.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.common.bitops import to_signed, to_unsigned
+from repro.common.bitops import MASK32, to_signed, to_unsigned
 from repro.common.memory import Memory
 from repro.errors import BaselineError
 
@@ -124,10 +134,36 @@ class CiscOp(enum.Enum):
     CLR = "clr"
 
 
-TWO_OPERAND_ALU = {
-    CiscOp.ADD, CiscOp.SUB, CiscOp.MUL, CiscOp.DIV, CiscOp.MOD,
-    CiscOp.AND, CiscOp.OR, CiscOp.XOR, CiscOp.ASL, CiscOp.ASR, CiscOp.LSR,
+def _div(dst: int, src: int) -> int:
+    a, b = to_signed(dst), to_signed(src)
+    if b == 0:
+        raise BaselineError("division by zero")
+    quotient = abs(a) // abs(b)
+    return -quotient if (a < 0) != (b < 0) else quotient
+
+
+def _mod(dst: int, src: int) -> int:
+    return to_signed(dst) - _div(dst, src) * to_signed(src)
+
+
+#: Two-operand ALU semantics over the operands' raw values.  Every result
+#: goes through a writer, which keeps the low 32 bits, so only the ops
+#: whose low bits depend on the operands' signs convert them first.
+_ALU = {
+    CiscOp.ADD: operator.add,
+    CiscOp.SUB: operator.sub,
+    CiscOp.MUL: operator.mul,
+    CiscOp.DIV: _div,
+    CiscOp.MOD: _mod,
+    CiscOp.AND: operator.and_,
+    CiscOp.OR: operator.or_,
+    CiscOp.XOR: operator.xor,
+    CiscOp.ASL: lambda a, b: a << (b & 31),
+    CiscOp.ASR: lambda a, b: to_signed(a) >> (b & 31),
+    CiscOp.LSR: lambda a, b: to_unsigned(a) >> (b & 31),
 }
+
+_UNARY = {CiscOp.NEG: operator.neg, CiscOp.NOT: operator.invert}
 
 #: Branch conditions over the signed operands captured by the last CMP/TST.
 _RELOPS = {
@@ -138,6 +174,15 @@ _RELOPS = {
     "gtu": lambda a, b: to_unsigned(a) > to_unsigned(b),
     "geu": lambda a, b: to_unsigned(a) >= to_unsigned(b),
 }
+
+
+def _relop_test(relop: str) -> Callable[[int, int], bool]:
+    """The comparison for *relop*; an unknown relop raises when tested."""
+    test = _RELOPS.get(relop)
+    if test is None:
+        def test(a: int, b: int) -> bool:
+            raise BaselineError(f"unknown relop {relop!r}")
+    return test
 
 
 @dataclass
@@ -234,8 +279,40 @@ class MachineTraits:
         )
 
 
+class _Halt(Exception):
+    """The entry routine returned to the halt sentinel."""
+
+
+def _halting(rts: Callable[[], int]) -> Callable[[], int]:
+    """Wrap a decoded RTS so that returning to the halt sentinel ends the run."""
+
+    def step() -> int:
+        target = rts()
+        if target == _HALT_SENTINEL:
+            raise _Halt
+        return target
+
+    return step
+
+
+def _price_tables(instructions: list[CInst],
+                  traits: MachineTraits) -> tuple[list[int], list[int]]:
+    """Per-pc cycle and fetch-byte costs of *instructions* under *traits*."""
+    return ([traits.cycles(inst) for inst in instructions],
+            [traits.bytes(inst) for inst in instructions])
+
+
+def _dot(counts: list[int], table: list[int]) -> int:
+    return sum(map(operator.mul, counts, table))
+
+
 class CiscExecutor:
-    """Interpret a :class:`CiscProgram`, accounting per-machine costs."""
+    """Interpret a :class:`CiscProgram`, accounting per-machine costs.
+
+    ``counts`` holds how often each static instruction has executed;
+    ``cycles`` and ``fetch_bytes`` are those counts priced by ``traits``,
+    and :meth:`price` prices them for any other machine.
+    """
 
     def __init__(self, program: CiscProgram, traits: MachineTraits,
                  memory_size: int = 1 << 20):
@@ -248,203 +325,314 @@ class CiscExecutor:
         self.instructions_executed = 0
         self.cycles = 0
         self.fetch_bytes = 0
+        self.counts = [0] * len(program.instructions)
         for address, payload in program.data:
             for offset, byte in enumerate(payload):
                 self.memory.store_byte(address + offset, byte, count=False)
 
-    # -- operand access ------------------------------------------------------
+    # -- decoding ----------------------------------------------------------
+    #
+    # The semantics live here, once: each builder binds an operand or an
+    # instruction to the registers and the memory accessors and returns a
+    # closure.  ``run`` decodes every static instruction once per run; the
+    # single-shot methods below decode and call at once.
 
-    def read(self, operand) -> int:
+    def _reader(self, operand) -> Callable[[], int]:
+        regs = self.regs
         if isinstance(operand, Reg):
-            return self.regs[operand.n]
+            n = operand.n
+            return lambda: regs[n]
         if isinstance(operand, Imm):
-            return to_unsigned(operand.value)
+            value = to_unsigned(operand.value)
+            return lambda: value
+        if not isinstance(operand, (Abs, Ind, AutoInc, AutoDec)):
+            raise BaselineError(f"cannot read operand {operand!r}")
+        memory = self.memory
+        load = memory.load_byte if operand.size == 1 else memory.load_word
         if isinstance(operand, Abs):
-            return self._load(operand.address, operand.size)
+            address = to_unsigned(operand.address)
+            return lambda: load(address)
         if isinstance(operand, Ind):
-            return self._load(self.regs[operand.reg] + operand.disp, operand.size)
+            reg, disp = operand.reg, operand.disp
+            return lambda: load((regs[reg] + disp) & MASK32)
+        reg, size = operand.reg, operand.size
         if isinstance(operand, AutoInc):
-            address = self.regs[operand.reg]
-            value = self._load(address, operand.size)
-            self.regs[operand.reg] = to_unsigned(address + operand.size)
-            return value
-        if isinstance(operand, AutoDec):
-            self.regs[operand.reg] = to_unsigned(self.regs[operand.reg] - operand.size)
-            return self._load(self.regs[operand.reg], operand.size)
-        raise BaselineError(f"cannot read operand {operand!r}")
+            def read_autoinc() -> int:
+                address = regs[reg]
+                value = load(address & MASK32)
+                regs[reg] = (address + size) & MASK32
+                return value
+            return read_autoinc
 
-    def write(self, operand, value: int) -> None:
-        value = to_unsigned(value)
+        def read_autodec() -> int:
+            address = regs[reg] = (regs[reg] - size) & MASK32
+            return load(address)
+        return read_autodec
+
+    def _writer(self, operand) -> Callable[[int], None]:
+        regs = self.regs
         if isinstance(operand, Reg):
-            self.regs[operand.n] = value
-        elif isinstance(operand, Abs):
-            self._store(operand.address, operand.size, value)
-        elif isinstance(operand, Ind):
-            self._store(self.regs[operand.reg] + operand.disp, operand.size, value)
-        elif isinstance(operand, AutoInc):
-            address = self.regs[operand.reg]
-            self._store(address, operand.size, value)
-            self.regs[operand.reg] = to_unsigned(address + operand.size)
-        elif isinstance(operand, AutoDec):
-            self.regs[operand.reg] = to_unsigned(self.regs[operand.reg] - operand.size)
-            self._store(self.regs[operand.reg], operand.size, value)
-        else:
-            raise BaselineError(f"cannot write operand {operand!r}")
+            n = operand.n
 
-    def address_of(self, operand) -> int:
+            def write_reg(value: int) -> None:
+                regs[n] = value & MASK32
+            return write_reg
+        if not isinstance(operand, (Abs, Ind, AutoInc, AutoDec)):
+            raise BaselineError(f"cannot write operand {operand!r}")
+        memory = self.memory
+        store = memory.store_byte if operand.size == 1 else memory.store_word
         if isinstance(operand, Abs):
-            return operand.address
+            address = to_unsigned(operand.address)
+            return lambda value: store(address, value & MASK32)
         if isinstance(operand, Ind):
-            return to_unsigned(self.regs[operand.reg] + operand.disp)
+            reg, disp = operand.reg, operand.disp
+            return lambda value: store((regs[reg] + disp) & MASK32, value & MASK32)
+        reg, size = operand.reg, operand.size
+        if isinstance(operand, AutoInc):
+            def write_autoinc(value: int) -> None:
+                address = regs[reg]
+                store(address & MASK32, value & MASK32)
+                regs[reg] = (address + size) & MASK32
+            return write_autoinc
+
+        def write_autodec(value: int) -> None:
+            address = regs[reg] = (regs[reg] - size) & MASK32
+            store(address, value & MASK32)
+        return write_autodec
+
+    def _addresser(self, operand) -> Callable[[], int]:
+        if isinstance(operand, Abs):
+            address = operand.address
+            return lambda: address
+        if isinstance(operand, Ind):
+            regs, reg, disp = self.regs, operand.reg, operand.disp
+            return lambda: (regs[reg] + disp) & MASK32
         raise BaselineError(f"operand {operand!r} has no address")
 
-    def _load(self, address: int, size: int) -> int:
-        if size == 1:
-            return self.memory.load_byte(to_unsigned(address))
-        return self.memory.load_word(to_unsigned(address))
+    def _decode(self, inst: CInst, nxt: int | None) -> Callable[[], int | None]:
+        """Compile *inst* into a closure that executes it once.
 
-    def _store(self, address: int, size: int, value: int) -> None:
-        if size == 1:
-            self.memory.store_byte(to_unsigned(address), value)
-        else:
-            self.memory.store_word(to_unsigned(address), value)
+        The closure returns the next pc: *nxt* after a straight-line
+        instruction, the target of a taken transfer, and for RTS the
+        popped return address (the halt sentinel when the entry routine
+        returns).  An unknown relop or label raises only when the
+        instruction executes.
+        """
+        op = inst.op
+        operands = inst.operands
+        regs = self.regs
+        load_word, store_word = self.memory.load_word, self.memory.store_word
+
+        if op is CiscOp.MOV or op is CiscOp.LEA or op in _ALU:
+            dst = operands[0]
+            if op is CiscOp.MOV:
+                source = self._reader(operands[1])
+            elif op is CiscOp.LEA:
+                source = self._addresser(operands[1])
+            else:
+                alu, read_src = _ALU[op], self._reader(operands[1])
+                if isinstance(dst, Reg):
+                    d = dst.n
+
+                    def alu_reg() -> int | None:
+                        regs[d] = alu(regs[d], read_src()) & MASK32
+                        return nxt
+                    return alu_reg
+                read_dst = self._reader(dst)
+
+                def source() -> int:
+                    return alu(read_dst(), read_src())
+            if isinstance(dst, Reg):
+                d = dst.n
+
+                def move_reg() -> int | None:
+                    regs[d] = source() & MASK32
+                    return nxt
+                return move_reg
+            write = self._writer(dst)
+
+            def move() -> int | None:
+                write(source())
+                return nxt
+            return move
+
+        if op is CiscOp.CMP or op is CiscOp.TST:
+            read_a = self._reader(operands[0])
+            read_b = self._reader(operands[1]) if op is CiscOp.CMP else (lambda: 0)
+
+            def compare() -> int | None:
+                self.last_cmp = (to_signed(read_a()), to_signed(read_b()))
+                return nxt
+            return compare
+
+        if op in _UNARY or op is CiscOp.CLR:
+            write = self._writer(operands[0])
+            if op is CiscOp.CLR:
+                def clear() -> int | None:
+                    write(0)
+                    return nxt
+                return clear
+            unary, read = _UNARY[op], self._reader(operands[0])
+
+            def update() -> int | None:
+                write(unary(read()))
+                return nxt
+            return update
+
+        if op is CiscOp.PUSH:
+            read = self._reader(operands[0])
+
+            def push() -> int | None:
+                sp = regs[SP] = (regs[SP] - WORD) & MASK32
+                store_word(sp, read())
+                return nxt
+            return push
+
+        if op is CiscOp.POP:
+            write = self._writer(operands[0])
+
+            def pop() -> int | None:
+                write(load_word(regs[SP]))
+                regs[SP] = (regs[SP] + WORD) & MASK32
+                return nxt
+            return pop
+
+        if op is CiscOp.SAVE:
+            saved = inst.regs
+
+            def save() -> int | None:
+                for reg in saved:
+                    sp = regs[SP] = (regs[SP] - WORD) & MASK32
+                    store_word(sp, regs[reg])
+                return nxt
+            return save
+
+        if op is CiscOp.RESTORE:
+            restored = tuple(reversed(inst.regs))
+
+            def restore() -> int | None:
+                for reg in restored:
+                    regs[reg] = load_word(regs[SP])
+                    regs[SP] = (regs[SP] + WORD) & MASK32
+                return nxt
+            return restore
+
+        if op is CiscOp.RTS:
+            def rts() -> int:
+                sp = regs[SP] = (regs[SP] + WORD) & MASK32
+                return to_signed(load_word(sp - WORD))
+            return rts
+
+        labels = self.program.labels
+        name = inst.target
+        target = labels.get(name)
+
+        if op is CiscOp.BRA:
+            def branch() -> int:
+                return labels[name] if target is None else target
+            return branch
+
+        if op is CiscOp.BCC:
+            test = _relop_test(inst.relop)
+
+            def branch_if() -> int | None:
+                if test(*self.last_cmp):
+                    return labels[name] if target is None else target
+                return nxt
+            return branch_if
+
+        if op is CiscOp.JSR:
+            def call() -> int:
+                sp = regs[SP] = (regs[SP] - WORD) & MASK32
+                store_word(sp, nxt)
+                return labels[name] if target is None else target
+            return call
+
+        raise BaselineError(f"unimplemented {op!r}")  # pragma: no cover
+
+    # -- single-shot access ----------------------------------------------------
+
+    def read(self, operand) -> int:
+        return self._reader(operand)()
+
+    def write(self, operand, value: int) -> None:
+        self._writer(operand)(value)
+
+    def address_of(self, operand) -> int:
+        return self._addresser(operand)()
+
+    def _execute(self, inst: CInst) -> int | None:
+        """Execute one non-transfer instruction: RTS's return address, else None."""
+        return self._decode(inst, None)()
+
+    def _cond(self, relop: str) -> bool:
+        return _relop_test(relop)(*self.last_cmp)
 
     # -- execution -------------------------------------------------------------
 
     def run(self, entry: str | None = None, max_steps: int = 50_000_000) -> int:
         """Run from *entry* until its RTS; returns r0 (signed).
 
-        Pricing is a pure function of the static instruction, so each
-        one is priced once per run: per-pc cycle and fetch-byte tables,
-        plus branch and JSR labels resolved to indices.  An unknown
-        label still raises only when its instruction executes.
+        Every static instruction is priced and decoded once per run, and
+        each step adds one to its pc's count; the counts are priced when
+        the run ends, however it ends, so the counters cover exactly the
+        steps taken, a faulting step included.
         """
         program = self.program
         instructions = program.instructions
-        labels = program.labels
-        traits = self.traits
-        cycle_table = [traits.cycles(inst) for inst in instructions]
-        byte_table = [traits.bytes(inst) for inst in instructions]
-        targets = [labels.get(inst.target) for inst in instructions]
+        cycle_table, byte_table = _price_tables(instructions, self.traits)
+        code = []
+        for pc, inst in enumerate(instructions):
+            decoded = self._decode(inst, pc + 1)
+            code.append(_halting(decoded) if inst.op is CiscOp.RTS else decoded)
         regs = self.regs
-        memory = self.memory
-        bra, bcc, jsr = CiscOp.BRA, CiscOp.BCC, CiscOp.JSR
-        pc = labels[entry or program.entry]
+        pc = program.labels[entry or program.entry]
         # push the halt sentinel as the return "address"
         regs[SP] -= WORD
-        memory.store_word(regs[SP], to_unsigned(_HALT_SENTINEL), count=False)
-        steps = cycles = fetch_bytes = 0
+        self.memory.store_word(regs[SP], to_unsigned(_HALT_SENTINEL), count=False)
+        counts = [0] * len(code)
+        step = -1
         try:
-            while True:
-                if steps >= max_steps:
-                    raise BaselineError(f"step limit {max_steps} exceeded")
-                steps += 1
-                inst = instructions[pc]
-                cycles += cycle_table[pc]
-                fetch_bytes += byte_table[pc]
-                op = inst.op
-                if op is bra or op is bcc or op is jsr:
-                    if op is bcc and not self._cond(inst.relop):
-                        pc += 1
-                        continue
-                    if op is jsr:
-                        regs[SP] = to_unsigned(regs[SP] - WORD)
-                        memory.store_word(regs[SP], to_unsigned(pc + 1))
-                    target = targets[pc]
-                    pc = labels[inst.target] if target is None else target
-                    continue
-                jump = self._execute(inst)
-                if jump is None:
-                    pc += 1
-                elif jump == _HALT_SENTINEL:
-                    return to_signed(regs[RESULT_REG])
-                else:
-                    pc = jump
+            for step in range(max_steps):
+                counts[pc] += 1
+                pc = code[pc]()
+            raise BaselineError(f"step limit {max_steps} exceeded")
+        except _Halt:
+            return to_signed(regs[RESULT_REG])
         finally:
-            self.instructions_executed += steps
-            self.cycles += cycles
-            self.fetch_bytes += fetch_bytes
+            self.instructions_executed += step + 1
+            self.counts = list(map(operator.add, self.counts, counts))
+            self.cycles += _dot(counts, cycle_table)
+            self.fetch_bytes += _dot(counts, byte_table)
 
-    def _execute(self, inst: CInst) -> int | None:
-        op = inst.op
-        if op is CiscOp.MOV:
-            self.write(inst.operands[0], self.read(inst.operands[1]))
-        elif op is CiscOp.LEA:
-            self.write(inst.operands[0], self.address_of(inst.operands[1]))
-        elif op in TWO_OPERAND_ALU:
-            dst, src = inst.operands
-            self.write(dst, self._alu(op, self.read(dst), self.read(src)))
-        elif op is CiscOp.NEG:
-            self.write(inst.operands[0], -to_signed(self.read(inst.operands[0])))
-        elif op is CiscOp.NOT:
-            self.write(inst.operands[0], ~self.read(inst.operands[0]))
-        elif op is CiscOp.CLR:
-            self.write(inst.operands[0], 0)
-        elif op is CiscOp.CMP:
-            self.last_cmp = (
-                to_signed(self.read(inst.operands[0])),
-                to_signed(self.read(inst.operands[1])),
-            )
-        elif op is CiscOp.TST:
-            self.last_cmp = (to_signed(self.read(inst.operands[0])), 0)
-        elif op is CiscOp.RTS:
-            self.regs[SP] = to_unsigned(self.regs[SP] + WORD)
-            return to_signed(self.memory.load_word(self.regs[SP] - WORD))
-        elif op is CiscOp.PUSH:
-            self.regs[SP] = to_unsigned(self.regs[SP] - WORD)
-            self.memory.store_word(self.regs[SP], self.read(inst.operands[0]))
-        elif op is CiscOp.POP:
-            self.write(inst.operands[0], self.memory.load_word(self.regs[SP]))
-            self.regs[SP] = to_unsigned(self.regs[SP] + WORD)
-        elif op is CiscOp.SAVE:
-            for reg in inst.regs:
-                self.regs[SP] = to_unsigned(self.regs[SP] - WORD)
-                self.memory.store_word(self.regs[SP], self.regs[reg])
-        elif op is CiscOp.RESTORE:
-            for reg in reversed(inst.regs):
-                self.regs[reg] = self.memory.load_word(self.regs[SP])
-                self.regs[SP] = to_unsigned(self.regs[SP] + WORD)
-        else:  # pragma: no cover
-            raise BaselineError(f"unimplemented {op!r}")
-        return None
+    def price(self, traits: MachineTraits) -> tuple[int, int]:
+        """``(cycles, fetch_bytes)`` of every counted step under *traits*.
 
-    def _alu(self, op: CiscOp, dst: int, src: int) -> int:
-        a = to_signed(dst)
-        b = to_signed(src)
-        if op is CiscOp.ADD:
-            return a + b
-        if op is CiscOp.SUB:
-            return a - b
-        if op is CiscOp.MUL:
-            return a * b
-        if op is CiscOp.DIV:
-            if b == 0:
-                raise BaselineError("division by zero")
-            quotient = abs(a) // abs(b)
-            return -quotient if (a < 0) != (b < 0) else quotient
-        if op is CiscOp.MOD:
-            if b == 0:
-                raise BaselineError("division by zero")
-            quotient = abs(a) // abs(b)
-            quotient = -quotient if (a < 0) != (b < 0) else quotient
-            return a - quotient * b
-        if op is CiscOp.AND:
-            return to_unsigned(a) & to_unsigned(b)
-        if op is CiscOp.OR:
-            return to_unsigned(a) | to_unsigned(b)
-        if op is CiscOp.XOR:
-            return to_unsigned(a) ^ to_unsigned(b)
-        if op is CiscOp.ASL:
-            return a << (b & 31)
-        if op is CiscOp.ASR:
-            return a >> (b & 31)
-        if op is CiscOp.LSR:
-            return to_unsigned(a) >> (b & 31)
-        raise BaselineError(f"not an ALU op {op!r}")  # pragma: no cover
+        Execution does not depend on the traits, so machines whose
+        programs are equal run the same steps, and one run prices them
+        all.  ``price(self.traits)`` is ``(self.cycles, self.fetch_bytes)``.
+        """
+        cycle_table, byte_table = _price_tables(self.program.instructions, traits)
+        return _dot(self.counts, cycle_table), _dot(self.counts, byte_table)
 
-    def _cond(self, relop: str) -> bool:
-        test = _RELOPS.get(relop)
-        if test is None:
-            raise BaselineError(f"unknown relop {relop!r}")
-        return test(*self.last_cmp)
 
+def run_distinct(machines) -> list[tuple[MachineTraits, int, CiscExecutor]]:
+    """Run each distinct program among *machines* once.
+
+    *machines* is a sequence of ``(traits, program)`` pairs.  Returns one
+    ``(traits, result, executor)`` triple per pair, in order.  Pairs whose
+    programs are equal share the executor that ran the first of them, so
+    price each machine with ``executor.price(traits)``.
+    """
+    runs: list[tuple[CiscProgram, int, CiscExecutor]] = []
+    priced = []
+    for traits, program in machines:
+        for seen, result, executor in runs:
+            if seen == program:
+                break
+        else:
+            executor = CiscExecutor(program, traits)
+            result = executor.run()
+            runs.append((program, result, executor))
+        priced.append((traits, result, executor))
+    return priced

@@ -4,13 +4,19 @@ T4 (code size), T5 (execution time), T6 (window overflow) and the
 ablations all need the same expensive artifact: every benchmark compiled
 and executed on RISC I and on the four baseline models.  This module
 computes those records once per process and caches them.
+
+The baselines share one run per distinct program: the four machines'
+generated programs are grouped by equality, each group's program runs
+once, and the run's per-pc counts are priced for every machine in the
+group.  So the result, instruction count and data references are shared
+within a group, while cycles and code size stay per machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines import ALL_TRAITS, CiscExecutor, MachineTraits
+from repro.baselines import ALL_TRAITS, run_distinct
 from repro.cc import compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
 from repro.cpu.machine import CYCLE_TIME_NS
@@ -78,9 +84,8 @@ def run_benchmark_matrix(
         bench = benchmark(name)
         records[(name, RISC_NAME)] = _run_risc(bench)
         if include_baselines:
-            ir = compile_to_ir(bench.source)
-            for traits in ALL_TRAITS:
-                records[(name, traits.name)] = _run_cisc(bench, ir, traits)
+            for record in _run_cisc(bench):
+                records[(name, record.machine)] = record
     _CACHE[key] = records
     return records
 
@@ -107,20 +112,26 @@ def _run_risc(bench: Benchmark) -> BenchmarkRecord:
     )
 
 
-def _run_cisc(bench: Benchmark, ir, traits: MachineTraits) -> BenchmarkRecord:
-    generated = compile_for_cisc(ir, traits)
-    executor = CiscExecutor(generated.program, traits)
-    value = executor.run()
-    return BenchmarkRecord(
-        benchmark=bench.name,
-        machine=traits.name,
-        cycle_time_ns=traits.cycle_time_ns,
-        result=value,
-        code_bytes=generated.static_bytes,
-        instructions=executor.instructions_executed,
-        cycles=executor.cycles,
-        data_refs=executor.memory.stats.data_refs,
-    )
+def _run_cisc(bench: Benchmark) -> list[BenchmarkRecord]:
+    """One record per baseline machine, in :data:`ALL_TRAITS` order."""
+    ir = compile_to_ir(bench.source)
+    generated = [compile_for_cisc(ir, traits) for traits in ALL_TRAITS]
+    runs = run_distinct([(traits, gen.program)
+                         for traits, gen in zip(ALL_TRAITS, generated)])
+    records = []
+    for gen, (traits, value, executor) in zip(generated, runs):
+        cycles, __ = executor.price(traits)
+        records.append(BenchmarkRecord(
+            benchmark=bench.name,
+            machine=traits.name,
+            cycle_time_ns=traits.cycle_time_ns,
+            result=value,
+            code_bytes=gen.static_bytes,
+            instructions=executor.instructions_executed,
+            cycles=cycles,
+            data_refs=executor.memory.stats.data_refs,
+        ))
+    return records
 
 
 def machine_names(include_baselines: bool = True) -> list[str]:

@@ -11,7 +11,7 @@ windows remove.
 
 from __future__ import annotations
 
-from repro.baselines import ALL_TRAITS, CiscExecutor
+from repro.baselines import ALL_TRAITS, run_distinct
 from repro.cc import compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
 from repro.evaluation.tables import Table
@@ -52,11 +52,14 @@ def _measure_risc(source: str) -> tuple[int, int]:
     return machine.stats.instructions, machine.memory.stats.data_refs
 
 
-def _measure_cisc(traits, source: str) -> tuple[int, int]:
-    generated = compile_for_cisc(compile_to_ir(source), traits)
-    executor = CiscExecutor(generated.program, traits)
-    executor.run()
-    return executor.instructions_executed, executor.memory.stats.data_refs
+def _measure_cisc(source: str) -> dict[str, tuple[int, int]]:
+    """Per machine: (instructions, data refs), one run per distinct program."""
+    ir = compile_to_ir(source)
+    runs = run_distinct([(traits, compile_for_cisc(ir, traits).program)
+                         for traits in ALL_TRAITS])
+    return {traits.name: (executor.instructions_executed,
+                          executor.memory.stats.data_refs)
+            for traits, __, executor in runs}
 
 
 def run(calls: int = CALLS) -> Table:
@@ -74,9 +77,10 @@ def run(calls: int = CALLS) -> Table:
     base_instr, base_refs = _measure_risc(without_src)
     table.add_row("RISC I", (with_instr - base_instr) / calls,
                   (with_refs - base_refs) / calls)
+    with_cisc, base_cisc = _measure_cisc(with_src), _measure_cisc(without_src)
     for traits in ALL_TRAITS:
-        with_instr, with_refs = _measure_cisc(traits, with_src)
-        base_instr, base_refs = _measure_cisc(traits, without_src)
+        with_instr, with_refs = with_cisc[traits.name]
+        base_instr, base_refs = base_cisc[traits.name]
         table.add_row(traits.name, (with_instr - base_instr) / calls,
                       (with_refs - base_refs) / calls)
     return table

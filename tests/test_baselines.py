@@ -18,9 +18,10 @@ from repro.baselines import (
     Reg,
     VaxTraits,
     Z8002Traits,
+    run_distinct,
 )
 from repro.baselines.framework import FP, SP
-from repro.errors import BaselineError
+from repro.errors import BaselineError, MemoryFaultError
 
 
 def run_instructions(instructions, traits=None, data=()):
@@ -188,6 +189,86 @@ class TestExecutor:
             data=[(0x400, (123).to_bytes(4, "big"))],
         )
         assert value == 123
+
+
+class TestCountsAndPricing:
+    """``run`` counts steps per pc and prices the counts when it ends."""
+
+    @staticmethod
+    def countdown_program():
+        return CiscProgram(
+            instructions=[
+                CInst(CiscOp.MOV, (Reg(1), Imm(3))),
+                CInst(CiscOp.MOV, (Reg(0), Imm(1))),
+                CInst(CiscOp.MUL, (Reg(0), Imm(5)), label="loop"),
+                CInst(CiscOp.SUB, (Reg(1), Imm(1))),
+                CInst(CiscOp.TST, (Reg(1),)),
+                CInst(CiscOp.BCC, target="loop", relop="!="),
+                CInst(CiscOp.RTS),
+            ],
+            labels={"main": 0, "loop": 2},
+        )
+
+    def test_one_run_prices_another_machine(self):
+        vax = CiscExecutor(self.countdown_program(), VaxTraits())
+        z8k = CiscExecutor(self.countdown_program(), Z8002Traits())
+        assert vax.run() == z8k.run() == 125
+        assert vax.counts == z8k.counts == [1, 1, 3, 3, 3, 3, 1]
+        assert vax.price(VaxTraits()) == (vax.cycles, vax.fetch_bytes)
+        assert vax.price(Z8002Traits()) == (z8k.cycles, z8k.fetch_bytes)
+        assert vax.cycles != z8k.cycles  # MUL is priced differently
+
+    def test_fault_mid_run_counts_the_steps_taken(self):
+        program = CiscProgram(
+            instructions=[
+                CInst(CiscOp.MOV, (Reg(0), Imm(1))),
+                CInst(CiscOp.ADD, (Reg(0), Imm(300))),
+                CInst(CiscOp.MOV, (Reg(1), Abs(0x7FFFFFF0))),
+                CInst(CiscOp.RTS),
+            ],
+            labels={"main": 0},
+        )
+        traits = M68KTraits()
+        executor = CiscExecutor(program, traits)
+        with pytest.raises(MemoryFaultError) as fault:
+            executor.run()
+        assert fault.value.kind == "out_of_range"
+        taken = program.instructions[:3]  # the faulting MOV included
+        assert executor.instructions_executed == 3
+        assert executor.counts == [1, 1, 1, 0]
+        assert executor.cycles == sum(traits.cycles(inst) for inst in taken)
+        assert executor.fetch_bytes == sum(traits.bytes(inst) for inst in taken)
+
+    def test_auto_modes_as_alu_destination_apply_both_side_effects(self):
+        # The destination is read, then written: (r1)+ loads at r1 and
+        # stores at r1 + 4; -(r2) loads at r2 - 4 and stores at r2 - 8.
+        instructions = [
+            CInst(CiscOp.MOV, (Reg(1), Imm(0x600))),
+            CInst(CiscOp.MOV, (Abs(0x600), Imm(5))),
+            CInst(CiscOp.ADD, (AutoInc(1), Imm(1))),
+            CInst(CiscOp.MOV, (Reg(2), Imm(0x608))),
+            CInst(CiscOp.SUB, (AutoDec(2), Imm(2))),
+        ]
+        __, executor = run_instructions(instructions + [CInst(CiscOp.RTS)])
+        single = CiscExecutor(CiscProgram(), VaxTraits())
+        for inst in instructions:
+            assert single._execute(inst) is None
+        for state in (executor, single):
+            assert state.regs[1] == 0x608 and state.regs[2] == 0x600
+            words = [state.memory.load_word(a, count=False) for a in (0x600, 0x604)]
+            assert words == [4, 6]
+
+    def test_run_distinct_runs_each_program_once(self):
+        machines = [(VaxTraits(), self.countdown_program()),
+                    (Pdp11Traits(), CiscProgram(
+                        instructions=[CInst(CiscOp.MOV, (Reg(0), Imm(9))),
+                                      CInst(CiscOp.RTS)],
+                        labels={"main": 0})),
+                    (Z8002Traits(), self.countdown_program())]
+        runs = run_distinct(machines)
+        assert [traits for traits, __, __ in runs] == [t for t, __ in machines]
+        assert [value for __, value, __ in runs] == [125, 9, 125]
+        assert runs[0][2] is runs[2][2] and runs[1][2] is not runs[0][2]
 
 
 class TestTraits:

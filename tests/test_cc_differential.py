@@ -3,15 +3,18 @@
 The core correctness property of the whole reproduction: a Mini-C
 program produces the same result through the reference interpreter, the
 compiled RISC I image (with and without windows / delay-slot filling,
-on the reference oracle and on ``CompiledRisc.run``'s default tier), and the generic-CISC images for all four baseline machines.  Hypothesis
-generates random straight-line programs on top of the curated cases.
+on the reference oracle and on ``CompiledRisc.run``'s default tier), and
+the generic-CISC images for all four baseline machines, each run
+directly and through the priced-once path (one run per distinct
+program, priced per machine).  Hypothesis generates random
+straight-line programs on top of the curated cases.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import ALL_TRAITS, CiscExecutor
+from repro.baselines import ALL_TRAITS, CiscExecutor, run_distinct
 from repro.cc import compile_for_risc, compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
 from repro.hll import run_program
@@ -51,12 +54,24 @@ def all_targets(source: str) -> dict[str, int]:
                                         optimize_delay_slots=optimize)
             results[key], __ = compiled.run(engine="reference")
             results[key + "/default"], __ = compiled.run()
-    ir = compile_to_ir(source)
-    for traits in ALL_TRAITS:
-        generated = compile_for_cisc(ir, traits)
-        executor = CiscExecutor(generated.program, traits)
-        results[traits.name] = executor.run()
+    for name, (value, __) in baseline_runs(source).items():
+        results[name] = value
     return results
+
+
+def baseline_runs(source: str) -> dict[str, tuple[int, int]]:
+    """(result, cycles) per baseline: a direct run of every machine, and
+    the priced-once path that runs each distinct program once."""
+    ir = compile_to_ir(source)
+    machines = [(traits, compile_for_cisc(ir, traits).program)
+                for traits in ALL_TRAITS]
+    runs = {}
+    for traits, program in machines:
+        executor = CiscExecutor(program, traits)
+        runs[traits.name] = executor.run(), executor.cycles
+    for traits, value, executor in run_distinct(machines):
+        runs[traits.name + "/priced-once"] = value, executor.price(traits)[0]
+    return runs
 
 
 @pytest.mark.parametrize("source", CASES, ids=range(len(CASES)))
@@ -116,13 +131,13 @@ def test_random_programs_interp_vs_risc(source):
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
-def test_random_programs_interp_vs_vax_model(source):
-    from repro.baselines import VaxTraits
-
+def test_random_programs_interp_vs_every_baseline(source):
     expected = run_program(source, max_ops=5_000_000).value
-    generated = compile_for_cisc(compile_to_ir(source), VaxTraits())
-    executor = CiscExecutor(generated.program, VaxTraits())
-    assert executor.run() == expected, source
+    runs = baseline_runs(source)
+    for traits in ALL_TRAITS:
+        direct = runs[traits.name]
+        assert direct[0] == expected, (traits.name, source)
+        assert runs[traits.name + "/priced-once"] == direct, (traits.name, source)
 
 
 @settings(max_examples=10, deadline=None,

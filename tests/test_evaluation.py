@@ -6,6 +6,9 @@ benchmark subset and check the *shape* claims each experiment makes.
 
 import pytest
 
+from repro.baselines import ALL_TRAITS, CiscExecutor
+from repro.cc import compile_to_ir
+from repro.cc.ciscgen import compile_for_cisc
 from repro.evaluation import Table, run_benchmark_matrix
 from repro.evaluation import (
     ablations,
@@ -22,6 +25,7 @@ from repro.evaluation import (
     t7_chip_area,
 )
 from repro.evaluation.common import FAST_SUBSET, RISC_NAME, VAX_NAME
+from repro.workloads import benchmark
 
 
 class TestTableRendering:
@@ -47,6 +51,23 @@ class TestMatrix:
             values = {records[(name, machine)].result
                       for __, machine in records if __ == name}
             assert len(values) == 1, f"{name}: targets disagree {values}"
+
+    def test_cisc_records_match_direct_per_machine_runs(self):
+        # The matrix runs each distinct program once and prices it per
+        # machine; a direct run of every machine must agree on every field.
+        records = run_benchmark_matrix(FAST_SUBSET)
+        for name in FAST_SUBSET:
+            ir = compile_to_ir(benchmark(name).source)
+            for traits in ALL_TRAITS:
+                generated = compile_for_cisc(ir, traits)
+                executor = CiscExecutor(generated.program, traits)
+                result = executor.run()
+                record = records[(name, traits.name)]
+                assert (record.result, record.instructions, record.cycles,
+                        record.data_refs, record.code_bytes) == (
+                    result, executor.instructions_executed, executor.cycles,
+                    executor.memory.stats.data_refs, generated.static_bytes,
+                ), (name, traits.name)
 
     def test_cache_returns_same_object(self):
         first = run_benchmark_matrix(FAST_SUBSET)
