@@ -15,11 +15,10 @@ Runs the ``towers`` benchmark on every execution engine, captures a
    matches the committed ``ci/manifest_schema.json``, so schema changes
    are deliberate, reviewed diffs rather than silent drift.
 
-It also runs a small two-shard fault campaign and applies the same two
-gates to the **campaign manifest** (v2: ``shards``/``resume``/``events``
-sections): :func:`~repro.telemetry.manifest.validate_campaign_manifest`
-must pass and its key structure must match the schema file's
-``campaign_paths``.
+It also runs a small fault campaign and applies the same two gates to
+the **campaign manifest** (v3):
+:func:`~repro.telemetry.manifest.validate_campaign_manifest` must pass
+and its key structure must match the schema file's ``campaign_paths``.
 
 A third document gets the same treatment: the **composed multicore
 manifest** (``risc1-repro/multicore-manifest/v1``, from
@@ -63,16 +62,14 @@ def capture(engine: str):
 
 
 def capture_campaign() -> dict:
-    """A small two-shard fault campaign's manifest document.
+    """A small fault campaign's manifest document.
 
-    Tiny on purpose (schema shape does not depend on trial count), and
-    sharded so the gate covers real ``shards``/``resume`` sections: two
-    per-shard fingerprints, not the single-shard default.
+    Tiny on purpose: the schema shape does not depend on trial count.
     """
     from repro.faults.campaign import CampaignConfig, run_campaign
 
     config = CampaignConfig(seed=7, injections=6, benchmarks=(WORKLOAD,))
-    return run_campaign(config, shards=2).manifest()
+    return run_campaign(config).manifest()
 
 
 def capture_multicore() -> dict[str, dict]:

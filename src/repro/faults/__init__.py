@@ -17,9 +17,8 @@ three pieces the robustness methodology needs:
 * :mod:`repro.faults.campaign` - golden-vs-faulted differential runs
   over the paper's benchmarks, classifying each injection as masked,
   detected (trapped), silent data corruption, or timeout, with
-  bit-identical reproducibility for a fixed seed.  Every campaign runs
-  one supervised trial loop; :mod:`repro.faults.distributed` adds the
-  optional journal, resume, and sharding around it.
+  bit-identical reproducibility for a fixed seed, in process or on a
+  worker pool.
 
 Checkpoint/rollback itself lives on the machine
 (:meth:`~repro.cpu.machine.RiscMachine.checkpoint`); the campaign runner
@@ -32,11 +31,9 @@ uses delta-tracked snapshots to rewind thousands of times cheaply.
 # double-import warning).
 _EXPORTS = {
     "CampaignConfig": "repro.faults.campaign",
-    "CampaignInterrupted": "repro.faults.campaign",
     "CampaignReport": "repro.faults.campaign",
     "InjectionResult": "repro.faults.campaign",
     "Outcome": "repro.faults.campaign",
-    "TrialTimeoutError": "repro.faults.campaign",
     "run_campaign": "repro.faults.campaign",
     "FaultInjector": "repro.faults.injector",
     "InjectionEvent": "repro.faults.injector",
@@ -46,12 +43,6 @@ _EXPORTS = {
     "FaultTarget": "repro.faults.models",
     "FaultTrigger": "repro.faults.models",
     "random_spec": "repro.faults.models",
-    "JournalError": "repro.faults.distributed",
-    "RetryPolicy": "repro.faults.distributed",
-    "TrialJournal": "repro.faults.distributed",
-    "compose_fingerprints": "repro.faults.distributed",
-    "recover_journal": "repro.faults.distributed",
-    "shard_schedule": "repro.faults.distributed",
 }
 
 
@@ -72,7 +63,6 @@ def __dir__():
 
 __all__ = [
     "CampaignConfig",
-    "CampaignInterrupted",
     "CampaignReport",
     "FaultInjector",
     "FaultKind",
@@ -82,14 +72,7 @@ __all__ = [
     "FaultTrigger",
     "InjectionEvent",
     "InjectionResult",
-    "JournalError",
     "Outcome",
-    "RetryPolicy",
-    "TrialJournal",
-    "TrialTimeoutError",
-    "compose_fingerprints",
     "random_spec",
-    "recover_journal",
     "run_campaign",
-    "shard_schedule",
 ]

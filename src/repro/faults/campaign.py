@@ -18,14 +18,14 @@ TIMEOUT      exceeded the step budget (injected infinite loop);
              caught by the watchdog, never by the host
 CRASH        a Python exception escaped the simulator - always a
              repro bug, and asserted to be zero in CI
-INFRA_ERROR  the *infrastructure* failed the trial (worker death,
-             wall-clock timeout, repeated transient errors); the
-             trial is quarantined so one poisoned trial degrades
-             the report instead of aborting the campaign
+INFRA_ERROR  kept for format compatibility only: no code path
+             produces it, but the rate table's ``infra`` column, the
+             ``infra_error`` summary key and committed baselines
+             still carry it
 ===========  ======================================================
 
 A trial runs in three phases on the fastest scalar tier
-(:func:`_run_trial`).  Until its trigger fires, a faulted run is
+(:func:`_run_injection`).  Until its trigger fires, a faulted run is
 bit-identical to the golden run, so the *prefix* runs unobserved on
 the compiled tier up to the trigger boundary.  The *fault* phase
 attaches the :class:`~repro.faults.injector.FaultInjector` and
@@ -39,25 +39,15 @@ Determinism: all randomness flows through one seeded
 with the same :class:`CampaignConfig` produce byte-identical reports
 (verified by :meth:`CampaignReport.fingerprint`).  That holds for
 parallel runs too: ``--workers N`` (``run_campaign(..., workers=N)``)
-draws the fault schedule before any trial runs, fans the trials out to
-worker processes, and delivers results in schedule order, so the
-fingerprint matches the in-process run bit for bit.
+draws the fault schedule before any trial runs, maps the trials over a
+process pool, and collects results in schedule order, so the
+fingerprint and the manifest match the in-process run bit for bit.
 
 The fingerprint is an **ordered hash-of-hashes**: each injection
 record is canonically serialised and SHA-256 hashed
 (:func:`trial_digest`), and the campaign fingerprint is the SHA-256
 over the concatenated per-trial digests in schedule order
-(:class:`FingerprintStream`).  That construction is what lets sharded
-campaigns (:mod:`repro.faults.distributed`) compose per-shard
-fingerprints back into exactly the whole campaign's fingerprint.
-
-:func:`run_campaign` has one execution path, built from the pieces in
-:mod:`repro.faults.distributed`: the trials run under a supervisor
-(per-trial timeout, retry, worker-pool recovery), ``journal=`` appends
-every completed trial to a crash-safe journal, ``resume=`` replays the
-journal and re-executes only the remainder, and ``shards``/
-``shard_index`` split the schedule deterministically across processes
-or machines.
+(:func:`_fingerprint`).
 
 CLI (used by the CI smoke campaign)::
 
@@ -72,10 +62,7 @@ import argparse
 import enum
 import hashlib
 import json
-import math
 import random
-import sys
-import time
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -96,18 +83,14 @@ DEFAULT_BENCHMARKS = ("towers", "ackermann")
 #: software stack of every benchmark live there.
 MEMORY_FAULT_TOP = 1 << 16
 
-#: Default per-trial wall-clock budget (seconds).  A healthy trial
-#: finishes in well under a second; 60 s only fires when the host
-#: itself is wedged.
-DEFAULT_TRIAL_TIMEOUT_S = 60.0
-
-#: How often (in steps) the trial loop consults the wall clock when a
-#: deadline is armed; mirrors the step-granular watchdogs on ``run()``.
-_DEADLINE_CHECK_MASK = 0x3FF
-
 
 class Outcome(enum.Enum):
-    """How one injected fault manifested (the campaign taxonomy)."""
+    """How one injected fault manifested (the campaign taxonomy).
+
+    ``INFRA_ERROR`` has no producer: it stays so the rate table, the
+    summary's ``infra_error`` key and the baselines that pin them keep
+    their format.
+    """
 
     MASKED = "masked"
     DETECTED = "detected"
@@ -115,41 +98,6 @@ class Outcome(enum.Enum):
     TIMEOUT = "timeout"
     CRASH = "crash"
     INFRA_ERROR = "infra_error"
-
-
-class TrialTimeoutError(RuntimeError):
-    """A trial exceeded its wall-clock budget (host-side watchdog).
-
-    Raised from inside the trial step loop when a ``deadline`` is armed
-    (see :func:`_run_injection`); the supervisor treats it as a
-    transient infrastructure failure - retried with backoff, then
-    quarantined as :attr:`Outcome.INFRA_ERROR`.
-    """
-
-
-class CampaignInterrupted(KeyboardInterrupt):
-    """Ctrl-C during a campaign, after the pool/journal were shut down.
-
-    Subclasses :class:`KeyboardInterrupt` so callers that already
-    handle Ctrl-C keep working; carries enough context to print a
-    resume command instead of a traceback.
-    """
-
-    def __init__(self, *, completed: int, total: int, journal: str | None):
-        self.completed = completed
-        self.total = total
-        self.journal = journal
-        super().__init__(self.describe())
-
-    def describe(self) -> str:
-        """Human-readable interruption summary with the resume hint."""
-        head = f"campaign interrupted at {self.completed}/{self.total} trials"
-        if self.journal:
-            return (
-                f"{head}; journal flushed - resume with "
-                f"--resume {self.journal}"
-            )
-        return f"{head}; no journal was kept, completed trials are lost"
 
 
 @dataclass(frozen=True)
@@ -187,8 +135,7 @@ class Trial:
     """One schedulable unit: a fault spec bound to its golden run.
 
     Attributes:
-        index: 0-based position in the canonical schedule; doubles as
-            the trial's identity in journals and shards.
+        index: 0-based position in the canonical schedule.
         golden: the reference run of the trial's benchmark.
         spec: the fault to inject.
         budget: dynamic-instruction budget for the faulted replay.
@@ -225,24 +172,12 @@ def config_dict(config: CampaignConfig) -> dict:
     }
 
 
-def config_digest(config: CampaignConfig) -> str:
-    """SHA-256 over the canonical config; equal <=> same campaign.
-
-    Journals store this digest so a ``--resume`` against a journal
-    written by a *different* campaign fails loudly instead of silently
-    merging incompatible trial streams.
-    """
-    payload = json.dumps(config_dict(config), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
 def injection_record(result: InjectionResult) -> dict:
     """The canonical JSON record of one injection (fingerprint unit).
 
     Field set and value encodings are part of the byte-identity
-    contract: journals persist these records verbatim and the campaign
-    fingerprint hashes them, so any change here invalidates committed
-    baselines (``ci/fault_baseline.json``).
+    contract: the campaign fingerprint hashes them, so any change here
+    invalidates committed baselines (``ci/fault_baseline.json``).
     """
     spec = result.spec
     return {
@@ -266,63 +201,23 @@ def trial_digest(record: dict) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-class FingerprintStream:
-    """Ordered hash-of-hashes accumulator for campaign fingerprints.
-
-    Feed per-trial digests (:func:`trial_digest`) in schedule order;
-    :meth:`hexdigest` is then the campaign fingerprint.  The outer hash
-    consumes only the fixed-size trial digests, so a shard's
-    contribution is exactly its ordered digest sequence - which is how
-    :func:`repro.faults.distributed.compose_fingerprints` rebuilds the
-    whole campaign's fingerprint from per-shard journals.
-    """
-
-    def __init__(self) -> None:
-        self._outer = hashlib.sha256()
-        self.count = 0
-
-    def add(self, digest: str) -> None:
-        """Fold one per-trial digest into the stream."""
-        self._outer.update(digest.encode())
-        self.count += 1
-
-    def add_record(self, record: dict) -> str:
-        """Hash *record* and fold it; returns the per-trial digest."""
-        digest = trial_digest(record)
-        self.add(digest)
-        return digest
-
-    def hexdigest(self) -> str:
-        """The fingerprint over everything folded so far."""
-        return self._outer.hexdigest()
-
-
 def _fingerprint(results) -> str:
-    """Ordered hash-of-hashes over *results*' canonical records."""
-    stream = FingerprintStream()
+    """Ordered hash-of-hashes over *results*' canonical records: SHA-256
+    over the concatenated per-trial digests, in schedule order."""
+    outer = hashlib.sha256()
     for result in results:
-        stream.add_record(injection_record(result))
-    return stream.hexdigest()
+        outer.update(trial_digest(injection_record(result)).encode())
+    return outer.hexdigest()
 
 
 @dataclass
 class CampaignReport:
-    """The injections of one campaign (or one shard of it) in schedule
-    order, plus the golden references."""
+    """The injections of one campaign in schedule order, plus the golden
+    references."""
 
     config: CampaignConfig
     golden: dict[str, GoldenRun]
     results: list[InjectionResult] = field(default_factory=list)
-    #: shard count of the schedule partition
-    n_shards: int = 1
-    #: ``[start, stop)`` trial-index range of every shard this report
-    #: covers (just one when a single shard ran); empty means the whole
-    #: campaign as one shard
-    bounds: tuple[tuple[int, int], ...] = ()
-    #: operational counters of the run (the manifest's ``resume``
-    #: section): ``resumed_trials``, ``executed_trials``, ``retries``,
-    #: ``timeouts``, ``infra_errors``, ``pool_restarts``
-    resume_info: dict = field(default_factory=dict)
 
     def add(self, index: int, result: InjectionResult) -> None:
         """Append the result of trial *index*.
@@ -331,7 +226,7 @@ class CampaignReport:
         report expects: an out-of-order append would silently change
         the fingerprint, so it is never allowed.
         """
-        expected = (self.bounds[0][0] if self.bounds else 0) + len(self.results)
+        expected = len(self.results)
         if index != expected:
             raise ValueError(
                 f"campaign results are ordered: expected trial {expected}, "
@@ -404,11 +299,9 @@ class CampaignReport:
     def fingerprint(self) -> str:
         """Ordered hash-of-hashes over every injection record.
 
-        Equal <=> bit-identical campaigns.  The construction (SHA-256
-        over concatenated per-trial SHA-256 digests, in schedule order)
-        is what sharding composes, so a resumed, sharded, or worker-pool
-        campaign that executed the same trials reports the identical
-        fingerprint.
+        Equal <=> bit-identical campaigns: SHA-256 over the concatenated
+        per-trial SHA-256 digests, in schedule order, so a worker-pool
+        campaign reports the in-process run's fingerprint.
         """
         return _fingerprint(self.results)
 
@@ -428,42 +321,18 @@ class CampaignReport:
             "fingerprint": self.fingerprint(),
         }
 
-    def shards_section(self) -> dict:
-        """The manifest's ``shards`` section (count/sizes/fingerprints)."""
-        bounds = self.bounds or ((0, len(self.results)),)
-        first = bounds[0][0]
-        slices = [self.results[start - first:stop - first]
-                  for start, stop in bounds]
-        return {
-            "count": self.n_shards,
-            "sizes": [len(part) for part in slices],
-            "fingerprints": [_fingerprint(part) for part in slices],
-        }
-
     def manifest(self) -> dict:
         """Canonical campaign-manifest document (JSON-serialisable).
 
         Same determinism contract as :meth:`fingerprint`: two campaigns
         with the same :class:`CampaignConfig` produce byte-identical
-        manifests, whatever the worker count.  The ``resume`` section
-        is operational by design (a resumed run reports its resumed
-        count), while ``summary.fingerprint`` stays byte-identical
-        either way.  Neither host facts nor file paths appear.  The
-        schema mirrors the run manifest (``docs/OBSERVABILITY.md``);
-        single-run manifests link back through their ``campaign``
-        section's ``fingerprint``.
+        manifests, whatever the worker count.  Neither host facts nor
+        file paths appear.  The schema mirrors the run manifest
+        (``docs/OBSERVABILITY.md``); single-run manifests link back
+        through their ``campaign`` section's ``fingerprint``.
         """
         from repro.telemetry.manifest import CAMPAIGN_SCHEMA
 
-        summary = self.summary()
-        resume = self.resume_info or {
-            "resumed_trials": 0,
-            "executed_trials": len(self.results),
-            "retries": 0,
-            "timeouts": 0,
-            "infra_errors": summary["infra_error"],
-            "pool_restarts": 0,
-        }
         return {
             "schema": CAMPAIGN_SCHEMA,
             "config": config_dict(self.config),
@@ -484,10 +353,7 @@ class CampaignReport:
                     self.counts_by_target().items(), key=lambda kv: kv[0].value
                 )
             },
-            "shards": self.shards_section(),
-            "resume": dict(resume),
-            "events": {},
-            "summary": summary,
+            "summary": self.summary(),
         }
 
 
@@ -564,79 +430,44 @@ def _classify(
     )
 
 
-def _run_injection(
-    machine: RiscMachine,
-    checkpoint,
-    golden: GoldenRun,
-    spec: FaultSpec,
-    budget: int,
-    deadline: float | None = None,
-    tally: Counter | None = None,
-) -> InjectionResult:
-    """Replay one faulted run from *checkpoint* and classify it.
-
-    When *deadline* (a ``time.monotonic()`` timestamp) is given, the
-    trial consults the wall clock every 1024 steps - the same pattern as
-    the ``wall_clock_limit`` watchdog on :meth:`RiscMachine.run` - and
-    raises :class:`TrialTimeoutError` past it.  The timeout escapes the
-    CRASH classification on purpose: a host stall is an infrastructure
-    failure for the supervisor, not a simulator finding.  *tally*, when
-    given, receives the trial's steps by phase (see :func:`_run_trial`).
-    """
-    machine.restore(checkpoint)
-    return _run_trial(
-        machine, golden, spec, budget, deadline=deadline, tally=tally
-    )
-
-
 def _pc_trigger_step(golden: GoldenRun, trigger) -> int | None:
     """Golden step index at which PC *trigger* fires (None: never)."""
     visits = golden.visits.get(trigger.at_pc, ())
     return visits[trigger.pc_hits - 1] if trigger.pc_hits <= len(visits) else None
 
 
-def _timeout(steps: int) -> TrialTimeoutError:
-    return TrialTimeoutError(
-        f"trial exceeded its wall-clock budget after {steps} steps"
-    )
-
-
 def _fast_forward(
-    machine: RiscMachine, max_steps: int, max_cycles: int | None,
-    deadline: float | None, steps: int,
+    machine: RiscMachine, stop: int, max_cycles: int | None,
+    deadline: float | None = None, steps: int = 0,
 ) -> int:
-    """Run unobserved on the machine's tier; returns the steps executed.
+    """Run unobserved on the machine's tier from trial step *steps* up to
+    step *stop*; returns the steps executed.
 
     A step or cycle watchdog halt is cleared, so the trial continues
-    from that exact boundary; a wall-clock halt raises
-    :class:`TrialTimeoutError` (*steps* is the trial's count so far).
+    from that exact boundary.  *deadline* is the engine ``run_loop``'s
+    wall-clock limit; the campaign never sets one.
     """
-    if max_steps <= 0:
+    if stop <= steps:
         return 0
-    ran = machine.engine.run_loop(machine, max_steps, max_cycles, deadline)
+    ran = machine.engine.run_loop(machine, stop - steps, max_cycles, deadline)
     if machine.halted in (HaltReason.STEP_LIMIT, HaltReason.CYCLE_LIMIT):
         machine.halted = None
-    elif machine.halted is HaltReason.WALL_CLOCK_LIMIT:
-        raise _timeout(steps + ran)
     return ran
 
 
-def _run_trial(
+def _run_injection(
     machine: RiscMachine,
+    checkpoint,
     golden: GoldenRun,
     spec: FaultSpec,
     budget: int,
-    *,
-    steps: int = 0,
-    deadline: float | None = None,
     tally: Counter | None = None,
 ) -> InjectionResult:
-    """Finish one faulted run and classify it.
+    """Replay one faulted run from *checkpoint* and classify it.
 
-    *machine* stands at step *steps* of the golden trajectory, before
-    *spec*'s trigger has fired.  The result equals stepping the oracle
-    under an attached :class:`FaultInjector` up to *budget* steps; only
-    the steps that need the injector run observed:
+    The result equals stepping the oracle under an attached
+    :class:`FaultInjector` up to *budget* steps; only the steps that
+    need the injector run observed:
 
     1. **prefix** - the run is still golden, so it fast-forwards
        unobserved to the trigger boundary: the cycle watchdog stops at a
@@ -654,26 +485,20 @@ def _run_trial(
     single-stepped under the injector, ``compiled`` unobserved on the
     machine's tier.
     """
-    if deadline is not None and time.monotonic() > deadline:
-        raise _timeout(steps)
+    machine.restore(checkpoint)
     trigger = spec.trigger
     injector = FaultInjector(machine, [spec])
-    start = steps
-    observed = 0
+    steps = observed = 0
     try:
         if trigger.at_cycle is not None:
             if machine.stats.cycles < trigger.at_cycle:
-                steps += _fast_forward(
-                    machine, budget - steps, trigger.at_cycle, deadline, steps
-                )
+                steps += _fast_forward(machine, budget, trigger.at_cycle)
             pc_visits = None
         else:
             fires_at = _pc_trigger_step(golden, trigger)
             if fires_at is None:  # never fires: the run stays golden
                 fires_at = budget
-            steps += _fast_forward(
-                machine, min(fires_at, budget) - steps, None, deadline, steps
-            )
+            steps += _fast_forward(machine, min(fires_at, budget), None)
             visits = golden.visits.get(trigger.at_pc, ())
             pc_visits = {trigger.at_pc: bisect_left(visits, steps)}
         if machine.halted is None:
@@ -683,23 +508,15 @@ def _run_trial(
                 and steps < budget
                 and not injector.idle
             ):
-                if (
-                    deadline is not None
-                    and (steps & _DEADLINE_CHECK_MASK) == 0
-                    and time.monotonic() > deadline
-                ):
-                    raise _timeout(steps)
                 machine.step()
                 steps += 1
                 observed += 1
             injector.detach()
         if machine.halted is None:
-            steps += _fast_forward(machine, budget - steps, None, deadline, steps)
+            steps += _fast_forward(machine, budget, None, steps=steps)
         if machine.halted is None:
             machine.halted = HaltReason.STEP_LIMIT
         return _classify(machine, golden, spec, steps)
-    except TrialTimeoutError:
-        raise
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
         # A crash inside a compiled phase reports the steps completed
         # before that phase began.
@@ -708,7 +525,7 @@ def _run_trial(
         injector.detach()
         if tally is not None:
             tally["observed"] += observed
-            tally["compiled"] += steps - start - observed
+            tally["compiled"] += steps - observed
 
 
 def _crash_result(
@@ -734,9 +551,8 @@ def _campaign_schedule(
 
     All randomness flows through one generator seeded with
     ``config.seed``, and golden runs never consult it, so the spec
-    stream here is identical however the trials later execute: in
-    process, on a worker pool, or sharded across machines.  Populates
-    *goldens* as a side effect.
+    stream here is identical however the trials later execute, in
+    process or on a worker pool.  Populates *goldens* as a side effect.
     """
     rng = random.Random(config.seed)
     schedule: list[Trial] = []
@@ -781,73 +597,52 @@ def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
     return state
 
 
-def _journalled_result(
-    trials: tuple[Trial, ...], index: int, record: dict, path: str
-) -> InjectionResult:
-    """Rebuild trial *index*'s result from its journal *record*.
+def _execute(trial: Trial) -> tuple[InjectionResult, Counter]:
+    """Run one trial in this process: its result and its steps by phase.
 
-    The spec and golden come from the re-drawn schedule, the outcome
-    fields from the record.  The rebuilt result must serialise back to
-    exactly *record*, so the fingerprint hashes what the journal holds;
-    anything else raises :class:`~repro.faults.distributed.JournalError`.
+    The worker-pool entry point too, so a pool run's step tally is as
+    exact as an in-process run's.
     """
-    from repro.faults.distributed import JournalError
-
-    result = None
-    if 0 <= index < len(trials):
-        trial = trials[index]
-        try:
-            result = InjectionResult(
-                benchmark=trial.golden.benchmark,
-                spec=trial.spec,
-                outcome=Outcome(record["outcome"]),
-                halt=record["halt"],
-                trap_cause=record["trap_cause"],
-                instructions=record["instructions"],
-                result=record["result"],
-            )
-        except (KeyError, ValueError):
-            pass
-    if result is None or injection_record(result) != record:
-        raise JournalError(
-            f"{path}: trial {index} does not match this campaign's schedule"
-        )
-    return result
+    machine, checkpoint = _benchmark_state(trial.golden.benchmark)
+    tally: Counter = Counter()
+    result = _run_injection(
+        machine, checkpoint, trial.golden, trial.spec, trial.budget, tally
+    )
+    return result, tally
 
 
-def _publish_metrics(registry, report: CampaignReport, syncs: int, stats) -> None:
-    """Record the ``campaign.*`` operational counters on *registry*."""
+def _process_pool(workers: int):
+    """A *workers*-process pool on the fork context where the platform
+    has one: forked workers inherit the parent's compile cache.
+
+    Imported here, not at module level: ``concurrent.futures.process``
+    and ``multiprocessing`` cost an in-process campaign about 2 MB of
+    peak RSS for a pool it never starts.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # platforms without fork
+        context = multiprocessing.get_context("spawn")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
+def _publish_metrics(registry, report: CampaignReport, steps: Counter) -> None:
+    """Record the ``campaign.*`` counters on *registry*."""
     if registry is None:
         return
-    info = report.resume_info
     counters = {
         "campaign.trials": (
             len(report.results), "trials folded into the campaign report"
         ),
-        "campaign.trials_resumed": (
-            info["resumed_trials"], "trials replayed from a journal, not executed"
-        ),
-        "campaign.retries": (
-            info["retries"], "trial attempts re-dispatched after failure"
-        ),
-        "campaign.timeouts": (
-            info["timeouts"], "trial attempts killed by the wall-clock deadline"
-        ),
-        "campaign.infra_errors": (
-            info["infra_errors"], "trials quarantined after exhausting retries"
-        ),
-        "campaign.pool_restarts": (
-            info["pool_restarts"], "worker-pool rebuilds after a dead worker"
-        ),
-        "campaign.journal_syncs": (
-            syncs, "fsync barriers issued by the trial journal"
-        ),
         "campaign.steps_observed": (
-            stats.trial_steps["observed"],
+            steps["observed"],
             "trial steps single-stepped under the fault injector",
         ),
         "campaign.steps_compiled": (
-            stats.trial_steps["compiled"],
+            steps["compiled"],
             "trial steps run unobserved on the compiled tier",
         ),
     }
@@ -860,128 +655,43 @@ def run_campaign(
     *,
     progress=None,
     workers: int | None = None,
-    journal: str | None = None,
-    resume: str | None = None,
-    shards: int = 1,
-    shard_index: int | None = None,
-    timeout_s: float | None = DEFAULT_TRIAL_TIMEOUT_S,
-    retry=None,
     registry=None,
-    chaos_hook=None,
 ) -> CampaignReport:
     """Execute the campaign described by *config* deterministically.
 
-    Every call takes the same path: draw the :class:`Trial` schedule,
-    open or recover the journal if one is asked for, run the remaining
-    trials under :class:`~repro.faults.distributed.TrialSupervisor`, and
-    append each result to a :class:`CampaignReport` in schedule order.
-    A call with no options is one shard, in process, with no journal.
+    Draws the :class:`Trial` schedule, runs every trial, and appends
+    each result to a :class:`CampaignReport` in schedule order.
 
     Args:
         config: the campaign to execute.
         progress: optional ``(benchmark, done, total)`` callback,
             invoked every 100 completed trials.
-        workers: pool size; None or <= 1 runs trials in-process.  The
-            schedule is drawn before any trial runs and results are
-            delivered in schedule order, so the report is byte-identical
-            at any worker count.
-        journal: path for a fresh crash-safe JSONL trial journal
-            (refuses to overwrite an existing file; ``kill -9`` loses at
-            most one trial).
-        resume: path of an existing journal to recover; its completed
-            trials are rebuilt without re-execution and new completions
-            are appended to the same file.  Mutually exclusive with
-            *journal*.
-        shards: contiguous shard count of the schedule partition; the
-            manifest reports per-shard fingerprints, which compose to
-            the campaign fingerprint.
-        shard_index: execute only this shard (the report then covers
-            just its slice).
-        timeout_s: per-trial wall-clock budget (None disables).
-        retry: :class:`~repro.faults.distributed.RetryPolicy`; default
-            allows 3 attempts.
+        workers: pool size; None or <= 1 runs trials in-process.
+            Otherwise one :class:`~concurrent.futures.ProcessPoolExecutor`
+            maps the trials in schedule order, so the report is
+            byte-identical at any worker count.  A worker that dies
+            raises :class:`~concurrent.futures.process.BrokenProcessPool`;
+            on any exception, Ctrl-C included, the queued trials are
+            cancelled.
         registry: optional :class:`~repro.telemetry.MetricsRegistry`
-            receiving the ``campaign.*`` operational counters.
-        chaos_hook: test/CI-only fault injector passed through to the
-            supervisor (``(done, worker_pids)`` after each trial).
-
-    Raises :class:`CampaignInterrupted` on Ctrl-C (journal flushed and
-    closed first) and :class:`~repro.faults.distributed.JournalError`
-    when *resume* points at a journal of a different campaign, or at a
-    record that does not match the re-drawn schedule.
+            receiving the ``campaign.*`` counters.
     """
-    from repro.faults.distributed import (
-        TrialJournal,
-        TrialSupervisor,
-        shard_schedule,
-    )
-
-    if journal is not None and resume is not None:
-        raise ValueError(
-            "pass either journal= (fresh) or resume= (recover), not both"
-        )
-    if shard_index is not None and not 0 <= shard_index < shards:
-        raise ValueError(
-            f"shard_index {shard_index} out of range for {shards} shard(s)"
-        )
-
-    plan = shard_schedule(config, shards)
-    if shard_index is None:
-        trials, bounds = plan.trials, plan.bounds
-    else:
-        trials, bounds = plan.shard(shard_index), (plan.bounds[shard_index],)
-    report = CampaignReport(
-        config=config, golden=plan.goldens, n_shards=shards, bounds=bounds
-    )
-    total = len(trials)
-
-    jour = None
-    if resume is not None:
-        jour, _stats = TrialJournal.resume(
-            resume, config,
-            sink=lambda index, attempt, record: report.add(
-                index, _journalled_result(plan.trials, index, record, resume)
-            ),
-        )
-    elif journal is not None:
-        jour = TrialJournal.create(journal, config)
-    resumed = len(report.results)
-
-    def sink(index: int, result: InjectionResult, attempts: int) -> None:
-        """Write-ahead journal one completed trial, then append it."""
-        if jour is not None:
-            jour.append(index, injection_record(result), attempt=attempts)
-        report.add(index, result)
-        if progress is not None and len(report.results) % 100 == 0:
-            progress(result.benchmark, len(report.results), total)
-
-    supervisor = TrialSupervisor(
-        workers=workers, timeout_s=timeout_s, policy=retry,
-        chaos_hook=chaos_hook,
-    )
+    goldens: dict[str, GoldenRun] = {}
+    trials = _campaign_schedule(config, goldens)
+    report = CampaignReport(config=config, golden=goldens)
+    steps: Counter = Counter()
+    pool = _process_pool(workers) if workers and workers > 1 else None
     try:
-        stats = supervisor.run(trials[resumed:], sink)
-    except KeyboardInterrupt:
-        # The journal is closed by the finally below; every completed
-        # trial is already fsynced, so the run is resumable as-is.
-        raise CampaignInterrupted(
-            completed=len(report.results),
-            total=total,
-            journal=jour.path if jour is not None else None,
-        ) from None
+        outcomes = (pool.map if pool is not None else map)(_execute, trials)
+        for trial, (result, tally) in zip(trials, outcomes):
+            report.add(trial.index, result)
+            steps.update(tally)
+            if progress is not None and len(report.results) % 100 == 0:
+                progress(result.benchmark, len(report.results), len(trials))
     finally:
-        if jour is not None:
-            jour.close()
-
-    report.resume_info = {
-        "resumed_trials": resumed,
-        "executed_trials": stats.executed,
-        "retries": stats.retries,
-        "timeouts": stats.timeouts,
-        "infra_errors": report.outcome_counts()[Outcome.INFRA_ERROR],
-        "pool_restarts": stats.pool_restarts,
-    }
-    _publish_metrics(registry, report, jour.syncs if jour is not None else 0, stats)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    _publish_metrics(registry, report, steps)
     return report
 
 
@@ -1003,21 +713,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """Argparse type: a finite, strictly positive number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text!r}"
-        ) from None
-    if not 0 < value < math.inf:  # also false for NaN
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text}"
-        )
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.campaign",
@@ -1033,38 +728,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--benchmarks", default=",".join(DEFAULT_BENCHMARKS),
         help="comma-separated benchmark names",
-    )
-    parser.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="deterministically shard the schedule into N contiguous "
-             "shards; per-shard fingerprints compose to the whole "
-             "campaign's",
-    )
-    parser.add_argument(
-        "--shard-index", type=int, default=None,
-        help="execute only this shard (0-based; for cross-machine "
-             "campaigns - the report then covers just that shard)",
-    )
-    parser.add_argument(
-        "--journal", default=None,
-        help="append each completed trial to this crash-safe JSONL "
-             "journal (kill -9 loses at most one trial)",
-    )
-    parser.add_argument(
-        "--resume", default=None,
-        help="replay completed trials from this journal, execute only "
-             "the remainder, and keep appending to it",
-    )
-    parser.add_argument(
-        "--timeout-s", type=_positive_float, default=DEFAULT_TRIAL_TIMEOUT_S,
-        help="per-trial wall-clock budget in seconds; timed-out trials "
-             f"are retried then quarantined as "
-             f"INFRA_ERROR (default {DEFAULT_TRIAL_TIMEOUT_S:.0f})",
-    )
-    parser.add_argument(
-        "--retries", type=_positive_int, default=3,
-        help="maximum attempts per trial before INFRA_ERROR quarantine "
-             "(default 3)",
     )
     parser.add_argument(
         "--verify-determinism", action="store_true",
@@ -1092,52 +755,38 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; see ``--help`` for flags."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.journal is not None and args.resume is not None:
-        parser.error("--journal starts a fresh journal and --resume "
-                     "continues one; pass only one of them")
-    if args.shard_index is not None and not 0 <= args.shard_index < args.shards:
+    from repro.workloads import BENCHMARKS
+
+    names = tuple(name for name in args.benchmarks.split(",") if name)
+    if not names:
+        parser.error("--benchmarks names no benchmark")
+    known = [bench.name for bench in BENCHMARKS]
+    unknown = [name for name in names if name not in known]
+    if unknown:
         parser.error(
-            f"--shard-index must be in [0, {args.shards}) "
-            f"(got {args.shard_index})"
+            f"unknown benchmark(s) {', '.join(unknown)} "
+            f"(choose from {', '.join(known)})"
         )
     config = CampaignConfig(
         seed=args.seed,
         injections=args.injections,
-        benchmarks=tuple(name for name in args.benchmarks.split(",") if name),
+        benchmarks=names,
     )
 
     def progress(name: str, done: int, total: int) -> None:
         """Per-benchmark progress line."""
         print(f"  {name}: {done}/{total} injections")
 
-    from repro.faults.distributed import JournalError, RetryPolicy
+    def execute() -> CampaignReport | None:
+        """One campaign run; None (after one line) on Ctrl-C."""
+        try:
+            return run_campaign(config, progress=progress, workers=args.workers)
+        except KeyboardInterrupt:
+            print("\ncampaign interrupted")
+            return None
 
-    def execute(*, resume: str | None, journal: str | None):
-        """One campaign run with the CLI's supervision options."""
-        return run_campaign(
-            config,
-            progress=progress,
-            workers=args.workers,
-            journal=journal,
-            resume=resume,
-            shards=args.shards,
-            shard_index=args.shard_index,
-            timeout_s=args.timeout_s,
-            retry=RetryPolicy(max_attempts=args.retries, seed=args.seed),
-        )
-
-    try:
-        report = execute(resume=args.resume, journal=args.journal)
-    except (FileNotFoundError, FileExistsError, JournalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as exc:
-        print(f"\n{exc.describe()}")
-        return 130
-    except KeyboardInterrupt:
-        # Trial-phase interrupts arrive as CampaignInterrupted; this one
-        # came while the golden runs or the journal recovery ran.
-        print("\ncampaign interrupted before its trials started")
+    report = execute()
+    if report is None:
         return 130
     print(report.rate_table().render())
     summary = report.summary()
@@ -1145,56 +794,46 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
     if summary["crash"]:
         failures.append(f"{summary['crash']} injection(s) crashed the simulator")
-    if summary["infra_error"]:
-        failures.append(
-            f"{summary['infra_error']} trial(s) quarantined as INFRA_ERROR"
-        )
     if args.verify_determinism:
-        # The verification run never resumes or journals: it must
-        # re-execute every trial to prove determinism.
-        second = execute(resume=None, journal=None)
+        second = execute()
+        if second is None:
+            return 130
         if second.fingerprint() != summary["fingerprint"]:
             failures.append("campaign is not deterministic for a fixed seed")
         else:
             print("determinism: OK (fingerprints match)")
     if args.baseline:
-        if args.shard_index is not None:
-            failures.append(
-                "--baseline is not comparable to a single-shard report "
-                "(drop --shard-index)"
-            )
-        else:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-            # Absolute-count comparison is only meaningful when both runs
-            # sampled the same fault population.
-            population = ("injections", "seed", "benchmarks")
-            for key in population:
-                if key in baseline and baseline[key] != summary[key]:
-                    failures.append(
-                        f"baseline not comparable: {key} differs "
-                        f"({summary[key]!r} vs baseline {baseline[key]!r})"
-                    )
-            # The same population must reproduce the same trials, byte
-            # for byte: a drifted fingerprint is a behaviour change.
-            if (
-                "fingerprint" in baseline
-                and all(baseline.get(key) == summary[key] for key in population)
-                and baseline["fingerprint"] != summary["fingerprint"]
-            ):
+        with open(args.baseline) as handle:
+            baseline = json.load(handle)
+        # Absolute-count comparison is only meaningful when both runs
+        # sampled the same fault population.
+        population = ("injections", "seed", "benchmarks")
+        for key in population:
+            if key in baseline and baseline[key] != summary[key]:
                 failures.append(
-                    f"fingerprint differs from the baseline "
-                    f"({summary['fingerprint'][:16]} vs "
-                    f"{baseline['fingerprint'][:16]})"
+                    f"baseline not comparable: {key} differs "
+                    f"({summary[key]!r} vs baseline {baseline[key]!r})"
                 )
-            for key in ("silent_corruption", "crash", "infra_error"):
-                if summary[key] > baseline.get(key, 0):
-                    failures.append(
-                        f"{key} regressed: {summary[key]} > baseline "
-                        f"{baseline.get(key, 0)}"
-                    )
-            if not failures:
-                print(f"baseline check: OK (vs {args.baseline})")
+        # The same population must reproduce the same trials, byte
+        # for byte: a drifted fingerprint is a behaviour change.
+        if (
+            "fingerprint" in baseline
+            and all(baseline.get(key) == summary[key] for key in population)
+            and baseline["fingerprint"] != summary["fingerprint"]
+        ):
+            failures.append(
+                f"fingerprint differs from the baseline "
+                f"({summary['fingerprint'][:16]} vs "
+                f"{baseline['fingerprint'][:16]})"
+            )
+        for key in ("silent_corruption", "crash", "infra_error"):
+            if summary[key] > baseline.get(key, 0):
+                failures.append(
+                    f"{key} regressed: {summary[key]} > baseline "
+                    f"{baseline.get(key, 0)}"
+                )
+        if not failures:
+            print(f"baseline check: OK (vs {args.baseline})")
     if args.write_baseline:
         with open(args.write_baseline, "w") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
@@ -1222,9 +861,9 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     # Re-enter through the canonical module: under ``python -m`` this
-    # file also exists as ``__main__``, while the supervisor and the
-    # journal import the canonical module; one copy means one set of
-    # classes and one per-process machine cache.
+    # file also exists as ``__main__``, while pool workers import the
+    # canonical module; one copy means one set of classes and one
+    # per-process machine cache.
     from repro.faults.campaign import main as _canonical_main
 
     raise SystemExit(_canonical_main())

@@ -36,7 +36,6 @@ from repro.telemetry.events import (
     TraceEventExporter,
     events_from_call_trace,
     events_from_injections,
-    events_from_journal,
     events_from_profile,
     events_from_schedule,
     events_from_trace,
@@ -87,7 +86,6 @@ __all__ = [
     "capture_manifest",
     "events_from_call_trace",
     "events_from_injections",
-    "events_from_journal",
     "events_from_profile",
     "events_from_schedule",
     "events_from_trace",

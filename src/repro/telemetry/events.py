@@ -49,7 +49,6 @@ __all__ = [
     "TraceEventExporter",
     "events_from_call_trace",
     "events_from_injections",
-    "events_from_journal",
     "events_from_profile",
     "events_from_schedule",
     "events_from_trace",
@@ -71,9 +70,6 @@ EVENT_KINDS = (
     "injection",   # a fault was applied (adapter: FaultInjector log)
     "profile",     # per-function aggregate (adapter: Profiler)
     "run_end",     # emitted by the exporter when the run halts
-    "trial",       # a campaign trial completed (distributed runner)
-    "retry",       # a trial attempt was re-dispatched (supervisor)
-    "resume",      # a journal was recovered (distributed runner)
     "slice",       # one scheduler slice (adapter: multicore schedule log)
 )
 
@@ -326,33 +322,6 @@ def events_from_injections(log) -> list[dict]:
         }
         for entry in log
     ]
-
-
-def events_from_journal(entries: Iterable[dict]) -> list[dict]:
-    """Convert fault-journal entries to ``trial`` events.
-
-    *entries* are parsed journal lines (``{"trial", "attempt",
-    "record"}`` objects, as written by
-    :class:`repro.faults.distributed.TrialJournal`); lines without a
-    ``trial`` field - the journal header - are skipped.  Each event
-    carries the trial index, the attempt that produced the record, and
-    the record's benchmark/outcome, so a journal replays as a stream of
-    ``trial`` events.
-    """
-    events = []
-    for entry in entries:
-        trial = entry.get("trial")
-        record = entry.get("record")
-        if not isinstance(trial, int) or not isinstance(record, dict):
-            continue
-        events.append({
-            "event": "trial",
-            "trial": trial,
-            "attempt": int(entry.get("attempt", 1)),
-            "benchmark": record.get("benchmark"),
-            "outcome": record.get("outcome"),
-        })
-    return events
 
 
 def events_from_profile(profiles) -> list[dict]:

@@ -60,8 +60,9 @@ __all__ = [
 MANIFEST_SCHEMA = "risc1-repro/run-manifest/v1"
 #: Schema tag of an aggregated (multi-run) evaluation manifest.
 EVALUATION_SCHEMA = "risc1-repro/evaluation-manifest/v1"
-#: Schema tag of a fault-campaign manifest (v2: shards/resume/events).
-CAMPAIGN_SCHEMA = "risc1-repro/campaign-manifest/v2"
+#: Schema tag of a fault-campaign manifest (v3: config, golden,
+#: outcomes_by_target and summary; v2's shards/resume/events are gone).
+CAMPAIGN_SCHEMA = "risc1-repro/campaign-manifest/v3"
 
 
 class ManifestError(ValueError):
@@ -266,14 +267,8 @@ def validate_manifest(doc: Any) -> list[str]:
 
 
 #: Campaign-manifest sections whose *keys* are data, not schema
-#: (benchmark names, fault-target names, event kinds).
-CAMPAIGN_LEAVES = frozenset({"config", "golden", "outcomes_by_target", "events"})
-
-#: Required non-negative counters of the campaign ``resume`` section.
-_RESUME_COUNTERS = (
-    "resumed_trials", "executed_trials", "retries", "timeouts",
-    "infra_errors", "pool_restarts",
-)
+#: (benchmark names, fault-target names).
+CAMPAIGN_LEAVES = frozenset({"config", "golden", "outcomes_by_target"})
 #: Required fields of the campaign ``summary`` section (int counters
 #: checked separately).
 _SUMMARY_COUNTERS = (
@@ -283,14 +278,11 @@ _SUMMARY_COUNTERS = (
 
 
 def validate_campaign_manifest(doc: Any) -> list[str]:
-    """Check *doc* against the campaign-manifest (v2) schema.
+    """Check *doc* against the campaign-manifest (v3) schema.
 
     Returns a list of problems (empty = valid).  Structural like
-    :func:`validate_manifest`: required sections, value types, counter
-    non-negativity, and the shard invariants (``sizes`` and
-    ``fingerprints`` are parallel lists; sizes sum to the injection
-    count on an unsharded or fully-merged manifest is *not* required,
-    since a single-shard manifest legitimately covers one slice).
+    :func:`validate_manifest`: required sections, value types and
+    counter non-negativity.
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -326,46 +318,6 @@ def validate_campaign_manifest(doc: Any) -> list[str]:
                         f"outcomes_by_target.{target}.{outcome} "
                         "must be a non-negative integer"
                     )
-    shards = doc.get("shards")
-    if not isinstance(shards, dict):
-        problems.append("missing 'shards' section")
-    else:
-        count = shards.get("count")
-        if not isinstance(count, int) or count < 1:
-            problems.append("shards.count must be a positive integer")
-        sizes = shards.get("sizes")
-        fingerprints = shards.get("fingerprints")
-        if not isinstance(sizes, list) or not all(
-            isinstance(size, int) and size >= 0 for size in sizes
-        ):
-            problems.append("shards.sizes must be a list of non-negative integers")
-        if not isinstance(fingerprints, list) or not all(
-            isinstance(fp, str) for fp in fingerprints
-        ):
-            problems.append("shards.fingerprints must be a list of strings")
-        if (
-            isinstance(sizes, list)
-            and isinstance(fingerprints, list)
-            and len(sizes) != len(fingerprints)
-        ):
-            problems.append(
-                "shards.sizes and shards.fingerprints must be parallel lists"
-            )
-    resume = doc.get("resume")
-    if not isinstance(resume, dict):
-        problems.append("missing 'resume' section")
-    else:
-        for name in _RESUME_COUNTERS:
-            value = resume.get(name)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"resume.{name} must be a non-negative integer")
-    events = doc.get("events")
-    if not isinstance(events, dict):
-        problems.append("missing 'events' section")
-    else:
-        for kind, value in events.items():
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"events.{kind} must be a non-negative integer")
     summary = doc.get("summary")
     if not isinstance(summary, dict):
         problems.append("missing 'summary' section")

@@ -32,7 +32,9 @@ from repro.telemetry import (
     aggregate_manifests,
     events_from_call_trace,
     events_from_injections,
+    events_from_profile,
     events_from_schedule,
+    events_from_trace,
     read_events,
     validate_manifest,
 )
@@ -312,6 +314,49 @@ class TestEventExport:
         # the initial entry into main is itself a +1 in the trace
         assert kinds == ["call", "call", "return", "return"]
         assert [e["depth"] for e in events] == [1, 2, 1, 0]
+
+    def loaded_machine(self) -> tuple[RiscMachine, object]:
+        program = assemble(CALL_PROGRAM)
+        machine = RiscMachine()
+        program.load_into(machine.memory)
+        return machine, program
+
+    @staticmethod
+    def round_trip(events) -> list[dict]:
+        sink = io.StringIO()
+        assert JsonlEventWriter(sink).write_all(events) == len(events)
+        back = read_events(io.StringIO(sink.getvalue()))
+        assert back[0]["schema"] == EVENT_SCHEMA
+        assert [e["seq"] for e in back] == list(range(len(events)))
+        return back
+
+    def test_trace_adapter(self):
+        from repro.cpu.tracing import ExecutionTracer
+
+        machine, program = self.loaded_machine()
+        records = ExecutionTracer(machine).run(program.entry)
+        back = self.round_trip(events_from_trace(records))
+        assert [e["step"] for e in back] == list(range(9))
+        # The adapter's steps are the live exporter's steps.
+        _, stream = self.run_traced(("step",))
+        live = [e for e in read_events(io.StringIO(stream)) if e["event"] == "step"]
+        fields = ("event", "pc", "opcode", "taken_jump")
+        assert [{k: e[k] for k in fields} for e in back] == [
+            {k: e[k] for k in fields} for e in live
+        ]
+
+    def test_profile_adapter(self):
+        from repro.cpu.profiler import Profiler
+
+        machine, program = self.loaded_machine()
+        profiles = Profiler(machine, dict(program.symbols)).run(program.entry)
+        back = self.round_trip(events_from_profile(profiles))
+        assert [e["event"] for e in back] == ["profile", "profile"]
+        assert [(e["function"], e["start"], e["calls"]) for e in back] == [
+            ("main", 0, 1), ("double", 24, 1),
+        ]
+        assert sum(e["instructions"] for e in back) == machine.stats.instructions
+        assert sum(e["cycles"] for e in back) == machine.stats.cycles
 
     def test_injection_adapter(self):
         from repro.faults.injector import FaultInjector
