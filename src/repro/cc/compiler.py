@@ -51,16 +51,15 @@ class CompiledRisc:
 
     def make_machine(self, *, num_windows: int = 8,
                      memory_size: int = 1 << 20,
-                     engine: str = "fast") -> RiscMachine:
+                     engine: str = "trace") -> RiscMachine:
         """A fresh machine with the image loaded, on *engine*.
 
-        The default is the ``fast`` tier: bit-identical to the
-        ``reference`` oracle, about 4x its speed, and cheap to start.
-        The ``trace`` tier runs long programs faster still, but its
-        codegen costs more time and memory than a short run pays back.
-        Observed runs stay on ``fast`` too: it calls ``pre_step`` and
-        ``step`` observers itself.  Only ``fetch_word``/``mem_access``
-        observers send its steps to the reference oracle.
+        The default is the ``trace`` tier: bit-identical to the
+        ``reference`` oracle, the fastest tier, and, like a machine on
+        any tier, freed by reference counting once the caller drops it.
+        Observed runs stay on pre-decoded thunks: ``pre_step``/``step``
+        observers run in its inner ``fast`` engine, and only
+        ``fetch_word``/``mem_access`` observers send steps to the oracle.
         """
         from repro.common.memory import Memory
 
@@ -75,12 +74,11 @@ class CompiledRisc:
 
     def run(self, *, num_windows: int = 8, max_steps: int = 50_000_000,
             memory_size: int = 1 << 20,
-            engine: str = "fast") -> tuple[int, RiscMachine]:
+            engine: str = "trace") -> tuple[int, RiscMachine]:
         """Execute; returns (main's return value as signed int, machine).
 
-        Runs on the ``fast`` tier by default, for the reasons given in
-        :meth:`make_machine`; results and statistics are identical on
-        every tier.
+        Runs on the ``trace`` tier by default, as :meth:`make_machine`
+        does; results and statistics are identical on every tier.
         """
         machine = self.make_machine(num_windows=num_windows,
                                     memory_size=memory_size, engine=engine)

@@ -43,8 +43,8 @@ class EngineSpec:
       natively, ``fetch_word`` and ``mem_access`` included.  Every tier
       is *correct* under observers, but only the oracle sets this flag.
       The fast tier runs ``pre_step``/``step`` observers on its own
-      pre-decoded thunks, and the trace tier single-steps observed runs
-      through its inner fast engine; both hand a step to the oracle
+      pre-decoded thunks, and the trace tier runs observed stretches
+      in its inner fast engine's loop; both hand a step to the oracle
       only for a latched interrupt or a ``fetch_word``/``mem_access``
       observer.
     * ``supports_fusion`` - accepts statically proved macro-op fusion

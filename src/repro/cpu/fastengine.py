@@ -711,6 +711,27 @@ class FastEngine:
                 fn(m, pc, inst, taken)
         return inst
 
+    def run_observed(
+        self, m: ArchState, max_steps: int, max_cycles: int | None
+    ) -> int:
+        """Run :meth:`_observed_step` until no observer is attached, the
+        machine halts, *max_steps* steps ran or the cycle count reaches
+        *max_cycles*; returns the steps run.
+
+        Sets no halt: a caller's loop that hands it an observed stretch
+        keeps its own watchdogs, exact at the step it stops on.
+        """
+        observed_step = self._observed_step
+        bus = m.observers
+        stats = m.stats
+        steps = 0
+        while steps < max_steps and m.halted is None and bus.step_observed:
+            observed_step(m)
+            steps += 1
+            if max_cycles is not None and stats.cycles >= max_cycles:
+                break
+        return steps
+
     def _dispatch(self, m: ArchState) -> Instruction | None:
         """Fetch, compile if needed, and run one unfused thunk; None
         when the step trapped."""

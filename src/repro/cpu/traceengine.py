@@ -61,11 +61,16 @@ so the admission rule is bit-identical architectural results against
   pending exit hits (the stats they would fold into were rewound) and
   keeps the compiled traces unless it rolled back one of their code
   words; a restore into the middle of a delay slot leaves the jump
-  pending, and a pending delay slot, like per-step observers, a latched
-  interrupt, an uncompilable entry or a watchdog tail, single-steps
-  through an inner :class:`~repro.cpu.fastengine.FastEngine` (``step()``
-  always delegates), which hands a step to the reference oracle for a
-  latched interrupt or a ``fetch_word``/``mem_access`` observer.
+  pending, and a pending delay slot, like a latched interrupt, an
+  uncompilable entry or a watchdog tail, single-steps through an inner
+  :class:`~repro.cpu.fastengine.FastEngine` (``step()`` always
+  delegates); per-step observers run there too, a whole observed
+  stretch at a time, and it hands a step to the reference oracle for a
+  latched interrupt or a ``fetch_word``/``mem_access`` observer;
+* **no cycle outlives a run** - thunks bind the machine and its memory,
+  so they exist only inside ``run_loop``; the engine holds its machine,
+  and each trace its engine, by weak reference: a finished machine is
+  freed by reference counting, as on every other tier.
 
 With :attr:`TraceEngine.path` set to a list, ``run_loop`` logs which
 trace each dispatch ran and how many of its steps completed; since a
@@ -82,6 +87,7 @@ from __future__ import annotations
 
 import struct
 import time
+import weakref
 from bisect import bisect_right
 from typing import Any
 
@@ -155,6 +161,7 @@ class _Trace:
         "meta",
         "cycles_bound",
         "live",
+        "make",
         "thunk",
         "widx",
         "top",
@@ -178,12 +185,16 @@ class _Trace:
         self.words = words
         self.cycles_bound = cycles_bound
         self.live = True
+        #: the cached factory, and the thunk it built, which exists only
+        #: while ``run_loop`` runs (a thunk binds the machine and memory).
+        self.make: Any = None
         self.thunk: Any = None
         #: word indices this trace's code occupies, one per address
         #: (non-contiguous: traces hop across the image through chained
         #: transfers, but never revisit an address).
         self.widx = tuple(sorted(a >> 2 for a in addrs))
-        #: owning engine (deferred-stat reconciliation on cold paths).
+        #: weak reference to the owning engine (deferred-stat
+        #: reconciliation on cold paths), which holds the trace.
         self.eng: Any = None
         #: per-exit-point hit counters, reconciled lazily against
         #: ``exit_recs`` (the static stat bundle of each exit).
@@ -239,7 +250,7 @@ def _trace_trap_exit(m: ArchState, T: _Trace, ix: int, exc: Exception) -> int:
     including the slot position of an *untaken* conditional, which the
     reference does not treat as a delay slot.
     """
-    eng = T.eng
+    eng = T.eng()
     if eng is not None:
         eng._reconcile()
     in_slot = ix >= _TK
@@ -276,7 +287,7 @@ def _trace_trap_exit(m: ArchState, T: _Trace, ix: int, exc: Exception) -> int:
 
 def _trace_reconcile(m: ArchState, T: _Trace) -> None:
     """Flush deferred stats before an in-trace halt (exact observer state)."""
-    eng = T.eng
+    eng = T.eng()
     if eng is not None:
         eng._reconcile()
 
@@ -1357,7 +1368,10 @@ class TraceEngine:
         self._cycles_cell: list[int] = [0]
         #: traces dropped while possibly holding unreconciled hits.
         self._retired: list[_Trace] = []
-        self._machine: ArchState | None = None
+        #: weak reference to the machine of the last ``run_loop``: a
+        #: restore after an exception escaped a dispatch must still drop
+        #: its pending hits, but the engine keeps no machine alive.
+        self._machine: weakref.ref[ArchState] | None = None
         #: lifetime counters surfaced via :meth:`telemetry_snapshot`.
         self.traces_compiled = 0
         self.traces_invalidated = 0
@@ -1460,7 +1474,7 @@ class TraceEngine:
         those hits) the pending hits are dropped instead; only the
         fused-pair telemetry, which no restore rewinds, keeps them.
         """
-        m = self._machine
+        m = self._machine() if self._machine is not None else None
         cy = self._cycles_cell
         if m is None or (not cy[0] and not self._retired):
             return
@@ -1533,6 +1547,7 @@ class TraceEngine:
         self._reconcile()
         for trc in self._traces.values():
             trc.live = False
+            trc.thunk = None
             # _reconcile may have early-returned with nothing pending;
             # trap-unwind pair counts still ride on the trace objects.
             self._fused_retired += trc.fused_hits
@@ -1543,6 +1558,7 @@ class TraceEngine:
 
     def _drop(self, trc: _Trace) -> None:
         trc.live = False
+        trc.thunk = None  # a running thunk finishes on its own frame
         self._traces.pop(trc.start, None)
         #: the trace may still be mid-run (self-invalidation) or hold
         #: unreconciled exit hits; keep it until the next reconcile.
@@ -1629,7 +1645,8 @@ class TraceEngine:
             cycles_bound=cycles_bound,
         )
         trc.top = top
-        trc.eng = self
+        trc.eng = weakref.ref(self)
+        trc.make = make
         trc.exit_recs = recs
         trc.exit_hits = [0] * len(recs)
         trc.ixs = ixs
@@ -1677,9 +1694,14 @@ class TraceEngine:
         deadline: float | None,
     ) -> int:
         """Dispatch compiled traces until halt or a budget expires;
-        returns the steps executed."""
+        returns the steps executed.
+
+        Each live trace gets its thunk from its cached factory on entry
+        and loses it on exit, so no machine-to-engine-to-machine cycle
+        outlives the loop.
+        """
         mem = m.memory
-        self._machine = m
+        self._machine = weakref.ref(m)
         if mem._exec_listener is not self:
             mem.set_exec_listener(self)
         if not self._halt_known or m.halt_address != self._halt_addr:
@@ -1688,7 +1710,24 @@ class TraceEngine:
                 self.flush_code()
             self._halt_addr = m.halt_address
             self._halt_known = True
+        traces = self._traces
+        for trc in traces.values():
+            trc.thunk = trc.make(m, trc, self._plain, self._cycles_cell)
+        try:
+            return self._dispatch_loop(m, max_steps, max_cycles, deadline)
+        finally:
+            for trc in traces.values():
+                trc.thunk = None
+
+    def _dispatch_loop(
+        self,
+        m: ArchState,
+        max_steps: int,
+        max_cycles: int | None,
+        deadline: float | None,
+    ) -> int:
         fast_step = self._fast.step
+        run_observed = self._fast.run_observed
         bus = m.observers
         stats = m.stats
         traces_get = self._traces.get
@@ -1709,10 +1748,10 @@ class TraceEngine:
                 or m.pending_interrupt is not None
                 or m._pending_jump
             ):
-                if bus.step_observed:
-                    self.fallback_observed += 1
-                else:
+                if not bus.step_observed:
                     self.fallback_pending += 1
+                elif path is not None:
+                    self.fallback_observed += 1
                 trc = None
             else:
                 trc = traces_get(pc)
@@ -1736,10 +1775,19 @@ class TraceEngine:
             if trc is None:
                 if CY[0]:
                     self._reconcile()
-                fast_step(m)
-                steps += 1
-                if path is not None:
-                    path.append(((pc,), 1))
+                if bus.step_observed and path is None:
+                    # An observed stretch runs in the inner engine's own
+                    # loop, which stops without halting at the budgets
+                    # checked below (and at the next wall-clock check).
+                    limit = max_steps if deadline is None else check_at
+                    ran = run_observed(m, limit - steps, max_cycles)
+                    self.fallback_observed += ran
+                    steps += ran
+                else:
+                    fast_step(m)
+                    steps += 1
+                    if path is not None:
+                        path.append(((pc,), 1))
             else:
                 # Frame-op fast paths are licensed per dispatch: the
                 # boundary observers must be exactly the default

@@ -14,7 +14,7 @@ from repro.isa.formats import Instruction
 from repro.isa.opcodes import Category
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One executed instruction with the facts timing models need."""
 

@@ -146,6 +146,26 @@ class Trial:
     spec: FaultSpec
     budget: int
 
+    def __reduce__(self):
+        # A worker-pool payload names the golden run instead of carrying
+        # its ~150 KB of visit arrays: the worker looks it up.
+        return _trial, (self.index, self.golden.benchmark, self.spec, self.budget)
+
+
+#: Golden runs of this process, by benchmark name.  The schedule records
+#: every run it draws, so forked workers inherit them; a spawned worker
+#: reruns the deterministic golden run once per benchmark instead.
+_GOLDEN_RUNS: dict[str, GoldenRun] = {}
+
+
+def _trial(index: int, name: str, spec: FaultSpec, budget: int) -> Trial:
+    """Rebuild a pickled :class:`Trial` around this process's golden run."""
+    golden = _GOLDEN_RUNS.get(name)
+    if golden is None:
+        golden, _compiled = _golden_run(name)
+        _GOLDEN_RUNS[name] = golden
+    return Trial(index, golden, spec, budget)
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -437,19 +457,17 @@ def _pc_trigger_step(golden: GoldenRun, trigger) -> int | None:
 
 
 def _fast_forward(
-    machine: RiscMachine, stop: int, max_cycles: int | None,
-    deadline: float | None = None, steps: int = 0,
+    machine: RiscMachine, stop: int, max_cycles: int | None, steps: int = 0,
 ) -> int:
     """Run unobserved on the machine's tier from trial step *steps* up to
     step *stop*; returns the steps executed.
 
     A step or cycle watchdog halt is cleared, so the trial continues
-    from that exact boundary.  *deadline* is the engine ``run_loop``'s
-    wall-clock limit; the campaign never sets one.
+    from that exact boundary.
     """
     if stop <= steps:
         return 0
-    ran = machine.engine.run_loop(machine, stop - steps, max_cycles, deadline)
+    ran = machine.engine.run_loop(machine, stop - steps, max_cycles, None)
     if machine.halted in (HaltReason.STEP_LIMIT, HaltReason.CYCLE_LIMIT):
         machine.halted = None
     return ran
@@ -562,7 +580,7 @@ def _campaign_schedule(
         if count == 0:
             continue
         golden, _compiled = _golden_run(name)
-        goldens[name] = golden
+        goldens[name] = _GOLDEN_RUNS[name] = golden
         budget = int(golden.instructions * config.step_budget_factor)
         budget += config.step_budget_slack
         for _ in range(count):

@@ -12,6 +12,7 @@ fast; every scenario compares against it.
 import json
 import multiprocessing
 import os
+import pickle
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -171,3 +172,21 @@ class TestCli:
             main([flag, "1"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestTrialPayload:
+    def test_trial_pickles_without_its_golden_run(self):
+        trial = _campaign_schedule(CONFIG, {})[0]
+        payload = pickle.dumps(trial)
+        assert len(payload) < 1024
+        assert len(pickle.dumps(trial.golden)) > 10 * 1024
+        assert pickle.loads(payload).golden is trial.golden
+
+    def test_worker_without_the_golden_run_rebuilds_it(self, monkeypatch):
+        trial = _campaign_schedule(CONFIG, {})[0]
+        payload = pickle.dumps(trial)
+        # A spawned worker starts with no golden runs at all.
+        monkeypatch.setattr(campaign_module, "_GOLDEN_RUNS", {})
+        rebuilt = pickle.loads(payload)
+        assert rebuilt == trial
+        assert rebuilt.golden.visits == trial.golden.visits

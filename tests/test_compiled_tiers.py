@@ -11,8 +11,14 @@ targets what compiling code adds:
 * checkpoints taken mid-trace and mid-delay-slot must round-trip through
   ``restore`` and resume through the compiled path bit-identically;
 * randomly generated instruction sequences (hypothesis) must execute
-  identically on every tier.
+  identically on every tier;
+* a finished machine must be freed by reference counting, and observed
+  stretches must hand back to compiled traces with exact watchdogs.
 """
+
+import gc
+import traceback
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +27,8 @@ from hypothesis import strategies as st
 from repro import RiscMachine, assemble
 from repro.cpu.equivalence import diff_digests, state_digest
 from repro.cpu.machine import HaltReason
+from repro.workloads import benchmark
+from repro.workloads.cache import compile_cached
 
 from repro.cpu.engines import default_sweep_engines
 
@@ -286,3 +294,127 @@ class TestRandomPrograms:
         source = _render_program(seeds, ops)
         machine = assert_all_engines_identical(source)
         assert machine.halted is HaltReason.RETURNED
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestMachineLifetime:
+    """With the cyclic collector off, weakrefs to a machine's memory and
+    engine die with the last reference to the machine: no engine keeps a
+    path back to the machine or its memory once a run ends, and none
+    forms a cycle with its own traces."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @pytest.fixture
+    def towers(self):
+        return compile_cached(benchmark("towers").source)
+
+    def test_freed_after_run(self, engine, towers):
+        machine = towers.make_machine(engine=engine)
+        machine.run(towers.program.entry)
+        assert machine.halted is HaltReason.RETURNED
+        memory, engine = weakref.ref(machine.memory), weakref.ref(machine.engine)
+        del machine
+        assert memory() is None and engine() is None
+
+    def test_freed_after_exception_in_dispatch(self, engine, towers):
+        machine = towers.make_machine(engine=engine)
+        calls = []
+
+        def on_call(m, depth):
+            calls.append(depth)
+            if len(calls) == 50:
+                raise _Boom
+
+        machine.observers.subscribe("call", on_call)
+        files = []
+        try:
+            machine.run(towers.program.entry)
+        except _Boom as exc:
+            files = [frame.f_code.co_filename
+                     for frame, _ in traceback.walk_tb(exc.__traceback__)]
+        assert len(calls) == 50
+        if engine == "trace":  # raised inside a compiled trace's thunk
+            assert any(name.startswith("<trace ") for name in files), files
+        memory, engine = weakref.ref(machine.memory), weakref.ref(machine.engine)
+        del machine, on_call
+        assert memory() is None and engine() is None
+
+    def test_freed_after_restore_and_rerun(self, engine, towers):
+        machine = towers.make_machine(engine=engine)
+        machine.reset(towers.program.entry)
+        checkpoint = machine.checkpoint(track_memory_deltas=True)
+        machine.engine.run_loop(machine, 10**7, None, None)
+        first = state_digest(machine)
+        machine.restore(checkpoint)
+        machine.engine.run_loop(machine, 10**7, None, None)
+        assert not diff_digests(first, state_digest(machine))
+        memory, engine = weakref.ref(machine.memory), weakref.ref(machine.engine)
+        del machine, checkpoint
+        assert memory() is None and engine() is None
+
+
+class TestObservedStretches:
+    """The trace tier runs an observed stretch in its inner fast
+    engine's loop; the steps stay attributed and the watchdogs exact."""
+
+    @staticmethod
+    def observed(engine, max_steps, max_cycles, detach_after=None):
+        """A towers run under a ``pre_step`` PC recorder: (pcs, steps,
+        digest, machine); the recorder detaches itself after
+        *detach_after* steps."""
+        compiled = compile_cached(benchmark("towers").source)
+        machine = compiled.make_machine(engine=engine)
+        pcs = []
+
+        def hook(m):
+            pcs.append(m.pc)
+            if len(pcs) == detach_after:
+                m.observers.unsubscribe("pre_step", hook)
+
+        machine.observers.subscribe("pre_step", hook)
+        machine.reset(compiled.program.entry)
+        steps = machine.engine.run_loop(machine, max_steps, max_cycles, None)
+        return pcs, steps, state_digest(machine), machine
+
+    @pytest.mark.parametrize(
+        ("max_steps", "max_cycles"),
+        [(777, None), (10**7, 2_001), (10**7, None)],
+        ids=["step-limit", "cycle-limit", "to-completion"],
+    )
+    def test_watchdogs_exact_under_observers(self, max_steps, max_cycles):
+        pcs, steps, digest, _machine = self.observed(
+            "reference", max_steps, max_cycles
+        )
+        for engine in ENGINES[1:]:
+            got_pcs, got_steps, got, machine = self.observed(
+                engine, max_steps, max_cycles
+            )
+            assert (got_pcs, got_steps) == (pcs, steps), engine
+            assert not diff_digests(digest, got), engine
+            if engine == "trace":
+                assert machine.engine.fallback_observed == steps
+
+    def test_detached_observer_hands_back_to_traces(self):
+        pcs, steps, digest, _machine = self.observed(
+            "reference", 10**7, None, detach_after=500
+        )
+        got_pcs, got_steps, got, machine = self.observed(
+            "trace", 10**7, None, detach_after=500
+        )
+        assert (got_pcs, got_steps) == (pcs, steps)
+        assert not diff_digests(digest, got)
+        engine = machine.engine
+        assert engine.fallback_observed == 500
+        assert engine.traces_compiled > 0
+        assert engine.fallback_steps < steps - 500

@@ -94,11 +94,11 @@ class TestWorkloadEquivalence:
     def test_report_variant_default_tier_bit_identical(self, name, flags):
         # The a1 (flat register file) and a2 (NOP-filled delay slots)
         # ablations run through CompiledRisc.run's default tier, which
-        # must be the fast tier and must match the oracle.
+        # must be the trace tier and must match the oracle.
         compiled = compile_cached(benchmark(name).source, **flags)
         __, oracle = compiled.run(engine="reference")
         __, default = compiled.run()
-        assert default.engine_name == "fast"
+        assert default.engine_name == "trace"
         assert not diff_digests(state_digest(oracle), state_digest(default))
 
     def test_few_windows_spill_heavy_bit_identical(self):

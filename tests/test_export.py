@@ -19,7 +19,7 @@ class TestExport:
         rows = matrix_as_records(FAST_SUBSET)
         for row in rows:
             if row["machine"] == RISC_NAME:
-                assert row["engine"] == "fast"
+                assert row["engine"] == "trace"
                 assert row["decode_misses"] > 0
             else:
                 assert row["engine"] is None

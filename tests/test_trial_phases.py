@@ -152,7 +152,7 @@ def test_cycle_trigger_between_jump_and_delay_slot(covering_schedule, name):
         machine, checkpoint = trial_state(name, engine)
         # The prefix stops exactly at the boundary, jump still pending.
         machine.restore(checkpoint)
-        assert _fast_forward(machine, 10**9, cycles, None, 0) == step, engine
+        assert _fast_forward(machine, 10**9, cycles, 0) == step, engine
         assert machine.halted is None and machine._pending_jump, engine
         assert machine.pc == slot_pc, engine
 
