@@ -1779,7 +1779,10 @@ class TraceEngine:
                     # An observed stretch runs in the inner engine's own
                     # loop, which stops without halting at the budgets
                     # checked below (and at the next wall-clock check).
-                    limit = max_steps if deadline is None else check_at
+                    limit = (
+                        max_steps if deadline is None
+                        else min(max_steps, check_at)
+                    )
                     ran = run_observed(m, limit - steps, max_cycles)
                     self.fallback_observed += ran
                     steps += ran

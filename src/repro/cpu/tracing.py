@@ -14,13 +14,22 @@ from repro.isa.formats import Instruction
 from repro.isa.opcodes import Category
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TraceRecord:
     """One executed instruction with the facts timing models need."""
+
+    # Declared by hand (not ``slots=True``, which needs Python 3.10): e1
+    # holds up to 120k records, and dropping the per-record ``__dict__``
+    # takes about 2 MB off its peak.
+    __slots__ = ("pc", "inst", "taken_jump")
 
     pc: int
     inst: Instruction
     taken_jump: bool
+
+    def __reduce__(self):
+        # The default slot-state restore would assign to frozen fields.
+        return (TraceRecord, (self.pc, self.inst, self.taken_jump))
 
     @property
     def is_memory(self) -> bool:

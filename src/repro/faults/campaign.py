@@ -65,7 +65,7 @@ import json
 import random
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from repro.common.bitops import to_signed
@@ -150,21 +150,6 @@ class Trial:
         # A worker-pool payload names the golden run instead of carrying
         # its ~150 KB of visit arrays: the worker looks it up.
         return _trial, (self.index, self.golden.benchmark, self.spec, self.budget)
-
-
-#: Golden runs of this process, by benchmark name.  The schedule records
-#: every run it draws, so forked workers inherit them; a spawned worker
-#: reruns the deterministic golden run once per benchmark instead.
-_GOLDEN_RUNS: dict[str, GoldenRun] = {}
-
-
-def _trial(index: int, name: str, spec: FaultSpec, budget: int) -> Trial:
-    """Rebuild a pickled :class:`Trial` around this process's golden run."""
-    golden = _GOLDEN_RUNS.get(name)
-    if golden is None:
-        golden, _compiled = _golden_run(name)
-        _GOLDEN_RUNS[name] = golden
-    return Trial(index, golden, spec, budget)
 
 
 @dataclass(frozen=True)
@@ -580,7 +565,7 @@ def _campaign_schedule(
         if count == 0:
             continue
         golden, _compiled = _golden_run(name)
-        goldens[name] = _GOLDEN_RUNS[name] = golden
+        goldens[name] = _POOL_STATE[name].golden = golden
         budget = int(golden.instructions * config.step_budget_factor)
         budget += config.step_budget_slack
         for _ in range(count):
@@ -589,8 +574,31 @@ def _campaign_schedule(
     return schedule
 
 
-#: Per-worker-process replay state: benchmark name -> (machine, checkpoint).
-_POOL_STATE: dict = {}
+@dataclass
+class _BenchmarkState:
+    """This process's campaign state for one benchmark.
+
+    *golden* is the golden run the schedule last drew trials from;
+    forked workers inherit it, and a spawned worker reruns it
+    (deterministically) for its first trial.  *replay* is the
+    (machine, delta checkpoint) pair trials replay on, built on first
+    use.
+    """
+
+    golden: GoldenRun | None = None
+    replay: tuple[RiscMachine, object] | None = None
+
+
+#: Per-process campaign state, by benchmark name.
+_POOL_STATE: defaultdict[str, _BenchmarkState] = defaultdict(_BenchmarkState)
+
+
+def _trial(index: int, name: str, spec: FaultSpec, budget: int) -> Trial:
+    """Rebuild a pickled :class:`Trial` around this process's golden run."""
+    state = _POOL_STATE[name]
+    if state.golden is None:
+        state.golden, _compiled = _golden_run(name)
+    return Trial(index, state.golden, spec, budget)
 
 
 def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
@@ -602,8 +610,8 @@ def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
     trials from the same image as an in-process run.  The machine runs on the
     fastest scalar tier, which executes the unobserved trial phases.
     """
-    state = _POOL_STATE.get(name)
-    if state is None:
+    state = _POOL_STATE[name]
+    if state.replay is None:
         from repro.workloads import benchmark
         from repro.workloads.cache import compile_cached
 
@@ -611,8 +619,8 @@ def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
         machine = compiled.make_machine(engine=fastest_scalar_engine())
         machine.reset(compiled.program.entry)
         checkpoint = machine.checkpoint(track_memory_deltas=True)
-        _POOL_STATE[name] = state = (machine, checkpoint)
-    return state
+        state.replay = (machine, checkpoint)
+    return state.replay
 
 
 def _execute(trial: Trial) -> tuple[InjectionResult, Counter]:

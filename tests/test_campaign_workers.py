@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+from collections import defaultdict
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -186,7 +187,10 @@ class TestTrialPayload:
         trial = _campaign_schedule(CONFIG, {})[0]
         payload = pickle.dumps(trial)
         # A spawned worker starts with no golden runs at all.
-        monkeypatch.setattr(campaign_module, "_GOLDEN_RUNS", {})
+        monkeypatch.setattr(
+            campaign_module, "_POOL_STATE",
+            defaultdict(campaign_module._BenchmarkState),
+        )
         rebuilt = pickle.loads(payload)
         assert rebuilt == trial
         assert rebuilt.golden.visits == trial.golden.visits

@@ -17,6 +17,7 @@ targets what compiling code adds:
 """
 
 import gc
+import time
 import traceback
 import weakref
 
@@ -369,7 +370,8 @@ class TestObservedStretches:
     engine's loop; the steps stay attributed and the watchdogs exact."""
 
     @staticmethod
-    def observed(engine, max_steps, max_cycles, detach_after=None):
+    def observed(engine, max_steps, max_cycles, detach_after=None,
+                 deadline=None):
         """A towers run under a ``pre_step`` PC recorder: (pcs, steps,
         digest, machine); the recorder detaches itself after
         *detach_after* steps."""
@@ -384,21 +386,40 @@ class TestObservedStretches:
 
         machine.observers.subscribe("pre_step", hook)
         machine.reset(compiled.program.entry)
-        steps = machine.engine.run_loop(machine, max_steps, max_cycles, None)
+        steps = machine.engine.run_loop(
+            machine, max_steps, max_cycles, deadline
+        )
         return pcs, steps, state_digest(machine), machine
 
     @pytest.mark.parametrize(
-        ("max_steps", "max_cycles"),
-        [(777, None), (10**7, 2_001), (10**7, None)],
-        ids=["step-limit", "cycle-limit", "to-completion"],
+        ("max_steps", "max_cycles", "far_deadline"),
+        [
+            (777, None, False),
+            (777, None, True),
+            (10**7, 2_001, False),
+            (10**7, 2_001, True),
+            (10**7, None, False),
+        ],
+        ids=[
+            "step-limit",
+            "step-limit-deadline",
+            "cycle-limit",
+            "cycle-limit-deadline",
+            "to-completion",
+        ],
     )
-    def test_watchdogs_exact_under_observers(self, max_steps, max_cycles):
+    def test_watchdogs_exact_under_observers(
+        self, max_steps, max_cycles, far_deadline
+    ):
+        # A far-off deadline never fires, but makes every tier poll the
+        # clock; the step and cycle watchdogs must stay exact regardless.
+        deadline = time.monotonic() + 3600 if far_deadline else None
         pcs, steps, digest, _machine = self.observed(
-            "reference", max_steps, max_cycles
+            "reference", max_steps, max_cycles, deadline=deadline
         )
         for engine in ENGINES[1:]:
             got_pcs, got_steps, got, machine = self.observed(
-                engine, max_steps, max_cycles
+                engine, max_steps, max_cycles, deadline=deadline
             )
             assert (got_pcs, got_steps) == (pcs, steps), engine
             assert not diff_digests(digest, got), engine
