@@ -16,7 +16,9 @@ from array import array
 from repro.baselines import VaxTraits, CiscExecutor
 from repro.cc import compile_for_risc, compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
-from repro.faults.campaign import _golden_run
+from repro.cpu.engines import fastest_scalar_engine
+from repro.faults.campaign import _golden_run, _run_injection
+from repro.faults.models import FaultKind, FaultSpec, FaultTarget, FaultTrigger
 from repro.hll import run_program
 from repro.workloads import benchmark as benchmark_program
 from repro.workloads.cache import compile_cached
@@ -137,6 +139,48 @@ def test_golden_run_speed(benchmark):
     benchmark.extra_info["workload"] = "ackermann"
     benchmark.extra_info["steps"] = golden.instructions
     assert golden.instructions > 10_000
+
+
+#: towers' ``moves`` counter (``.org 16`` in its listing) with bit 0
+#: stuck at one from cycle 100 on: each ``moves = moves + 1`` stores an
+#: even count that the stuck bit makes odd, so every move counts twice.
+STUCK_MOVES = FaultSpec(
+    FaultTarget.MEMORY, FaultKind.STUCK_AT_ONE, FaultTrigger(at_cycle=100),
+    location=16, bits=(0,),
+)
+
+
+def _stuck_trial(benchmark, *, observed):
+    """Time the towers :data:`STUCK_MOVES` campaign trial, on a trial
+    machine built the way the campaign builds one; with *observed*, a
+    no-op ``pre_step`` observer makes every step of it single-step."""
+    golden, compiled = _golden_run("towers")
+    machine = compiled.make_machine(engine=fastest_scalar_engine())
+    machine.reset(compiled.program.entry)
+    checkpoint = machine.checkpoint(track_memory_deltas=True)
+    if observed:
+        machine.observers.subscribe("pre_step", lambda m: None)
+    budget = golden.instructions * 2
+    result = benchmark(
+        lambda: _run_injection(machine, checkpoint, golden, STUCK_MOVES, budget)
+    )
+    benchmark.extra_info["engine"] = machine.engine_name
+    benchmark.extra_info["steps"] = result.instructions
+    assert result.result == 2 * golden.result + 1
+    return result
+
+
+def test_stuck_at_observed_trial_speed(benchmark):
+    _stuck_trial(benchmark, observed=True)
+
+
+def test_stuck_at_pinned_trial_speed(benchmark):
+    """Paired with the observed trial by the stuck-pinned-vs-observed
+    baseline entry: once it fires, a memory stuck-at fault is pinned on
+    the machine and the trial runs on compiled traces; a trial that
+    single-steps its stuck-at fault again runs at the observed speed.
+    """
+    _stuck_trial(benchmark, observed=False)
 
 
 def test_trace_engine_simulator_speed(benchmark):

@@ -90,15 +90,18 @@ class Memory:
         # bytes.  ``None`` means journaling is off (the common case; the
         # store paths pay a single identity test per write).
         self._journal: dict[int, bytes] | None = None
-        # Executable-code write watch, installed by a code-compiling
-        # execution engine (see repro.cpu.traceengine).  ``_exec_watch``
-        # maps word index (address >> 2) -> anything truthy for every
-        # word covered by compiled code; a store that lands on a watched
-        # word notifies the listener so stale compiled code is
-        # invalidated.  ``None`` means no engine is watching (the common
-        # case; store paths pay one identity test per write).
+        # The write watch.  ``_exec_watch`` holds the word index
+        # (address >> 2) of every word covered by compiled code (the
+        # code-compiling engine's own dict, see repro.cpu.traceengine)
+        # and of every pinned word; a store that lands on a watched word
+        # calls _watch_hit, which re-applies a pin and tells the listener
+        # to drop stale compiled code.  ``None`` means nothing is watched
+        # (the common case; store paths pay one identity test per write).
         self._exec_watch: dict | None = None
         self._exec_listener = None
+        # Stuck-at pins: word index -> (mask, value); a pinned word always
+        # holds ``value`` under ``mask`` after a store (see pin_word).
+        self._pins: dict[int, tuple[int, int]] = {}
         # Optional memory-mapped device region (see Memory.map_mmio).
         # ``None`` keeps every access on the plain-RAM fast path.
         self._mmio = None
@@ -205,7 +208,7 @@ class Memory:
         self._bytes[address] = value & 0xFF
         watch = self._exec_watch
         if watch is not None and (address >> 2) in watch:
-            self._exec_listener.invalidate_code(address)
+            self._watch_hit(address)
 
     def store_half(self, address: int, value: int, *, count: bool = True) -> None:
         self._check(address, HALF_BYTES, HALF_BYTES)
@@ -221,7 +224,7 @@ class Memory:
         self._bytes[address : address + HALF_BYTES] = (value & 0xFFFF).to_bytes(2, "big")
         watch = self._exec_watch
         if watch is not None and (address >> 2) in watch:
-            self._exec_listener.invalidate_code(address)
+            self._watch_hit(address)
 
     def store_word(self, address: int, value: int, *, count: bool = True) -> None:
         if address == CONSOLE_ADDRESS:
@@ -243,7 +246,7 @@ class Memory:
         self._bytes[address : address + WORD_BYTES] = (value & 0xFFFFFFFF).to_bytes(4, "big")
         watch = self._exec_watch
         if watch is not None and (address >> 2) in watch:
-            self._exec_listener.invalidate_code(address)
+            self._watch_hit(address)
 
     # -- memory-mapped devices ----------------------------------------------
 
@@ -268,20 +271,88 @@ class Memory:
         self._mmio_base = device.base
         self._mmio_limit = device.limit
 
-    # -- compiled-code write watch ------------------------------------------
+    # -- the write watch: compiled code and stuck-at pins ---------------------
 
     def set_exec_listener(self, listener) -> None:
         """Install (or clear, with ``None``) a compiled-code write watch.
 
         *listener* must expose ``code_words`` (a dict keyed by word index,
-        ``address >> 2``, covering every word with compiled code behind it),
-        ``invalidate_code(address)``, ``flush_code()`` and
-        ``rewind_code(dirty)``.  Stores that hit a watched word call
+        ``address >> 2``, covering every word with compiled code behind it,
+        mapped to a list of its owners), ``invalidate_code(address)``,
+        ``flush_code()`` and ``rewind_code(dirty)``, and must keep a key
+        whose owners are gone while it is in ``pins``, the dict it is
+        handed here.  Stores that hit a watched word call
         ``invalidate_code``; ``load_program`` calls ``flush_code``;
         :meth:`restore` calls ``rewind_code``.
         """
         self._exec_listener = listener
-        self._exec_watch = listener.code_words if listener is not None else None
+        if listener is None:
+            self._exec_watch = self._pins or None
+            return
+        listener.pins = self._pins
+        watch = self._exec_watch = listener.code_words
+        for wi in self._pins:
+            watch.setdefault(wi, [])
+
+    def pin_word(self, address: int, mask: int, value: int) -> bool:
+        """Pin the bits *mask* of the word at *address* to *value*: a
+        stuck-at fault that no later store can clear.
+
+        The word is forced now and joins the write watch, so every store
+        that reaches it - any width, on any engine, a window spill
+        included - is forced again before the next instruction runs.
+        That is the same word an every-step re-assertion would leave,
+        because no instruction reads a word after storing to it within
+        the same step.  A
+        second pin on the word applies after the first.  Only aligned
+        plain RAM pins; returns False (nothing pinned) for the console,
+        the MMIO window or an address outside memory.
+        """
+        if not self._plain_span(address, address + WORD_BYTES):
+            return False
+        wi = address >> 2
+        old = self._pins.get(wi)
+        if old is not None:
+            mask, value = old[0] | mask, (old[1] & ~mask) | value
+        value &= mask
+        self._pins[wi] = (mask, value)
+        listener = self._exec_listener
+        if listener is None:
+            self._exec_watch = self._pins
+        else:
+            listener.code_words.setdefault(wi, [])
+        word = self.load_word(address, count=False)
+        if (word & ~mask) | value != word:
+            # An uncounted store: its watch hit forces the new pin.
+            self.store_word(address, word, count=False)
+        return True
+
+    def unpin_word(self, address: int) -> None:
+        """Drop the pin on the word at *address* (its bits stay as they are)."""
+        wi = address >> 2
+        if self._pins.pop(wi, None) is None:
+            return
+        if self._exec_listener is None:
+            self._exec_watch = self._pins or None
+        elif not self._exec_watch.get(wi, True):
+            del self._exec_watch[wi]
+
+    def _watch_hit(self, address: int) -> None:
+        """A store reached a watched word: force its pin, if any, then tell
+        the listener to drop the compiled code built from it, if any."""
+        wi = address >> 2
+        pin = self._pins.get(wi)
+        if pin is not None:
+            start = address & ~3
+            data = self._bytes
+            word = int.from_bytes(data[start : start + WORD_BYTES], "big")
+            forced = (word & ~pin[0]) | pin[1]
+            if forced != word:
+                if self._journal is not None:
+                    self._journal_touch(start)
+                data[start : start + WORD_BYTES] = forced.to_bytes(4, "big")
+        if self._exec_listener is not None and self._exec_watch.get(wi):
+            self._exec_listener.invalidate_code(address)
 
     # -- checkpoint / rollback ---------------------------------------------
 

@@ -145,12 +145,15 @@ class ReferenceEngine:
     def step_body(self, m: ArchState) -> Instruction | None:
         """Everything of :meth:`step` after the ``pre_step`` hooks.
 
-        Takes a latched interrupt, fetches (through any ``fetch_word``
-        filters), executes, and emits ``mem_access`` and ``step``.  A
+        Forces a pinned PSW, takes a latched interrupt, fetches (through
+        any ``fetch_word`` filters), executes, and emits ``mem_access``
+        and ``step``.  A
         compiled tier that has already run the ``pre_step`` hooks itself
         hands the rest of an observed step here.
         """
         bus = m.observers
+        if m.psw_pin is not None:
+            m._force_psw()
         if (
             m.pending_interrupt is not None
             and m.psw.interrupts_enabled

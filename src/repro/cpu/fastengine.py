@@ -733,8 +733,10 @@ class FastEngine:
         return steps
 
     def _dispatch(self, m: ArchState) -> Instruction | None:
-        """Fetch, compile if needed, and run one unfused thunk; None
-        when the step trapped."""
+        """Force a pinned PSW, fetch, compile if needed, and run one
+        unfused thunk; None when the step trapped."""
+        if m.psw_pin is not None:
+            m._force_psw()
         mem = m.memory
         pc = m.pc
         if pc & 3 or pc < 0 or pc + 4 > mem.size:
@@ -799,6 +801,8 @@ class FastEngine:
             if bus.step_observed or m.pending_interrupt is not None:
                 observed_step(m)
             else:
+                if m.psw_pin is not None:
+                    m._force_psw()
                 pc = m.pc
                 if pc & 3 or pc < 0 or pc + 4 > size:
                     self._fetch_fault(m, pc)
@@ -815,11 +819,13 @@ class FastEngine:
                             m._pending_jump
                             or steps + 1 >= max_steps
                             or (fuse_below is not None and stats.cycles >= fuse_below)
+                            or m.psw_pin is not None
                         ):
                             # The pair's first half sits in a live delay
                             # slot this dispatch (run it unfused so the
-                            # slot accounting below stays exact), or a
-                            # watchdog may halt between the two halves.
+                            # slot accounting below stays exact), a
+                            # watchdog may halt between the two halves,
+                            # or a pinned PSW bit is due between them.
                             entry = self._singleton(m, pc, word)
                         elif from_bytes(mem_bytes[pc + 4 : pc + 8], "big") != entry[4]:
                             # Second half rewritten: de-fuse this pc.

@@ -369,6 +369,10 @@ class ArchState:
         self.pending_interrupt: int | None = None
         self.interrupts_taken = 0
 
+        # A stuck-at PSW fault (see pin_psw): ``None``, or the (mask,
+        # value) every engine forces before each instruction it runs.
+        self.psw_pin: tuple[int, int] | None = None
+
         # Trap architecture.
         self.trap_vectors = TrapVectorTable()
         self.trap_log: list[TrapRecord] = []
@@ -544,6 +548,34 @@ class ArchState:
         self.psw.interrupts_enabled = False
         self.pc = handler
         self.npc = handler + 4
+
+    # -- stuck-at PSW bits -------------------------------------------------------
+
+    def pin_psw(self, mask: int, value: int) -> None:
+        """Pin the PSW bits *mask* (packed layout) to *value* until
+        :meth:`unpin_psw`; a second pin applies after the first.
+
+        Every engine forces the pinned bits before each instruction it
+        runs, after the ``pre_step`` hooks, which is where an every-step
+        re-assertion leaves them.  The trace tier forces them once per
+        dispatch and admits only traces that cannot write a pinned bit.
+        """
+        old = self.psw_pin
+        if old is not None:
+            mask, value = old[0] | mask, (old[1] & ~mask) | value
+        self.psw_pin = (mask, value & mask)
+        self._force_psw()
+
+    def unpin_psw(self) -> None:
+        """Drop the PSW pin (the bits stay as they are)."""
+        self.psw_pin = None
+
+    def _force_psw(self) -> None:
+        mask, value = self.psw_pin  # type: ignore[misc]
+        word = self.psw.pack()
+        forced = (word & ~mask) | value
+        if forced != word:
+            self.psw.unpack(forced)
 
     # -- halting ----------------------------------------------------------------
 

@@ -57,6 +57,11 @@ so the admission rule is bit-identical architectural results against
   write watch (``set_exec_listener``); a trace that invalidates itself
   exits early with exact sequential state, and the next dispatch
   recompiles from the rewritten image;
+* **stuck-at pins** - a pinned memory word shares that watch (the
+  store re-applies the pin inside ``Memory``); under a pinned PSW a
+  dispatch forces the pinned bits and runs a trace only if its static
+  PSW write mask misses them, and otherwise single-steps
+  (``fallback_pinned``);
 * **rollback through the oracle path** - a checkpoint restore drops
   pending exit hits (the stats they would fold into were rewound) and
   keeps the compiled traces unless it rolled back one of their code
@@ -134,6 +139,35 @@ _TK = 1 << 20
 _CYCLE_MARGIN = 128
 _FRAME_OP_MARGIN = 40
 
+#: Opcodes that move the window pointers (CWP, SWP).
+_FRAME_OPS = frozenset(
+    (Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RETINT, Opcode.CALLINT)
+)
+
+#: PSW bits (packed layout, see repro.cpu.psw) an instruction may write:
+#: the flags, the interrupt enable, the window pointers, all of them.
+_PSW_FLAGS = 0x00F
+_PSW_I = 0x010
+_PSW_WINDOWS = 0x7E0
+_PSW_ALL = 0x7FF
+
+
+def _psw_writes(seq) -> int:
+    """The PSW bits any instruction of a trace may write; a trap, which
+    ends the dispatch, is not counted."""
+    mask = 0
+    for _addr, _word, inst in seq:
+        op = inst.opcode
+        if op is Opcode.PUTPSW:
+            return _PSW_ALL
+        if inst.spec.category is Category.ALU and inst.scc:
+            mask |= _PSW_FLAGS
+        if op in _FRAME_OPS:
+            mask |= _PSW_WINDOWS
+            if op is Opcode.RETINT or op is Opcode.CALLINT:
+                mask |= _PSW_I
+    return mask
+
 #: Memory-access helpers bound as thunk default arguments, per opcode:
 #: (default name, bound expression, call template).
 _LOAD_BIND = {
@@ -160,6 +194,7 @@ class _Trace:
         "words",
         "meta",
         "cycles_bound",
+        "psw_writes",
         "live",
         "make",
         "thunk",
@@ -175,7 +210,7 @@ class _Trace:
         "fused_hits",
     )
 
-    def __init__(self, start, addrs, words, meta, cycles_bound):
+    def __init__(self, start, addrs, words, meta, cycles_bound, psw_writes):
         self.start = start
         self.n = len(addrs)
         self.addrs = addrs
@@ -184,6 +219,9 @@ class _Trace:
         self.meta = meta
         self.words = words
         self.cycles_bound = cycles_bound
+        #: PSW bits the trace may write (see _psw_writes): it runs under
+        #: a PSW pin only when none of them is pinned.
+        self.psw_writes = psw_writes
         self.live = True
         #: the cached factory, and the thunk it built, which exists only
         #: while ``run_loop`` runs (a thunk binds the machine and memory).
@@ -873,10 +911,10 @@ def _codegen_trace(
                 # Bound at make() time, when the run loop has installed
                 # this engine as the memory's exec listener: ``cw`` IS
                 # the engine's code_words watch dict (mutated in place,
-                # never replaced).
+                # never replaced), which holds pinned words too.
                 defaults["jt"] = "mem._journal_touch"
                 defaults["cw"] = "mem._exec_watch"
-                defaults["inv"] = "mem._exec_listener.invalidate_code"
+                defaults["inv"] = "mem._watch_hit"
                 defaults["pk"] = "_PKI"
                 if static and static_addr_ok(int(aexpr), 4):
                     sa = int(aexpr)
@@ -1355,8 +1393,12 @@ class TraceEngine:
         self._fast = FastEngine()
         self._traces: dict[int, _Trace] = {}
         #: word index (address >> 2) -> traces whose code covers it.
-        #: This dict doubles as the Memory write watch.
+        #: This dict doubles as the Memory write watch, so it also holds
+        #: the memory's pinned words, whose keys stay while pinned.
         self.code_words: dict[int, list[_Trace]] = {}
+        #: the memory's stuck-at pins (word index -> masks), handed over
+        #: by ``Memory.set_exec_listener``.
+        self.pins: dict[int, tuple[int, int]] = {}
         self._nocompile: set[int] = set()
         self._halt_addr: int | None = None
         self._halt_known = False
@@ -1380,11 +1422,13 @@ class TraceEngine:
         self.max_trace_length = 0
         #: steps single-stepped through the inner fast engine, by reason:
         #: a step observer, a latched interrupt or pending delay slot, an
-        #: uncompilable entry, a watchdog tail, and ``step()`` calls.
+        #: uncompilable entry, a watchdog tail, a trace that could write
+        #: a pinned PSW bit, and ``step()`` calls.
         self.fallback_observed = 0
         self.fallback_pending = 0
         self.fallback_uncompilable = 0
         self.fallback_watchdog = 0
+        self.fallback_pinned = 0
         self.fallback_step_calls = 0
         #: ``None``, or a list ``run_loop`` extends with one ``(addrs,
         #: completed)`` pair per dispatch: a trace's addresses and the
@@ -1415,6 +1459,7 @@ class TraceEngine:
             "fallback_pending": self.fallback_pending,
             "fallback_uncompilable": self.fallback_uncompilable,
             "fallback_watchdog": self.fallback_watchdog,
+            "fallback_pinned": self.fallback_pinned,
             "fallback_step_calls": self.fallback_step_calls,
             "oracle_steps": self._fast.oracle_steps,
         }
@@ -1427,6 +1472,7 @@ class TraceEngine:
             + self.fallback_pending
             + self.fallback_uncompilable
             + self.fallback_watchdog
+            + self.fallback_pinned
             + self.fallback_step_calls
         )
 
@@ -1554,6 +1600,8 @@ class TraceEngine:
             trc.fused_hits = 0
         self._traces.clear()
         self.code_words.clear()
+        for wi in self.pins:
+            self.code_words[wi] = []
         self._nocompile.clear()
 
     def _drop(self, trc: _Trace) -> None:
@@ -1571,7 +1619,7 @@ class TraceEngine:
                     owners.remove(trc)
                 except ValueError:
                     pass
-                if not owners:
+                if not owners and wi not in self.pins:
                     del cw[wi]
 
     # -- compilation --------------------------------------------------------
@@ -1626,12 +1674,7 @@ class TraceEngine:
             (item[2].spec.category.name, item[2].opcode.name, item[2].spec.cycles)
             for item in seq
         )
-        frame_ops = sum(
-            1
-            for item in seq
-            if item[2].opcode
-            in (Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RETINT, Opcode.CALLINT)
-        )
+        frame_ops = sum(1 for item in seq if item[2].opcode in _FRAME_OPS)
         cycles_bound = (
             sum(item[2] for item in meta)
             + _CYCLE_MARGIN
@@ -1643,6 +1686,7 @@ class TraceEngine:
             words=tuple(item[1] for item in seq),
             meta=meta,
             cycles_bound=cycles_bound,
+            psw_writes=_psw_writes(seq),
         )
         trc.top = top
         trc.eng = weakref.ref(self)
@@ -1772,6 +1816,16 @@ class TraceEngine:
                     # single-step granularity for exact halt points.
                     self.fallback_watchdog += 1
                     trc = None
+                elif m.psw_pin is not None:
+                    if trc.psw_writes & m.psw_pin[0]:
+                        # The trace could clear a pinned bit mid-run;
+                        # the single step forces the pin first.
+                        self.fallback_pinned += 1
+                        trc = None
+                    else:
+                        # No instruction in the trace writes a pinned
+                        # bit, so forcing them once holds for every step.
+                        m._force_psw()
             if trc is None:
                 if CY[0]:
                     self._reconcile()

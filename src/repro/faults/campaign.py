@@ -30,9 +30,12 @@ bit-identical to the golden run, so the *prefix* runs unobserved on
 the compiled tier up to the trigger boundary.  The *fault* phase
 attaches the :class:`~repro.faults.injector.FaultInjector` and
 single-steps the same tier under it only while the fault needs
-watching.  Once the injector is idle, the *suffix* finishes the step
-budget unobserved again.  The classification is identical to stepping
-the oracle under the injector from instruction 0.
+watching.  A stuck-at memory or PSW fault needs only its firing step:
+the injector then pins it on the machine, which re-asserts it where
+the state can change.  Once the injector is idle, the *suffix* finishes
+the step budget unobserved again, with any pinned fault still live.
+The classification is identical to stepping the oracle under the
+injector from instruction 0.
 
 Determinism: all randomness flows through one seeded
 :class:`random.Random`; no wall-clock inputs are consulted.  Two runs
@@ -478,20 +481,25 @@ def _run_injection(
        locates a PC trigger;
     2. **fault** - the injector attaches (PC visits pre-seeded from the
        golden run) and the machine single-steps under it while it is
-       not idle: the firing step, and every step of a stuck-at fault
+       not idle.  The trigger fires on the first step; a stuck-at
+       memory or PSW fault is then pinned on the machine
+       (:meth:`FaultInjector.pin`), which leaves the injector idle.  A
+       register or instruction stuck-at fault single-steps to the end
        (pre-decoded, except that an instruction fault's fetch filter
        hands its steps to the oracle);
     3. **suffix** - the injector detaches and the rest of the budget
-       runs unobserved.
+       runs unobserved, any pinned fault still live; the pins go before
+       the next trial's restore.
 
     *tally*, when given, counts the steps this call ran: ``observed``
     single-stepped under the injector, ``compiled`` unobserved on the
-    machine's tier.
+    machine's tier, and ``pinned``, the compiled steps run with a
+    pinned fault live.
     """
     machine.restore(checkpoint)
     trigger = spec.trigger
     injector = FaultInjector(machine, [spec])
-    steps = observed = 0
+    steps = observed = pinned = live_pins = 0
     try:
         if trigger.at_cycle is not None:
             if machine.stats.cycles < trigger.at_cycle:
@@ -514,9 +522,14 @@ def _run_injection(
                 machine.step()
                 steps += 1
                 observed += 1
+                if observed == 1:  # the trigger fired on this step
+                    live_pins = injector.pin()
             injector.detach()
         if machine.halted is None:
-            steps += _fast_forward(machine, budget, None, steps=steps)
+            suffix = _fast_forward(machine, budget, None, steps=steps)
+            steps += suffix
+            if live_pins:
+                pinned = suffix
         if machine.halted is None:
             machine.halted = HaltReason.STEP_LIMIT
         return _classify(machine, golden, spec, steps)
@@ -526,9 +539,11 @@ def _run_injection(
         return _crash_result(golden, spec, steps, exc)
     finally:
         injector.detach()
+        injector.unpin()
         if tally is not None:
             tally["observed"] += observed
             tally["compiled"] += steps - observed
+            tally["pinned"] += pinned
 
 
 def _crash_result(
@@ -670,6 +685,10 @@ def _publish_metrics(registry, report: CampaignReport, steps: Counter) -> None:
         "campaign.steps_compiled": (
             steps["compiled"],
             "trial steps run unobserved on the compiled tier",
+        ),
+        "campaign.steps_pinned": (
+            steps["pinned"],
+            "compiled trial steps run with a pinned stuck-at fault live",
         ),
     }
     for name, (value, help_text) in counters.items():

@@ -15,7 +15,15 @@ Semantics per target/kind:
   at the trigger boundary (a transient upset).
 * ``REGISTER`` / ``MEMORY`` / ``PSW`` stuck-at faults force the chosen
   bits to 0/1 at *every* step boundary from the trigger on (a failed
-  cell; the dominant-value approximation of a hardware stuck-at).
+  cell; the dominant-value approximation of a hardware stuck-at).  The
+  ``pre_step`` hook re-asserts them until :meth:`FaultInjector.pin`
+  hands the fired ``MEMORY`` and ``PSW`` ones to the machine, which
+  then keeps them where the state can change: a pinned word is forced
+  again by every store that reaches it
+  (:meth:`~repro.common.memory.Memory.pin_word`), pinned PSW bits
+  before every instruction (:meth:`~repro.cpu.state.ArchState.pin_psw`).
+  Both leave the state an every-step re-assertion would, so the run
+  can go on unobserved, on a compiled tier, until :meth:`unpin`.
 * ``INSTRUCTION`` faults rewrite the word on the fetch path for the
   spec's PC: a bit-flip corrupts exactly the triggering fetch, a
   stuck-at corrupts that fetch and every later fetch of the same PC.
@@ -73,6 +81,7 @@ class FaultInjector:
         self.events: list[InjectionEvent] = []
         self._pending = list(self.specs)
         self._stuck: list[FaultSpec] = []  # triggered persistent reg/mem/psw faults
+        self._pinned: list[FaultSpec] = []  # stuck faults the machine keeps
         self._fetch_transient: dict[int, list[FaultSpec]] = {}  # pc -> armed one-shot
         self._fetch_stuck: dict[int, list[FaultSpec]] = {}  # pc -> permanent
         self._pc_hits: dict[int, int] = {}
@@ -114,11 +123,49 @@ class FaultInjector:
             bus.unsubscribe("fetch_word", self._filter_fetch)
         self._attached = False
 
+    def pin(self) -> int:
+        """Hand every fired stuck-at ``MEMORY`` and ``PSW`` fault to the
+        machine's pins; returns how many faults the machine now keeps.
+
+        A pinned fault leaves the ``pre_step`` re-assertion, so once
+        only pinned faults remain the injector is :attr:`idle`.  It stays
+        live after :meth:`detach`, until :meth:`unpin`.  A memory fault
+        outside plain RAM (the console, the MMIO window) stays with the
+        hook.
+        """
+        machine = self.machine
+        hooked = []
+        for spec in self._stuck:
+            stuck = self._mutate(spec, 0, MASK32)  # the value of the stuck bits
+            if spec.target is FaultTarget.PSW:
+                machine.pin_psw(spec.mask & _PSW_MASK, stuck & _PSW_MASK)
+                pinned = True
+            elif spec.target is FaultTarget.MEMORY:
+                pinned = machine.memory.pin_word(
+                    spec.location, spec.mask & MASK32, stuck
+                )
+            else:
+                pinned = False
+            (self._pinned if pinned else hooked).append(spec)
+        self._stuck = hooked
+        return len(self._pinned)
+
+    def unpin(self) -> None:
+        """Drop the machine pins :meth:`pin` installed (idempotent); the
+        faulted bits stay as they are, but nothing forces them again."""
+        for spec in self._pinned:
+            if spec.target is FaultTarget.PSW:
+                self.machine.unpin_psw()
+            else:
+                self.machine.memory.unpin_word(spec.location)
+        self._pinned.clear()
+
     @property
     def idle(self) -> bool:
         """True once nothing remains to do: no pending trigger, no stuck
-        fault to re-assert, no armed fetch corruption.  An idle injector
-        can be detached without changing the rest of the run."""
+        fault to re-assert (pinned faults need no hook), no armed fetch
+        corruption.  An idle injector can be detached without changing
+        the rest of the run."""
         return not (
             self._pending or self._stuck
             or self._fetch_transient or self._fetch_stuck

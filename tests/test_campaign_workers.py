@@ -106,7 +106,7 @@ class TestReport:
         run_campaign(CONFIG, registry=registry)
         assert registry.names() == [
             "campaign.steps_compiled", "campaign.steps_observed",
-            "campaign.trials",
+            "campaign.steps_pinned", "campaign.trials",
         ]
         assert registry.get("campaign.trials").value == N
         assert registry.get("campaign.steps_observed").value + registry.get(

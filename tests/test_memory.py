@@ -316,3 +316,61 @@ class TestCheckpoint:
         mem.load_word(0)
         mem.restore(cp)
         assert mem.stats.total_refs == 0
+
+
+class TestPins:
+    """A pinned word keeps its stuck bits through every store path."""
+
+    PINNED = 0x4008
+
+    @pytest.mark.parametrize("listener", [False, True], ids=["no-listener", "listener"])
+    def test_every_store_path_re_applies_the_pin(self, listener):
+        mem, cp, __, (code,) = bulk_memory()
+        if not listener:
+            mem.set_exec_listener(None)
+        watch_before = None if not listener else dict(code.code_words)
+        assert mem.pin_word(self.PINNED, 0x0000_00F0, 0x0000_0050)
+        assert mem.load_word(self.PINNED, count=False) & 0xF0 == 0x50
+        stores = [
+            lambda: mem.store_word(self.PINNED, 0xFFFF_FFFF),
+            lambda: mem.store_half(self.PINNED + 2, 0xFFFF),
+            lambda: mem.store_byte(self.PINNED + 3, 0x0F),
+            lambda: mem.store_words(self.PINNED - 8, [0xFFFF_FFFF] * 4),
+            lambda: mem.store_words(self.PINNED - 8, [0] * 4),
+        ]
+        for store in stores:
+            store()
+            assert mem.load_word(self.PINNED, count=False) & 0xF0 == 0x50
+        # A second pin on the word applies after the first.
+        mem.pin_word(self.PINNED, 0x0000_0030, 0x0000_0000)
+        mem.store_word(self.PINNED, 0xFFFF_FFFF)
+        assert mem.load_word(self.PINNED, count=False) == 0xFFFF_FF4F
+        mem.unpin_word(self.PINNED)
+        mem.store_word(self.PINNED, 0xFFFF_FFFF)
+        assert mem.load_word(self.PINNED, count=False) == 0xFFFF_FFFF
+        assert mem._pins == {}
+        if listener:
+            assert code.code_words == watch_before
+            assert code.calls == []  # a pin on a word that is not code
+        else:
+            assert mem._exec_watch is None
+        mem.restore(cp)
+        assert bytes(mem._bytes) == bytes(bulk_memory()[0]._bytes)
+
+    def test_only_plain_ram_pins(self):
+        mem, __, __, __ = bulk_memory()
+        for address in (CONSOLE_ADDRESS, MMIO_BASE, 0x4002, 1 << 20, -4):
+            assert not mem.pin_word(address, 1, 1)
+        assert mem._pins == {}
+
+    def test_a_pinned_code_word_is_forced_before_the_listener_hears(self):
+        mem, __, __, (code,) = bulk_memory()
+        assert mem.pin_word(WATCHED, 0x1, 0x1)
+        forced = []
+        code.invalidate_code = lambda address: forced.append(
+            (address, mem.load_word(WATCHED, count=False))
+        )
+        mem.store_word(WATCHED, 0x10)
+        mem.unpin_word(WATCHED)
+        assert forced == [(WATCHED, 0x11)]
+        assert WATCHED >> 2 in code.code_words  # still code after the pin

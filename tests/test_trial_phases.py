@@ -7,12 +7,14 @@ finishes unobserved.  The contract under test: every
 :class:`InjectionResult` - outcome, halt reason, trap cause, step count,
 result - equals the one the fully observed oracle loop below produces.
 That loop is the original trial runner, kept here as the reference and
-pinned to the reference engine.  Every phased trial runs twice: on
-the campaign's tier (``trace``) and on the tier it single-steps through
-(``fast``).
+pinned to the reference engine; its injector re-asserts stuck-at faults
+at every step boundary and never pins them on the machine.  Every
+phased trial runs twice: on the campaign's tier (``trace``) and on the
+tier it single-steps through (``fast``).
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.faults.campaign import (
     _classify,
     _crash_result,
     _fast_forward,
+    _golden_run,
     _run_injection,
     main,
     run_campaign,
@@ -198,9 +201,118 @@ def test_pc_trigger_past_the_golden_visits_never_fires(covering_schedule):
     assert result.instructions == golden.instructions
 
 
+_GOLDENS: dict = {}
+
+
+def pinned_trial(name, spec, budget_slack=None):
+    """Run *spec* on *name* on each trial tier and against the oracle;
+    asserts that every tier matches it and that the fault ran pinned
+    after its firing step.  Returns the oracle's result."""
+    if name not in _GOLDENS:
+        _GOLDENS[name] = _golden_run(name)[0]
+    golden = _GOLDENS[name]
+    if budget_slack is None:
+        budget = golden.instructions * 2
+    else:
+        budget = golden.instructions + budget_slack
+    expected = oracle_trial(golden, spec, budget)
+    for engine in TRIAL_TIERS:
+        machine, checkpoint = trial_state(name, engine)
+        tally = Counter()
+        result = _run_injection(machine, checkpoint, golden, spec, budget, tally)
+        assert result == expected, (engine, spec.describe())
+        assert tally["observed"] == 1 and tally["pinned"] > 0, engine
+        assert machine.memory._pins == {} and machine.psw_pin is None, engine
+    return expected
+
+
+#: Memory stuck-at faults, each on a word that a store path reaches
+#: while the fault is pinned.
+PINNED_MEMORY = {
+    # A stack word that one compiled trace stores and then loads back
+    # (the frame of an inlined call to solve_s).
+    "stored-then-loaded": ("puzzle_subscript", FaultSpec(
+        FaultTarget.MEMORY, FaultKind.STUCK_AT_ZERO,
+        FaultTrigger(at_cycle=100), location=0xBFF6C, bits=(2,),
+    )),
+    # hanoi's store of ``moves``, stuck so that it stores into code that
+    # the running trace covers: the trace invalidates itself and exits,
+    # and the next dispatch recompiles from the pinned word.
+    "code-word": ("towers", FaultSpec(
+        FaultTarget.MEMORY, FaultKind.STUCK_AT_ONE,
+        FaultTrigger(at_cycle=50), location=0x74, bits=(5,),
+    )),
+    # The top word of the window-save stack, pinned before the first
+    # spill writes it (one word of a bulk store_words) and read back by
+    # the last refill.
+    "window-spill": ("ackermann", FaultSpec(
+        FaultTarget.MEMORY, FaultKind.STUCK_AT_ONE,
+        FaultTrigger(at_cycle=20), location=0xFFFFC, bits=(0,),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_MEMORY)
+def test_pinned_memory_fault_matches_the_oracle(case):
+    name, spec = PINNED_MEMORY[case]
+    before = trial_state(name, "trace")[0].engine.traces_invalidated
+    result = pinned_trial(name, spec)
+    assert result.outcome is not Outcome.MASKED
+    if case == "code-word":
+        assert trial_state(name, "trace")[0].engine.traces_invalidated > before
+
+
+#: PSW bits: Z, I, the low CWP bit and the low SWP bit.
+PSW_BITS = {"Z": 0, "I": 4, "CWP0": 5, "SWP0": 8}
+
+
+@pytest.mark.parametrize("kind", [FaultKind.STUCK_AT_ZERO, FaultKind.STUCK_AT_ONE])
+@pytest.mark.parametrize("bit", PSW_BITS)
+def test_pinned_psw_fault_matches_the_oracle(bit, kind):
+    spec = FaultSpec(
+        FaultTarget.PSW, kind, FaultTrigger(at_cycle=500), bits=(PSW_BITS[bit],)
+    )
+    pinned_trial("towers", spec, budget_slack=2_000)
+
+
+def test_trap_inside_a_trace_admitted_under_a_psw_pin():
+    # CWP stuck at one: every trace without a frame op is admitted, and
+    # one of them, reading through the wrong window, loads out of range.
+    spec = FaultSpec(
+        FaultTarget.PSW, FaultKind.STUCK_AT_ONE,
+        FaultTrigger(at_cycle=93_262), bits=(PSW_BITS["CWP0"],),
+    )
+    machine = trial_state("i_quicksort", "trace")[0]
+    machine.engine.path = path = []  # one (addrs, completed) per dispatch
+    try:
+        result = pinned_trial("i_quicksort", spec)
+    finally:
+        machine.engine.path = None
+    assert result.trap_cause == "OUT_OF_RANGE_ACCESS"
+    # The last dispatch was a compiled trace, and its last step trapped.
+    addrs, done = path[-1]
+    assert len(addrs) > 1 and addrs[done - 1] == machine.last_trap.pc
+
+
+def test_a_pin_leaves_nothing_behind():
+    name, spec = PINNED_MEMORY["stored-then-loaded"]
+    pinned_trial(name, spec)
+    machine, checkpoint = trial_state(name, "trace")
+    assert spec.location >> 2 not in machine.memory._exec_watch
+    flushes = machine.engine.code_flushes
+    pinned_trial(name, spec)
+    machine.restore(checkpoint)  # the next trial's restore
+    assert machine.engine.code_flushes == flushes
+    assert trial_state(name, "fast")[0].memory._exec_watch is None
+
+
 def test_seed_1981_fingerprint_is_pinned():
-    report = run_campaign(CampaignConfig(seed=1981, injections=16))
+    registry = MetricsRegistry()
+    report = run_campaign(CampaignConfig(seed=1981, injections=16), registry=registry)
     assert report.fingerprint() == FINGERPRINT_1981_16
+    # Its stuck-at memory and PSW trials ran pinned, on the compiled tier.
+    pinned = registry.get("campaign.steps_pinned").value
+    assert 0 < pinned < registry.get("campaign.steps_compiled").value
 
 
 def test_registry_reports_where_trial_steps_ran():
