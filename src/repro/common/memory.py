@@ -343,13 +343,12 @@ class Memory:
         wi = address >> 2
         pin = self._pins.get(wi)
         if pin is not None:
+            # The store journaled this page already.
             start = address & ~3
             data = self._bytes
             word = int.from_bytes(data[start : start + WORD_BYTES], "big")
             forced = (word & ~pin[0]) | pin[1]
             if forced != word:
-                if self._journal is not None:
-                    self._journal_touch(start)
                 data[start : start + WORD_BYTES] = forced.to_bytes(4, "big")
         if self._exec_listener is not None and self._exec_watch.get(wi):
             self._exec_listener.invalidate_code(address)

@@ -553,7 +553,8 @@ class ArchState:
 
     def pin_psw(self, mask: int, value: int) -> None:
         """Pin the PSW bits *mask* (packed layout) to *value* until
-        :meth:`unpin_psw`; a second pin applies after the first.
+        :attr:`psw_pin` is reset to ``None``; a second pin applies after
+        the first.
 
         Every engine forces the pinned bits before each instruction it
         runs, after the ``pre_step`` hooks, which is where an every-step
@@ -565,10 +566,6 @@ class ArchState:
             mask, value = old[0] | mask, (old[1] & ~mask) | value
         self.psw_pin = (mask, value & mask)
         self._force_psw()
-
-    def unpin_psw(self) -> None:
-        """Drop the PSW pin (the bits stay as they are)."""
-        self.psw_pin = None
 
     def _force_psw(self) -> None:
         mask, value = self.psw_pin  # type: ignore[misc]

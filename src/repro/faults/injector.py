@@ -155,7 +155,7 @@ class FaultInjector:
         faulted bits stay as they are, but nothing forces them again."""
         for spec in self._pinned:
             if spec.target is FaultTarget.PSW:
-                self.machine.unpin_psw()
+                self.machine.psw_pin = None
             else:
                 self.machine.memory.unpin_word(spec.location)
         self._pinned.clear()
