@@ -229,8 +229,8 @@ def pinned_trial(name, spec, budget_slack=None):
 #: Memory stuck-at faults, each on a word that a store path reaches
 #: while the fault is pinned.
 PINNED_MEMORY = {
-    # A stack word that one compiled trace stores and then loads back
-    # (the frame of an inlined call to solve_s).
+    # A software-stack word that one compiled trace stores and then
+    # loads back within the same dispatch.
     "stored-then-loaded": ("puzzle_subscript", FaultSpec(
         FaultTarget.MEMORY, FaultKind.STUCK_AT_ZERO,
         FaultTrigger(at_cycle=100), location=0xBFF6C, bits=(2,),
