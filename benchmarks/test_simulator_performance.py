@@ -149,29 +149,50 @@ STUCK_MOVES = FaultSpec(
     location=16, bits=(0,),
 )
 
+#: Physical register 21 (window 0's r21, hanoi's ``to`` peg at every
+#: eighth recursion depth) with bit 31 stuck at one from cycle 100 on:
+#: most traces do not write it and run compiled, the rest single-step.
+#: The peg only selects the next call's arguments, so the run is masked.
+STUCK_REGISTER = FaultSpec(
+    FaultTarget.REGISTER, FaultKind.STUCK_AT_ONE, FaultTrigger(at_cycle=100),
+    location=21, bits=(31,),
+)
 
-def _stuck_trial(benchmark, *, observed):
-    """Time the towers :data:`STUCK_MOVES` campaign trial, on a trial
-    machine built the way the campaign builds one; with *observed*, a
-    no-op ``pre_step`` observer makes every step of it single-step."""
+#: hanoi's ``add r18, r19, #1`` (``moves + 1``, at 0x70) with bit 1
+#: stuck at one from its first fetch on: every move adds 3.
+STUCK_FETCH = FaultSpec(
+    FaultTarget.INSTRUCTION, FaultKind.STUCK_AT_ONE, FaultTrigger(at_pc=0x70),
+    location=0x70, bits=(1,),
+)
+
+
+def _stuck_trial(benchmark, spec, expected, *, observed=None):
+    """Time the towers campaign trial of *spec*, on a trial machine built
+    the way the campaign builds one, and check its result against
+    *expected* (a function of the golden result).  *observed* names a
+    no-op observer event to subscribe: ``pre_step`` single-steps every
+    step, ``fetch_word`` hands every step to the reference oracle."""
     golden, compiled = _golden_run("towers")
     machine = compiled.make_machine(engine=fastest_scalar_engine())
     machine.reset(compiled.program.entry)
     checkpoint = machine.checkpoint(track_memory_deltas=True)
-    if observed:
+    if observed == "pre_step":
         machine.observers.subscribe("pre_step", lambda m: None)
+    elif observed == "fetch_word":
+        machine.observers.subscribe("fetch_word", lambda pc, word: word)
     budget = golden.instructions * 2
     result = benchmark(
-        lambda: _run_injection(machine, checkpoint, golden, STUCK_MOVES, budget)
+        lambda: _run_injection(machine, checkpoint, golden, spec, budget)
     )
     benchmark.extra_info["engine"] = machine.engine_name
     benchmark.extra_info["steps"] = result.instructions
-    assert result.result == 2 * golden.result + 1
+    assert result.result == expected(golden.result)
+    assert result.instructions == golden.instructions
     return result
 
 
 def test_stuck_at_observed_trial_speed(benchmark):
-    _stuck_trial(benchmark, observed=True)
+    _stuck_trial(benchmark, STUCK_MOVES, lambda r: 2 * r + 1, observed="pre_step")
 
 
 def test_stuck_at_pinned_trial_speed(benchmark):
@@ -180,7 +201,30 @@ def test_stuck_at_pinned_trial_speed(benchmark):
     the machine and the trial runs on compiled traces; a trial that
     single-steps its stuck-at fault again runs at the observed speed.
     """
-    _stuck_trial(benchmark, observed=False)
+    _stuck_trial(benchmark, STUCK_MOVES, lambda r: 2 * r + 1)
+
+
+def test_stuck_register_observed_trial_speed(benchmark):
+    _stuck_trial(benchmark, STUCK_REGISTER, lambda r: r, observed="pre_step")
+
+
+def test_stuck_register_pinned_trial_speed(benchmark):
+    """Paired with the observed trial by the stuck-register-pinned-vs-
+    observed baseline entry: a pinned register runs every trace whose
+    write set misses it."""
+    _stuck_trial(benchmark, STUCK_REGISTER, lambda r: r)
+
+
+def test_stuck_fetch_observed_trial_speed(benchmark):
+    _stuck_trial(benchmark, STUCK_FETCH, lambda r: 3 * r, observed="fetch_word")
+
+
+def test_stuck_fetch_pinned_trial_speed(benchmark):
+    """Paired with the observed trial by the stuck-fetch-pinned-vs-
+    observed baseline entry: a pinned instruction word is compiled
+    corrupted, so the trial runs on compiled traces; an instruction
+    fault that keeps its fetch filter sends every step to the oracle."""
+    _stuck_trial(benchmark, STUCK_FETCH, lambda r: 3 * r)
 
 
 def test_trace_engine_simulator_speed(benchmark):

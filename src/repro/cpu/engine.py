@@ -101,6 +101,11 @@ class ExecutionEngine(Protocol):
         """
         ...
 
+    def forget_code(self, pc: int) -> None:
+        """Drop whatever the engine compiled from the word at *pc* (a
+        fetch pin on *pc* came or went)."""
+        ...
+
     def telemetry_snapshot(self) -> dict:
         """Engine-internal counters for the run manifest (may be empty).
 
@@ -127,6 +132,9 @@ class ReferenceEngine:
         """The oracle keeps no caches; nothing engine-internal to report."""
         return {}
 
+    def forget_code(self, pc: int) -> None:
+        """The oracle compiles nothing; nothing to drop."""
+
     def step(self, m: ArchState) -> Instruction | None:
         """Execute one instruction; returns the decoded instruction.
 
@@ -145,15 +153,16 @@ class ReferenceEngine:
     def step_body(self, m: ArchState) -> Instruction | None:
         """Everything of :meth:`step` after the ``pre_step`` hooks.
 
-        Forces a pinned PSW, takes a latched interrupt, fetches (through
-        any ``fetch_word`` filters), executes, and emits ``mem_access``
-        and ``step``.  A
+        Forces the PSW and register pins, takes a latched interrupt,
+        fetches (through any ``fetch_word`` filters, then the fetch
+        pins), executes, and emits ``mem_access`` and ``step``.  A
         compiled tier that has already run the ``pre_step`` hooks itself
         hands the rest of an observed step here.
         """
         bus = m.observers
-        if m.psw_pin is not None:
-            m._force_psw()
+        pinned = m.pinned
+        if pinned:
+            m._force_pins()
         if (
             m.pending_interrupt is not None
             and m.psw.interrupts_enabled
@@ -184,6 +193,11 @@ class ReferenceEngine:
             for filt in bus.on_fetch_word:
                 word = filt(pc, word) & MASK32
             bypass_cache = word != original
+        if pinned:
+            forced = m._fetch_pinned(pc, word)
+            if forced != word:
+                word = forced
+                bypass_cache = True
         try:
             if bypass_cache:
                 inst = m.decoder.decode_uncached(word)

@@ -531,6 +531,12 @@ class FastEngine:
             "oracle_steps": self.oracle_steps,
         }
 
+    def forget_code(self, pc: int) -> None:
+        """Drop the thunks built from the word at *pc* (a fetch pin on
+        *pc* came or went); a fused entry only runs while no pin is."""
+        self._cache.pop(pc, None)
+        self._scache.pop(pc, None)
+
     # -- fusion -------------------------------------------------------------
 
     def arm_fusion(self, pairs) -> int:
@@ -579,19 +585,25 @@ class FastEngine:
         return self._compile_one(m, pc, word)
 
     def _compile_one(self, m: ArchState, pc: int, word: int) -> tuple | None:
-        """Decode *word* and build its thunk; None after a decode trap."""
+        """Decode *word* as a fetch pin on *pc* leaves it and build its
+        thunk; None after a decode trap.  The entry keeps *word*, the
+        memory word it stays valid for."""
+        run = m._fetch_pinned(pc, word)
         try:
-            inst = m.decoder.decode(word)
+            if run == word:
+                inst = m.decoder.decode(word)
+            else:
+                inst = m.decoder.decode_uncached(run)
         except DecodingError as exc:
             m._trap(
                 TrapCause.ILLEGAL_INSTRUCTION,
                 pc=pc,
-                word=word,
+                word=run,
                 message=str(exc),
                 in_delay_slot=m._pending_jump,
             )
             return None
-        make = _factory_for(word, inst, m.num_windows, m.use_windows)
+        make = _factory_for(run, inst, m.num_windows, m.use_windows)
         self.thunks_compiled += 1
         return (word, make(pc, m), _is_nop(inst), inst, None)
 
@@ -657,6 +669,7 @@ class FastEngine:
     def _dispatch_trap(
         self, m: ArchState, pc: int, word: int, exc: Exception, pending: bool
     ) -> None:
+        word = m._fetch_pinned(pc, word)
         if isinstance(exc, MemoryFaultError):
             m._trap(
                 _memory_trap_cause(exc),
@@ -733,10 +746,10 @@ class FastEngine:
         return steps
 
     def _dispatch(self, m: ArchState) -> Instruction | None:
-        """Force a pinned PSW, fetch, compile if needed, and run one
-        unfused thunk; None when the step trapped."""
-        if m.psw_pin is not None:
-            m._force_psw()
+        """Force the pins, fetch, compile if needed, and run one unfused
+        thunk; None when the step trapped."""
+        if m.pinned:
+            m._force_pins()
         mem = m.memory
         pc = m.pc
         if pc & 3 or pc < 0 or pc + 4 > mem.size:
@@ -801,8 +814,8 @@ class FastEngine:
             if bus.step_observed or m.pending_interrupt is not None:
                 observed_step(m)
             else:
-                if m.psw_pin is not None:
-                    m._force_psw()
+                if m.pinned:
+                    m._force_pins()
                 pc = m.pc
                 if pc & 3 or pc < 0 or pc + 4 > size:
                     self._fetch_fault(m, pc)
@@ -819,13 +832,14 @@ class FastEngine:
                             m._pending_jump
                             or steps + 1 >= max_steps
                             or (fuse_below is not None and stats.cycles >= fuse_below)
-                            or m.psw_pin is not None
+                            or m.pinned
                         ):
                             # The pair's first half sits in a live delay
                             # slot this dispatch (run it unfused so the
                             # slot accounting below stays exact), a
                             # watchdog may halt between the two halves,
-                            # or a pinned PSW bit is due between them.
+                            # or a pin is due between them or corrupts
+                            # a half.
                             entry = self._singleton(m, pc, word)
                         elif from_bytes(mem_bytes[pc + 4 : pc + 8], "big") != entry[4]:
                             # Second half rewritten: de-fuse this pc.

@@ -128,6 +128,9 @@ class RiscMachine(ArchState):
         :func:`repro.cpu.engines.engine_names`)."""
         return self.engine.name
 
+    def _forget_code(self, pc: int) -> None:
+        self.engine.forget_code(pc)
+
     def step(self) -> Instruction | None:
         """Execute one instruction; returns the decoded instruction.
 

@@ -369,9 +369,16 @@ class ArchState:
         self.pending_interrupt: int | None = None
         self.interrupts_taken = 0
 
-        # A stuck-at PSW fault (see pin_psw): ``None``, or the (mask,
-        # value) every engine forces before each instruction it runs.
+        # Stuck-at pins (see pin_psw, pin_register, pin_fetch).  While
+        # any is live ``pinned`` is True: every engine then forces the
+        # PSW and register pins before each instruction it runs, one
+        # test when none is live.  ``psw_pin`` is ``None`` or a (mask,
+        # value); ``reg_pins`` maps a physical register index and
+        # ``fetch_pins`` an instruction address to one.
+        self.pinned = False
         self.psw_pin: tuple[int, int] | None = None
+        self.reg_pins: dict[int, tuple[int, int]] = {}
+        self.fetch_pins: dict[int, tuple[int, int]] = {}
 
         # Trap architecture.
         self.trap_vectors = TrapVectorTable()
@@ -549,30 +556,84 @@ class ArchState:
         self.pc = handler
         self.npc = handler + 4
 
-    # -- stuck-at PSW bits -------------------------------------------------------
+    # -- stuck-at pins -----------------------------------------------------------
 
     def pin_psw(self, mask: int, value: int) -> None:
         """Pin the PSW bits *mask* (packed layout) to *value* until
-        :attr:`psw_pin` is reset to ``None``; a second pin applies after
-        the first.
+        :meth:`unpin_psw`; a second pin applies after the first.
 
         Every engine forces the pinned bits before each instruction it
         runs, after the ``pre_step`` hooks, which is where an every-step
         re-assertion leaves them.  The trace tier forces them once per
         dispatch and admits only traces that cannot write a pinned bit.
         """
-        old = self.psw_pin
-        if old is not None:
-            mask, value = old[0] | mask, (old[1] & ~mask) | value
-        self.psw_pin = (mask, value & mask)
-        self._force_psw()
+        self.psw_pin = _merge_pin(self.psw_pin, mask, value)
+        self._pins_changed()
 
-    def _force_psw(self) -> None:
-        mask, value = self.psw_pin  # type: ignore[misc]
-        word = self.psw.pack()
-        forced = (word & ~mask) | value
-        if forced != word:
-            self.psw.unpack(forced)
+    def pin_register(self, index: int, mask: int, value: int) -> None:
+        """Pin the bits *mask* of physical register *index* to *value*
+        until :meth:`unpin_register`; forced like a PSW pin, and the
+        trace tier admits only traces whose write set misses *index*."""
+        self.reg_pins[index] = _merge_pin(self.reg_pins.get(index), mask, value)
+        self._pins_changed()
+
+    def pin_fetch(self, pc: int, mask: int, value: int) -> None:
+        """Pin the bits *mask* of every word fetched from *pc* to *value*
+        until :meth:`unpin_fetch`; memory keeps its own word.
+
+        Engines apply the pin where they fetch or compile the word at
+        *pc*, and decode the corrupted word with
+        :meth:`~repro.isa.decode.CachingDecoder.decode_uncached`.
+        Pinning and unpinning drop the code compiled from *pc*.
+        """
+        self.fetch_pins[pc] = _merge_pin(self.fetch_pins.get(pc), mask, value)
+        self._pins_changed(pc)
+
+    def unpin_psw(self) -> None:
+        """Drop the PSW pin (the bits stay as they are)."""
+        self.psw_pin = None
+        self._pins_changed()
+
+    def unpin_register(self, index: int) -> None:
+        """Drop the pin on physical register *index* (its bits stay)."""
+        self.reg_pins.pop(index, None)
+        self._pins_changed()
+
+    def unpin_fetch(self, pc: int) -> None:
+        """Drop the fetch pin on *pc* and the code compiled under it."""
+        if self.fetch_pins.pop(pc, None) is not None:
+            self._pins_changed(pc)
+
+    def _pins_changed(self, pc: int | None = None) -> None:
+        # Nothing is forced here: a pin fired on a halting step must
+        # leave the final state as the oracle's last step did.
+        self.pinned = bool(
+            self.psw_pin is not None or self.reg_pins or self.fetch_pins
+        )
+        if pc is not None:
+            self._forget_code(pc)
+
+    def _forget_code(self, pc: int) -> None:
+        """Drop anything compiled from the word at *pc*; the state core
+        compiles nothing (a machine forwards this to its engine)."""
+
+    def _force_pins(self) -> None:
+        """Force the PSW and register pins (engines call this before
+        each instruction while :attr:`pinned`)."""
+        pin = self.psw_pin
+        if pin is not None:
+            word = self.psw.pack()
+            forced = (word & ~pin[0]) | pin[1]
+            if forced != word:
+                self.psw.unpack(forced)
+        regs = self.regs._regs
+        for index, (mask, value) in self.reg_pins.items():
+            regs[index] = (regs[index] & ~mask) | value
+
+    def _fetch_pinned(self, pc: int, word: int) -> int:
+        """*word*, fetched from *pc*, as the fetch pins leave it."""
+        pin = self.fetch_pins.get(pc)
+        return word if pin is None else (word & ~pin[0]) | pin[1]
 
     # -- halting ----------------------------------------------------------------
 
@@ -768,6 +829,15 @@ class ArchState:
         del self.trap_log[cp.trap_log_len :]
         self.last_trap = self.trap_log[-1] if self.trap_log else None
         self.memory.restore(cp.memory)
+
+
+def _merge_pin(
+    old: tuple[int, int] | None, mask: int, value: int
+) -> tuple[int, int]:
+    """A (mask, value) pin that applies *mask*/*value* after *old*."""
+    if old is not None:
+        mask, value = old[0] | mask, (old[1] & ~mask) | value
+    return mask, value & mask
 
 
 def _memory_trap_cause(exc: MemoryFaultError) -> TrapCause:

@@ -58,10 +58,12 @@ so the admission rule is bit-identical architectural results against
   exits early with exact sequential state, and the next dispatch
   recompiles from the rewritten image;
 * **stuck-at pins** - a pinned memory word shares that watch (the
-  store re-applies the pin inside ``Memory``); under a pinned PSW a
-  dispatch forces the pinned bits and runs a trace only if its static
-  PSW write mask misses them, and otherwise single-steps
-  (``fallback_pinned``);
+  store re-applies the pin inside ``Memory``); under a pinned PSW or
+  register a dispatch forces the pins and runs a trace only if its
+  static PSW write mask and its register write set for the entry CWP
+  miss them, and otherwise single-steps (``fallback_pinned``); a
+  pinned instruction word is compiled as its fetch reads it, and
+  pinning or unpinning it drops the traces that cover it;
 * **rollback through the oracle path** - a checkpoint restore drops
   pending exit hits (the stats they would fold into were rewound) and
   keeps the compiled traces unless it rolled back one of their code
@@ -115,8 +117,15 @@ from repro.cpu.state import (
     TrapCause,
 )
 from repro.errors import DecodingError, MemoryFaultError
+from repro.isa.decode import decode
 from repro.isa.formats import Instruction
 from repro.isa.opcodes import Category, Opcode
+from repro.isa.registers import (
+    NUM_GLOBALS,
+    REGS_PER_WINDOW_UNIQUE,
+    VISIBLE_REGISTERS,
+    physical_index,
+)
 
 #: Version of the trace codegen scheme.  Bump on ANY change to the
 #: generated code's shape or semantics; caches keyed on compiled
@@ -139,10 +148,14 @@ _TK = 1 << 20
 _CYCLE_MARGIN = 128
 _FRAME_OP_MARGIN = 40
 
-#: Opcodes that move the window pointers (CWP, SWP).
-_FRAME_OPS = frozenset(
-    (Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RETINT, Opcode.CALLINT)
-)
+#: Opcodes that move the window pointers (CWP, SWP): the calls enter a
+#: window and write their link register there, the returns leave one.
+_CALL_OPS = frozenset((Opcode.CALL, Opcode.CALLR, Opcode.CALLINT))
+_RET_OPS = frozenset((Opcode.RET, Opcode.RETINT))
+_FRAME_OPS = _CALL_OPS | _RET_OPS
+
+#: Visible registers a window underflow refills: LOCAL and HIGH.
+_REFILLED = range(16, VISIBLE_REGISTERS)
 
 #: PSW bits (packed layout, see repro.cpu.psw) an instruction may write:
 #: the flags, the interrupt enable, the window pointers, all of them.
@@ -167,6 +180,39 @@ def _psw_writes(seq) -> int:
             if op is Opcode.RETINT or op is Opcode.CALLINT:
                 mask |= _PSW_I
     return mask
+
+
+def _reg_writes(words, cwp: int, nw: int, uw: bool) -> frozenset[int]:
+    """The physical registers a trace of *words* entered at window *cwp*
+    may write; a trap, which ends the dispatch, is not counted.
+
+    Each destination maps through ``physical_index``, with the window
+    moved at every frame op: a call writes its link register in the new
+    window, and a return may refill the LOCAL and HIGH registers of the
+    window it returns to.  ``PUTPSW`` may move the window anywhere, so
+    it counts as writing every register.
+    """
+    out: set[int] = set()
+    w = cwp
+    for word in words:
+        inst = decode(word)  # uncached: a trace may hold a pinned word
+        op = inst.opcode
+        if op is Opcode.PUTPSW:
+            return frozenset(range(NUM_GLOBALS + nw * REGS_PER_WINDOW_UNIQUE))
+        if op in _RET_OPS:
+            if uw:
+                w = (w + 1) % nw
+                out.update(physical_index(w, reg, nw) for reg in _REFILLED)
+            continue
+        if op in _CALL_OPS:
+            if uw:
+                w = (w - 1) % nw
+        elif inst.spec.category in (Category.STORE, Category.JUMP):
+            continue
+        if inst.dest:
+            out.add(physical_index(w, inst.dest, nw) if uw else inst.dest)
+    return frozenset(out)
+
 
 #: Memory-access helpers bound as thunk default arguments, per opcode:
 #: (default name, bound expression, call template).
@@ -195,6 +241,7 @@ class _Trace:
         "meta",
         "cycles_bound",
         "psw_writes",
+        "reg_writes",
         "live",
         "make",
         "thunk",
@@ -222,6 +269,9 @@ class _Trace:
         #: PSW bits the trace may write (see _psw_writes): it runs under
         #: a PSW pin only when none of them is pinned.
         self.psw_writes = psw_writes
+        #: entry CWP -> the trace's register write set (see _reg_writes),
+        #: built on the first dispatch under a register pin.
+        self.reg_writes: dict[int, frozenset[int]] | None = None
         self.live = True
         #: the cached factory, and the thunk it built, which exists only
         #: while ``run_loop`` runs (a thunk binds the machine and memory).
@@ -377,11 +427,25 @@ class _TraceIR:
 
 
 def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
-    """Build the trace IR starting at *pc* (None when *pc* is BAD)."""
+    """Build the trace IR starting at *pc* (None when *pc* is BAD).
+
+    Each word is read as a fetch reads it, through the fetch pins; a
+    word a pin changed is decoded bypassing the decode cache.
+    """
     mem = m.memory
     size = mem.size
     buf = mem._bytes
-    decode = m.decoder.decode
+    cached = m.decoder.decode
+    pins = m.fetch_pins
+
+    def fetch(address: int) -> tuple[int, Instruction]:
+        word = int.from_bytes(buf[address : address + 4], "big")
+        if pins:
+            forced = m._fetch_pinned(address, word)
+            if forced != word:
+                return forced, m.decoder.decode_uncached(forced)
+        return word, cached(word)
+
     halt_addr = m.halt_address
     seq: list[tuple[int, int, Instruction]] = []
     events: list[tuple] = []
@@ -400,9 +464,8 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
             if seq:
                 events.append(("end", addr))
             break
-        word = int.from_bytes(buf[addr : addr + 4], "big")
         try:
-            inst = decode(word)
+            word, inst = fetch(addr)
         except DecodingError:
             if seq:
                 events.append(("end", addr))
@@ -435,9 +498,8 @@ def _scan_trace(m: ArchState, pc: int) -> _TraceIR | None:
             if seq:
                 events.append(("end", addr))
             break
-        sword = int.from_bytes(buf[saddr : saddr + 4], "big")
         try:
-            sinst = decode(sword)
+            sword, sinst = fetch(saddr)
         except DecodingError:
             if seq:
                 events.append(("end", addr))
@@ -1423,7 +1485,7 @@ class TraceEngine:
         #: steps single-stepped through the inner fast engine, by reason:
         #: a step observer, a latched interrupt or pending delay slot, an
         #: uncompilable entry, a watchdog tail, a trace that could write
-        #: a pinned PSW bit, and ``step()`` calls.
+        #: a pinned PSW bit or register, and ``step()`` calls.
         self.fallback_observed = 0
         self.fallback_pending = 0
         self.fallback_uncompilable = 0
@@ -1572,6 +1634,13 @@ class TraceEngine:
             self._drop(trc)
             self.traces_invalidated += 1
 
+    def forget_code(self, pc: int) -> None:
+        """A fetch pin on *pc* came or went: drop the traces and inner
+        thunks built from its word, and retry uncompilable entries."""
+        self.invalidate_code(pc)
+        self._nocompile.clear()
+        self._fast.forget_code(pc)
+
     def rewind_code(self, dirty: bool) -> None:
         """A checkpoint restore rewound the machine (Memory protocol).
 
@@ -1714,6 +1783,21 @@ class TraceEngine:
             cw.setdefault(wi, []).append(trc)
         return trc
 
+    def _writes_a_register_pin(self, m: ArchState, trc: _Trace) -> bool:
+        """Whether *trc*, entered now, may write a pinned register (its
+        write set for the current CWP is built once and kept on the
+        trace)."""
+        cwp = m.psw.cwp
+        sets = trc.reg_writes
+        if sets is None:
+            sets = trc.reg_writes = {}
+        writes = sets.get(cwp)
+        if writes is None:
+            writes = sets[cwp] = _reg_writes(
+                trc.words, cwp, m.num_windows, m.use_windows
+            )
+        return not writes.isdisjoint(m.reg_pins)
+
     def _lookup(self, m: ArchState, pc: int) -> _Trace | None:
         if pc in self._nocompile:
             return None
@@ -1816,16 +1900,20 @@ class TraceEngine:
                     # single-step granularity for exact halt points.
                     self.fallback_watchdog += 1
                     trc = None
-                elif m.psw_pin is not None:
-                    if trc.psw_writes & m.psw_pin[0]:
+                elif m.pinned:
+                    pin = m.psw_pin
+                    if pin is not None and trc.psw_writes & pin[0]:
                         # The trace could clear a pinned bit mid-run;
-                        # the single step forces the pin first.
+                        # the single step forces the pins first.
                         self.fallback_pinned += 1
                         trc = None
                     else:
-                        # No instruction in the trace writes a pinned
-                        # bit, so forcing them once holds for every step.
-                        m._force_psw()
+                        m._force_pins()
+                        if m.reg_pins and self._writes_a_register_pin(m, trc):
+                            self.fallback_pinned += 1
+                            trc = None
+                    # Otherwise no instruction in the trace writes a
+                    # pin, so forcing them once holds for every step.
             if trc is None:
                 if CY[0]:
                     self._reconcile()

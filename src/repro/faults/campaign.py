@@ -30,9 +30,9 @@ bit-identical to the golden run, so the *prefix* runs unobserved on
 the compiled tier up to the trigger boundary.  The *fault* phase
 attaches the :class:`~repro.faults.injector.FaultInjector` and
 single-steps the same tier under it only while the fault needs
-watching.  A stuck-at memory or PSW fault needs only its firing step:
-the injector then pins it on the machine, which re-asserts it where
-the state can change.  Once the injector is idle, the *suffix* finishes
+watching.  A stuck-at fault needs only its firing step: the injector
+then pins it on the machine, which re-asserts it where the state can
+change.  Once the injector is idle, the *suffix* finishes
 the step budget unobserved again, with any pinned fault still live.
 The classification is identical to stepping the oracle under the
 injector from instruction 0.
@@ -482,11 +482,10 @@ def _run_injection(
     2. **fault** - the injector attaches (PC visits pre-seeded from the
        golden run) and the machine single-steps under it while it is
        not idle.  The trigger fires on the first step; a stuck-at
-       memory or PSW fault is then pinned on the machine
-       (:meth:`FaultInjector.pin`), which leaves the injector idle.  A
-       register or instruction stuck-at fault single-steps to the end
-       (pre-decoded, except that an instruction fault's fetch filter
-       hands its steps to the oracle);
+       fault is then pinned on the machine
+       (:meth:`FaultInjector.pin`), which leaves the injector idle, so
+       a drawn fault's phase is that one step (an instruction fault's
+       fetch filter hands it to the oracle);
     3. **suffix** - the injector detaches and the rest of the budget
        runs unobserved, any pinned fault still live; the pins go before
        the next trial's restore.

@@ -15,15 +15,7 @@ Semantics per target/kind:
   at the trigger boundary (a transient upset).
 * ``REGISTER`` / ``MEMORY`` / ``PSW`` stuck-at faults force the chosen
   bits to 0/1 at *every* step boundary from the trigger on (a failed
-  cell; the dominant-value approximation of a hardware stuck-at).  The
-  ``pre_step`` hook re-asserts them until :meth:`FaultInjector.pin`
-  hands the fired ``MEMORY`` and ``PSW`` ones to the machine, which
-  then keeps them where the state can change: a pinned word is forced
-  again by every store that reaches it
-  (:meth:`~repro.common.memory.Memory.pin_word`), pinned PSW bits
-  before every instruction (:meth:`~repro.cpu.state.ArchState.pin_psw`).
-  Both leave the state an every-step re-assertion would, so the run
-  can go on unobserved, on a compiled tier, until :meth:`unpin`.
+  cell; the dominant-value approximation of a hardware stuck-at).
 * ``INSTRUCTION`` faults rewrite the word on the fetch path for the
   spec's PC: a bit-flip corrupts exactly the triggering fetch, a
   stuck-at corrupts that fetch and every later fetch of the same PC.
@@ -31,6 +23,18 @@ Semantics per target/kind:
   :class:`~repro.isa.decode.CachingDecoder.decode_uncached`), so cached
   decodes of the pristine word are never served and the cache is never
   poisoned.
+
+The hooks re-assert a fired stuck-at fault until
+:meth:`FaultInjector.pin` hands it to the machine, which then keeps it
+where the state can change: a pinned memory word is forced again by
+every store that reaches it
+(:meth:`~repro.common.memory.Memory.pin_word`), pinned PSW bits and
+registers before every instruction
+(:meth:`~repro.cpu.state.ArchState.pin_psw`, ``pin_register``), and a
+pinned instruction word at every fetch of its PC, compiled fetches
+included (:meth:`~repro.cpu.state.ArchState.pin_fetch`).  Each leaves
+the state the hooks would, so the run can go on unobserved, on a
+compiled tier, until :meth:`FaultInjector.unpin`.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ from repro.faults.models import FaultKind, FaultSpec, FaultTarget
 
 #: PSW values carry 11 meaningful bits (flags + I + CWP + SWP).
 _PSW_MASK = 0x7FF
+
+
+def _fetch_pc(spec: FaultSpec) -> int:
+    """The PC whose fetches an ``INSTRUCTION`` fault corrupts."""
+    return spec.trigger.at_pc if spec.trigger.at_pc is not None else spec.location
 
 
 @dataclass(frozen=True)
@@ -124,40 +133,50 @@ class FaultInjector:
         self._attached = False
 
     def pin(self) -> int:
-        """Hand every fired stuck-at ``MEMORY`` and ``PSW`` fault to the
-        machine's pins; returns how many faults the machine now keeps.
+        """Hand every fired stuck-at fault to the machine's pins; returns
+        how many faults the machine now keeps.
 
-        A pinned fault leaves the ``pre_step`` re-assertion, so once
-        only pinned faults remain the injector is :attr:`idle`.  It stays
-        live after :meth:`detach`, until :meth:`unpin`.  A memory fault
-        outside plain RAM (the console, the MMIO window) stays with the
-        hook.
+        A pinned fault leaves the hooks, so once only pinned faults
+        remain the injector is :attr:`idle`.  It stays live after
+        :meth:`detach`, until :meth:`unpin`.  A memory fault outside
+        plain RAM (the console, the MMIO window) stays with the hook.
+        A pinned instruction fault logs no further events.
         """
         machine = self.machine
         hooked = []
         for spec in self._stuck:
             stuck = self._mutate(spec, 0, MASK32)  # the value of the stuck bits
+            pinned = True
             if spec.target is FaultTarget.PSW:
                 machine.pin_psw(spec.mask & _PSW_MASK, stuck & _PSW_MASK)
-                pinned = True
-            elif spec.target is FaultTarget.MEMORY:
+            elif spec.target is FaultTarget.REGISTER:
+                machine.pin_register(spec.location, spec.mask & MASK32, stuck)
+            else:
                 pinned = machine.memory.pin_word(
                     spec.location, spec.mask & MASK32, stuck
                 )
-            else:
-                pinned = False
             (self._pinned if pinned else hooked).append(spec)
         self._stuck = hooked
+        for pc, specs in self._fetch_stuck.items():
+            for spec in specs:
+                machine.pin_fetch(pc, spec.mask & MASK32, self._mutate(spec, 0, MASK32))
+                self._pinned.append(spec)
+        self._fetch_stuck.clear()
         return len(self._pinned)
 
     def unpin(self) -> None:
         """Drop the machine pins :meth:`pin` installed (idempotent); the
         faulted bits stay as they are, but nothing forces them again."""
+        machine = self.machine
         for spec in self._pinned:
             if spec.target is FaultTarget.PSW:
-                self.machine.psw_pin = None
+                machine.unpin_psw()
+            elif spec.target is FaultTarget.REGISTER:
+                machine.unpin_register(spec.location)
+            elif spec.target is FaultTarget.MEMORY:
+                machine.memory.unpin_word(spec.location)
             else:
-                self.machine.memory.unpin_word(spec.location)
+                machine.unpin_fetch(_fetch_pc(spec))
         self._pinned.clear()
 
     @property
@@ -225,7 +244,7 @@ class FaultInjector:
 
     def _fire(self, spec: FaultSpec, machine: RiscMachine) -> None:
         if spec.target is FaultTarget.INSTRUCTION:
-            pc = spec.trigger.at_pc if spec.trigger.at_pc is not None else spec.location
+            pc = _fetch_pc(spec)
             if spec.kind is FaultKind.BIT_FLIP:
                 self._fetch_transient.setdefault(pc, []).append(spec)
             else:

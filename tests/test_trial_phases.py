@@ -10,7 +10,10 @@ That loop is the original trial runner, kept here as the reference and
 pinned to the reference engine; its injector re-asserts stuck-at faults
 at every step boundary and never pins them on the machine.  Every
 phased trial runs twice: on the campaign's tier (``trace``) and on the
-tier it single-steps through (``fast``).
+tier it single-steps through (``fast``).  A trial whose fault ran pinned
+must also leave the machine in the oracle's final state, and small
+assembly programs pin faults where a window spill, a window refill or a
+store reaches them.
 """
 
 import json
@@ -18,6 +21,9 @@ from collections import Counter
 
 import pytest
 
+from repro import RiscMachine, assemble
+from repro.analysis.fusion import analyze_program, arm_machine
+from repro.cpu.equivalence import diff_digests, state_digest
 from repro.cpu.machine import HaltReason
 from repro.faults.campaign import (
     CampaignConfig,
@@ -60,10 +66,13 @@ TRIAL_TIERS = ("fast", "trace")
 _TRIAL_STATES: dict = {}
 
 
-def oracle_trial(golden, spec, budget):
+def oracle_machine(golden, spec, budget, *, use_windows=True):
     """The fully observed trial: the reference oracle, stepped under an
-    attached injector from instruction 0."""
-    compiled = compile_cached(benchmark(golden.benchmark).source)
+    attached injector from instruction 0.  Returns its result and the
+    finished machine."""
+    compiled = compile_cached(
+        benchmark(golden.benchmark).source, use_windows=use_windows
+    )
     machine = compiled.make_machine(engine="reference")
     machine.reset(compiled.program.entry)
     injector = FaultInjector(machine, [spec])
@@ -75,20 +84,28 @@ def oracle_trial(golden, spec, budget):
             steps += 1
         if machine.halted is None:
             machine.halted = HaltReason.STEP_LIMIT
-        return _classify(machine, golden, spec, steps)
+        return _classify(machine, golden, spec, steps), machine
     except Exception as exc:  # noqa: BLE001 - mirrors the runner
-        return _crash_result(golden, spec, steps, exc)
+        return _crash_result(golden, spec, steps, exc), machine
     finally:
         injector.detach()
 
 
-def trial_state(name, engine):
+def oracle_trial(golden, spec, budget):
+    """The oracle's result for one trial (see :func:`oracle_machine`)."""
+    return oracle_machine(golden, spec, budget)[0]
+
+
+def trial_state(name, engine, *, use_windows=True, fused=False):
     """A (machine, delta checkpoint) pair for *name* on *engine*, built
-    the way the campaign's per-process state is."""
-    key = (name, engine)
+    the way the campaign's per-process state is; *fused* arms the
+    program's proved fusion pairs."""
+    key = (name, engine, use_windows, fused)
     if key not in _TRIAL_STATES:
-        compiled = compile_cached(benchmark(name).source)
+        compiled = compile_cached(benchmark(name).source, use_windows=use_windows)
         machine = compiled.make_machine(engine=engine)
+        if fused:
+            arm_machine(machine, analyze_program(compiled.program))
         machine.reset(compiled.program.entry)
         checkpoint = machine.checkpoint(track_memory_deltas=True)
         _TRIAL_STATES[key] = (machine, checkpoint)
@@ -204,10 +221,12 @@ def test_pc_trigger_past_the_golden_visits_never_fires(covering_schedule):
 _GOLDENS: dict = {}
 
 
-def pinned_trial(name, spec, budget_slack=None):
-    """Run *spec* on *name* on each trial tier and against the oracle;
-    asserts that every tier matches it and that the fault ran pinned
-    after its firing step.  Returns the oracle's result."""
+def pinned_trial(name, spec, budget_slack=None, *, use_windows=True, tiers=TRIAL_TIERS,
+                 fused=False):
+    """Run *spec* on *name* on each of *tiers* and against the oracle;
+    asserts that every tier matches it, down to the finished machine's
+    state, that the fault ran pinned after its firing step and that
+    the pins went with the trial.  Returns the oracle's result."""
     if name not in _GOLDENS:
         _GOLDENS[name] = _golden_run(name)[0]
     golden = _GOLDENS[name]
@@ -215,14 +234,20 @@ def pinned_trial(name, spec, budget_slack=None):
         budget = golden.instructions * 2
     else:
         budget = golden.instructions + budget_slack
-    expected = oracle_trial(golden, spec, budget)
-    for engine in TRIAL_TIERS:
-        machine, checkpoint = trial_state(name, engine)
+    expected, oracle = oracle_machine(golden, spec, budget, use_windows=use_windows)
+    expected_state = state_digest(oracle)
+    for engine in tiers:
+        machine, checkpoint = trial_state(
+            name, engine, use_windows=use_windows, fused=fused
+        )
         tally = Counter()
         result = _run_injection(machine, checkpoint, golden, spec, budget, tally)
         assert result == expected, (engine, spec.describe())
+        assert not diff_digests(expected_state, state_digest(machine)), (
+            engine, spec.describe(), diff_digests(expected_state, state_digest(machine))
+        )
         assert tally["observed"] == 1 and tally["pinned"] > 0, engine
-        assert machine.memory._pins == {} and machine.psw_pin is None, engine
+        assert machine.memory._pins == {} and not machine.pinned, engine
     return expected
 
 
@@ -306,11 +331,241 @@ def test_a_pin_leaves_nothing_behind():
     assert trial_state(name, "fast")[0].memory._exec_watch is None
 
 
+STUCK_1, STUCK_0 = FaultKind.STUCK_AT_ONE, FaultKind.STUCK_AT_ZERO
+
+
+def register_fault(kind, index, bit, trigger):
+    return FaultSpec(FaultTarget.REGISTER, kind, trigger, location=index, bits=(bit,))
+
+
+def fetch_fault(kind, pc, bit, trigger=None):
+    return FaultSpec(
+        FaultTarget.INSTRUCTION, kind, trigger or FaultTrigger(at_pc=pc),
+        location=pc, bits=(bit,),
+    )
+
+
+#: Register stuck-at faults on registers that compiled traces write or
+#: read while the fault is pinned: (benchmark, spec, pinned_trial keywords).
+PINNED_REGISTERS = {
+    # A LOCAL of physical window 0, whose frames ackermann's recursion
+    # keeps spilling and refilling.
+    "local": ("ackermann", register_fault(
+        STUCK_0, physical_index(0, 21), 0, FaultTrigger(at_cycle=2000)), {}),
+    # The link register a CALL writes in the new window: window 0's r31
+    # (window 1's r15), set 8 past every return address stored there.
+    "call-link": ("ackermann", register_fault(
+        STUCK_1, physical_index(0, 31), 3, FaultTrigger(at_cycle=2000)), {}),
+    # The global r9, the software stack pointer of the compiled code.
+    "global": ("e_string_search", register_fault(
+        STUCK_0, 9, 2, FaultTrigger(at_cycle=500)), {}),
+    # A flat register file: frame ops move no window, so every trace
+    # maps its destinations through window 0.
+    "flat": ("towers", register_fault(
+        STUCK_0, 19, 0, FaultTrigger(at_cycle=500)),
+        {"use_windows": False, "budget_slack": 50_000}),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_REGISTERS)
+def test_pinned_register_fault_matches_the_oracle(case):
+    name, spec, options = PINNED_REGISTERS[case]
+    engine = trial_state(
+        name, "trace", use_windows=options.get("use_windows", True)
+    )[0].engine
+    before = engine.fallback_pinned
+    pinned_trial(name, spec, **options)
+    # Traces that write the register single-stepped instead.
+    assert engine.fallback_pinned > before
+
+
+def test_trap_inside_a_trace_admitted_under_a_register_pin():
+    # A LOCAL of window 7 stuck high: a trace that does not write it
+    # loads through it, out of range.
+    spec = register_fault(
+        STUCK_1, physical_index(7, 16), 31, FaultTrigger(at_cycle=93_262)
+    )
+    machine = trial_state("i_quicksort", "trace")[0]
+    machine.engine.path = path = []  # one (addrs, completed) per dispatch
+    try:
+        result = pinned_trial("i_quicksort", spec)
+    finally:
+        machine.engine.path = None
+    assert result.trap_cause == "OUT_OF_RANGE_ACCESS"
+    addrs, done = path[-1]
+    assert len(addrs) > 1 and addrs[done - 1] == machine.last_trap.pc
+
+
+#: Instruction stuck-at faults whose corrupted words compiled traces
+#: run: (benchmark, spec, expected trap cause).
+PINNED_FETCHES = {
+    # ``add r10, r19, #0`` (hanoi's first argument) loses opcode bit
+    # 25: an illegal word, first fetched in the compiled suffix.
+    "illegal": ("towers", fetch_fault(
+        STUCK_0, 0x54, 25, FaultTrigger(at_cycle=500)), "ILLEGAL_INSTRUCTION"),
+    # The delay slot of hanoi's ``jmpr ne``: ``add r20, r29, #0`` now
+    # writes r21.
+    "delay-slot": ("towers", fetch_fault(STUCK_1, 0x44, 19), None),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_FETCHES)
+def test_pinned_fetch_fault_matches_the_oracle(case):
+    name, spec, trap_cause = PINNED_FETCHES[case]
+    assert pinned_trial(name, spec).trap_cause == trap_cause
+
+
+#: towers' proved load-op pair ``ldl r19, r0, #16`` ; ``add r18, r19, #1``.
+FUSED_HALVES = {
+    "first": fetch_fault(STUCK_1, 0x6C, 2),  # loads from #20
+    "second": fetch_fault(STUCK_0, 0x70, 0),  # adds #0
+}
+
+
+@pytest.mark.parametrize("half", FUSED_HALVES)
+def test_pinned_fetch_fault_on_a_fused_half(half):
+    machine = trial_state("towers", "fast", fused=True)[0]
+    before = machine.engine.fused_dispatches
+    result = pinned_trial("towers", FUSED_HALVES[half], tiers=("fast",), fused=True)
+    assert result.outcome is Outcome.SILENT_CORRUPTION
+    # The prefix ran the pair fused; the pinned suffix ran it unfused.
+    assert machine.engine.fused_dispatches > before
+
+
+def test_a_fetch_pin_leaves_nothing_behind():
+    name, spec, _trap_cause = PINNED_FETCHES["delay-slot"]
+    pc = spec.location
+    compiled = compile_cached(benchmark(name).source)
+    corrupted = compiled.program.to_words()[pc // 4] | spec.mask
+    assert corrupted not in compiled.program.to_words()
+    pinned_trial(name, spec)
+    for engine in TRIAL_TIERS:
+        machine = trial_state(name, engine)[0]
+        assert corrupted not in machine.decoder._cache, engine
+        fast = machine.engine if engine == "fast" else machine.engine._fast
+        assert pc not in fast._cache and pc not in fast._scache, engine
+    engine = trial_state(name, "trace")[0].engine
+    assert not engine._nocompile
+    assert all(pc not in trc.addrs for trc in engine._traces.values())
+
+
+def program_machine(program, engine):
+    machine = RiscMachine(engine=engine)
+    program.load_into(machine.memory)
+    machine.reset(program.entry)
+    return machine
+
+
+def program_trial(source, spec, budget=10_000):
+    """Run the assembly *source* with *spec* on the oracle, under the
+    attached injector, and on each trial tier with the fault pinned
+    after its firing step; asserts the finished machines match.
+    Returns the oracle's machine."""
+    program = assemble(source)
+    oracle = program_machine(program, "reference")
+    FaultInjector(oracle, [spec]).attach()
+    oracle.engine.run_loop(oracle, budget, None, None)
+    expected = state_digest(oracle)
+    for engine in TRIAL_TIERS:
+        machine = program_machine(program, engine)
+        injector = FaultInjector(machine, [spec])
+        injector.attach()
+        steps = 0
+        while not injector.pin():  # stepping a halted machine raises
+            machine.step()
+            steps += 1
+        injector.detach()
+        machine.engine.run_loop(machine, budget - steps, None, None)
+        injector.unpin()
+        assert not diff_digests(expected, state_digest(machine)), (
+            engine, diff_digests(expected, state_digest(machine))
+        )
+    return oracle
+
+
+#: main's r16 = 5 outlives a call chain deep enough to spill main's
+#: window and refill it on the way back.  The chain's ``ret`` copies
+#: r16 into r17 in its delay slot, which runs in the caller's window
+#: just after the refill; main then returns r17 plus the saved copy of
+#: its r16, the first word of the window-save stack.
+DEEP_CALLS = """
+main:
+    li    r16, 5
+    li    r10, 9
+    callr r31, down
+    nop
+    li    r19, 0xFFFC0
+    ldl   r18, r19, 0
+    add   r26, r17, r18
+    ret
+    nop
+down:
+    cmp   r26, #0
+    beq   back
+    nop
+    sub   r10, r26, #1
+    callr r31, down
+    nop
+back:
+    ret
+    add   r17, r16, #0
+"""
+
+#: The loop stores the word at ``donor`` over its own head on the first
+#: pass, so the head runs once as ``li r16, 1`` and twice as
+#: ``li r16, 42``.
+LOOP_HEAD_PATCH = """
+main:
+    li   r17, 0
+    li   r18, 0
+loop:
+    li   r16, 1
+    add  r18, r18, r16
+    ldl  r19, r0, donor
+    stl  r19, r0, loop
+    add  r17, r17, #1
+    cmp  r17, #3
+    blt  loop
+    nop
+    mov  r26, r18
+    ret
+    nop
+donor:
+    li   r16, 42
+"""
+
+
+def test_a_pinned_register_spills_as_forced():
+    # Pinned before ``li r16, 5`` writes it: the spill must save the
+    # forced 7, as the oracle's next step boundary leaves it.
+    spec = register_fault(STUCK_1, physical_index(0, 16), 1, FaultTrigger(at_cycle=0))
+    assert program_trial(DEEP_CALLS, spec).result == 7 + 7
+
+
+def test_a_ret_refill_of_a_pinned_register_is_forced():
+    # Pinned at the deepest frame, after the spill saved 5: the refill
+    # writes 5 back, and the delay slot after it must read the forced 7.
+    back = assemble(DEEP_CALLS).symbols["back"]
+    spec = register_fault(
+        STUCK_1, physical_index(0, 16), 1, FaultTrigger(at_pc=back)
+    )
+    assert program_trial(DEEP_CALLS, spec).result == 7 + 5
+
+
+def test_a_store_rewrites_a_pinned_word():
+    # Bit 2 stuck at one: ``li r16, 1`` runs as 5, ``li r16, 42`` as 46.
+    loop = assemble(LOOP_HEAD_PATCH).symbols["loop"]
+    spec = fetch_fault(STUCK_1, loop, 2, FaultTrigger(at_cycle=0))
+    assert program_trial(LOOP_HEAD_PATCH, spec).result == 5 + 46 + 46
+
+
 def test_seed_1981_fingerprint_is_pinned():
     registry = MetricsRegistry()
     report = run_campaign(CampaignConfig(seed=1981, injections=16), registry=registry)
     assert report.fingerprint() == FINGERPRINT_1981_16
-    # Its stuck-at memory and PSW trials ran pinned, on the compiled tier.
+    # Each trial single-stepped only its firing step; its stuck-at
+    # trials ran pinned, on the compiled tier.
+    assert registry.get("campaign.steps_observed").value == 16
     pinned = registry.get("campaign.steps_pinned").value
     assert 0 < pinned < registry.get("campaign.steps_compiled").value
 
