@@ -99,6 +99,11 @@ class Memory:
         # (the common case; store paths pay one identity test per write).
         self._exec_watch: dict | None = None
         self._exec_listener = None
+        # One past the highest watched word index, or more: a span that
+        # starts at or above it misses the watch (see _quiet_span).  The
+        # mark only rises while the watch is installed; whoever adds a
+        # key raises it.
+        self._watch_top = 0
         # Stuck-at pins: word index -> (mask, value); a pinned word always
         # holds ``value`` under ``mask`` after a store (see pin_word).
         self._pins: dict[int, tuple[int, int]] = {}
@@ -134,6 +139,18 @@ class Memory:
         if page not in journal:  # type: ignore[operator]
             start = page * JOURNAL_PAGE_BYTES
             journal[page] = bytes(self._bytes[start : start + JOURNAL_PAGE_BYTES])  # type: ignore[index]
+
+    def _journal_span(self, address: int, end: int) -> None:
+        """Record the pre-write contents of every journal page that
+        ``[address, end)`` touches (*end* > *address*)."""
+        journal = self._journal
+        page = address // JOURNAL_PAGE_BYTES
+        last = (end - 1) // JOURNAL_PAGE_BYTES
+        while page <= last:
+            if page not in journal:  # type: ignore[operator]
+                start = page * JOURNAL_PAGE_BYTES
+                journal[page] = bytes(self._bytes[start : start + JOURNAL_PAGE_BYTES])  # type: ignore[index]
+            page += 1
 
     def load_byte(self, address: int, *, signed: bool = False, count: bool = True) -> int:
         if address == CONSOLE_ADDRESS:
@@ -279,20 +296,22 @@ class Memory:
         *listener* must expose ``code_words`` (a dict keyed by word index,
         ``address >> 2``, covering every word with compiled code behind it,
         mapped to a list of its owners), ``invalidate_code(address)``,
-        ``flush_code()`` and ``rewind_code(dirty)``, and must keep a key
+        ``flush_code()`` and ``rewind_code(dirty)``, must keep a key
         whose owners are gone while it is in ``pins``, the dict it is
-        handed here.  Stores that hit a watched word call
+        handed here, and must raise ``_watch_top`` past every key it
+        adds.  Stores that hit a watched word call
         ``invalidate_code``; ``load_program`` calls ``flush_code``;
         :meth:`restore` calls ``rewind_code``.
         """
         self._exec_listener = listener
         if listener is None:
             self._exec_watch = self._pins or None
-            return
-        listener.pins = self._pins
-        watch = self._exec_watch = listener.code_words
-        for wi in self._pins:
-            watch.setdefault(wi, [])
+        else:
+            listener.pins = self._pins
+            self._exec_watch = listener.code_words
+            for wi in self._pins:
+                self._exec_watch.setdefault(wi, [])
+        self._watch_top = max(self._exec_watch or (), default=-1) + 1
 
     def pin_word(self, address: int, mask: int, value: int) -> bool:
         """Pin the bits *mask* of the word at *address* to *value*: a
@@ -316,6 +335,7 @@ class Memory:
             mask, value = old[0] | mask, (old[1] & ~mask) | value
         value &= mask
         self._pins[wi] = (mask, value)
+        self._watch_top = max(self._watch_top, wi + 1)
         listener = self._exec_listener
         if listener is None:
             self._exec_watch = self._pins
@@ -435,6 +455,20 @@ class Memory:
             )
         )
 
+    def _quiet_span(self, address: int, end: int) -> bool:
+        """Whether ``[address, end)`` is plain RAM (:meth:`_plain_span`)
+        that covers no watched word, so one bytes operation may write all
+        of it.  A span at or above the watch's high-water mark passes in
+        O(1); any other span is checked word by word."""
+        if not self._plain_span(address, end):
+            return False
+        watch = self._exec_watch
+        return (
+            watch is None
+            or address >> 2 >= self._watch_top
+            or watch.keys().isdisjoint(range(address >> 2, end >> 2))
+        )
+
     def load_words(self, address: int, n: int, *, count: bool = False) -> list[int]:
         """Read *n* consecutive words, exactly as *n* :meth:`load_word` calls.
 
@@ -461,17 +495,11 @@ class Memory:
         """
         n = len(values)
         end = address + 4 * n
-        watch = self._exec_watch
-        if (
-            self._plain_span(address, end)
-            and (watch is None or watch.keys().isdisjoint(range(address >> 2, end >> 2)))
-        ):
+        if self._quiet_span(address, end):
             if count:
                 self.stats.data_writes += n
             if self._journal is not None and n:
-                for page_start in range(address, end, JOURNAL_PAGE_BYTES):
-                    self._journal_touch(page_start)
-                self._journal_touch(end - 1)
+                self._journal_span(address, end)
             try:
                 pack_into(f">{n}I", self._bytes, address, *values)
             except struct_error:  # a value wider than 32 bits: mask as store_word does

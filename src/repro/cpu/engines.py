@@ -15,10 +15,9 @@ The three tiers, in ascending speed, each usable as
     fast       pre-decoded closures     (~3x)
     trace      superblock source traces (~25x+)
 
-To add a backend: call :func:`register_engine` (or add a spec to the
-``_SPECS`` tuple below) and extend the equivalence-harness
-parametrisation - the harness, not code review, is what qualifies an
-engine.
+To add a backend: add a spec to the ``_SPECS`` tuple below; the
+equivalence harness, which sweeps every registered tier, is what
+qualifies it, not code review.
 """
 
 from __future__ import annotations
@@ -126,14 +125,8 @@ _SPECS: tuple[EngineSpec, ...] = (
     ),
 )
 
-#: name -> spec, in tier order.  Mutated only by :func:`register_engine`.
+#: name -> spec, in tier order.
 REGISTRY: dict[str, EngineSpec] = {spec.name: spec for spec in _SPECS}
-
-
-def register_engine(spec: EngineSpec) -> EngineSpec:
-    """Add (or replace) a tier in the registry; returns the spec."""
-    REGISTRY[spec.name] = spec
-    return spec
 
 
 def get_spec(name: str) -> EngineSpec:

@@ -33,6 +33,16 @@ class WindowedRegisterFile:
         self.use_windows = use_windows
         size = NUM_GLOBALS + num_windows * REGS_PER_WINDOW_UNIQUE
         self._regs = [0] * size
+        #: window -> physical starts of its spill unit's LOCAL block and
+        #: its HIGH block (the next window's LOW; every window maps to
+        #: window 0 in a flat file).
+        self.unit_bases = tuple(
+            (
+                NUM_GLOBALS + REGS_PER_WINDOW_UNIQUE * w + WINDOW_OVERLAP,  # past LOW
+                NUM_GLOBALS + REGS_PER_WINDOW_UNIQUE * ((w + 1) % num_windows),
+            )
+            for w in (range(num_windows) if use_windows else [0] * num_windows)
+        )
 
     @property
     def physical_count(self) -> int:
@@ -64,14 +74,6 @@ class WindowedRegisterFile:
         """Write a register by physical index, bypassing windowing."""
         self._regs[index] = value & MASK32
 
-    def _unit_bases(self, window: int) -> tuple[int, int]:
-        """Physical starts of *window*'s LOCAL block and its HIGH block."""
-        nw = self.num_windows
-        window = window % nw if self.use_windows else 0
-        local = NUM_GLOBALS + REGS_PER_WINDOW_UNIQUE * window + WINDOW_OVERLAP  # past LOW
-        high = NUM_GLOBALS + REGS_PER_WINDOW_UNIQUE * ((window + 1) % nw)
-        return local, high
-
     def spill_unit(self, window: int) -> list[int]:
         """The 16 registers the overflow trap saves for the frame at *window*.
 
@@ -84,7 +86,7 @@ class WindowedRegisterFile:
         contiguous in the physical file, so the unit is two list slices,
         in the order ``read(window, 16)`` ... ``read(window, 31)`` gives.
         """
-        local, high = self._unit_bases(window)
+        local, high = self.unit_bases[window % self.num_windows]
         regs = self._regs
         return regs[local : local + NUM_LOCALS] + regs[high : high + WINDOW_OVERLAP]
 
@@ -96,7 +98,7 @@ class WindowedRegisterFile:
         """
         if len(values) != REGS_PER_WINDOW_UNIQUE:
             raise ValueError(f"spill unit must have {REGS_PER_WINDOW_UNIQUE} values")
-        local, high = self._unit_bases(window)
+        local, high = self.unit_bases[window % self.num_windows]
         masked = [value & MASK32 for value in values]
         regs = self._regs
         regs[local : local + NUM_LOCALS] = masked[:NUM_LOCALS]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from struct import Struct
 
 from repro.common.bitops import MASK32
 from repro.common.memory import Memory, MemoryCheckpoint
@@ -36,7 +37,12 @@ from repro.errors import MemoryFaultError, TrapError
 from repro.isa.decode import CachingDecoder
 from repro.isa.formats import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import NUM_WINDOWS, REGS_PER_WINDOW_UNIQUE
+from repro.isa.registers import (
+    NUM_LOCALS,
+    NUM_WINDOWS,
+    REGS_PER_WINDOW_UNIQUE,
+    WINDOW_OVERLAP,
+)
 from repro.telemetry.registry import NULL_REGISTRY, MetricsRegistry
 
 #: PC value that means "the initial procedure returned" - outside memory.
@@ -46,6 +52,14 @@ CYCLE_TIME_NS = 400
 
 #: Trap overhead beyond the 16 register stores/loads themselves.
 TRAP_OVERHEAD_CYCLES = 4
+
+#: One window trap's LOCAL+HIGH unit as big-endian words: a spill or
+#: refill over plain RAM moves it with one pack_into/unpack_from.
+_UNIT = Struct(f">{REGS_PER_WINDOW_UNIQUE}I")
+_UNIT_BYTES = _UNIT.size
+#: Cycles one window trap costs: its overhead plus a store or load per
+#: register of the unit.
+_WINDOW_TRAP_CYCLES = TRAP_OVERHEAD_CYCLES + 2 * REGS_PER_WINDOW_UNIQUE
 
 
 class TrapCause(enum.IntEnum):
@@ -449,7 +463,9 @@ class ArchState:
 
     def _spill_window(self, window: int) -> None:
         """Overflow trap body: push the frame-at-*window*'s LOCAL+HIGH unit."""
-        new_pointer = self.window_save_pointer - 4 * REGS_PER_WINDOW_UNIQUE
+        if self._spill_plain(window):
+            return
+        new_pointer = self.window_save_pointer - _UNIT_BYTES
         if new_pointer < self.window_stack_limit:
             raise _TrapSignal(
                 TrapCause.WINDOW_OVERFLOW_STACK,
@@ -459,10 +475,42 @@ class ArchState:
         self.window_save_pointer = new_pointer
         self.memory.store_words(new_pointer, self.regs.spill_unit(window), count=True)
         self.stats.window_overflows += 1
-        self.stats.cycles += TRAP_OVERHEAD_CYCLES + 2 * REGS_PER_WINDOW_UNIQUE
+        self.stats.cycles += _WINDOW_TRAP_CYCLES
+
+    def _spill_plain(self, window: int) -> bool:
+        """The overflow trap body with one ``pack_into``, when the save
+        stack has room and its next span is plain RAM no watched word
+        covers (:meth:`~repro.common.memory.Memory._quiet_span`).
+        Otherwise returns False, having done nothing, and
+        :meth:`_spill_window` traps or stores the unit word by word.
+        The trace tier's inlined spill arm calls this too."""
+        new_pointer = self.window_save_pointer - _UNIT_BYTES
+        mem = self.memory
+        if new_pointer < self.window_stack_limit or not mem._quiet_span(
+            new_pointer, new_pointer + _UNIT_BYTES
+        ):
+            return False
+        if mem._journal is not None:
+            mem._journal_span(new_pointer, new_pointer + _UNIT_BYTES)
+        regs = self.regs._regs
+        local, high = self.regs.unit_bases[window]
+        if high == local + NUM_LOCALS:  # the unit is one slice of the file
+            _UNIT.pack_into(mem._bytes, new_pointer, *regs[local : local + REGS_PER_WINDOW_UNIQUE])
+        else:  # the last window's HIGH is window 0's LOW
+            _UNIT.pack_into(
+                mem._bytes, new_pointer,
+                *regs[local : local + NUM_LOCALS], *regs[high : high + WINDOW_OVERLAP],
+            )
+        mem.stats.data_writes += REGS_PER_WINDOW_UNIQUE
+        self.window_save_pointer = new_pointer
+        self.stats.window_overflows += 1
+        self.stats.cycles += _WINDOW_TRAP_CYCLES
+        return True
 
     def _refill_window(self, window: int) -> None:
         """Underflow trap body: pop the LOCAL+HIGH unit back into *window*."""
+        if self._refill_plain(window):
+            return
         if self.window_save_pointer >= self.memory.size:
             raise _TrapSignal(
                 TrapCause.WINDOW_UNDERFLOW_EMPTY,
@@ -473,9 +521,33 @@ class ArchState:
             self.window_save_pointer, REGS_PER_WINDOW_UNIQUE, count=True
         )
         self.regs.set_spill_unit(window, values)
-        self.window_save_pointer += 4 * REGS_PER_WINDOW_UNIQUE
+        self.window_save_pointer += _UNIT_BYTES
         self.stats.window_underflows += 1
-        self.stats.cycles += TRAP_OVERHEAD_CYCLES + 2 * REGS_PER_WINDOW_UNIQUE
+        self.stats.cycles += _WINDOW_TRAP_CYCLES
+
+    def _refill_plain(self, window: int) -> bool:
+        """The underflow trap body with one ``unpack_from``, when the save
+        stack is not empty and its top span is plain RAM.  Otherwise
+        returns False, having done nothing, and :meth:`_refill_window`
+        traps or loads the unit word by word.  The trace tier's inlined
+        refill arm calls this too."""
+        pointer = self.window_save_pointer
+        mem = self.memory
+        if pointer >= mem.size or not mem._plain_span(pointer, pointer + _UNIT_BYTES):
+            return False
+        values = _UNIT.unpack_from(mem._bytes, pointer)
+        regs = self.regs._regs
+        local, high = self.regs.unit_bases[window]
+        if high == local + NUM_LOCALS:
+            regs[local : local + REGS_PER_WINDOW_UNIQUE] = values
+        else:
+            regs[local : local + NUM_LOCALS] = values[:NUM_LOCALS]
+            regs[high : high + WINDOW_OVERLAP] = values[NUM_LOCALS:]
+        mem.stats.data_reads += REGS_PER_WINDOW_UNIQUE
+        self.window_save_pointer = pointer + _UNIT_BYTES
+        self.stats.window_underflows += 1
+        self.stats.cycles += _WINDOW_TRAP_CYCLES
+        return True
 
     def _enter_window(self) -> None:
         """CALL path: allocate a new window, spilling the oldest if full."""

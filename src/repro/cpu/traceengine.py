@@ -9,9 +9,16 @@ per trace:
 * a taken ``JMPR`` with an always-true condition continues the trace at
   its target;
 * a ``CALLR`` is inlined - including the window-allocation bookkeeping,
-  via a guarded fast path that bypasses ``_enter_frame`` when no spill
-  is possible and only the default call-trace recorder is observing -
-  and the trace continues at the callee's entry;
+  which stays inside the trace while only the default call-trace
+  recorder observes frames: an arm that needs no spill updates the
+  shadowed window state, and one that does spills through the bound
+  ``sp`` helper (:meth:`ArchState._spill_plain`, one ``pack_into``) -
+  and the trace continues at the callee's entry.  A ``RET`` refills the
+  same way (``rf``).  A frame op leaves the trace for ``_enter_frame``/
+  ``_exit_frame`` only on save-stack exhaustion, a watched or non-RAM
+  save-stack span, another frame observer, ``CALLINT``/``RETINT``, the
+  final return, or in a trace that cannot shadow the window state;
+  :meth:`TraceEngine.telemetry_snapshot` counts both kinds;
 * a ``RET`` whose matching call was inlined earlier in the same trace
   is chained under a runtime guard (``target == call_site + 8``); a
   guard miss exits the trace *before* the RET executes, with exact
@@ -130,7 +137,7 @@ from repro.isa.registers import (
 #: Version of the trace codegen scheme.  Bump on ANY change to the
 #: generated code's shape or semantics; caches keyed on compiled
 #: artefacts include it so stale traces cannot survive a revision.
-TRACE_CODEGEN_VERSION = 2
+TRACE_CODEGEN_VERSION = 3
 
 _M32 = MASK32
 _SIGN = SIGN_BIT32
@@ -144,7 +151,9 @@ _MAX_TRACE = 256
 _TK = 1 << 20
 
 #: Budget slack per trace run beyond its static cycle total: one window
-#: spill/refill + trap overhead, plus one spill per inlined frame op.
+#: spill/refill + trap overhead, plus one spill or refill per frame op
+#: (inlined or not, each charges ``TRAP_OVERHEAD_CYCLES + 32`` = 36 cycles
+#: straight to ``stats.cycles``).
 _CYCLE_MARGIN = 128
 _FRAME_OP_MARGIN = 40
 
@@ -383,6 +392,56 @@ def _trace_reconcile(m: ArchState, T: _Trace) -> None:
 _UPI = struct.Struct(">I").unpack_from
 _PKI = struct.Struct(">I").pack_into
 
+#: Slots of the engine's frame-op cell ``PL`` after its plain-observers
+#: latch at 0: the spills and refills the inlined arms ran, then the
+#: frame ops that left the trace, by reason (TraceEngine.telemetry_snapshot).
+_PL_SPILL, _PL_REFILL = 1, 2
+_PL_OUT_SPILL, _PL_OUT_REFILL, _PL_OUT_OBSERVER, _PL_OUT_OTHER = 3, 4, 5, 6
+
+
+def _spill_arm(m: ArchState, c: int, PL: list) -> bool:
+    """A CALL's inlined spill, window *c* entering a full file: store the
+    oldest frame's unit through :meth:`ArchState._spill_plain`.  False,
+    having done nothing, when the call must leave the trace (save stack
+    exhausted, or its span not plain RAM or watched)."""
+    if m._spill_plain((c - 2) % m.num_windows):
+        PL[_PL_SPILL] += 1
+        return True
+    return False
+
+
+def _refill_arm(m: ArchState, c: int, PL: list) -> bool:
+    """A RET's inlined refill of window *c* + 1 through
+    :meth:`ArchState._refill_plain`; False, having done nothing, when the
+    return must leave the trace (save stack empty or not plain RAM)."""
+    if m._refill_plain((c + 1) % m.num_windows):
+        PL[_PL_REFILL] += 1
+        return True
+    return False
+
+
+def _enter_out(m: ArchState, PL: list) -> None:
+    """A CALL that leaves the trace: count why, then ``_enter_frame``."""
+    if not PL[0]:
+        PL[_PL_OUT_OBSERVER] += 1
+    elif m.use_windows and m.resident_windows == m.num_windows - 1:
+        PL[_PL_OUT_SPILL] += 1
+    else:
+        PL[_PL_OUT_OTHER] += 1
+    m._enter_frame()
+
+
+def _exit_out(m: ArchState, PL: list) -> None:
+    """A RET that leaves the trace: count why, then ``_exit_frame``."""
+    if not PL[0]:
+        PL[_PL_OUT_OBSERVER] += 1
+    elif m.use_windows and m.call_depth > 1 and m.resident_windows == 1:
+        PL[_PL_OUT_REFILL] += 1
+    else:
+        PL[_PL_OUT_OTHER] += 1
+    m._exit_frame()
+
+
 _TRACE_GLOBALS = {
     "_UPI": _UPI,
     "_PKI": _PKI,
@@ -393,6 +452,10 @@ _TRACE_GLOBALS = {
     "_MemFault": MemoryFaultError,
     "_te": _trace_trap_exit,
     "_rc": _trace_reconcile,
+    "_SP": _spill_arm,
+    "_RF": _refill_arm,
+    "_FE": _enter_out,
+    "_FX": _exit_out,
 }
 
 
@@ -1033,43 +1096,51 @@ def _codegen_trace(
             if i > 0:
                 emit(f"{indent}m.lpc = {seq[i - 1][0]}")
             emit(f"{indent}ix = {ixv}")
-            emit(f"{indent}m._enter_frame()")
+            defaults["fe"] = "_FE"
+            emit(f"{indent}fe(m, PL)")
             if uw:
                 for line in _hoist_lines(nw):
                     emit(indent + line)
             write_dest(inst, f"m.lpc & {_M32}", indent)
 
+    def shadow_slow(call: str, indent: str) -> None:
+        """A shadowed frame op's slow path: sync the machine's frame state
+        (once a frame op has completed), *call*, reload the shadow locals;
+        then, after either arm, the window bases."""
+        emit(f"{indent}else:")
+        if fstate[0]:
+            frame_writeback(indent + "    ")
+        emit(f"{indent}    {call}")
+        emit(f"{indent}    c = psw.cwp")
+        emit(f"{indent}    d = m.call_depth")
+        emit(f"{indent}    rw = m.resident_windows")
+        if not fstate[0]:
+            # a frame op has now completed: derived swp is live
+            emit(f"{indent}fd = True")
+            fstate[0] = True
+        emit(f"{indent}w = c << 4")
+        emit(f"{indent}wh = ({wr('c + 1')}) << 4")
+
     def emit_enter_fast(indent: str) -> None:
-        """Inlined ``_enter_frame`` (no spill possible, plain observers)."""
+        """Inlined ``_enter_frame``: no spill, or a spill through the
+        ``sp`` arm, under plain observers; anything else leaves."""
+        defaults["fe"] = "_FE"
         if shadow:
+            defaults["sp"] = "_SP"
             # Shadow locals: mutate c/d/rw only; the machine state is
             # synced at exits, before the slow path, and in the trap
             # handler.  After either arm, c is current, so the window
             # bases are recomputed here (no external re-hoist).
-            emit(f"{indent}if pl and rw != {nw - 1}:")
+            emit(f"{indent}if pl and (rw != {nw - 1} or sp(m, c, PL)):")
             emit(f"{indent}    d += 1")
             emit(f"{indent}    if d > stats.max_call_depth:")
             emit(f"{indent}        stats.max_call_depth = d")
-            emit(f"{indent}    rw += 1")
+            emit(f"{indent}    if rw != {nw - 1}:")
+            emit(f"{indent}        rw += 1")
             emit(f"{indent}    c = {wr('c - 1')}")
             if has_recorder:
                 emit(f"{indent}    ct(1)")
-            emit(f"{indent}else:")
-            if fstate[0]:
-                emit(f"{indent}    m.call_depth = d")
-                emit(f"{indent}    m.resident_windows = rw")
-                emit(f"{indent}    psw.cwp = c")
-                emit(f"{indent}    psw.swp = {wr('c + rw - 1')}")
-            emit(f"{indent}    m._enter_frame()")
-            emit(f"{indent}    c = psw.cwp")
-            emit(f"{indent}    d = m.call_depth")
-            emit(f"{indent}    rw = m.resident_windows")
-            if not fstate[0]:
-                # a frame op has now completed: derived swp is live
-                emit(f"{indent}fd = True")
-                fstate[0] = True
-            emit(f"{indent}w = c << 4")
-            emit(f"{indent}wh = ({wr('c + 1')}) << 4")
+            shadow_slow("fe(m, PL)", indent)
             return
         if uw:
             emit(f"{indent}if pl and m.resident_windows != {nw - 1}:")
@@ -1088,32 +1159,22 @@ def _codegen_trace(
         if has_recorder:
             emit(f"{indent}    ct(1)")
         emit(f"{indent}else:")
-        emit(f"{indent}    m._enter_frame()")
+        emit(f"{indent}    fe(m, PL)")
 
     def emit_exit_fast(indent: str) -> None:
-        """Inlined ``_exit_frame`` (no refill possible, plain observers)."""
+        """Inlined ``_exit_frame``: no refill, or a refill through the
+        ``rf`` arm, under plain observers; anything else leaves."""
+        defaults["fx"] = "_FX"
         if shadow:
-            emit(f"{indent}if pl and d > 1 and rw != 1:")
+            defaults["rf"] = "_RF"
+            emit(f"{indent}if pl and d > 1 and (rw != 1 or rf(m, c, PL)):")
             emit(f"{indent}    d -= 1")
-            emit(f"{indent}    rw -= 1")
+            emit(f"{indent}    if rw != 1:")
+            emit(f"{indent}        rw -= 1")
             emit(f"{indent}    c = {wr('c + 1')}")
             if has_recorder:
                 emit(f"{indent}    ct(-1)")
-            emit(f"{indent}else:")
-            if fstate[0]:
-                emit(f"{indent}    m.call_depth = d")
-                emit(f"{indent}    m.resident_windows = rw")
-                emit(f"{indent}    psw.cwp = c")
-                emit(f"{indent}    psw.swp = {wr('c + rw - 1')}")
-            emit(f"{indent}    m._exit_frame()")
-            emit(f"{indent}    c = psw.cwp")
-            emit(f"{indent}    d = m.call_depth")
-            emit(f"{indent}    rw = m.resident_windows")
-            if not fstate[0]:
-                emit(f"{indent}fd = True")
-                fstate[0] = True
-            emit(f"{indent}w = c << 4")
-            emit(f"{indent}wh = ({wr('c + 1')}) << 4")
+            shadow_slow("fx(m, PL)", indent)
             return
         if uw:
             emit(
@@ -1132,7 +1193,7 @@ def _codegen_trace(
         if has_recorder:
             emit(f"{indent}    ct(-1)")
         emit(f"{indent}else:")
-        emit(f"{indent}    m._exit_frame()")
+        emit(f"{indent}    fx(m, PL)")
 
     def emit_slot(
         i: int, *, taken: bool, target_expr: str | None,
@@ -1313,7 +1374,8 @@ def _codegen_trace(
                 tkc = taken_counters(si, rets=1)
                 emit(f"ix = {i}")
                 if op is Opcode.RETINT:
-                    emit("m._exit_frame()")
+                    defaults["fx"] = "_FX"
+                    emit("fx(m, PL)")
                 else:
                     emit_exit_fast("")
                 if op is Opcode.RETINT:
@@ -1464,9 +1526,11 @@ class TraceEngine:
         self._nocompile: set[int] = set()
         self._halt_addr: int | None = None
         self._halt_known = False
-        #: one-cell latch licensing the inlined frame-op fast paths;
-        #: refreshed at every dispatch (= trace-boundary granularity).
-        self._plain: list[bool] = [False]
+        #: the frame-op cell bound into every thunk: at 0 the latch
+        #: licensing the inlined frame-op arms, refreshed at every
+        #: dispatch (= trace-boundary granularity), then the frame-op
+        #: counters (the _PL_* slots).
+        self._plain: list = [False, 0, 0, 0, 0, 0, 0]
         #: pending deferred cycles across all traces (one cell, bound
         #: into every thunk); nonzero iff any exit hit is unreconciled.
         self._cycles_cell: list[int] = [0]
@@ -1524,6 +1588,15 @@ class TraceEngine:
             "fallback_pinned": self.fallback_pinned,
             "fallback_step_calls": self.fallback_step_calls,
             "oracle_steps": self._fast.oracle_steps,
+            # Window spills and refills the inlined arms ran inside
+            # traces, then the trace frame ops that left for
+            # _enter_frame/_exit_frame, by reason (docs/OBSERVABILITY.md).
+            "inline_spills": self._plain[_PL_SPILL],
+            "inline_refills": self._plain[_PL_REFILL],
+            "frame_out_spill": self._plain[_PL_OUT_SPILL],
+            "frame_out_refill": self._plain[_PL_OUT_REFILL],
+            "frame_out_observer": self._plain[_PL_OUT_OBSERVER],
+            "frame_out_other": self._plain[_PL_OUT_OTHER],
         }
 
     @property
@@ -1781,6 +1854,9 @@ class TraceEngine:
         cw = self.code_words
         for wi in trc.widx:
             cw.setdefault(wi, []).append(trc)
+        mem = m.memory
+        if trc.widx[-1] >= mem._watch_top:
+            mem._watch_top = trc.widx[-1] + 1
         return trc
 
     def _writes_a_register_pin(self, m: ArchState, trc: _Trace) -> bool:

@@ -63,6 +63,17 @@ _SECTIONS: dict = {
         ("decode hits", lambda m: m.decode_cache.get("hits", 0)),
         ("decode misses", lambda m: m.decode_cache.get("misses", 0)),
         ("decode evictions", lambda m: m.decode_cache.get("evictions", 0)),
+        *(
+            (label, lambda m, key=key: m.engine_detail.get(key, "-"))
+            for label, key in (
+                ("inline spills", "inline_spills"),
+                ("inline refills", "inline_refills"),
+                ("frame out: spill", "frame_out_spill"),
+                ("frame out: refill", "frame_out_refill"),
+                ("frame out: observer", "frame_out_observer"),
+                ("frame out: other", "frame_out_other"),
+            )
+        ),
         ("wall seconds", lambda m: _wall(m)),
     ],
 }

@@ -313,6 +313,40 @@ def per_word_oracle(machine: RiscMachine) -> RiscMachine:
     return machine
 
 
+UNIT_BYTES = 4 * REGS_PER_WINDOW_UNIQUE
+
+
+def run_window_case(name: str, num_windows: int, setup) -> dict:
+    """Run *name* on the per-word oracle and every engine, each machine
+    prepared by *setup*; assert every engine ends as the oracle does,
+    save-stack pointer and resident windows included, and return the
+    machines.  The trace machine's ``dispatches`` lists its ``(addrs,
+    completed)`` dispatches (see ``TraceEngine.path``)."""
+    compiled = compile_cached(benchmark(name).source)
+    machines = {}
+    for engine in ("oracle",) + ENGINES:
+        machine = compiled.make_machine(
+            engine="reference" if engine == "oracle" else engine,
+            num_windows=num_windows,
+        )
+        if engine == "oracle":
+            per_word_oracle(machine)
+        if engine == "trace":
+            machine.dispatches = machine.engine.path = []
+        setup(machine)
+        machine.run(compiled.program.entry)
+        machine.engine.path = None
+        machines[engine] = machine
+    oracle = machines["oracle"]
+    for engine in ENGINES:
+        machine = machines[engine]
+        mismatches = diff_digests(state_digest(oracle), state_digest(machine))
+        assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
+        assert machine.window_save_pointer == oracle.window_save_pointer
+        assert machine.resident_windows == oracle.resident_windows
+    return machines
+
+
 SPILL_WORKLOADS = ["ackermann", "towers", "recursive_qsort"]
 SPILL_WINDOWS = [2, 3, 4, 8]
 _SPILL_ORACLE: dict = {}
@@ -434,6 +468,71 @@ class TestWindowTrapsMatchPerWordOracle:
         for engine in ENGINES:
             mismatches = diff_digests(digests["oracle"], digests[engine])
             assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
+
+    def test_spill_into_a_pinned_save_stack_word(self):
+        # Bit 3 of the top save-stack word (main's r16 in the first unit
+        # spilled) stuck at one: that span is watched, so its spills leave
+        # the trace and store word by word; the deeper units stay inline.
+        def pin(machine):
+            assert machine.memory.pin_word(machine.memory.size - UNIT_BYTES, 8, 8)
+
+        machines = run_window_case("ackermann", 2, pin)
+        snap = machines["trace"].engine.telemetry_snapshot()
+        assert snap["frame_out_spill"] > 0 and snap["inline_spills"] > 0
+        top = machines["oracle"].memory.load_word(
+            machines["oracle"].memory.size - UNIT_BYTES, count=False
+        )
+        assert top & 8
+
+    def test_save_stack_exhaustion_traps_inside_a_trace(self):
+        # Room for three units: the fourth spill traps, from a CALL in
+        # the middle of a compiled trace.
+        def limit(machine):
+            machine.window_stack_limit = machine.memory.size - 3 * UNIT_BYTES
+
+        machines = run_window_case("ackermann", 2, limit)
+        trap = machines["oracle"].last_trap
+        assert trap.cause is TrapCause.WINDOW_OVERFLOW_STACK
+        snap = machines["trace"].engine.telemetry_snapshot()
+        assert (snap["inline_spills"], snap["frame_out_spill"]) == (3, 1)
+        addrs, done = machines["trace"].dispatches[-1]
+        assert 1 < done < len(addrs) and addrs[done - 1] == trap.pc
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_refill_after_restoring_a_checkpoint_past_a_spill(self, engine):
+        # Checkpoint with units on the save stack, run to the end, restore
+        # and run again: the restored run refills the units the journal
+        # rolled back, and both runs end as the per-word oracle does.
+        oracle = spill_oracle_digest("ackermann", 2)
+        compiled = compile_cached(benchmark("ackermann").source)
+        machine = compiled.make_machine(engine=engine, num_windows=2)
+        machine.reset(compiled.program.entry)
+        machine.engine.run_loop(machine, 2_000, None, None)
+        assert machine.window_save_pointer < machine.memory.size
+        machine.halted = None
+        cp = machine.checkpoint(track_memory_deltas=True)
+        underflows = machine.stats.window_underflows
+        for _ in range(2):
+            before = machine.engine.telemetry_snapshot().get("inline_refills")
+            machine.engine.run_loop(machine, 50_000_000, None, None)
+            assert not diff_digests(oracle, state_digest(machine))
+            if engine == "trace":
+                snap = machine.engine.telemetry_snapshot()
+                assert snap["frame_out_refill"] == 0
+                refilled = machine.stats.window_underflows - underflows
+                assert snap["inline_refills"] - before == refilled > 0
+            machine.restore(cp)
+
+    @pytest.mark.parametrize("num_windows", [2, 4, 8])
+    def test_ackermann_spills_and_refills_stay_in_the_trace(self, num_windows):
+        compiled = compile_cached(benchmark("ackermann").source)
+        machine = compiled.make_machine(engine="trace", num_windows=num_windows)
+        machine.run(compiled.program.entry)
+        snap = machine.engine.telemetry_snapshot()
+        assert (snap["frame_out_spill"], snap["frame_out_refill"]) == (0, 0)
+        assert snap["frame_out_observer"] == 0
+        assert snap["inline_spills"] == machine.stats.window_overflows > 0
+        assert snap["inline_refills"] == machine.stats.window_underflows
 
 
 class TestTrapPathEquivalence:

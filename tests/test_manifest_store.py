@@ -91,15 +91,16 @@ def test_towers_key_is_pinned():
     """``run_all --store`` keys stay valid across releases.
 
     Computed with the key derivation as first released, at
-    ``TRACE_CODEGEN_VERSION`` 2.  A change here orphans every existing
-    store directory; bump ``TRACE_CODEGEN_VERSION`` or the schema tag
-    on purpose instead.
+    ``TRACE_CODEGEN_VERSION`` 3 (the inlined spill and refill arms; the
+    key was ``b11c0ab0...`` at version 2).  A change here orphans every
+    existing store directory; bump ``TRACE_CODEGEN_VERSION`` or the
+    schema tag on purpose instead.
     """
     from repro.cpu.traceengine import TRACE_CODEGEN_VERSION
 
-    assert TRACE_CODEGEN_VERSION == 2
+    assert TRACE_CODEGEN_VERSION == 3
     assert manifest_key("towers", benchmark("towers").source) == (
-        "b11c0ab099c17c0f24e5c04449b1d86900962bf1e9aff70d17677c118670cb65"
+        "56907326199401b0b474a96832bb55569a8ef216cb33a57a4a24d316b1791abb"
     )
 
 
