@@ -48,33 +48,6 @@ def test_fast_engine_simulator_speed(benchmark):
     assert instructions > 10_000
 
 
-def test_fast_engine_fusion_simulator_speed(benchmark):
-    """Fast engine with every proved macro-op pair armed.
-
-    Paired with the plain fast-engine benchmark by the fusion-overhead
-    baseline entry: executing proved pairs as single fused thunks must
-    not cost measurable dispatch overhead.
-    """
-    from repro.analysis.fusion import analyze_program, arm_machine
-
-    compiled = compile_for_risc(SOURCE)
-    # Analysis is a one-time static cost; time the armed execution only.
-    report = analyze_program(compiled.program, name="towers")
-
-    def run():
-        machine = compiled.make_machine(engine="fast")
-        arm_machine(machine, report)
-        machine.run(compiled.program.entry)
-        return machine.stats.instructions, machine.engine.fused_dispatches
-
-    instructions, fused = benchmark(run)
-    benchmark.extra_info["engine"] = "fast+fusion"
-    benchmark.extra_info["instructions"] = instructions
-    benchmark.extra_info["fused_dispatches"] = fused
-    assert instructions > 10_000
-    assert 0 < fused < instructions
-
-
 def _observed_run(compiled, engine):
     """A run under a ``pre_step`` PC recorder, the way campaign golden
     runs were recorded before they ran unobserved on the trace tier."""

@@ -15,8 +15,7 @@ that verification layer over the *binary* (a memory image, not source):
   window-depth bound that predicts overflow/underflow traffic;
 * :mod:`repro.analysis.fusion` - the macro-op fusion analyzer: finds
   fusible idiom pairs over the CFG and emits per-pair legality proofs
-  (a :class:`~repro.analysis.fusion.FusionReport`) that the execution
-  tiers consume via :func:`~repro.analysis.fusion.arm_machine`;
+  (a :class:`~repro.analysis.fusion.FusionReport`);
 * :mod:`repro.analysis.lints` - the lint catalog (``DS*`` delay-slot
   hazards, ``UU*`` uninitialized reads, ``DC*`` dead stores, ``UR*``
   unreachable code, ``CF*`` control-flow integrity, ``WD*`` window
@@ -45,7 +44,6 @@ from repro.analysis.fusion import (
     FusionReport,
     analyze_cfg,
     analyze_program,
-    arm_machine,
 )
 from repro.analysis.lints import Finding, LintReport, Severity, lint_program
 
@@ -62,7 +60,6 @@ __all__ = [
     "WindowDepthReport",
     "analyze_cfg",
     "analyze_program",
-    "arm_machine",
     "build_call_graph",
     "build_cfg",
     "definite_assignment",

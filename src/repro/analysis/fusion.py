@@ -4,9 +4,10 @@ Celio et al.'s "Renewed Case for RISC" argues that a lean ISA closes
 the dynamic-instruction-count gap with CISC once the decoder fuses
 common adjacent pairs into single macro-ops.  This module finds those
 pairs *statically* - before a program ever runs - and emits a
-machine-checkable **legality proof** for each one, so the execution
-tiers may treat a proved pair as one dispatch without ever risking the
-bit-identity contract.
+machine-checkable **legality proof** for each one.  No tier executes a
+pair fused: fusion never changes architectural results, so the dynamic
+count of a pair is the number of times its first half retires in an
+ordinary run (see :mod:`repro.evaluation.s3_fusion`).
 
 Idiom catalog (one :data:`FUS lint <repro.analysis.lints.LINT_CATALOG>`
 per kind):
@@ -42,18 +43,14 @@ for an accepted pair establishes:
   *other* transfer (the call-slot idiom pairs a transfer with its *own*
   slot, which is the one sanctioned shape);
 * **no statically-visible self-modification** - no resolvable store in
-  the image targets either half's word (dynamic stores are handled at
-  run time: every engine re-validates both words and de-fuses on
-  mismatch);
-* **trap accounting** - which halves may trap is recorded, so a tier
-  can either refuse the pair or (as ours do) commit the first half's
+  the image targets either half's word;
+* **trap accounting** - which halves may trap is recorded, so a fusing
+  front-end can either refuse the pair or commit the first half's
   architectural effects before issuing the second.
 
 The :class:`FusionReport` serialises to a stable JSON schema
 (``repro.fusion/v1``) consumed by the lint CLI baseline and the
-``s3_fusion`` evaluation section; :func:`arm_machine` feeds the proved
-pairs to any engine advertising ``supports_fusion`` in the
-:mod:`repro.cpu.engines` registry.
+``s3_fusion`` evaluation section.
 """
 
 from __future__ import annotations
@@ -103,8 +100,7 @@ class FusionPair:
     """One statically-proved fusible pair.
 
     ``first``/``second`` are the two instruction addresses;
-    ``word1``/``word2`` the exact encodings the proof covers - engines
-    re-validate both words at dispatch time and de-fuse on mismatch.
+    ``word1``/``word2`` the exact encodings the proof covers.
     ``intermediate`` is the register the proof shows dead after the
     pair (``None`` when the idiom has no register intermediate).
     ``cycles_saved`` is the per-execution saving a single-dispatch
@@ -252,25 +248,6 @@ def analyze_cfg(cfg: ControlFlowGraph, *, name: str = "program") -> FusionReport
         )
     report.pairs.sort(key=lambda p: p.first)
     report.rejected.sort(key=lambda c: c.first)
-    return report
-
-
-def arm_machine(machine, source) -> FusionReport:
-    """Prove fusion for *source* and arm the machine's engine with it.
-
-    *source* is a :class:`FusionReport`, an assembled ``Program``, or a
-    ``CompiledRisc``.  Engines that do not advertise fusion (the
-    reference oracle) are silently left unarmed -
-    the report is still returned so callers can inspect the proofs.
-    """
-    if isinstance(source, FusionReport):
-        report = source
-    else:
-        program = getattr(source, "program", source)
-        report = analyze_program(program)
-    arm = getattr(machine.engine, "arm_fusion", None)
-    if arm is not None:
-        arm(report.pairs)
     return report
 
 
@@ -481,10 +458,8 @@ def _may_trap(code: CodeWord) -> bool:
     """Whether this half can raise a precise trap mid-pair.
 
     Sum ops count as trapping because ``trap_on_overflow`` may be armed;
-    recorded in the proof (``requires_no_overflow_trap``) so a tier
-    without runtime overflow guards knows to skip the pair.  Our tiers
-    emit the guard inline, so for them this is documentation, not a
-    gate.
+    recorded in the proof (``requires_no_overflow_trap``) so a fusing
+    front-end without runtime overflow guards knows to skip the pair.
     """
     inst = code.inst
     cat = inst.spec.category
@@ -530,7 +505,7 @@ def _static_store_words(cfg: ControlFlowGraph) -> set[int]:
         if inst.spec.category is not Category.STORE:
             continue
         if not inst.imm or inst.rs1 != 0:
-            continue  # address depends on a register: dynamic, engine-guarded
+            continue  # address depends on a register: not resolvable here
         address = inst.s2 & MASK32
         width = {Opcode.STL: 4, Opcode.STS: 2, Opcode.STB: 1}.get(inst.opcode, 4)
         for byte in range(address, address + width):
@@ -546,5 +521,4 @@ __all__ = [
     "RejectedCandidate",
     "analyze_cfg",
     "analyze_program",
-    "arm_machine",
 ]

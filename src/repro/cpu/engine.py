@@ -14,7 +14,7 @@ scalar backends ship:
   interpreter that compiles each instruction word into a specialised
   closure and skips all observer bookkeeping while nothing per-step is
   attached.  Under ``pre_step``/``step`` observers it still runs its
-  closures, one unfused step at a time, and fires those events itself.
+  closures, one step at a time, and fires those events itself.
   Verified against the reference by the differential harness in
   :mod:`repro.cpu.equivalence`.
 * ``"trace"`` - :class:`~repro.cpu.traceengine.TraceEngine`, a
@@ -95,7 +95,7 @@ class ExecutionEngine(Protocol):
 
         Returns the steps executed: one per reference-equivalent
         ``step()``, so a trapped step counts even though it retires no
-        instruction, and a fused pair counts as two.  ``max_steps`` and
+        instruction.  ``max_steps`` and
         ``max_cycles`` halt at exactly the step boundary where the
         reference oracle would halt.
         """

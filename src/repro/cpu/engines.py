@@ -46,11 +46,6 @@ class EngineSpec:
       in its inner fast engine's loop; both hand a step to the oracle
       only for a latched interrupt or a ``fetch_word``/``mem_access``
       observer.
-    * ``supports_fusion`` - accepts statically proved macro-op fusion
-      pairs via ``engine.arm_fusion(pairs)`` (see
-      :mod:`repro.analysis.fusion`) and reports ``fused_dispatches``.
-      Fusion never changes architectural results on any tier; this flag
-      records which tiers attribute fused dispatches.
     * ``supports_smp`` - legal as a per-core engine under the multicore
       interleaver (see :mod:`repro.multicore`): every data access goes
       through the :class:`~repro.common.memory.Memory` accessors (so
@@ -66,7 +61,6 @@ class EngineSpec:
     tier: int
     description: str
     supports_observers: bool = False
-    supports_fusion: bool = False
     supports_smp: bool = False
 
     def capabilities(self) -> dict:
@@ -76,7 +70,6 @@ class EngineSpec:
             "tier": self.tier,
             "description": self.description,
             "supports_observers": self.supports_observers,
-            "supports_fusion": self.supports_fusion,
             "supports_smp": self.supports_smp,
         }
 
@@ -113,7 +106,6 @@ _SPECS: tuple[EngineSpec, ...] = (
         factory=_make_fast,
         tier=1,
         description="pre-decoded per-instruction closures",
-        supports_fusion=True,
         supports_smp=True,
     ),
     EngineSpec(
@@ -121,7 +113,6 @@ _SPECS: tuple[EngineSpec, ...] = (
         factory=_make_trace,
         tier=2,
         description="superblock traces compiled to generated source",
-        supports_fusion=True,
     ),
 )
 

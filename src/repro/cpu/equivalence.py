@@ -10,6 +10,8 @@ one program on every engine under test and diffs everything observable:
 * execution statistics (``ExecutionStats.as_dict``);
 * final registers (all physical registers), PSW, pc/npc/lpc;
 * halt reason, halt address, call depth, call trace;
+* window save-stack pointer and resident windows, a pending delay-slot
+  jump, a latched interrupt and the interrupts taken;
 * the complete trap log (every :class:`~repro.cpu.state.TrapRecord`
   field, including trap-time cycle/instruction snapshots);
 * memory statistics, console output, and the full memory image.
@@ -53,6 +55,11 @@ def state_digest(machine: RiscMachine) -> dict:
         "halted": machine.halted,
         "halt_address": machine.halt_address,
         "call_depth": machine.call_depth,
+        "window_save_pointer": machine.window_save_pointer,
+        "resident_windows": machine.resident_windows,
+        "pending_jump": machine._pending_jump,
+        "pending_interrupt": machine.pending_interrupt,
+        "interrupts_taken": machine.interrupts_taken,
         "call_trace": tuple(machine.call_trace),
         "trap_log": tuple(
             tuple(sorted(dataclasses.asdict(record).items()))
@@ -122,7 +129,6 @@ def run_differential(
     engines: tuple[str, ...] | None = None,
     num_windows: int = 8,
     max_steps: int = 50_000_000,
-    fusion: bool = False,
 ) -> DifferentialResult:
     """Compile *source* once, execute it on each engine, diff the states.
 
@@ -130,9 +136,7 @@ def run_differential(
     :mod:`repro.cpu.engines` registry, oracle first; the first engine is
     the oracle every other engine is diffed against.  Each engine gets a
     fresh machine and memory image, so runs cannot contaminate each
-    other.  With *fusion*, every statically proved macro-op pair is
-    armed (on the tiers that support it) before the run - the digests
-    must still match the unfused oracle bit for bit.
+    other.
     """
     from repro.workloads.cache import compile_cached
 
@@ -140,18 +144,9 @@ def run_differential(
     compiled = compile_cached(source)
     digests = []
     for engine in engines:
-        if fusion:
-            from repro.analysis.fusion import arm_machine
-
-            machine = compiled.make_machine(
-                num_windows=num_windows, engine=engine
-            )
-            arm_machine(machine, compiled)
-            machine.run(compiled.program.entry, max_steps=max_steps)
-        else:
-            __, machine = compiled.run(
-                num_windows=num_windows, max_steps=max_steps, engine=engine
-            )
+        __, machine = compiled.run(
+            num_windows=num_windows, max_steps=max_steps, engine=engine
+        )
         digests.append(state_digest(machine))
     mismatches: list[str] = []
     for engine, digest in zip(engines[1:], digests[1:]):
@@ -170,12 +165,11 @@ def assert_engines_equivalent(
     engines: tuple[str, ...] | None = None,
     num_windows: int = 8,
     max_steps: int = 50_000_000,
-    fusion: bool = False,
 ) -> DifferentialResult:
     """:func:`run_differential`, raising ``AssertionError`` on divergence."""
     result = run_differential(
         source, engines=engines, num_windows=num_windows,
-        max_steps=max_steps, fusion=fusion,
+        max_steps=max_steps,
     )
     if not result.equivalent:
         raise AssertionError(
@@ -224,11 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: every tier)",
     )
     parser.add_argument(
-        "--fusion", action="store_true",
-        help="arm every statically proved macro-op pair on the "
-             "fusion-capable tiers before each run",
-    )
-    parser.add_argument(
         "names", nargs="*", metavar="workload",
         help="workloads to sweep (default: every bundled benchmark)",
     )
@@ -240,10 +229,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ``--list-engines`` prints the registry's capability matrix and
     exits.  ``--engines ref,fast,...`` restricts the sweep (first name
-    is the oracle); ``--fusion`` arms every statically proved macro-op
-    pair on the fusion-capable tiers before each run (the sweep still
-    requires bit-identity against the unfused oracle); remaining
-    positional arguments select workloads.  Bad arguments exit 2
+    is the oracle); remaining positional arguments select workloads.  Bad arguments exit 2
     before anything runs.
     """
     from repro.workloads import BENCHMARKS, benchmark
@@ -251,14 +237,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list_engines:
-        header = f"{'tier':>4}  {'engine':<10} {'observers':<10} " \
-                 f"{'fusion':<7} description"
+        header = f"{'tier':>4}  {'engine':<10} {'observers':<10} description"
         print(header)
         for row in capability_matrix():
             print(
                 f"{row['tier']:>4}  {row['name']:<10} "
                 f"{'yes' if row['supports_observers'] else 'no':<10} "
-                f"{'yes' if row['supports_fusion'] else 'no':<7} "
                 f"{row['description']}"
             )
         return 0
@@ -271,15 +255,12 @@ def main(argv: list[str] | None = None) -> int:
         )
     names = args.names or known
     failures = 0
-    mode = " [fusion armed]" if args.fusion else ""
     for name in names:
         bench = benchmark(name)
-        result = run_differential(
-            bench.source, engines=args.engines, fusion=args.fusion
-        )
+        result = run_differential(bench.source, engines=args.engines)
         if result.equivalent:
             print(f"  ok  {name:<20} {result.instructions:>10} instructions "
-                  f"bit-identical on {', '.join(result.engines)}{mode}")
+                  f"bit-identical on {', '.join(result.engines)}")
         else:
             failures += 1
             print(f"FAIL  {name}")

@@ -23,11 +23,10 @@ invalidates a thunk.
 
 While :attr:`ObserverBus.step_observed` is true or an interrupt is
 latched, steps run one at a time: the engine calls the ``pre_step``
-hooks itself, dispatches the *unfused* thunk (a fused pair would skip a
-step boundary) and fires ``step`` after a completed instruction.  Only
-a latched interrupt or a ``fetch_word``/``mem_access`` observer - the
-events that change fetch or data-side semantics - hands the rest of the
-step to :meth:`ReferenceEngine.step_body
+hooks itself, dispatches the thunk and fires ``step`` after a completed
+instruction.  Only a latched interrupt or a ``fetch_word``/``mem_access``
+observer - the events that change fetch or data-side semantics - hands
+the rest of the step to :meth:`ReferenceEngine.step_body
 <repro.cpu.engine.ReferenceEngine.step_body>`.  Boundary events
 (``call``/``return``/``trap``/``halt``) are emitted from the shared
 state core and therefore fire identically under every engine.
@@ -130,7 +129,7 @@ def _read_expr(reg: int, nw: int, uw: bool) -> str:
 
 
 def _inst_lines(
-    inst: Instruction, nw: int, uw: bool, pcname: str = "pc", tname: str = "t"
+    inst: Instruction, nw: int, uw: bool
 ) -> tuple[list[str], list[str], str]:
     """One instruction's complete execution as generated-source pieces.
 
@@ -138,9 +137,6 @@ def _inst_lines(
     in ``make`` scope (hoisted PC-relative targets), *body* lines are
     the thunk's semantics + sequencing + stats + halt checks, and
     *extra_defaults* is appended to the thunk's default-argument list.
-    *pcname*/*tname* parameterise the instruction's own address and its
-    hoisted target so :func:`_codegen_fused` can compose two
-    instructions in one thunk without name collisions.
     """
     op = inst.opcode
     spec = inst.spec
@@ -229,9 +225,9 @@ def _inst_lines(
                 read_ab()
                 target = f"(a + b) & {_M32}"
             else:
-                preamble.append(f"{tname} = ({pcname} + {inst.imm19}) & {_M32}")
-                extra_defaults = f", {tname}={tname}"
-                target = tname
+                preamble.append(f"t = (pc + {inst.imm19}) & {_M32}")
+                extra_defaults = ", t=t"
+                target = "t"
             cond = _COND_EXPR[inst.cond]
             emit("npc = m.npc")
             if cond == "True":
@@ -253,11 +249,11 @@ def _inst_lines(
                 read_ab()
                 emit(f"target = (a + b) & {_M32}")
             else:
-                preamble.append(f"{tname} = ({pcname} + {inst.imm19}) & {_M32}")
-                extra_defaults = f", {tname}={tname}"
-                emit(f"target = {tname}")
+                preamble.append(f"t = (pc + {inst.imm19}) & {_M32}")
+                extra_defaults = ", t=t"
+                emit("target = t")
             emit("m._enter_frame()")  # may trap; nothing mutated yet
-            write_dest(f"{pcname} & {_M32}")  # return linkage, in the NEW window
+            write_dest(f"pc & {_M32}")  # return linkage, in the NEW window
             emit("stats.calls += 1")
             emit("npc = m.npc")
             emit("m.npc = target")
@@ -301,7 +297,7 @@ def _inst_lines(
     emit(f"stats.cycles += {spec.cycles}")
     emit(f'by_cat["{cat.name}"] += 1')
     emit(f'by_op["{op.name}"] += 1')
-    emit(f"m.lpc = {pcname}")
+    emit("m.lpc = pc")
     emit(f"if npc == {HALT_PC}:")
     emit("    m._set_halted(_RETURNED)")
     emit("elif m.halt_address is not None and npc == m.halt_address:")
@@ -330,119 +326,10 @@ def _codegen(inst: Instruction, nw: int, uw: bool) -> str:
     )
 
 
-def _codegen_fused(
-    inst1: Instruction, inst2: Instruction, word2: int, call_slot: bool,
-    nw: int, uw: bool,
-) -> str:
-    """Emit ``make(pc, m, fh) -> thunk`` executing a proved pair in one
-    dispatch.
-
-    The thunk runs both halves' *complete* single-instruction bodies
-    (semantics, sequencing, stats, halt checks) back to back, so the
-    architectural trajectory - every counter, every trap - is
-    bit-identical to two unfused dispatches; fusion saves the dispatch
-    overhead (fetch compare, cache probe, call, try frame), not
-    architectural work.  Between the halves it:
-
-    * returns if the first half halted the machine (explicit halt
-      address on the pair's seam);
-    * for call+slot pairs, re-validates the slot word (the call's
-      window spill may have overwritten it - returning de-fuses, and
-      the loop re-dispatches the slot unfused via the latched pending
-      jump) and performs the dispatcher's delay-slot accounting;
-    * counts the second half's instruction fetch, exactly once and only
-      when the second half actually issues.
-
-    A second-half trap is caught inside the thunk: the first half's
-    effects are already committed and sequencing already points at the
-    second address, so :func:`_fused_second_trap` records the precise
-    trap just as the dispatcher would for an unfused dispatch.
-
-    The thunk returns True when the second half issued (completed or
-    trapped) - the dispatch then counts as two steps - and None when it
-    stopped after the first half.
-    """
-    pre1, body1, xd1 = _inst_lines(inst1, nw, uw, "pc", "t1")
-    pre2, body2, xd2 = _inst_lines(inst2, nw, uw, "pc2", "t2")
-    extra = xd1 + xd2
-    mid = ["if m.halted is not None:", "    return"]
-    if call_slot:
-        pre1 = [f'w2b = ({word2}).to_bytes(4, "big")', *pre1]
-        extra += ", w2b=w2b"
-        mid.append("if mem._bytes[pc2 : pc2 + 4] != w2b:")
-        mid.append("    return")
-        mid.append("stats.delay_slots += 1")
-        if _is_nop(inst2):
-            mid.append("stats.delay_slot_nops += 1")
-        mid.append("m._pending_jump = False")
-    mid.append("ms.inst_reads += 1")
-    body = body1 + mid + ["try:"]
-    body += [f"    {line}" for line in body2]
-    body += [
-        "except (_MemFault, _TrapSignal) as exc:",
-        f"    _ft(m, exc, pc2, {word2}, {call_slot})",
-        "    return True",
-        "fh[0] += 1",
-        "return True",
-    ]
-    pre = "\n".join(f"    {line}" for line in (pre1 + pre2))
-    inner = "\n".join(f"        {line}" for line in body)
-    return (
-        "def make(pc, m, fh):\n"
-        "    R = m.regs._regs\n"
-        "    psw = m.psw\n"
-        "    stats = m.stats\n"
-        "    mem = m.memory\n"
-        "    by_cat = stats.by_category\n"
-        "    by_op = stats.by_opcode\n"
-        "    ms = mem.stats\n"
-        "    pc2 = pc + 4\n"
-        f"{pre}\n"
-        "    def thunk(m, R=R, psw=psw, stats=stats, mem=mem,"
-        f" by_cat=by_cat, by_op=by_op, pc=pc, pc2=pc2, ms=ms, fh=fh"
-        f"{extra}):\n"
-        f"{inner}\n"
-        "    return thunk\n"
-    )
-
-
-def _fused_second_trap(
-    m: "ArchState", exc: Exception, pc: int, word: int, in_slot: bool
-) -> None:
-    """Precise trap for a fused pair's second half.
-
-    By the time the second half issues, the first half's effects are
-    committed and pc/npc already describe the second instruction (for a
-    call+slot pair: slot pc with the call target latched in npc), so
-    this mirrors the dispatcher's trap path for an unfused dispatch of
-    the second word.
-    """
-    if isinstance(exc, MemoryFaultError):
-        cause = _memory_trap_cause(exc)
-    else:
-        assert isinstance(exc, _TrapSignal)
-        cause = exc.cause
-    m._trap(
-        cause,
-        pc=pc,
-        word=word,
-        address=exc.address,
-        message=str(exc),
-        in_delay_slot=in_slot,
-    )
-
-
 #: Compiled factories shared by every FastEngine, keyed by
 #: (word, num_windows, use_windows); pc and machine bind at make() time.
 _FACTORY_CACHE: dict[tuple[int, int, bool], object] = {}
-#: Fused-pair factories, keyed by (word1, word2, num_windows, use_windows).
-_FUSED_FACTORY_CACHE: dict[tuple[int, int, int, bool], object] = {}
 _FACTORY_CACHE_MAX = 65536
-
-#: Upper bound on the cycles a fused pair's first half can add (its own
-#: cycles plus a window spill); closer than this to the cycle watchdog,
-#: pairs dispatch unfused so the watchdog halts between the halves.
-_FUSED_CYCLE_MARGIN = 64
 
 _EXEC_GLOBALS = {
     "_TrapSignal": _TrapSignal,
@@ -450,7 +337,6 @@ _EXEC_GLOBALS = {
     "_OVF": TrapCause.ARITHMETIC_OVERFLOW,
     "_RETURNED": HaltReason.RETURNED,
     "_EXPLICIT": HaltReason.EXPLICIT,
-    "_ft": _fused_second_trap,
 }
 
 
@@ -468,37 +354,13 @@ def _factory_for(word: int, inst: Instruction, nw: int, uw: bool):
     return make
 
 
-def _fused_factory_for(
-    word1: int, inst1: Instruction, word2: int, inst2: Instruction,
-    call_slot: bool, nw: int, uw: bool,
-):
-    key = (word1, word2, nw, uw)
-    make = _FUSED_FACTORY_CACHE.get(key)
-    if make is None:
-        source = _codegen_fused(inst1, inst2, word2, call_slot, nw, uw)
-        label = f"<fused {inst1.opcode.name}+{inst2.opcode.name} {word1:#010x}>"
-        namespace = dict(_EXEC_GLOBALS)
-        exec(compile(source, label, "exec"), namespace)
-        make = namespace["make"]
-        if len(_FUSED_FACTORY_CACHE) >= _FACTORY_CACHE_MAX:
-            _FUSED_FACTORY_CACHE.clear()
-        _FUSED_FACTORY_CACHE[key] = make
-    return make
-
-
 class FastEngine:
     """Closure-threaded interpreter, oracle-verified against the reference.
 
-    Per-machine state: a ``pc -> (word, thunk, is_nop, inst, word2)``
-    cache.  ``word2`` is ``None`` for ordinary entries; for a fused
-    entry (a statically-proved pair armed via :meth:`arm_fusion`) it is
-    the second half's encoding, and the dispatch loop re-validates it -
-    like the first word - on every step, so self-modifying code,
-    fault-injected memory and rollbacks all de-fuse or invalidate stale
-    thunks naturally.  Fused entries execute both halves in one
-    dispatch with bit-identical architectural effects; only proved
-    pairs ever fuse, and :meth:`step` (single-instruction semantics by
-    contract) and every observed step always execute unfused.
+    Per-machine state: a ``pc -> (word, thunk, is_nop, inst)`` cache.
+    The dispatch loop re-validates ``word`` against memory on every
+    step, so self-modifying code, fault-injected memory and rollbacks
+    all recompile stale thunks naturally.
     """
 
     name = "fast"
@@ -506,12 +368,6 @@ class FastEngine:
     def __init__(self) -> None:
         self._ref = ReferenceEngine()
         self._cache: dict[int, tuple] = {}
-        #: unfused shadows of armed pcs, for step() and pending dispatch.
-        self._scache: dict[int, tuple] = {}
-        #: armed pairs by first-half address (see repro.analysis.fusion).
-        self._fused: dict[int, object] = {}
-        #: per-pair completed-dispatch counters (list cells bound into thunks).
-        self._fused_hits: dict[int, list[int]] = {}
         #: thunks built over the engine's lifetime (recompiles included).
         self.thunks_compiled = 0
         #: steps whose thunk ran under per-step observers.
@@ -525,66 +381,18 @@ class FastEngine:
         return {
             "thunks_cached": len(self._cache),
             "thunks_compiled": self.thunks_compiled,
-            "fused_pairs_armed": len(self._fused),
-            "fused_dispatches": self.fused_dispatches,
             "observed_steps": self.observed_steps,
             "oracle_steps": self.oracle_steps,
         }
 
     def forget_code(self, pc: int) -> None:
-        """Drop the thunks built from the word at *pc* (a fetch pin on
-        *pc* came or went); a fused entry only runs while no pin is."""
+        """Drop the thunk built from the word at *pc* (a fetch pin on
+        *pc* came or went)."""
         self._cache.pop(pc, None)
-        self._scache.pop(pc, None)
-
-    # -- fusion -------------------------------------------------------------
-
-    def arm_fusion(self, pairs) -> int:
-        """Arm statically-proved pairs; returns the number armed.
-
-        *pairs* is an iterable of
-        :class:`~repro.analysis.fusion.FusionPair` (anything with
-        ``first``/``second``/``word1``/``word2``/``kind`` duck-types).
-        Re-arming replaces the previous set.  Arming carries no
-        correctness risk: each dispatch re-validates both words against
-        the proof and falls back to unfused execution on any mismatch.
-        """
-        armed: dict[int, object] = {}
-        for pair in pairs:
-            if pair.second != pair.first + 4:
-                raise ValueError(
-                    f"fusion pair at {pair.first:#x} is not adjacent "
-                    f"(second half at {pair.second:#x})"
-                )
-            armed[pair.first] = pair
-        self._fused = armed
-        self._fused_hits = {pc: [0] for pc in armed}
-        self._cache.clear()
-        self._scache.clear()
-        return len(armed)
-
-    @property
-    def fused_dispatches(self) -> int:
-        """Completed fused executions (both halves) since arming."""
-        return sum(cell[0] for cell in self._fused_hits.values())
-
-    def fused_hit_counts(self) -> dict[int, int]:
-        """Non-zero per-pair dispatch counts, keyed by first-half address."""
-        return {pc: cell[0] for pc, cell in self._fused_hits.items() if cell[0]}
 
     # -- compilation --------------------------------------------------------
 
     def _compile(self, m: ArchState, pc: int, word: int) -> tuple | None:
-        """Decode *word* into a thunk entry, fused when the address is
-        armed and both halves match the proof; None after a decode trap."""
-        pair = self._fused.get(pc)
-        if pair is not None and pair.word1 == word:  # type: ignore[attr-defined]
-            entry = self._compile_fused(m, pc, pair)
-            if entry is not None:
-                return entry
-        return self._compile_one(m, pc, word)
-
-    def _compile_one(self, m: ArchState, pc: int, word: int) -> tuple | None:
         """Decode *word* as a fetch pin on *pc* leaves it and build its
         thunk; None after a decode trap.  The entry keeps *word*, the
         memory word it stays valid for."""
@@ -605,52 +413,7 @@ class FastEngine:
             return None
         make = _factory_for(run, inst, m.num_windows, m.use_windows)
         self.thunks_compiled += 1
-        return (word, make(pc, m), _is_nop(inst), inst, None)
-
-    def _compile_fused(self, m: ArchState, pc: int, pair) -> tuple | None:
-        """Build the two-halves-in-one-dispatch entry for an armed pair.
-
-        Returns None (caller falls back to an unfused entry) when the
-        in-memory second word no longer matches the proof or either
-        half fails structural checks; the proof's legality guarantees
-        make these checks redundant, but the engine never trusts a
-        proof it cannot re-verify against the bytes it will execute.
-        """
-        mem = m.memory
-        if pc + 8 > mem.size:
-            return None
-        word2 = int.from_bytes(mem._bytes[pc + 4 : pc + 8], "big")
-        if word2 != pair.word2:
-            return None
-        try:
-            inst1 = m.decoder.decode(pair.word1)
-            inst2 = m.decoder.decode(word2)
-        except DecodingError:
-            return None
-        call_slot = pair.kind == "call-slot"
-        if call_slot:
-            if inst1.opcode not in (Opcode.CALL, Opcode.CALLR):
-                return None
-        elif inst1.spec.is_delayed:
-            return None  # transfer-first pairs are only sound as call+slot
-        if inst2.spec.is_delayed and inst2.opcode not in (Opcode.JMP, Opcode.JMPR):
-            return None  # second-half transfers only via cmp-branch
-        make = _fused_factory_for(
-            pair.word1, inst1, word2, inst2, call_slot,
-            m.num_windows, m.use_windows,
-        )
-        self.thunks_compiled += 1
-        fh = self._fused_hits.setdefault(pc, [0])
-        return (pair.word1, make(pc, m, fh), _is_nop(inst1), inst1, word2)
-
-    def _singleton(self, m: ArchState, pc: int, word: int) -> tuple | None:
-        """The unfused entry for an armed pc (step / pending dispatch)."""
-        entry = self._scache.get(pc)
-        if entry is None or entry[0] != word:
-            entry = self._compile_one(m, pc, word)
-            if entry is not None:
-                self._scache[pc] = entry
-        return entry
+        return (word, make(pc, m), _is_nop(inst), inst)
 
     # -- trap plumbing ------------------------------------------------------
 
@@ -693,7 +456,7 @@ class FastEngine:
     # -- ExecutionEngine ----------------------------------------------------
 
     def step(self, m: ArchState) -> Instruction | None:
-        """One instruction through the thunk cache, always unfused."""
+        """One instruction through the thunk cache."""
         if m.halted is not None:
             raise SimulationError(f"machine is halted ({m.halted.value})")
         if m.observers.step_observed or m.pending_interrupt is not None:
@@ -706,7 +469,7 @@ class FastEngine:
         Runs the ``pre_step`` hooks first, as the oracle does.  The rest
         of the step goes to the oracle's body only if a hook left work
         that changes fetch or memory semantics: a latched interrupt, or
-        a ``fetch_word``/``mem_access`` observer.  Otherwise the unfused
+        a ``fetch_word``/``mem_access`` observer.  Otherwise the
         thunk runs, and a completed instruction fires ``step``.
         """
         bus = m.observers
@@ -746,8 +509,8 @@ class FastEngine:
         return steps
 
     def _dispatch(self, m: ArchState) -> Instruction | None:
-        """Force the pins, fetch, compile if needed, and run one unfused
-        thunk; None when the step trapped."""
+        """Force the pins, fetch, compile if needed, and run one thunk;
+        None when the step trapped."""
         if m.pinned:
             m._force_pins()
         mem = m.memory
@@ -763,11 +526,6 @@ class FastEngine:
             if entry is None:
                 return None
             self._cache[pc] = entry
-        if entry[4] is not None:
-            # step() is one instruction by contract: never run the pair.
-            entry = self._singleton(m, pc, word)
-            if entry is None:
-                return None
         pending = m._pending_jump
         if pending:
             m.stats.delay_slots += 1
@@ -790,8 +548,7 @@ class FastEngine:
     ) -> int:
         """Run the inlined fetch/decode/dispatch loop until halt or a budget
         expires; observed steps run one at a time through
-        :meth:`_observed_step`.  Returns the steps executed (a fused pair
-        counts as two)."""
+        :meth:`_observed_step`.  Returns the steps executed."""
         import time
 
         observed_step = self._observed_step
@@ -804,10 +561,6 @@ class FastEngine:
         cache = self._cache
         cache_get = cache.get
         from_bytes = int.from_bytes
-        # Past this cycle count a fused pair could cross the watchdog.
-        fuse_below = (
-            None if max_cycles is None else max_cycles - _FUSED_CYCLE_MARGIN
-        )
         steps = 0
         check_at = 1024
         while m.halted is None:
@@ -827,25 +580,6 @@ class FastEngine:
                         entry = self._compile(m, pc, word)
                         if entry is not None:
                             cache[pc] = entry
-                    if entry is not None and entry[4] is not None:
-                        if (
-                            m._pending_jump
-                            or steps + 1 >= max_steps
-                            or (fuse_below is not None and stats.cycles >= fuse_below)
-                            or m.pinned
-                        ):
-                            # The pair's first half sits in a live delay
-                            # slot this dispatch (run it unfused so the
-                            # slot accounting below stays exact), a
-                            # watchdog may halt between the two halves,
-                            # or a pin is due between them or corrupts
-                            # a half.
-                            entry = self._singleton(m, pc, word)
-                        elif from_bytes(mem_bytes[pc + 4 : pc + 8], "big") != entry[4]:
-                            # Second half rewritten: de-fuse this pc.
-                            entry = self._singleton(m, pc, word)
-                            if entry is not None:
-                                cache[pc] = entry
                     if entry is not None:
                         pending = m._pending_jump
                         if pending:
@@ -854,8 +588,7 @@ class FastEngine:
                                 stats.delay_slot_nops += 1
                             m._pending_jump = False
                         try:
-                            if entry[1](m):
-                                steps += 1  # a fused pair's second half issued
+                            entry[1](m)
                         except (MemoryFaultError, _TrapSignal) as exc:
                             self._dispatch_trap(m, pc, word, exc, pending)
             steps += 1

@@ -102,7 +102,6 @@ from __future__ import annotations
 import struct
 import time
 import weakref
-from bisect import bisect_right
 from typing import Any
 
 from repro.common.bitops import MASK32, SIGN_BIT32
@@ -259,11 +258,8 @@ class _Trace:
         "eng",
         "exit_hits",
         "exit_recs",
-        "exit_fp",
         "ixs",
         "ixs_tk",
-        "pair_seconds",
-        "fused_hits",
     )
 
     def __init__(self, start, addrs, words, meta, cycles_bound, psw_writes):
@@ -302,14 +298,6 @@ class _Trace:
         #: ``ixs_tk`` holds the taken-delay-slot variants.
         self.ixs: Any = None
         self.ixs_tk: Any = None
-        #: sorted trace positions of armed fused-pair second halves plus
-        #: the per-exit completed-pair counts (parallel to ``exit_recs``;
-        #: None when nothing is armed) - counting only, codegen is
-        #: untouched by fusion.  ``fused_hits`` collects trap-unwind
-        #: counts via :func:`_credit`.
-        self.pair_seconds: tuple[int, ...] = ()
-        self.exit_fp: tuple[int, ...] | None = None
-        self.fused_hits = 0
 
 
 def _credit(m: ArchState, B: _Trace, done: int, fetches: int) -> None:
@@ -333,8 +321,6 @@ def _credit(m: ArchState, B: _Trace, done: int, fetches: int) -> None:
     stats.instructions += done
     stats.cycles += cycles
     m.memory.stats.inst_reads += fetches
-    if B.pair_seconds:
-        B.fused_hits += bisect_right(B.pair_seconds, done - 1)
     if done:
         m.lpc = B.addrs[done - 1]
 
@@ -1474,30 +1460,6 @@ def trace_codegen_info() -> dict[str, int | float]:
     return {"entries": len(_TRACE_FACTORY_CACHE), **_CODEGEN_COUNTERS}
 
 
-def _pair_positions(armed: dict, seq) -> tuple[int, ...]:
-    """Positions of armed fused-pair second halves inside *seq*.
-
-    A pair lands in a trace only when both halves sit at consecutive
-    positions with the exact words the static proof was issued for;
-    anything else (trace cut between the halves, rewritten code) simply
-    is not counted - correctness never depends on fusion bookkeeping.
-    """
-    if not armed:
-        return ()
-    out = []
-    for i in range(len(seq) - 1):
-        addr, word, _inst = seq[i]
-        pair = armed.get(addr)
-        if (
-            pair is not None
-            and pair.word1 == word
-            and seq[i + 1][0] == addr + 4
-            and seq[i + 1][1] == pair.word2
-        ):
-            out.append(i + 1)
-    return tuple(out)
-
-
 class TraceEngine:
     """Trace-compiling interpreter, oracle-verified like the others.
 
@@ -1505,7 +1467,7 @@ class TraceEngine:
     word-index watch (:attr:`code_words`) registered with the machine's
     memory so stores into compiled regions invalidate stale traces.
     ``step()`` always delegates to an inner
-    :class:`~repro.cpu.fastengine.FastEngine`, whose unfused thunks are
+    :class:`~repro.cpu.fastengine.FastEngine`, whose thunks are
     oracle-exact one instruction at a time; ``run_loop`` uses compiled
     traces and single-steps through the same inner engine wherever a
     trace cannot run.
@@ -1562,10 +1524,6 @@ class TraceEngine:
         #: since a trace visits each address once, in order), or
         #: ``((pc,), 1)`` for a single-stepped fallback.
         self.path: list | None = None
-        #: statically proved pairs armed via :meth:`arm_fusion`, keyed by
-        #: first-half address, plus hits folded out of reconciled exits.
-        self._fused: dict[int, object] = {}
-        self._fused_retired = 0
 
     def telemetry_snapshot(self) -> dict:
         """Trace-cache counters for the manifest's engine section."""
@@ -1578,8 +1536,6 @@ class TraceEngine:
             "code_words_watched": len(self.code_words),
             "instructions_compiled": self.instructions_compiled,
             "max_trace_length": self.max_trace_length,
-            "fused_pairs_armed": len(self._fused),
-            "fused_dispatches": self.fused_dispatches,
             "fallback_steps": self.fallback_steps,
             "fallback_observed": self.fallback_observed,
             "fallback_pending": self.fallback_pending,
@@ -1611,38 +1567,6 @@ class TraceEngine:
             + self.fallback_step_calls
         )
 
-    # -- macro-op fusion (counting only: pairs already run fused) -----------
-
-    def arm_fusion(self, pairs) -> int:
-        """Arm statically proved pairs; returns the number armed.
-
-        Compiled traces already execute both halves inside one thunk, so
-        arming only attributes *fused dispatches* in the telemetry; the
-        architectural trajectory is unchanged by construction.
-        """
-        armed: dict[int, object] = {}
-        for pair in pairs:
-            if pair.second != pair.first + 4:
-                raise ValueError(
-                    f"fusion pair halves not adjacent: {pair.first:#x}/"
-                    f"{pair.second:#x}"
-                )
-            armed[pair.first] = pair
-        self.flush_code()
-        self._fused = armed
-        self._fused_retired = 0
-        return len(armed)
-
-    @property
-    def fused_dispatches(self) -> int:
-        """Dynamic count of pairs whose both halves completed back to back."""
-        self._reconcile()
-        return (
-            self._fused_retired
-            + sum(trc.fused_hits for trc in self._traces.values())
-            + sum(trc.fused_hits for trc in self._retired)
-        )
-
     # -- deferred-stat reconciliation ---------------------------------------
 
     def _reconcile(self, *, rewound: bool = False) -> None:
@@ -1652,8 +1576,7 @@ class TraceEngine:
         any single-step fallback, on every trap unwind, before an
         in-trace halt fires observers, and at run-loop exit.  With
         *rewound* (a checkpoint restore already rewound the stats past
-        those hits) the pending hits are dropped instead; only the
-        fused-pair telemetry, which no restore rewinds, keeps them.
+        those hits) the pending hits are dropped instead.
         """
         m = self._machine() if self._machine is not None else None
         cy = self._cycles_cell
@@ -1669,16 +1592,9 @@ class TraceEngine:
             self._retired.clear()
         for trc in traces:
             hits = trc.exit_hits
-            efp = trc.exit_fp
-            if trc.fused_hits:
-                # trap-unwind pair counts, credited via _credit
-                self._fused_retired += trc.fused_hits
-                trc.fused_hits = 0
             for j, h in enumerate(hits):
                 if h:
                     hits[j] = 0
-                    if efp is not None and efp[j]:
-                        self._fused_retired += h * efp[j]
                     if rewound:
                         continue
                     done, cyc, cats, ops, tj, ds, dn, cl, rt = trc.exit_recs[j]
@@ -1736,10 +1652,6 @@ class TraceEngine:
         for trc in self._traces.values():
             trc.live = False
             trc.thunk = None
-            # _reconcile may have early-returned with nothing pending;
-            # trap-unwind pair counts still ride on the trace objects.
-            self._fused_retired += trc.fused_hits
-            trc.fused_hits = 0
         self._traces.clear()
         self.code_words.clear()
         for wi in self.pins:
@@ -1837,14 +1749,6 @@ class TraceEngine:
         trc.exit_hits = [0] * len(recs)
         trc.ixs = ixs
         trc.ixs_tk = ixs_tk
-        ps = _pair_positions(self._fused, seq)
-        if ps:
-            trc.pair_seconds = ps
-            # completed pairs per exit: a pure function of each exit's
-            # completed-prefix length (codegen itself is fusion-blind).
-            trc.exit_fp = tuple(
-                bisect_right(ps, rec[0] - 1) for rec in recs
-            )
         trc.thunk = make(m, trc, self._plain, self._cycles_cell)
         self.traces_compiled += 1
         self.instructions_compiled += len(seq)

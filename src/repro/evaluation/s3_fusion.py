@@ -6,18 +6,27 @@ two words where a VAX takes one (32-bit constants, compare-and-branch,
 load-then-use).  This section quantifies exactly how much of that bloat
 a fusion front-end could claw back *without changing the ISA*: the
 :mod:`repro.analysis.fusion` analyzer proves which adjacent pairs are
-fusible, the fast engine executes them as single dispatches, and the
-table reports the dynamic-instruction and code-size deltas next to the
-VAX baseline from T4.
+fusible, and the table reports the dynamic-instruction and code-size
+deltas next to the VAX baseline from T4.
 
-Fusion never changes architectural results - each fusion-on run here is
-asserted bit-identical (full ``ExecutionStats``) to its fusion-off
-twin, so the "effective" columns are attributions, not approximations.
+Fusion is a front-end property that never changes architectural
+results, so nothing here runs fused.  As Celio et al. size it, the
+count comes from a dynamic trace: one unfused run per workload on the
+trace tier logs its dispatch path, and a proved pair fuses once each
+time its first half retires, since the proof puts the second half next
+in the same basic block.  ``tests/test_fusion_count.py`` checks that
+join against a per-step count of "first half retired, then second half
+retired next" on the reference oracle.
 """
 
 from __future__ import annotations
 
-from repro.analysis.fusion import analyze_program, arm_machine
+from collections import Counter
+
+from repro.analysis.fusion import analyze_program
+from repro.baselines import VaxTraits
+from repro.cc import compile_to_ir
+from repro.cc.ciscgen import compile_for_cisc
 from repro.evaluation.tables import Table
 from repro.workloads import BENCHMARKS
 from repro.workloads.cache import compile_cached
@@ -33,45 +42,62 @@ def _all_benchmarks() -> dict[str, object]:
     return by_name
 
 
-def fusion_record(name: str) -> dict:
-    """Fusion-on vs fusion-off measurements for one workload.
+def _pc_counts(path: list) -> Counter:
+    """Retirements per pc from a :attr:`TraceEngine.path
+    <repro.cpu.traceengine.TraceEngine.path>` log.
 
-    Runs the workload twice on the fast engine - unfused, then with
-    every statically proved pair armed - asserts the two runs are
-    bit-identical, and returns the static/dynamic fusion counters.
+    Each entry ``(addrs, done)`` ran ``addrs[:done]``, every address
+    once, so equal entries are counted first and expanded once each.
+    """
+    counts: Counter = Counter()
+    for (addrs, done), hits in Counter(path).items():
+        counts.update(dict.fromkeys(addrs[:done], hits))
+    return counts
+
+
+def fusion_record(name: str) -> dict:
+    """Static and dynamic fusion counts for one workload.
+
+    Runs the workload once, unfused, on the trace tier with its dispatch
+    path logged, and joins the proved pairs with the path's per-pc
+    counts: ``pair_hits`` maps each pair's first-half address to the
+    times it would have issued fused.
     """
     bench = _all_benchmarks()[name]
     compiled = compile_cached(bench.source)
     report = analyze_program(compiled.program, name=name)
 
-    __, plain = compiled.run(engine="fast")
-    machine = compiled.make_machine(engine="fast")
-    arm_machine(machine, report)
+    machine = compiled.make_machine(engine="trace")
+    path: list = []
+    machine.engine.path = path
     machine.run(compiled.program.entry)
-    if machine.stats.as_dict() != plain.stats.as_dict():
-        raise AssertionError(
-            f"{name}: fusion-on run diverged from fusion-off (fusion must "
-            f"never change architectural results)"
-        )
+    counts = _pc_counts(path)
 
-    fused = machine.engine.fused_dispatches
-    hits = machine.engine.fused_hit_counts()
-    instructions = plain.stats.instructions
+    hits = {pair.first: counts[pair.first] for pair in report.pairs}
+    fused = sum(hits.values())
+    instructions = machine.stats.instructions
     cycles_saved = sum(
-        pair.cycles_saved * hits.get(pair.first, 0) for pair in report.pairs
+        pair.cycles_saved * hits[pair.first] for pair in report.pairs
     )
     return {
         "name": name,
         "pairs": len(report.pairs),
+        "pair_hits": hits,
         "instructions": instructions,
-        "fused_dispatches": fused,
+        "fused": fused,
         "effective_instructions": instructions - fused,
-        "cycles": plain.stats.cycles,
+        "cycles": machine.stats.cycles,
         "cycles_saved": cycles_saved,
         "code_bytes": compiled.code_size_bytes,
         "fused_code_bytes": compiled.code_size_bytes
         - _PAIR_BYTES_SAVED * len(report.pairs),
     }
+
+
+def _vax_code_bytes(name: str) -> int:
+    """Static VAX code size, as T4's matrix records it."""
+    source = _all_benchmarks()[name].source
+    return compile_for_cisc(compile_to_ir(source), VaxTraits()).static_bytes
 
 
 def run(names: tuple[str, ...] | None = None) -> Table:
@@ -84,6 +110,8 @@ def run(names: tuple[str, ...] | None = None) -> Table:
         headers=["benchmark", "pairs", "dyn instr", "fused", "effective",
                  "dyn saved", "cyc saved", "bytes", "fused bytes", "eff/VAX"],
         notes=[
+            # benchmarks/perf/golden.json pins this note's bytes; it still
+            # names fused runs, which go with the next golden change.
             "every fused pair is statically proved legal; fusion-on runs are "
             "asserted bit-identical to fusion-off on the fast engine",
             "'effective' = dynamic instructions minus fused dispatches; "
@@ -93,30 +121,19 @@ def run(names: tuple[str, ...] | None = None) -> Table:
         ],
     )
     core = {bench.name for bench in BENCHMARKS}
-    matrix_names = tuple(n for n in names if n in core)
-    vax_bytes: dict[str, int] = {}
-    if matrix_names:
-        from repro.evaluation.common import VAX_NAME, run_benchmark_matrix
-
-        records = run_benchmark_matrix(matrix_names)
-        vax_bytes = {
-            bench: rec.code_bytes
-            for (bench, machine), rec in records.items()
-            if machine == VAX_NAME
-        }
     total_instr = total_fused = 0
     for name in names:
         rec = fusion_record(name)
         total_instr += rec["instructions"]
-        total_fused += rec["fused_dispatches"]
-        vax = vax_bytes.get(name)
+        total_fused += rec["fused"]
+        vax = _vax_code_bytes(name) if name in core else None
         table.add_row(
             name,
             rec["pairs"],
             rec["instructions"],
-            rec["fused_dispatches"],
+            rec["fused"],
             rec["effective_instructions"],
-            f"{rec['fused_dispatches'] / rec['instructions']:.1%}",
+            f"{rec['fused'] / rec['instructions']:.1%}",
             rec["cycles_saved"],
             rec["code_bytes"],
             rec["fused_code_bytes"],
@@ -128,15 +145,3 @@ def run(names: tuple[str, ...] | None = None) -> Table:
             f"fused ({total_fused / total_instr:.1%})"
         )
     return table
-
-
-def dynamic_savings(names: tuple[str, ...] | None = None) -> dict[str, float]:
-    """Per-benchmark fraction of dynamic instructions fused away."""
-    if names is None:
-        names = tuple(_all_benchmarks())
-    return {
-        name: (lambda r: r["fused_dispatches"] / r["instructions"])(
-            fusion_record(name)
-        )
-        for name in names
-    }

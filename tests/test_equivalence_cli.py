@@ -57,9 +57,10 @@ class TestEngineSweepCli:
             ["--engines", "trace"],
             ["--engines"],
             ["towers", "no_such_workload"],
+            ["--fusion", "towers"],
         ],
         ids=["bogus", "ref-bogus", "deleted-tier", "one-engine", "no-value",
-             "unknown-workload-after-valid"],
+             "unknown-workload-after-valid", "deleted-flag"],
     )
     def test_bad_arguments_exit_2_before_any_run(self, cpu_refuses, argv, capsys):
         assert _exit_code(cpu_equivalence.main, argv) == 2
@@ -68,8 +69,8 @@ class TestEngineSweepCli:
     def test_engines_and_workloads_reach_the_runner(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cpu_equivalence, "run_differential", _recorder(calls))
-        assert cpu_equivalence.main(["--engines", "reference,trace", "--fusion", "towers"]) == 0
-        assert calls == [{"engines": ("reference", "trace"), "fusion": True}]
+        assert cpu_equivalence.main(["--engines", "reference,trace", "towers"]) == 0
+        assert calls == [{"engines": ("reference", "trace")}]
         assert "1/1 workloads equivalent" in capsys.readouterr().out
 
     def test_list_engines_names_every_tier(self, cpu_refuses, capsys):

@@ -22,7 +22,6 @@ from collections import Counter
 import pytest
 
 from repro import RiscMachine, assemble
-from repro.analysis.fusion import analyze_program, arm_machine
 from repro.cpu.equivalence import diff_digests, state_digest
 from repro.cpu.machine import HaltReason
 from repro.faults.campaign import (
@@ -96,16 +95,13 @@ def oracle_trial(golden, spec, budget):
     return oracle_machine(golden, spec, budget)[0]
 
 
-def trial_state(name, engine, *, use_windows=True, fused=False):
+def trial_state(name, engine, *, use_windows=True):
     """A (machine, delta checkpoint) pair for *name* on *engine*, built
-    the way the campaign's per-process state is; *fused* arms the
-    program's proved fusion pairs."""
-    key = (name, engine, use_windows, fused)
+    the way the campaign's per-process state is."""
+    key = (name, engine, use_windows)
     if key not in _TRIAL_STATES:
         compiled = compile_cached(benchmark(name).source, use_windows=use_windows)
         machine = compiled.make_machine(engine=engine)
-        if fused:
-            arm_machine(machine, analyze_program(compiled.program))
         machine.reset(compiled.program.entry)
         checkpoint = machine.checkpoint(track_memory_deltas=True)
         _TRIAL_STATES[key] = (machine, checkpoint)
@@ -221,9 +217,8 @@ def test_pc_trigger_past_the_golden_visits_never_fires(covering_schedule):
 _GOLDENS: dict = {}
 
 
-def pinned_trial(name, spec, budget_slack=None, *, use_windows=True, tiers=TRIAL_TIERS,
-                 fused=False):
-    """Run *spec* on *name* on each of *tiers* and against the oracle;
+def pinned_trial(name, spec, budget_slack=None, *, use_windows=True):
+    """Run *spec* on *name* on each trial tier and against the oracle;
     asserts that every tier matches it, down to the finished machine's
     state, that the fault ran pinned after its firing step and that
     the pins went with the trial.  Returns the oracle's result."""
@@ -236,10 +231,8 @@ def pinned_trial(name, spec, budget_slack=None, *, use_windows=True, tiers=TRIAL
         budget = golden.instructions + budget_slack
     expected, oracle = oracle_machine(golden, spec, budget, use_windows=use_windows)
     expected_state = state_digest(oracle)
-    for engine in tiers:
-        machine, checkpoint = trial_state(
-            name, engine, use_windows=use_windows, fused=fused
-        )
+    for engine in TRIAL_TIERS:
+        machine, checkpoint = trial_state(name, engine, use_windows=use_windows)
         tally = Counter()
         result = _run_injection(machine, checkpoint, golden, spec, budget, tally)
         assert result == expected, (engine, spec.describe())
@@ -415,23 +408,6 @@ def test_pinned_fetch_fault_matches_the_oracle(case):
     assert pinned_trial(name, spec).trap_cause == trap_cause
 
 
-#: towers' proved load-op pair ``ldl r19, r0, #16`` ; ``add r18, r19, #1``.
-FUSED_HALVES = {
-    "first": fetch_fault(STUCK_1, 0x6C, 2),  # loads from #20
-    "second": fetch_fault(STUCK_0, 0x70, 0),  # adds #0
-}
-
-
-@pytest.mark.parametrize("half", FUSED_HALVES)
-def test_pinned_fetch_fault_on_a_fused_half(half):
-    machine = trial_state("towers", "fast", fused=True)[0]
-    before = machine.engine.fused_dispatches
-    result = pinned_trial("towers", FUSED_HALVES[half], tiers=("fast",), fused=True)
-    assert result.outcome is Outcome.SILENT_CORRUPTION
-    # The prefix ran the pair fused; the pinned suffix ran it unfused.
-    assert machine.engine.fused_dispatches > before
-
-
 def test_a_fetch_pin_leaves_nothing_behind():
     name, spec, _trap_cause = PINNED_FETCHES["delay-slot"]
     pc = spec.location
@@ -443,7 +419,7 @@ def test_a_fetch_pin_leaves_nothing_behind():
         machine = trial_state(name, engine)[0]
         assert corrupted not in machine.decoder._cache, engine
         fast = machine.engine if engine == "fast" else machine.engine._fast
-        assert pc not in fast._cache and pc not in fast._scache, engine
+        assert pc not in fast._cache, engine
     engine = trial_state(name, "trace")[0].engine
     assert not engine._nocompile
     assert all(pc not in trc.addrs for trc in engine._traces.values())
