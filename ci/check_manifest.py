@@ -45,9 +45,9 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 SCHEMA_PATH = os.path.join(REPO, "ci", "manifest_schema.json")
 WORKLOAD = "towers"
-from repro.cpu.engines import default_sweep_engines  # noqa: E402
+from repro.cpu.engines import engine_names  # noqa: E402
 
-ENGINES = default_sweep_engines()
+ENGINES = engine_names()
 
 
 def capture(engine: str):

@@ -142,20 +142,12 @@ def engine_names(*, scalar_only: bool = False) -> tuple[str, ...]:
     return tuple(spec.name for spec in specs)
 
 
-def default_sweep_engines() -> tuple[str, ...]:
-    """Engines the differential equivalence sweep covers by default.
-
-    All tiers, oracle first - the first name is the oracle the
-    rest are diffed against.
-    """
-    return engine_names()
-
-
 def smp_engine_names() -> tuple[str, ...]:
     """Engines legal as per-core tiers under the multicore interleaver.
 
     Tier order, oracle first - the multicore equivalence sweep diffs the
-    rest against the first name, mirroring :func:`default_sweep_engines`.
+    rest against the first name, as :func:`engine_names` orders the
+    single-core sweep.
     """
     specs = sorted(REGISTRY.values(), key=lambda spec: spec.tier)
     return tuple(spec.name for spec in specs if spec.supports_smp)

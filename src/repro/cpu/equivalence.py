@@ -32,14 +32,14 @@ import argparse
 import dataclasses
 from dataclasses import dataclass
 
-from repro.cpu.engines import capability_matrix, default_sweep_engines, engine_names
+from repro.cpu.engines import capability_matrix, engine_names
 from repro.cpu.machine import RiscMachine
 
 
 def _resolve_engines(engines: "tuple[str, ...] | None") -> tuple[str, ...]:
     """``None`` means "every scalar tier the registry knows about"."""
     if engines is None:
-        return default_sweep_engines()
+        return engine_names()
     return tuple(engines)
 
 
@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engines", type=engine_list(engine_names()),
-        default=default_sweep_engines(),
+        default=engine_names(),
         help="comma-separated tiers to sweep, oracle first "
              "(default: every tier)",
     )

@@ -59,6 +59,11 @@ so the admission rule is bit-identical architectural results against
   taken delay slots are marked statically in the trap index (traces
   duplicate slot code per arm), so ``in_delay_slot`` is exact even for
   conditional transfers;
+* **exact boundary observers** - a frame op that leaves a trace
+  because a ``call``/``return`` observer other than the call-trace
+  recorder is attached credits the completed prefix as a trap there
+  would, so the observer reads the reference's stats and ``pc``, and
+  takes it back out afterwards (:func:`_observed_frame_op`);
 * **write invalidation** - stores into compiled code invalidate every
   covering trace through the :class:`~repro.common.memory.Memory`
   write watch (``set_exec_listener``); a trace that invalidates itself
@@ -102,6 +107,7 @@ from __future__ import annotations
 import struct
 import time
 import weakref
+from collections.abc import Callable
 from typing import Any
 
 from repro.common.bitops import MASK32, SIGN_BIT32
@@ -136,7 +142,7 @@ from repro.isa.registers import (
 #: Version of the trace codegen scheme.  Bump on ANY change to the
 #: generated code's shape or semantics; caches keyed on compiled
 #: artefacts include it so stale traces cannot survive a revision.
-TRACE_CODEGEN_VERSION = 3
+TRACE_CODEGEN_VERSION = 4
 
 _M32 = MASK32
 _SIGN = SIGN_BIT32
@@ -325,19 +331,15 @@ def _credit(m: ArchState, B: _Trace, done: int, fetches: int) -> None:
         m.lpc = B.addrs[done - 1]
 
 
-def _trace_trap_exit(m: ArchState, T: _Trace, ix: int, exc: Exception) -> int:
-    """Cold path: instruction *ix* trapped; restore reference trap state.
-
-    An ``ix >= _TK`` marks a taken delay slot (the transfer already
-    wrote the taken ``npc``); any other index gets sequential ``npc``,
-    including the slot position of an *untaken* conditional, which the
-    reference does not treat as a delay slot.
-    """
+def _credit_prefix(m: ArchState, T: _Trace, ix: int) -> int:
+    """Bring ``machine.stats`` to the reference's values as instruction
+    *ix* (``>= _TK``: a taken delay slot) starts executing: fold pending
+    exit hits, then credit the completed prefix and the fetch of *ix*.
+    Returns the trace position of *ix*."""
     eng = T.eng()
     if eng is not None:
         eng._reconcile()
-    in_slot = ix >= _TK
-    if in_slot:
+    if ix >= _TK:
         ix -= _TK
         tj, ds, dn, cl, rt = T.ixs_tk[ix]
     else:
@@ -349,6 +351,19 @@ def _trace_trap_exit(m: ArchState, T: _Trace, ix: int, exc: Exception) -> int:
     stats.delay_slot_nops += dn
     stats.calls += cl
     stats.returns += rt
+    return ix
+
+
+def _trace_trap_exit(m: ArchState, T: _Trace, ix: int, exc: Exception) -> int:
+    """Cold path: instruction *ix* trapped; restore reference trap state.
+
+    An ``ix >= _TK`` marks a taken delay slot (the transfer already
+    wrote the taken ``npc``); any other index gets sequential ``npc``,
+    including the slot position of an *untaken* conditional, which the
+    reference does not treat as a delay slot.
+    """
+    in_slot = ix >= _TK
+    ix = _credit_prefix(m, T, ix)
     addr = T.addrs[ix]
     m.pc = addr
     if not in_slot:
@@ -406,22 +421,71 @@ def _refill_arm(m: ArchState, c: int, PL: list) -> bool:
     return False
 
 
-def _enter_out(m: ArchState, PL: list) -> None:
+_STAT_FIELDS = (
+    "instructions", "cycles", "taken_jumps", "delay_slots",
+    "delay_slot_nops", "calls", "returns",
+)
+
+
+def _observed_frame_op(
+    m: ArchState, T: _Trace, ix: int, frame_op: Callable[[], None]
+) -> None:
+    """Run *frame_op* so that its ``call``/``return`` observers see the
+    reference's stats and ``pc``/``npc`` at instruction *ix*, then take
+    the credited prefix back out: the trace's exit (or a trap unwind)
+    credits it again."""
+    stats = m.stats
+    mem_stats = m.memory.stats
+    eng = T.eng()
+    if eng is not None:
+        eng._reconcile()
+    before = [getattr(stats, name) for name in _STAT_FIELDS]
+    reads = mem_stats.inst_reads
+    by_cat, by_op = dict(stats.by_category), dict(stats.by_opcode)
+    pc, npc = m.pc, m.npc
+    m.pc = T.addrs[_credit_prefix(m, T, ix)]
+    if ix < _TK:  # a taken slot's npc is already the transfer's target
+        m.npc = m.pc + 4
+    credited = [
+        getattr(stats, name) - value for name, value in zip(_STAT_FIELDS, before)
+    ]
+    reads = mem_stats.inst_reads - reads
+    try:
+        frame_op()
+    finally:
+        # Subtract what was credited: a spill or refill adds its own
+        # cycles.  A frame op retires no instruction, so the per-kind
+        # counts go back as they were.
+        for name, delta in zip(_STAT_FIELDS, credited):
+            setattr(stats, name, getattr(stats, name) - delta)
+        mem_stats.inst_reads -= reads
+        stats.by_category.clear()
+        stats.by_category.update(by_cat)
+        stats.by_opcode.clear()
+        stats.by_opcode.update(by_op)
+        m.pc, m.npc = pc, npc
+
+
+def _enter_out(m: ArchState, PL: list, T: _Trace, ix: int) -> None:
     """A CALL that leaves the trace: count why, then ``_enter_frame``."""
     if not PL[0]:
         PL[_PL_OUT_OBSERVER] += 1
-    elif m.use_windows and m.resident_windows == m.num_windows - 1:
+        _observed_frame_op(m, T, ix, m._enter_frame)
+        return
+    if m.use_windows and m.resident_windows == m.num_windows - 1:
         PL[_PL_OUT_SPILL] += 1
     else:
         PL[_PL_OUT_OTHER] += 1
     m._enter_frame()
 
 
-def _exit_out(m: ArchState, PL: list) -> None:
+def _exit_out(m: ArchState, PL: list, T: _Trace, ix: int) -> None:
     """A RET that leaves the trace: count why, then ``_exit_frame``."""
     if not PL[0]:
         PL[_PL_OUT_OBSERVER] += 1
-    elif m.use_windows and m.call_depth > 1 and m.resident_windows == 1:
+        _observed_frame_op(m, T, ix, m._exit_frame)
+        return
+    if m.use_windows and m.call_depth > 1 and m.resident_windows == 1:
         PL[_PL_OUT_REFILL] += 1
     else:
         PL[_PL_OUT_OTHER] += 1
@@ -1083,7 +1147,7 @@ def _codegen_trace(
                 emit(f"{indent}m.lpc = {seq[i - 1][0]}")
             emit(f"{indent}ix = {ixv}")
             defaults["fe"] = "_FE"
-            emit(f"{indent}fe(m, PL)")
+            emit(f"{indent}fe(m, PL, T, ix)")
             if uw:
                 for line in _hoist_lines(nw):
                     emit(indent + line)
@@ -1126,7 +1190,7 @@ def _codegen_trace(
             emit(f"{indent}    c = {wr('c - 1')}")
             if has_recorder:
                 emit(f"{indent}    ct(1)")
-            shadow_slow("fe(m, PL)", indent)
+            shadow_slow("fe(m, PL, T, ix)", indent)
             return
         if uw:
             emit(f"{indent}if pl and m.resident_windows != {nw - 1}:")
@@ -1145,7 +1209,7 @@ def _codegen_trace(
         if has_recorder:
             emit(f"{indent}    ct(1)")
         emit(f"{indent}else:")
-        emit(f"{indent}    fe(m, PL)")
+        emit(f"{indent}    fe(m, PL, T, ix)")
 
     def emit_exit_fast(indent: str) -> None:
         """Inlined ``_exit_frame``: no refill, or a refill through the
@@ -1160,7 +1224,7 @@ def _codegen_trace(
             emit(f"{indent}    c = {wr('c + 1')}")
             if has_recorder:
                 emit(f"{indent}    ct(-1)")
-            shadow_slow("fx(m, PL)", indent)
+            shadow_slow("fx(m, PL, T, ix)", indent)
             return
         if uw:
             emit(
@@ -1179,7 +1243,7 @@ def _codegen_trace(
         if has_recorder:
             emit(f"{indent}    ct(-1)")
         emit(f"{indent}else:")
-        emit(f"{indent}    fx(m, PL)")
+        emit(f"{indent}    fx(m, PL, T, ix)")
 
     def emit_slot(
         i: int, *, taken: bool, target_expr: str | None,
@@ -1361,7 +1425,7 @@ def _codegen_trace(
                 emit(f"ix = {i}")
                 if op is Opcode.RETINT:
                     defaults["fx"] = "_FX"
-                    emit("fx(m, PL)")
+                    emit("fx(m, PL, T, ix)")
                 else:
                     emit_exit_fast("")
                 if op is Opcode.RETINT:

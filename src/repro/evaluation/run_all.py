@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.evaluation.run_all [--fast] [--workers N] [--out FILE]
-        [--manifest FILE] [--engine NAME] [--store DIR]
+        [--manifest FILE] [--engine NAME]
 
 ``--fast`` restricts the expensive sweeps to a four-benchmark subset;
 ``--workers N`` renders the report sections on N worker processes
@@ -20,16 +20,8 @@ collection honours ``--workers`` and the aggregate is **byte-identical**
 for any worker count: runs are deterministic, results are collected in
 schedule order, and host wall-clock never enters the canonical form.
 
-``--store DIR`` routes manifest collection through a
-:class:`~repro.telemetry.store.ManifestStore`: benchmarks whose
-``(workload fingerprint, engine)`` entry is already stored are served
-from disk instead of re-simulated, and fresh runs populate the store
-for the next invocation.  Because stored manifests are the canonical
-bytes of the run that produced them, the aggregate is byte-identical
-with or without the store.
-
-``--engine`` and ``--store`` apply only with ``--manifest``.  Every
-flag is validated before any section renders.
+``--engine`` applies only with ``--manifest``.  Every flag is
+validated before any section renders.
 """
 
 from __future__ import annotations
@@ -119,41 +111,22 @@ def _pool(workers: int):
     return ctx.Pool(processes=workers)
 
 
-def _benchmark_manifest(task: tuple[str, str, str | None]):
+def _benchmark_manifest(task: tuple[str, str]):
     """Worker-side manifest capture: run one benchmark on one engine.
 
     Module-level so pools can import it.  The run is a deterministic
     function of (benchmark, engine) - fresh machine, fixed image - so
-    the returned manifest is identical wherever it executes.  With a
-    *store_dir*, the benchmark's store key is consulted first and fresh
-    results are stored: determinism is what makes serving the stored
-    bytes indistinguishable from re-simulating.
+    the returned manifest is identical wherever it executes.
     """
-    name, engine, store_dir = task
+    name, engine = task
     from repro.workloads import benchmark
     from repro.workloads.cache import compile_cached
 
-    source = benchmark(name).source
-    store = key = None
-    if store_dir is not None:
-        from repro.telemetry.store import ManifestStore, manifest_key
-
-        # The key covers the default config - exactly what
-        # make_machine()/run() below use.
-        key = manifest_key(name, source)
-        store = ManifestStore(store_dir)
-        cached = store.get(key, engine)
-        if cached is not None:
-            return cached
-
-    compiled = compile_cached(source)
+    compiled = compile_cached(benchmark(name).source)
     entry = compiled.program.entry
     machine = compiled.make_machine(engine=engine)
     machine.run(entry)
-    manifest = machine.run_manifest(workload=name, entry=entry)
-    if store is not None:
-        store.put(key, manifest)
-    return manifest
+    return machine.run_manifest(workload=name, entry=entry)
 
 
 def collect_manifests(
@@ -161,21 +134,18 @@ def collect_manifests(
     *,
     engine: str = "reference",
     workers: int | None = None,
-    store: str | None = None,
 ) -> list:
     """Per-benchmark :class:`~repro.telemetry.manifest.RunManifest` list.
 
     Order follows the benchmark registry; with ``workers`` the runs fan
     out over a pool but are collected in schedule order, so the caller's
-    aggregate is byte-identical to the serial one.  *store* names a
-    manifest-store directory to consult and populate (atomic writes
-    make concurrent workers safe).
+    aggregate is byte-identical to the serial one.
     """
     from repro.workloads import BENCHMARKS
 
     if names is None:
         names = tuple(bench.name for bench in BENCHMARKS)
-    tasks = [(name, engine, store) for name in names]
+    tasks = [(name, engine) for name in names]
     if workers is not None and workers > 1:
         with _pool(workers) as pool:
             return pool.map(_benchmark_manifest, tasks, chunksize=1)
@@ -188,16 +158,13 @@ def write_manifest(
     *,
     engine: str = "reference",
     workers: int | None = None,
-    store: str | None = None,
 ) -> int:
     """Write the aggregated evaluation manifest to *path*; returns run count."""
     import json
 
     from repro.telemetry.manifest import aggregate_manifests
 
-    manifests = collect_manifests(
-        names, engine=engine, workers=workers, store=store
-    )
+    manifests = collect_manifests(names, engine=engine, workers=workers)
     aggregate = aggregate_manifests(manifests)
     with open(path, "w") as handle:
         json.dump(aggregate, handle, indent=2, sort_keys=True)
@@ -239,11 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tier the manifest runs execute on (default reference; "
              "needs --manifest)",
     )
-    parser.add_argument(
-        "--store", default=None,
-        help="manifest-store directory to consult and populate "
-             "(needs --manifest)",
-    )
     return parser
 
 
@@ -251,10 +213,8 @@ def main(argv: list[str] | None = None) -> str:
     """CLI entry point; see the module docstring for flags."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.manifest is None:
-        for flag, value in (("--engine", args.engine), ("--store", args.store)):
-            if value is not None:
-                parser.error(f"{flag} needs --manifest")
+    if args.manifest is None and args.engine is not None:
+        parser.error("--engine needs --manifest")
     names = FAST_SUBSET if args.fast else None
     report = "\n\n\n".join(render_sections(names, workers=args.workers))
     print(report)
@@ -264,8 +224,7 @@ def main(argv: list[str] | None = None) -> str:
     if args.manifest is not None:
         engine = args.engine or "reference"
         count = write_manifest(
-            args.manifest, names, engine=engine, workers=args.workers,
-            store=args.store,
+            args.manifest, names, engine=engine, workers=args.workers
         )
         print(f"\nwrote evaluation manifest ({count} runs, engine={engine}) "
               f"to {args.manifest}")

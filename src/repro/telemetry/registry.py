@@ -1,4 +1,4 @@
-"""Typed metrics registry: counters, gauges, histograms, timers.
+"""Typed metrics registry: counters, histograms, timers.
 
 One :class:`MetricsRegistry` per process (or per machine, for isolated
 sweeps) is the single place simulation components record operational
@@ -33,7 +33,6 @@ from collections.abc import Iterator, Sequence
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
@@ -63,30 +62,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
         self.value += amount
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view: ``{"kind", "value"}``."""
-        return {"kind": self.kind, "value": self.value}
-
-
-class Gauge:
-    """A point-in-time value that can move both ways (cache occupancy)."""
-
-    __slots__ = ("name", "help", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value: float = 0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge's value."""
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        """Move the gauge by *delta* (either sign)."""
-        self.value += delta
 
     def as_dict(self) -> dict:
         """JSON-friendly view: ``{"kind", "value"}``."""
@@ -208,12 +183,6 @@ class _NullInstrument:
     def inc(self, amount: int = 1) -> None:
         """No-op."""
 
-    def set(self, value: float) -> None:
-        """No-op."""
-
-    def add(self, delta: float) -> None:
-        """No-op."""
-
     def observe(self, value: float) -> None:
         """No-op."""
 
@@ -242,7 +211,7 @@ class MetricsRegistry:
 
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._metrics: dict[str, Counter | Gauge | Histogram | Timer] = {}
+        self._metrics: dict[str, Counter | Histogram | Timer] = {}
 
     # -- factories ----------------------------------------------------------
 
@@ -265,10 +234,6 @@ class MetricsRegistry:
         """Get or create the :class:`Counter` called *name*."""
         return self._register(name, Counter, lambda: Counter(name, help))
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        """Get or create the :class:`Gauge` called *name*."""
-        return self._register(name, Gauge, lambda: Gauge(name, help))
-
     def histogram(
         self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> Histogram:
@@ -281,7 +246,7 @@ class MetricsRegistry:
 
     # -- introspection ------------------------------------------------------
 
-    def __iter__(self) -> Iterator[Counter | Gauge | Histogram | Timer]:
+    def __iter__(self) -> Iterator[Counter | Histogram | Timer]:
         return iter(self._metrics.values())
 
     def __len__(self) -> int:

@@ -9,10 +9,8 @@ quantities are ratios, which are robust to these kernels' input sizes).
 
 from repro.workloads.cache import (
     clear_compile_cache,
-    compile_cache_disabled,
     compile_cache_info,
     compile_cached,
-    set_cache_enabled,
 )
 from repro.workloads.programs import BENCHMARKS, Benchmark, benchmark, expected_results
 from repro.workloads.traces import synthetic_call_trace
@@ -49,10 +47,8 @@ __all__ = [
     "multicore_scenario",
     "run_multicore_scenario",
     "clear_compile_cache",
-    "compile_cache_disabled",
     "compile_cache_info",
     "compile_cached",
     "expected_results",
-    "set_cache_enabled",
     "synthetic_call_trace",
 ]

@@ -21,37 +21,24 @@ under the previous scheme.  Callers that need ``verify=True`` or a
 pre-checked AST keep calling :func:`repro.cc.compile_for_risc`
 directly.
 
-The cache can be bypassed - the assembler/compiler test suites measure
-the *pipeline*, not the cache - either per-process via the
-``REPRO_NO_COMPILE_CACHE`` environment variable (any non-empty value) or
-in code with :func:`set_cache_enabled` / the :func:`compile_cache_disabled`
-context manager.
-
-:func:`compile_cache_info` reports hit/miss/store counters alongside
-size and enablement.  The counters are process-lifetime operational
-facts (a long-lived service worker shows hits accumulating as it stays
-warm), which is why run manifests surface them in the non-canonical
-``host`` section: they describe the process that happened to serve a
-compile, never the compiled artifact.
+:func:`compile_cache_info` reports the hit and miss counters alongside
+the cache's size.  The counters are process-lifetime operational facts
+(a ``run_all`` process shows hits accumulating as later sections reuse
+earlier compiles), which is why run manifests surface them in the
+non-canonical ``host`` section: they describe the process that
+happened to serve a compile, never the compiled artifact.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.cc.compiler import CompiledRisc
 
-#: set to any non-empty value to bypass the cache process-wide
-ENV_DISABLE = "REPRO_NO_COMPILE_CACHE"
-
 _CACHE: dict[tuple[str, bool, bool, bool, int], "CompiledRisc"] = {}
-_enabled = True
 _hits = 0
 _misses = 0
-_stores = 0
 
 
 def _codegen_version() -> int:
@@ -61,56 +48,23 @@ def _codegen_version() -> int:
     return TRACE_CODEGEN_VERSION
 
 
-def cache_enabled() -> bool:
-    """True when lookups may be served from (and stored to) the cache."""
-    return _enabled and not os.environ.get(ENV_DISABLE)
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Turn the cache on or off; returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def compile_cache_disabled() -> Iterator[None]:
-    """Scope within which every compile runs the full pipeline."""
-    previous = set_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)
-
-
 def clear_compile_cache() -> int:
-    """Drop every cached compile (and reset the hit/miss/store counters);
+    """Drop every cached compile (and reset the hit/miss counters);
     returns how many entries were dropped."""
-    global _hits, _misses, _stores
+    global _hits, _misses
     dropped = len(_CACHE)
     _CACHE.clear()
-    _hits = _misses = _stores = 0
+    _hits = _misses = 0
     return dropped
 
 
-def compile_cache_info() -> dict[str, int | bool]:
-    """Size, enablement, and hit/miss/store counters of the compile cache.
+def compile_cache_info() -> dict[str, int]:
+    """Size and hit/miss counters of the compile cache.
 
     ``hits`` counts lookups served from the cache, ``misses`` lookups
-    that ran the full pipeline while the cache was enabled, and
-    ``stores`` the subset of misses whose result was retained (always
-    equal to ``misses`` today, but kept separate so an eviction policy
-    cannot silently skew the ratio).  Bypassed compiles (cache disabled)
-    touch no counter.
+    that ran the full pipeline (each one stores its result).
     """
-    return {
-        "entries": len(_CACHE),
-        "enabled": cache_enabled(),
-        "hits": _hits,
-        "misses": _misses,
-        "stores": _stores,
-    }
+    return {"entries": len(_CACHE), "hits": _hits, "misses": _misses}
 
 
 def compile_cached(
@@ -121,16 +75,9 @@ def compile_cached(
     optimize_ir: bool = True,
 ) -> "CompiledRisc":
     """Compile *source* for RISC I, memoized on (source, codegen flags)."""
-    global _hits, _misses, _stores
+    global _hits, _misses
     from repro.cc import compile_for_risc
 
-    if not cache_enabled():
-        return compile_for_risc(
-            source,
-            use_windows=use_windows,
-            optimize_delay_slots=optimize_delay_slots,
-            optimize_ir=optimize_ir,
-        )
     key = (
         source,
         use_windows,
@@ -148,7 +95,6 @@ def compile_cached(
             optimize_ir=optimize_ir,
         )
         _CACHE[key] = compiled
-        _stores += 1
     else:
         _hits += 1
     return compiled

@@ -31,9 +31,9 @@ from repro.cpu.machine import HaltReason
 from repro.workloads import benchmark
 from repro.workloads.cache import compile_cached
 
-from repro.cpu.engines import default_sweep_engines
+from repro.cpu.engines import engine_names
 
-ENGINES = default_sweep_engines()
+ENGINES = engine_names()
 
 
 def assert_all_engines_identical(source: str, *, max_steps: int = 20_000_000):

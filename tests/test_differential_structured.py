@@ -16,7 +16,7 @@ from repro.baselines import Pdp11Traits, Z8002Traits, CiscExecutor
 from repro.cc import compile_for_risc, compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
 from repro.common.bitops import to_signed
-from repro.cpu.engines import default_sweep_engines
+from repro.cpu.engines import engine_names
 from repro.cpu.equivalence import diff_digests, state_digest
 from repro.cpu.machine import HaltReason, TrapCause
 from repro.hll import run_program
@@ -96,7 +96,7 @@ COMMON_SETTINGS = dict(deadline=None,
 def _check_every_tier(source, compiled, expected):
     """Every tier returns *expected* and the oracle's manifest fingerprint."""
     oracle_fingerprint = None
-    for engine in default_sweep_engines():  # oracle first
+    for engine in engine_names():  # oracle first
         value, machine = compiled.run(engine=engine)
         assert value == expected, (engine, source)
         fingerprint = machine.run_manifest(
@@ -171,7 +171,7 @@ def _run_recursion(compiled, num_windows, stack_limit=None):
     """Run *compiled* on every tier; assert each ends as the oracle does
     (full state digest, traps and halt included); return the oracle."""
     oracle = None
-    for engine in default_sweep_engines():  # oracle first
+    for engine in engine_names():  # oracle first
         machine = compiled.make_machine(engine=engine, num_windows=num_windows)
         if stack_limit is not None:
             machine.window_stack_limit = stack_limit

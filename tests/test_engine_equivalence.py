@@ -41,9 +41,9 @@ from repro.isa.registers import REGS_PER_WINDOW_UNIQUE
 from repro.workloads import BENCHMARKS, benchmark
 from repro.workloads.cache import compile_cached
 
-from repro.cpu.engines import default_sweep_engines
+from repro.cpu.engines import engine_names
 
-ENGINES = default_sweep_engines()
+ENGINES = engine_names()
 
 WORKLOAD_NAMES = [bench.name for bench in BENCHMARKS]
 

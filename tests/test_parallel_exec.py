@@ -3,18 +3,33 @@
 The campaign/evaluation parallel paths must be *byte-identical* to
 their serial counterparts - parallelism may only change wall-clock
 time, never a single result byte - and the compile cache must be
-transparent (same artifacts, just fewer pipeline runs) with a working
-bypass knob for tests that time or exercise the pipeline itself.
+transparent (same artifacts, just fewer pipeline runs), with hit and
+miss counters that stay out of every canonical manifest form.
 """
 
+import json
+
+from repro.cc import compile_for_risc
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.workloads import benchmark
 from repro.workloads.cache import (
     clear_compile_cache,
-    compile_cache_disabled,
     compile_cache_info,
     compile_cached,
 )
+
+# A tiny fast workload for the counter tests.
+SOURCE = """
+int main(void) {
+    int total;
+    int index;
+    total = 0;
+    for (index = 0; index < 10; index = index + 1) {
+        total = total + index;
+    }
+    return total;
+}
+"""
 
 
 class TestParallelCampaign:
@@ -49,18 +64,46 @@ class TestCompileCache:
         assert windowed is not flat
         assert windowed.use_windows and not flat.use_windows
 
-    def test_bypass_knob_compiles_fresh(self):
+    def test_cached_artifact_matches_direct_compile(self):
         source = benchmark("towers").source
         cached = compile_cached(source)
-        with compile_cache_disabled():
-            assert not compile_cache_info()["enabled"]
-            fresh = compile_cached(source)
+        fresh = compile_for_risc(source)
         assert fresh is not cached
         # ... but the artifact is identical: the pipeline is a pure
         # function of (source, flags).
         assert fresh.asm_source == cached.asm_source
         assert fresh.program.to_words() == cached.program.to_words()
-        assert compile_cached(source) is cached  # cache is live again
+        assert compile_cached(source) is cached
+
+    def test_counters_track_hits_and_misses(self):
+        clear_compile_cache()
+        assert compile_cache_info() == {"entries": 0, "hits": 0, "misses": 0}
+
+        compile_cached(SOURCE)
+        assert compile_cache_info() == {"entries": 1, "hits": 0, "misses": 1}
+
+        compile_cached(SOURCE)  # warm reuse
+        assert compile_cache_info() == {"entries": 1, "hits": 1, "misses": 1}
+
+        compile_cached(SOURCE, use_windows=False)  # different cache key
+        assert compile_cache_info()["misses"] == 2
+        clear_compile_cache()
+        assert compile_cache_info()["hits"] == 0
+
+    def test_manifest_host_section_carries_counters(self):
+        clear_compile_cache()
+        from repro.telemetry.manifest import capture_manifest
+
+        compiled = compile_cached(SOURCE)
+        machine = compiled.make_machine()
+        machine.run(compiled.program.entry)
+        manifest = capture_manifest(machine, workload="adhoc")
+        cache = manifest.host["compile_cache"]
+        assert cache["entries"] >= 1 and cache["misses"] >= 1
+        # Host facts never enter the canonical/fingerprinted forms.
+        assert "host" not in json.loads(manifest.shared_json())
+        assert "host" not in json.loads(manifest.canonical_json())
+        assert "host" in manifest.as_dict(include_host=True)
 
     def test_cached_machines_are_independent(self):
         source = benchmark("towers").source

@@ -18,7 +18,7 @@ def no_render(monkeypatch):
     ["--manifest", "out.json", "--engine", "nope"],
     ["--manifest", "out.json", "--engine", "batch"],
     ["--engine", "fast"],                      # --engine needs --manifest
-    ["--store", "dir"],                        # --store needs --manifest
+    ["--store", "dir"],                        # deleted flag
     ["--workers"],                             # trailing flag, no value
     ["--workers", "two"],
     ["--mystery"],

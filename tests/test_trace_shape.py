@@ -12,12 +12,12 @@ import pytest
 from repro import RiscMachine, assemble
 from repro.cc import compile_for_risc
 from repro.cpu import traceengine
-from repro.cpu.engines import default_sweep_engines
+from repro.cpu.engines import engine_names
 from repro.cpu.equivalence import diff_digests, state_digest
 from repro.cpu.traceengine import _scan_trace, trace_codegen_info
 from repro.workloads import BENCHMARKS
 
-ENGINES = default_sweep_engines()
+ENGINES = engine_names()
 
 #: Instructions compiled by one cold round of the 11 paper programs.
 #: Measured 5,007 with each address compiled once per trace; the
