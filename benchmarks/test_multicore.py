@@ -4,14 +4,15 @@ Two benchmark families, both shapes for ``ci/check_perf.py`` ratios
 (absolute times vary across hosts; same-process ratios do not):
 
 * the 4-core ``producer_consumer`` run - the lock-contention workload -
-  timed on the reference and fast tiers.  The fast tier must keep its
+  timed on the reference and trace tiers.  The trace tier must keep its
   speedup even though every slice re-enters the engine
   through the interleaver (the ratio floor catches an accidentally
   quadratic slice restart);
 * the 4-core ``timer_ticks`` run - the interrupt-latency workload -
-  timed on reference and fast.  Interrupt-pending fallback forces
-  reference stepping, so fast may not *beat* reference here; the entry
-  gates that delivery machinery never makes it pathologically slower.
+  timed on reference and trace.  Interrupt-pending fallback forces
+  reference stepping, so trace may not *beat* reference by much here;
+  the entry gates that delivery machinery never makes it
+  pathologically slower.
 
 The latency shape assertions are architectural, not timed: every
 boundary-to-boundary sample is bounded by the scheduler quantum, which
@@ -26,9 +27,14 @@ from repro.multicore.scenarios import scenario
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_images():
-    """Compile scenario images once so timing excludes the compiler."""
-    build_scenario("producer_consumer")
-    build_scenario("timer_ticks")
+    """Compile scenario images once, and run each once on the trace tier
+    to fill its process-level factory cache, so timing excludes the
+    compiler and trace codegen (``trace-cold-vs-reference`` gates
+    codegen cost; a cold 4-core producer_consumer run spends about
+    three quarters of its time generating traces)."""
+    for name in ("producer_consumer", "timer_ticks"):
+        build_scenario(name)
+        run_scenario(name, num_cores=4, engine="trace")
 
 
 def _contention(engine):
@@ -51,13 +57,13 @@ def test_multicore_reference_contention(once):
     once(_contention, "reference")
 
 
-def test_multicore_fast_contention(once):
-    once(_contention, "fast")
+def test_multicore_trace_contention(once):
+    once(_contention, "trace")
 
 
 def test_multicore_interrupt_latency_reference(once):
     once(_interrupts, "reference")
 
 
-def test_multicore_interrupt_latency_fast(once):
-    once(_interrupts, "fast")
+def test_multicore_interrupt_latency_trace(once):
+    once(_interrupts, "trace")

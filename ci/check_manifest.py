@@ -22,8 +22,8 @@ and its key structure must match the schema file's ``campaign_paths``.
 
 A third document gets the same treatment: the **composed multicore
 manifest** (``risc1-repro/multicore-manifest/v1``, from
-``MulticoreSimulator.manifest()``).  A 2-core scenario runs on two SMP
-tiers, the composed fingerprints (which exclude the engine-dependent
+``MulticoreSimulator.manifest()``).  A 2-core scenario runs on every
+tier, the composed fingerprints (which exclude the engine-dependent
 ``simulation`` section) must agree, and the key structure must match
 the schema file's ``multicore_paths``.  Per-core sections live in
 lists, which ``schema_paths`` deliberately does not flatten - their
@@ -73,7 +73,7 @@ def capture_campaign() -> dict:
 
 
 def capture_multicore() -> dict[str, dict]:
-    """Composed multicore manifests from two SMP tiers (2-core run).
+    """Composed multicore manifests from every tier (2-core run).
 
     Small on purpose: ``timer_ticks`` exercises the whole composition
     (per-core sections, schedule, device counters, interrupt delivery)
@@ -85,7 +85,7 @@ def capture_multicore() -> dict[str, dict]:
         engine: run_scenario(
             "timer_ticks", num_cores=2, engine=engine
         ).manifest(workload="timer_ticks")
-        for engine in ("reference", "fast")
+        for engine in ENGINES
     }
 
 
@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     composed = {e: d["fingerprint"] for e, d in multicore_docs.items()}
     if len(set(composed.values())) != 1:
         failures.append(
-            "multicore: composed fingerprints differ across SMP tiers: "
+            "multicore: composed fingerprints differ across tiers: "
             + ", ".join(f"{e}={fp[:16]}" for e, fp in sorted(composed.items()))
         )
 

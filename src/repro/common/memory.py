@@ -3,10 +3,16 @@
 The RISC I evaluation hinges on *memory traffic* (the paper weights HLL
 operations by the memory references they cost), so every read and write is
 counted.  Instruction fetches and data accesses are tracked separately.
+
+A memory also keeps the one write watch that compiled code needs: every
+engine attached to it (one per core when several cores share it)
+registers its compiled code there, and a store by any of them drops the
+stale code of all of them (:meth:`Memory.attach`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from struct import error as struct_error, pack_into, unpack_from
 
@@ -90,19 +96,23 @@ class Memory:
         # bytes.  ``None`` means journaling is off (the common case; the
         # store paths pay a single identity test per write).
         self._journal: dict[int, bytes] | None = None
-        # The write watch.  ``_exec_watch`` holds the word index
-        # (address >> 2) of every word covered by compiled code (the
-        # code-compiling engine's own dict, see repro.cpu.traceengine)
-        # and of every pinned word; a store that lands on a watched word
-        # calls _watch_hit, which re-applies a pin and tells the listener
-        # to drop stale compiled code.  ``None`` means nothing is watched
-        # (the common case; store paths pay one identity test per write).
-        self._exec_watch: dict | None = None
-        self._exec_listener = None
+        # The write watch, one per memory, shared by every attached
+        # engine.  ``_exec_watch`` maps the word index (address >> 2) of
+        # every word covered by compiled code to the code units built
+        # from it, whichever engine built them, and holds every pinned
+        # word (an empty list while no code covers it).  A store that
+        # lands on a watched word calls _watch_hit, which re-applies a
+        # pin and drops each unit through its own engine.  ``None`` means
+        # nothing is watched and no engine is attached (the common case;
+        # store paths pay one identity test per write).  Once an engine
+        # attaches, the dict is never replaced: compiled code binds it.
+        self._exec_watch: dict[int, list] | None = None
+        # Weak references to the attached code-compiling engines (see
+        # attach): a memory keeps no engine, and so no machine, alive.
+        self._engines: list[weakref.ref] = []
         # One past the highest watched word index, or more: a span that
         # starts at or above it misses the watch (see _quiet_span).  The
-        # mark only rises while the watch is installed; whoever adds a
-        # key raises it.
+        # mark only rises; whoever adds a key raises it.
         self._watch_top = 0
         # Stuck-at pins: word index -> (mask, value); a pinned word always
         # holds ``value`` under ``mask`` after a store (see pin_word).
@@ -278,40 +288,78 @@ class Memory:
         raise :class:`~repro.errors.MemoryFaultError` (``kind
         "mmio_width"``) because device registers have no sub-word
         semantics.  Instruction fetches are never routed - code cannot
-        execute out of device registers.
+        execute out of device registers.  Every attached engine hears
+        ``flush_code()``.
         """
         if device is None:
             self._mmio = None
             self._mmio_base = self._mmio_limit = 0
-            return
-        self._mmio = device
-        self._mmio_base = device.base
-        self._mmio_limit = device.limit
+        else:
+            self._mmio = device
+            self._mmio_base = device.base
+            self._mmio_limit = device.limit
+        # Compiled code inlines RAM access around the window it was
+        # built for.
+        self._notify("flush_code")
 
     # -- the write watch: compiled code and stuck-at pins ---------------------
 
-    def set_exec_listener(self, listener) -> None:
-        """Install (or clear, with ``None``) a compiled-code write watch.
+    def attach(self, engine) -> None:
+        """Attach a code-compiling engine to the write watch; once per
+        engine, any number of engines (one per core sharing the memory).
 
-        *listener* must expose ``code_words`` (a dict keyed by word index,
-        ``address >> 2``, covering every word with compiled code behind it,
-        mapped to a list of its owners), ``invalidate_code(address)``,
-        ``flush_code()`` and ``rewind_code(dirty)``, must keep a key
-        whose owners are gone while it is in ``pins``, the dict it is
-        handed here, and must raise ``_watch_top`` past every key it
-        adds.  Stores that hit a watched word call
-        ``invalidate_code``; ``load_program`` calls ``flush_code``;
-        :meth:`restore` calls ``rewind_code``.
+        *engine* must expose ``invalidate_code(unit)``, ``flush_code()``
+        and ``rewind_code(dirty)``.  It registers each unit of compiled
+        code with :meth:`watch`; a store that hits a unit's word calls
+        ``invalidate_code(unit)`` on the unit's own engine,
+        :meth:`load_program` and :meth:`map_mmio` call ``flush_code()``
+        and :meth:`restore` calls ``rewind_code(dirty)`` on every
+        attached engine.  The memory holds engines weakly; the units of
+        an engine that died leave the watch at the next attach.
         """
-        self._exec_listener = listener
-        if listener is None:
-            self._exec_watch = self._pins or None
-        else:
-            listener.pins = self._pins
-            self._exec_watch = listener.code_words
-            for wi in self._pins:
-                self._exec_watch.setdefault(wi, [])
-        self._watch_top = max(self._exec_watch or (), default=-1) + 1
+        if self._exec_watch is None:
+            self._exec_watch = {}
+        live = [ref for ref in self._engines if ref() is not None]
+        if len(live) < len(self._engines):
+            for wi, owners in list(self._exec_watch.items()):
+                owners[:] = [unit for unit in owners if unit.eng() is not None]
+                if not owners and wi not in self._pins:
+                    del self._exec_watch[wi]
+        live.append(weakref.ref(engine))
+        self._engines = live
+
+    def _notify(self, event: str, *args) -> None:
+        for ref in self._engines:
+            engine = ref()
+            if engine is not None:
+                getattr(engine, event)(*args)
+
+    def watch(self, unit) -> None:
+        """Watch the words of *unit*, a unit of compiled code that lists
+        its word indices in ``unit.widx`` (ascending) and its engine, by
+        weak reference, in ``unit.eng``; the engine must be attached."""
+        watch = self._exec_watch
+        for wi in unit.widx:
+            owners = watch.get(wi)
+            if owners is None:
+                watch[wi] = [unit]
+            else:
+                owners.append(unit)
+        if unit.widx[-1] >= self._watch_top:
+            self._watch_top = unit.widx[-1] + 1
+
+    def unwatch(self, unit) -> None:
+        """Stop watching *unit*'s words for it (a pinned word stays)."""
+        watch = self._exec_watch
+        for wi in unit.widx:
+            owners = watch.get(wi)
+            if owners is not None:
+                try:
+                    owners.remove(unit)
+                except ValueError:
+                    pass
+                if not owners and wi not in self._pins:
+                    del watch[wi]
 
     def pin_word(self, address: int, mask: int, value: int) -> bool:
         """Pin the bits *mask* of the word at *address* to *value*: a
@@ -336,11 +384,9 @@ class Memory:
         value &= mask
         self._pins[wi] = (mask, value)
         self._watch_top = max(self._watch_top, wi + 1)
-        listener = self._exec_listener
-        if listener is None:
-            self._exec_watch = self._pins
-        else:
-            listener.code_words.setdefault(wi, [])
+        if self._exec_watch is None:
+            self._exec_watch = {}
+        self._exec_watch.setdefault(wi, [])
         word = self.load_word(address, count=False)
         if (word & ~mask) | value != word:
             # An uncounted store: its watch hit forces the new pin.
@@ -352,14 +398,16 @@ class Memory:
         wi = address >> 2
         if self._pins.pop(wi, None) is None:
             return
-        if self._exec_listener is None:
-            self._exec_watch = self._pins or None
-        elif not self._exec_watch.get(wi, True):
-            del self._exec_watch[wi]
+        watch = self._exec_watch
+        if not watch.get(wi, True):
+            del watch[wi]
+        if not watch and not self._engines:
+            self._exec_watch = None
 
     def _watch_hit(self, address: int) -> None:
-        """A store reached a watched word: force its pin, if any, then tell
-        the listener to drop the compiled code built from it, if any."""
+        """A store reached a watched word: force its pin, if any, then
+        drop each unit of compiled code built from it through its own
+        engine."""
         wi = address >> 2
         pin = self._pins.get(wi)
         if pin is not None:
@@ -370,8 +418,12 @@ class Memory:
             forced = (word & ~pin[0]) | pin[1]
             if forced != word:
                 data[start : start + WORD_BYTES] = forced.to_bytes(4, "big")
-        if self._exec_listener is not None and self._exec_watch.get(wi):
-            self._exec_listener.invalidate_code(address)
+        owners = self._exec_watch.get(wi)
+        if owners:
+            for unit in owners[:]:
+                engine = unit.eng()
+                if engine is not None:
+                    engine.invalidate_code(unit)
 
     # -- checkpoint / rollback ---------------------------------------------
 
@@ -397,14 +449,13 @@ class Memory:
     def restore(self, cp: MemoryCheckpoint) -> None:
         """Rewind to *cp*; a delta checkpoint stays live for reuse.
 
-        The compiled-code listener, if any, hears ``rewind_code(dirty)``.
-        A full-image restore is always *dirty*; a delta restore is dirty
-        only when it rolls back a word the listener watches.  Compiled
+        Every attached engine hears ``rewind_code(dirty)``.  A
+        full-image restore is always *dirty*; a delta restore is dirty
+        only when it rolls back a watched word.  Compiled
         code always matches the current value of its watched words
         (stores to them invalidate it), so code whose words the restore
         leaves alone stays valid.
         """
-        listener = self._exec_listener
         if cp.image is not None:
             self._bytes[:] = cp.image
             dirty = True
@@ -412,7 +463,7 @@ class Memory:
             journal = self._journal
             if journal is None:
                 raise ValueError("delta checkpoint restore without an active journal")
-            dirty = listener is not None and self._rolls_back(journal, listener.code_words)
+            dirty = bool(self._engines) and self._rolls_back(journal, self._exec_watch)
             data = self._bytes
             for page, original in journal.items():
                 start = page * JOURNAL_PAGE_BYTES
@@ -420,8 +471,7 @@ class Memory:
             journal.clear()
         self.stats.inst_reads, self.stats.data_reads, self.stats.data_writes = cp.stats
         del self.console[cp.console_len :]
-        if listener is not None:
-            listener.rewind_code(dirty)
+        self._notify("rewind_code", dirty)
 
     def _rolls_back(self, journal: dict[int, bytes], words) -> bool:
         """Whether restoring *journal* changes any of *words* (word
@@ -516,8 +566,7 @@ class Memory:
         write on plain RAM); compiled code is then dropped wholesale.
         """
         self.store_words(base, words)
-        if self._exec_listener is not None:
-            self._exec_listener.flush_code()
+        self._notify("flush_code")
 
     def read_cstring(self, address: int, limit: int = 4096) -> str:
         """Read a NUL-terminated byte string (for the sed-style workloads)."""

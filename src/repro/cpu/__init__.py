@@ -5,11 +5,11 @@
   PSW, memory, trap machinery, and checkpoint/rollback.  Engine-free:
   it defines what the machine *is*, not how it runs.
 * **Execution engines** (:mod:`repro.cpu.engine`,
-  :mod:`repro.cpu.fastengine`) - anything satisfying the
+  :mod:`repro.cpu.traceengine`) - anything satisfying the
   :class:`~repro.cpu.engine.ExecutionEngine` protocol can drive an
   ``ArchState``.  :class:`~repro.cpu.engine.ReferenceEngine` is the
-  readable oracle interpreter; :class:`~repro.cpu.fastengine.FastEngine`
-  pre-decodes into specialised closures for throughput.
+  readable oracle interpreter; the trace engine compiles superblock
+  traces for throughput (:mod:`repro.cpu.engines` registers both).
   :mod:`repro.cpu.equivalence` diffs the two bit-for-bit.
 * **Observation** (:mod:`repro.cpu.observers`) - the
   :class:`~repro.cpu.observers.ObserverBus` every tool (tracer,
@@ -26,7 +26,6 @@ timing model used by the delayed-jump figure).
 
 from repro.cpu.alu import Alu, AluResult
 from repro.cpu.engine import ExecutionEngine, ReferenceEngine, create_engine
-from repro.cpu.fastengine import FastEngine
 from repro.cpu.machine import (
     ArchState,
     ExecutionStats,
@@ -48,7 +47,6 @@ __all__ = [
     "CallTraceRecorder",
     "ExecutionEngine",
     "ExecutionStats",
-    "FastEngine",
     "HaltReason",
     "MachineCheckpoint",
     "ObserverBus",

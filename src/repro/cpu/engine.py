@@ -1,8 +1,9 @@
 """Pluggable execution engines for the RISC I architectural state.
 
 Layer 2 of the execution architecture: an :class:`ExecutionEngine` turns
-an :class:`~repro.cpu.state.ArchState` into a running processor.  Three
-scalar backends ship:
+an :class:`~repro.cpu.state.ArchState` into a running processor.  Two
+backends ship, and both are legal per-core engines over a shared
+memory (:mod:`repro.multicore`):
 
 * ``"reference"`` - :class:`ReferenceEngine`, the original interpreter
   preserved as the semantic oracle.  It honours every observer event.
@@ -10,20 +11,16 @@ scalar backends ship:
   by :meth:`~ReferenceEngine.step_body`, which the compiled tiers call
   for the steps they cannot run themselves: a latched interrupt, or a
   ``fetch_word``/``mem_access`` observer.
-* ``"fast"`` - :class:`~repro.cpu.fastengine.FastEngine`, a pre-decoding
-  interpreter that compiles each instruction word into a specialised
-  closure and skips all observer bookkeeping while nothing per-step is
-  attached.  Under ``pre_step``/``step`` observers it still runs its
-  closures, one step at a time, and fires those events itself.
-  Verified against the reference by the differential harness in
-  :mod:`repro.cpu.equivalence`.
 * ``"trace"`` - :class:`~repro.cpu.traceengine.TraceEngine`, a
   superblock compiler that chains basic blocks across static control
   transfers into linear traces compiled to generated Python source,
   with deferred stats and write-invalidation for self-modifying code,
   eliminating the per-instruction dispatch overhead.  Whatever it runs
-  one step at a time, observed steps included, goes through an inner
-  fast engine.  Same admission rule.
+  one step at a time, observed steps included, goes through its inner
+  :class:`~repro.cpu.fastengine.FastEngine`, which compiles each
+  instruction word into a specialised closure and fires ``pre_step``/
+  ``step`` observers itself.  Verified against the reference by the
+  differential harness in :mod:`repro.cpu.equivalence`.
 
 The tier registry lives in :mod:`repro.cpu.engines`.
 
@@ -71,13 +68,13 @@ class ExecutionEngine(Protocol):
     """What a backend must provide to drive an :class:`ArchState`.
 
     An engine instance is owned by exactly one machine; it may keep
-    per-machine caches (the fast engine's pre-decoded thunks) as long as
+    per-machine caches (the trace engine's traces and thunks) as long as
     :meth:`ArchState.restore` invalidates nothing it captured - the
     state core guarantees that ``regs._regs``, ``psw``, ``stats`` and
     ``memory`` are rewound in place, never rebound.
     """
 
-    #: Registry name ("reference", "fast", ...).
+    #: Registry name ("reference" or "trace").
     name: str
 
     def step(self, m: ArchState) -> Instruction | None:
@@ -416,7 +413,7 @@ def create_engine(engine: "str | ExecutionEngine") -> "ExecutionEngine":
 
     Thin re-export of :func:`repro.cpu.engines.create_engine`; the
     registry (:mod:`repro.cpu.engines`) is the single source of truth
-    for available tiers and their capability flags.
+    for the available tiers.
     """
     from repro.cpu.engines import create_engine as _create
 

@@ -3,17 +3,20 @@
 Every place that used to hard-code an engine name list (the equivalence
 sweep, ``run_all --engine``, the fault-campaign runners, CI gates, test
 matrices) resolves engines through this module instead.  A tier is
-described by an :class:`EngineSpec` - name, factory, and capability
-flags - so call sites ask *what an engine can do* rather than matching
-on its name.  No call site outside this module is allowed to dispatch
+described by an :class:`EngineSpec` - name, factory, tier number and
+description.  No call site outside this module is allowed to dispatch
 on ``engine == "..."`` string comparisons.
 
-The three tiers, in ascending speed, each usable as
-``RiscMachine(engine=...)``::
+The two tiers, in ascending speed, each usable as
+``RiscMachine(engine=...)`` and as the per-core engine of a
+:class:`~repro.multicore.simulator.MulticoreSimulator`::
 
     reference  the oracle interpreter   (full observer events)
-    fast       pre-decoded closures     (~3x)
     trace      superblock source traces (~25x+)
+
+The trace tier single-steps whatever it cannot run compiled through
+its inner :class:`~repro.cpu.fastengine.FastEngine`, which is not a
+tier of its own.
 
 To add a backend: add a spec to the ``_SPECS`` tuple below; the
 equivalence harness, which sweeps every registered tier, is what
@@ -35,55 +38,21 @@ class EngineSpec:
     """One registered execution tier.
 
     ``factory`` builds a fresh per-machine engine instance (engines are
-    stateful; they are never shared between machines).  The capability
-    flags let call sites route work without name matching:
-
-    * ``supports_observers`` - executes every per-step observer event
-      natively, ``fetch_word`` and ``mem_access`` included.  Every tier
-      is *correct* under observers, but only the oracle sets this flag.
-      The fast tier runs ``pre_step``/``step`` observers on its own
-      pre-decoded thunks, and the trace tier runs observed stretches
-      in its inner fast engine's loop; both hand a step to the oracle
-      only for a latched interrupt or a ``fetch_word``/``mem_access``
-      observer.
-    * ``supports_smp`` - legal as a per-core engine under the multicore
-      interleaver (see :mod:`repro.multicore`): every data access goes
-      through the :class:`~repro.common.memory.Memory` accessors (so
-      MMIO devices are honoured) and the tier installs no compiled-code
-      write watch, so any number of cores' engines can share one
-      memory.  The trace tier inlines RAM fast paths into generated
-      source and installs the memory's single write watch, so it cannot
-      share a live device-mapped memory and is flagged ``False``.
+    stateful; they are never shared between machines).  Every tier is
+    correct under every observer and legal as a per-core engine over a
+    shared, device-mapped memory.
     """
 
     name: str
     factory: Callable[[], "ExecutionEngine"]
     tier: int
     description: str
-    supports_observers: bool = False
-    supports_smp: bool = False
-
-    def capabilities(self) -> dict:
-        """Flags + metadata as plain data (CLI listings, docs, manifests)."""
-        return {
-            "name": self.name,
-            "tier": self.tier,
-            "description": self.description,
-            "supports_observers": self.supports_observers,
-            "supports_smp": self.supports_smp,
-        }
 
 
 def _make_reference() -> "ExecutionEngine":
     from repro.cpu.engine import ReferenceEngine
 
     return ReferenceEngine()
-
-
-def _make_fast() -> "ExecutionEngine":
-    from repro.cpu.fastengine import FastEngine
-
-    return FastEngine()
 
 
 def _make_trace() -> "ExecutionEngine":
@@ -98,20 +67,11 @@ _SPECS: tuple[EngineSpec, ...] = (
         factory=_make_reference,
         tier=0,
         description="instruction-at-a-time oracle interpreter",
-        supports_observers=True,
-        supports_smp=True,
-    ),
-    EngineSpec(
-        name="fast",
-        factory=_make_fast,
-        tier=1,
-        description="pre-decoded per-instruction closures",
-        supports_smp=True,
     ),
     EngineSpec(
         name="trace",
         factory=_make_trace,
-        tier=2,
+        tier=1,
         description="superblock traces compiled to generated source",
     ),
 )
@@ -131,7 +91,8 @@ def get_spec(name: str) -> EngineSpec:
 
 
 def engine_names(*, scalar_only: bool = False) -> tuple[str, ...]:
-    """Registered tier names in tier order.
+    """Registered tier names in tier order, oracle first (the
+    equivalence sweeps diff the rest against the first name).
 
     Every registered tier is scalar (usable as
     ``RiscMachine(engine=...)``), so ``scalar_only`` filters nothing; it
@@ -140,17 +101,6 @@ def engine_names(*, scalar_only: bool = False) -> tuple[str, ...]:
     """
     specs = sorted(REGISTRY.values(), key=lambda spec: spec.tier)
     return tuple(spec.name for spec in specs)
-
-
-def smp_engine_names() -> tuple[str, ...]:
-    """Engines legal as per-core tiers under the multicore interleaver.
-
-    Tier order, oracle first - the multicore equivalence sweep diffs the
-    rest against the first name, as :func:`engine_names` orders the
-    single-core sweep.
-    """
-    specs = sorted(REGISTRY.values(), key=lambda spec: spec.tier)
-    return tuple(spec.name for spec in specs if spec.supports_smp)
 
 
 def fastest_scalar_engine() -> str:
@@ -173,9 +123,3 @@ def create_engine(engine: "str | ExecutionEngine") -> "ExecutionEngine":
         return engine
     return get_spec(engine).factory()
 
-
-def capability_matrix() -> list[dict]:
-    """Per-tier capability rows (``--list-engines``, docs, manifests)."""
-    return [
-        REGISTRY[name].capabilities() for name in engine_names()
-    ]

@@ -1,7 +1,7 @@
 """Differential equivalence harness for execution engines.
 
-The fast pre-decoded engine is only admissible as a drop-in for the
-reference interpreter if the two are *bit-identical* - not "same
+The trace engine is only admissible as a drop-in for the reference
+interpreter if the two are *bit-identical* - not "same
 result", but the same :class:`~repro.cpu.state.ExecutionStats` counter
 for counter, the same trap log record for record, and the same final
 architectural state down to the full memory image.  This module runs
@@ -32,7 +32,7 @@ import argparse
 import dataclasses
 from dataclasses import dataclass
 
-from repro.cpu.engines import capability_matrix, engine_names
+from repro.cpu.engines import engine_names, get_spec
 from repro.cpu.machine import RiscMachine
 
 
@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-engines", action="store_true",
-        help="print the registry's capability matrix and exit",
+        help="print the registered tiers and exit",
     )
     parser.add_argument(
         "--engines", type=engine_list(engine_names()),
@@ -227,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Sweep the bundled benchmarks across all engines; 0 = all identical.
 
-    ``--list-engines`` prints the registry's capability matrix and
-    exits.  ``--engines ref,fast,...`` restricts the sweep (first name
+    ``--list-engines`` prints the registered tiers and
+    exits.  ``--engines reference,trace`` restricts the sweep (first name
     is the oracle); remaining positional arguments select workloads.  Bad arguments exit 2
     before anything runs.
     """
@@ -237,14 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list_engines:
-        header = f"{'tier':>4}  {'engine':<10} {'observers':<10} description"
-        print(header)
-        for row in capability_matrix():
-            print(
-                f"{row['tier']:>4}  {row['name']:<10} "
-                f"{'yes' if row['supports_observers'] else 'no':<10} "
-                f"{row['description']}"
-            )
+        print(f"{'tier':>4}  {'engine':<10} description")
+        for spec in map(get_spec, engine_names()):
+            print(f"{spec.tier:>4}  {spec.name:<10} {spec.description}")
         return 0
     known = [bench.name for bench in BENCHMARKS]
     unknown = [name for name in args.names if name not in known]

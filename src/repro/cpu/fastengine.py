@@ -1,8 +1,13 @@
-"""Pre-decoded closure-dispatch execution engine.
+"""Pre-decoded closure-dispatch single-stepper of the trace tier.
 
-The fast backend compiles every instruction word it meets into a
-specialised Python closure (a *thunk*) and caches it per PC.  The thunk
-inlines everything the reference interpreter re-derives each step:
+:class:`FastEngine` is not a tier of its own: the trace engine
+(:mod:`repro.cpu.traceengine`) runs through it every step it cannot
+run inside a compiled trace - ``step()`` calls, observed stretches, a
+latched interrupt or pending delay slot, an uncompilable entry, a
+watchdog tail, a trace rejected under a pin.  It compiles every
+instruction word it meets into a specialised Python closure (a
+*thunk*) and caches it per PC.  The thunk inlines everything the
+reference interpreter re-derives each step:
 
 * operand accessors - window-relative register numbers are folded to
   physical-index expressions over ``psw.cwp`` at compile time;
@@ -22,17 +27,17 @@ place, so a checkpoint/rollback - even one taken mid-delay-slot - never
 invalidates a thunk.
 
 While :attr:`ObserverBus.step_observed` is true or an interrupt is
-latched, steps run one at a time: the engine calls the ``pre_step``
-hooks itself, dispatches the thunk and fires ``step`` after a completed
-instruction.  Only a latched interrupt or a ``fetch_word``/``mem_access``
-observer - the events that change fetch or data-side semantics - hands
+latched, the engine calls the ``pre_step`` hooks itself, dispatches
+the thunk and fires ``step`` after a completed instruction.  Only a
+latched interrupt or a ``fetch_word``/``mem_access`` observer - the
+events that change fetch or data-side semantics - hands
 the rest of the step to :meth:`ReferenceEngine.step_body
 <repro.cpu.engine.ReferenceEngine.step_body>`.  Boundary events
 (``call``/``return``/``trap``/``halt``) are emitted from the shared
 state core and therefore fire identically under every engine.
 
-Bit-identical results versus the reference are enforced by
-:mod:`repro.cpu.equivalence` on every bundled workload.
+Bit-identical results versus the reference are enforced through the
+trace tier by :mod:`repro.cpu.equivalence` on every bundled workload.
 """
 
 from __future__ import annotations
@@ -355,35 +360,20 @@ def _factory_for(word: int, inst: Instruction, nw: int, uw: bool):
 
 
 class FastEngine:
-    """Closure-threaded interpreter, oracle-verified against the reference.
+    """Closure-threaded single-stepper, oracle-verified through the trace
+    tier that owns it.
 
     Per-machine state: a ``pc -> (word, thunk, is_nop, inst)`` cache.
-    The dispatch loop re-validates ``word`` against memory on every
-    step, so self-modifying code, fault-injected memory and rollbacks
-    all recompile stale thunks naturally.
+    Every step re-validates ``word`` against memory, so self-modifying
+    code, fault-injected memory and rollbacks all recompile stale
+    thunks naturally.
     """
-
-    name = "fast"
 
     def __init__(self) -> None:
         self._ref = ReferenceEngine()
         self._cache: dict[int, tuple] = {}
-        #: thunks built over the engine's lifetime (recompiles included).
-        self.thunks_compiled = 0
-        #: steps whose thunk ran under per-step observers.
-        self.observed_steps = 0
         #: steps handed to the reference engine's step body.
         self.oracle_steps = 0
-
-    def telemetry_snapshot(self) -> dict:
-        """Thunk-cache and execution-path counters for the manifest's
-        engine section."""
-        return {
-            "thunks_cached": len(self._cache),
-            "thunks_compiled": self.thunks_compiled,
-            "observed_steps": self.observed_steps,
-            "oracle_steps": self.oracle_steps,
-        }
 
     def forget_code(self, pc: int) -> None:
         """Drop the thunk built from the word at *pc* (a fetch pin on
@@ -412,7 +402,6 @@ class FastEngine:
             )
             return None
         make = _factory_for(run, inst, m.num_windows, m.use_windows)
-        self.thunks_compiled += 1
         return (word, make(pc, m), _is_nop(inst), inst)
 
     # -- trap plumbing ------------------------------------------------------
@@ -478,7 +467,6 @@ class FastEngine:
         if m.pending_interrupt is not None or bus.on_fetch_word or bus.on_mem_access:
             self.oracle_steps += 1
             return self._ref.step_body(m)
-        self.observed_steps += 1
         pc = m.pc
         inst = self._dispatch(m)
         if inst is not None and bus.on_step:
@@ -538,68 +526,3 @@ class FastEngine:
             self._dispatch_trap(m, pc, word, exc, pending)
             return None
         return entry[3]
-
-    def run_loop(
-        self,
-        m: ArchState,
-        max_steps: int,
-        max_cycles: int | None,
-        deadline: float | None,
-    ) -> int:
-        """Run the inlined fetch/decode/dispatch loop until halt or a budget
-        expires; observed steps run one at a time through
-        :meth:`_observed_step`.  Returns the steps executed."""
-        import time
-
-        observed_step = self._observed_step
-        bus = m.observers
-        stats = m.stats
-        mem = m.memory
-        mem_stats = mem.stats
-        mem_bytes = mem._bytes
-        size = mem.size
-        cache = self._cache
-        cache_get = cache.get
-        from_bytes = int.from_bytes
-        steps = 0
-        check_at = 1024
-        while m.halted is None:
-            if bus.step_observed or m.pending_interrupt is not None:
-                observed_step(m)
-            else:
-                if m.pinned:
-                    m._force_pins()
-                pc = m.pc
-                if pc & 3 or pc < 0 or pc + 4 > size:
-                    self._fetch_fault(m, pc)
-                else:
-                    mem_stats.inst_reads += 1
-                    word = from_bytes(mem_bytes[pc : pc + 4], "big")
-                    entry = cache_get(pc)
-                    if entry is None or entry[0] != word:
-                        entry = self._compile(m, pc, word)
-                        if entry is not None:
-                            cache[pc] = entry
-                    if entry is not None:
-                        pending = m._pending_jump
-                        if pending:
-                            stats.delay_slots += 1
-                            if entry[2]:
-                                stats.delay_slot_nops += 1
-                            m._pending_jump = False
-                        try:
-                            entry[1](m)
-                        except (MemoryFaultError, _TrapSignal) as exc:
-                            self._dispatch_trap(m, pc, word, exc, pending)
-            steps += 1
-            if m.halted is not None:
-                break
-            if steps >= max_steps:
-                m._set_halted(HaltReason.STEP_LIMIT)
-            elif max_cycles is not None and stats.cycles >= max_cycles:
-                m._set_halted(HaltReason.CYCLE_LIMIT)
-            elif deadline is not None and steps >= check_at:
-                check_at = steps + 1024
-                if time.monotonic() > deadline:
-                    m._set_halted(HaltReason.WALL_CLOCK_LIMIT)
-        return steps

@@ -23,8 +23,8 @@ a thin facade: the architectural state - registers/windows, PSW, memory,
 precise traps, interrupts, checkpoint/rollback - lives in
 :class:`~repro.cpu.state.ArchState`; instruction dispatch is a pluggable
 :class:`~repro.cpu.engine.ExecutionEngine` (``engine="reference"`` for
-the original oracle interpreter, ``engine="fast"`` for the pre-decoded
-closure interpreter); and tools observe execution through the
+the original oracle interpreter, ``engine="trace"`` for the superblock
+trace compiler); and tools observe execution through the
 :class:`~repro.cpu.observers.ObserverBus` at ``machine.observers``.
 The historical names (:class:`TrapCause`, :class:`TrapRecord`,
 :class:`ExecutionStats`, ...) are re-exported here unchanged.
@@ -87,11 +87,10 @@ class RiscMachine(ArchState):
             and statistics never leak between machines.
         strict_traps: raise :class:`~repro.errors.TrapError` on an
             unvectored trap instead of halting.
-        engine: execution backend - any scalar tier of the registry in
+        engine: execution backend - any tier of the registry in
             :mod:`repro.cpu.engines`: ``"reference"`` (default, the
-            oracle interpreter), ``"fast"`` (pre-decoded closure
-            dispatch), ``"trace"`` (superblock traces compiled to generated
-            source) - or an :class:`~repro.cpu.engine.ExecutionEngine`
+            oracle interpreter) or ``"trace"`` (superblock traces
+            compiled to generated source) - or an :class:`~repro.cpu.engine.ExecutionEngine`
             instance.
         telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry`
             to record run-boundary metrics into (``sim.runs``,

@@ -32,12 +32,12 @@ Events and callback signatures:
 
 The first four events fire on (nearly) every instruction, so engines
 check :attr:`ObserverBus.step_observed` once per step and skip all
-bookkeeping when nothing is attached.  While it is set, the fast tier
-(and the trace tier, which single-steps through it) runs one
-pre-decoded thunk per step and calls ``pre_step`` and ``step``
-observers itself.  ``fetch_word`` and ``mem_access`` observers change
-what a step fetches or report each data access, so a step with either
-attached goes to the reference oracle.  The last four fire only at procedure/trap/halt
+bookkeeping when nothing is attached.  While it is set, the trace tier
+single-steps through its inner fast engine, which runs one pre-decoded
+thunk per step and calls ``pre_step`` and ``step`` observers itself.
+``fetch_word`` and ``mem_access`` observers change what a step fetches
+or report each data access, so a step with either attached goes to the
+reference oracle.  The last four fire only at procedure/trap/halt
 boundaries and are honoured by every engine.
 
 Mutate subscriptions only through :meth:`ObserverBus.subscribe` /

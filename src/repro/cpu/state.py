@@ -243,8 +243,8 @@ class ExecutionStats:
     def restore_from(self, other: "ExecutionStats") -> None:
         """Overwrite every counter with *other*'s values, **in place**.
 
-        Rollback must not rebind the stats object: the fast engine's
-        pre-decoded closures capture it, so :meth:`ArchState.restore`
+        Rollback must not rebind the stats object: the trace engine's
+        traces and pre-decoded closures capture it, so :meth:`ArchState.restore`
         rewinds the existing instance instead of replacing it.
         """
         self.instructions = other.instructions
@@ -879,7 +879,7 @@ class ArchState:
 
         The ``stats`` object, register list, PSW and memory are rewound
         **in place** (never rebound) so engine-internal references - the
-        fast engine's pre-decoded closures capture them - stay valid
+        trace engine's traces and closures capture them - stay valid
         across a rollback.
         """
         self.regs._regs[:] = cp.regs

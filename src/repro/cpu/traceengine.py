@@ -66,9 +66,15 @@ so the admission rule is bit-identical architectural results against
   takes it back out afterwards (:func:`_observed_frame_op`);
 * **write invalidation** - stores into compiled code invalidate every
   covering trace through the :class:`~repro.common.memory.Memory`
-  write watch (``set_exec_listener``); a trace that invalidates itself
-  exits early with exact sequential state, and the next dispatch
-  recompiles from the rewritten image;
+  write watch, which is one per memory and shared by every engine
+  attached to it (``Memory.attach``), so a store by one core drops the
+  traces of every core that cover the word; a trace that invalidates
+  itself exits early with exact sequential state, and the next
+  dispatch recompiles from the rewritten image;
+* **shared memory** - the inline RAM paths stay out of a mapped device
+  window (baked into the codegen, and mapping a device flushes
+  compiled code), so device registers see every access; the trace tier
+  is a legal per-core tier under :mod:`repro.multicore`;
 * **stuck-at pins** - a pinned memory word shares that watch (the
   store re-applies the pin inside ``Memory``); under a pinned PSW or
   register a dispatch forces the pins and runs a trace only if its
@@ -695,6 +701,7 @@ def _codegen_trace(
     mem_size: int,
     has_recorder: bool,
     top: bool,
+    io: tuple[int, int] | None,
 ) -> tuple[str, tuple, tuple, dict]:
     """Emit ``make(m, T, PL, CY) -> thunk`` plus the static exit metadata.
 
@@ -709,7 +716,9 @@ def _codegen_trace(
     *top* bakes ``machine.trap_on_overflow`` into the generated code:
     with trapping off (the default) a non-flag-setting ADD compiles to
     one statement; the run loop drops a trace whose baked value goes
-    stale.
+    stale.  *io* is the memory's device window ``(base, limit)``, or
+    None: the inline RAM paths stay out of it (mapping a device flushes
+    compiled code).
     """
     seq = ir.seq
     events = ir.events
@@ -944,7 +953,21 @@ def _codegen_trace(
             and addr + width <= mem_size
             and addr % width == 0
             and addr != CONSOLE_ADDRESS
+            and (io is None or addr + width <= io[0] or addr >= io[1])
         )
+
+    def ram_guard(width: int) -> str:
+        """The inline path's test that ``addr`` is plain RAM."""
+        if width == 4:
+            guard = (
+                f"addr < {mem_size - 3} and not addr & 3 "
+                f"and addr != {CONSOLE_ADDRESS}"
+            )
+        else:
+            guard = f"addr < {mem_size} and addr != {CONSOLE_ADDRESS}"
+        if io is not None:
+            guard += f" and not {io[0]} <= addr < {io[1]}"
+        return guard
 
     def emit_inst(
         i: int,
@@ -1048,22 +1071,17 @@ def _codegen_trace(
             if static:
                 emit(f"{indent}value = {tmpl.format(f=fname).replace('addr', aexpr)}")
             elif op is Opcode.LDL:
-                # Inline fast path: aligned, in range, not the console.
+                # Inline fast path: aligned, in range, not a device.
                 defaults["up"] = "_UPI"
                 emit(f"{indent}addr = {aexpr}")
-                emit(
-                    f"{indent}if addr < {mem_size - 3} and not addr & 3 "
-                    f"and addr != {CONSOLE_ADDRESS}:"
-                )
+                emit(f"{indent}if {ram_guard(4)}:")
                 emit(f"{indent}    mem_stats.data_reads += 1")
                 emit(f"{indent}    value = up(buf, addr)[0]")
                 emit(f"{indent}else:")
                 emit(f"{indent}    value = {tmpl.format(f=fname)}")
             elif op is Opcode.LDBU:
                 emit(f"{indent}addr = {aexpr}")
-                emit(
-                    f"{indent}if addr < {mem_size} and addr != {CONSOLE_ADDRESS}:"
-                )
+                emit(f"{indent}if {ram_guard(1)}:")
                 emit(f"{indent}    mem_stats.data_reads += 1")
                 emit(f"{indent}    value = buf[addr]")
                 emit(f"{indent}else:")
@@ -1081,12 +1099,12 @@ def _codegen_trace(
             defaults[fname] = bound
             if op is Opcode.STL:
                 # Inline fast path mirroring Memory.store_word: aligned,
-                # in range, not the console; journal and code-watch
-                # checks preserved (registers are already 32-bit clean).
-                # Bound at make() time, when the run loop has installed
-                # this engine as the memory's exec listener: ``cw`` IS
-                # the engine's code_words watch dict (mutated in place,
-                # never replaced), which holds pinned words too.
+                # in range, not a device; journal and code-watch checks
+                # preserved (registers are already 32-bit clean).  Bound
+                # at make() time, after the run loop has attached this
+                # engine to the memory: ``cw`` IS the memory's shared
+                # write watch (mutated in place, never replaced), which
+                # holds every core's code words and the pinned words.
                 defaults["jt"] = "mem._journal_touch"
                 defaults["cw"] = "mem._exec_watch"
                 defaults["inv"] = "mem._watch_hit"
@@ -1105,10 +1123,7 @@ def _codegen_trace(
                 else:
                     emit(f"{indent}addr = {aexpr}")
                     emit(f"{indent}ix = {ixv}")
-                    emit(
-                        f"{indent}if addr < {mem_size - 3} and not addr & 3 "
-                        f"and addr != {CONSOLE_ADDRESS}:"
-                    )
+                    emit(f"{indent}if {ram_guard(4)}:")
                     emit(f"{indent}    mem_stats.data_writes += 1")
                     emit(f"{indent}    if mem._journal is not None:")
                     emit(f"{indent}        jt(addr)")
@@ -1492,8 +1507,8 @@ def _codegen_trace(
 
 #: Compiled factories shared by every TraceEngine, keyed by
 #: (start, words, addrs, num_windows, use_windows, halt_address,
-#: memory size, recorder?, trap_on_overflow?); the machine and trace
-#: descriptor bind at make() time.  Values are
+#: memory size, recorder?, trap_on_overflow?, device window); the
+#: machine and trace descriptor bind at make() time.  Values are
 #: ``(make, exit_recs, ixs, ixs_tk)`` - the static exit metadata is a
 #: pure function of the key.
 _TRACE_FACTORY_CACHE: dict[tuple, tuple] = {}
@@ -1527,9 +1542,11 @@ def trace_codegen_info() -> dict[str, int | float]:
 class TraceEngine:
     """Trace-compiling interpreter, oracle-verified like the others.
 
-    Per-machine state: compiled traces keyed by entry pc, plus the
-    word-index watch (:attr:`code_words`) registered with the machine's
-    memory so stores into compiled regions invalidate stale traces.
+    Per-machine state: compiled traces keyed by entry pc, each
+    registered with the memory's shared write watch
+    (:meth:`~repro.common.memory.Memory.watch`), so that a store into
+    compiled code - by this core or any other core sharing the memory -
+    invalidates the stale traces.
     ``step()`` always delegates to an inner
     :class:`~repro.cpu.fastengine.FastEngine`, whose thunks are
     oracle-exact one instruction at a time; ``run_loop`` uses compiled
@@ -1542,13 +1559,8 @@ class TraceEngine:
     def __init__(self) -> None:
         self._fast = FastEngine()
         self._traces: dict[int, _Trace] = {}
-        #: word index (address >> 2) -> traces whose code covers it.
-        #: This dict doubles as the Memory write watch, so it also holds
-        #: the memory's pinned words, whose keys stay while pinned.
-        self.code_words: dict[int, list[_Trace]] = {}
-        #: the memory's stuck-at pins (word index -> masks), handed over
-        #: by ``Memory.set_exec_listener``.
-        self.pins: dict[int, tuple[int, int]] = {}
+        #: the memory this engine attached to on its first run.
+        self._memory: Any = None
         self._nocompile: set[int] = set()
         self._halt_addr: int | None = None
         self._halt_known = False
@@ -1597,7 +1609,9 @@ class TraceEngine:
             "traces_compiled": self.traces_compiled,
             "traces_invalidated": self.traces_invalidated,
             "code_flushes": self.code_flushes,
-            "code_words_watched": len(self.code_words),
+            "code_words_watched": (
+                0 if self._memory is None else len(self._memory._exec_watch)
+            ),
             "instructions_compiled": self.instructions_compiled,
             "max_trace_length": self.max_trace_length,
             "fallback_steps": self.fallback_steps,
@@ -1676,21 +1690,21 @@ class TraceEngine:
                     stats.returns += h * rt
         cy[0] = 0
 
-    # -- write-invalidation (Memory exec-listener protocol) -----------------
+    # -- write-invalidation (Memory.attach protocol) ------------------------
 
-    def invalidate_code(self, address: int) -> None:
-        """A store hit compiled code: drop every trace covering it."""
-        owners = self.code_words.get(address >> 2)
-        if not owners:
-            return
-        for trc in list(owners):
-            self._drop(trc)
-            self.traces_invalidated += 1
+    def invalidate_code(self, trc: _Trace) -> None:
+        """A store hit a word of *trc*: drop it."""
+        self._drop(trc)
+        self.traces_invalidated += 1
 
     def forget_code(self, pc: int) -> None:
-        """A fetch pin on *pc* came or went: drop the traces and inner
-        thunks built from its word, and retry uncompilable entries."""
-        self.invalidate_code(pc)
+        """A fetch pin on *pc* came or went: drop this engine's traces
+        and inner thunks built from its word, and retry uncompilable
+        entries."""
+        if self._memory is not None:
+            for trc in list(self._memory._exec_watch.get(pc >> 2, ())):
+                if trc.eng() is self:
+                    self.invalidate_code(trc)
         self._nocompile.clear()
         self._fast.forget_code(pc)
 
@@ -1716,10 +1730,8 @@ class TraceEngine:
         for trc in self._traces.values():
             trc.live = False
             trc.thunk = None
+            self._memory.unwatch(trc)
         self._traces.clear()
-        self.code_words.clear()
-        for wi in self.pins:
-            self.code_words[wi] = []
         self._nocompile.clear()
 
     def _drop(self, trc: _Trace) -> None:
@@ -1729,16 +1741,7 @@ class TraceEngine:
         #: the trace may still be mid-run (self-invalidation) or hold
         #: unreconciled exit hits; keep it until the next reconcile.
         self._retired.append(trc)
-        cw = self.code_words
-        for wi in trc.widx:
-            owners = cw.get(wi)
-            if owners is not None:
-                try:
-                    owners.remove(trc)
-                except ValueError:
-                    pass
-                if not owners and wi not in self.pins:
-                    del cw[wi]
+        self._memory.unwatch(trc)
 
     # -- compilation --------------------------------------------------------
 
@@ -1751,6 +1754,8 @@ class TraceEngine:
         uw = m.use_windows
         hr = m._call_recorder is not None
         top = bool(m.trap_on_overflow)
+        mem = m.memory
+        io = None if mem._mmio is None else (mem._mmio_base, mem._mmio_limit)
         key = (
             pc,
             tuple(item[1] for item in seq),
@@ -1758,16 +1763,17 @@ class TraceEngine:
             nw,
             uw,
             m.halt_address,
-            m.memory.size,
+            mem.size,
             hr,
             top,
+            io,
         )
         cached = _TRACE_FACTORY_CACHE.get(key)
         info = _CODEGEN_COUNTERS
         if cached is None:
             t0 = time.perf_counter()
             source, recs, ixs, ixs_tk = _codegen_trace(
-                ir, nw, uw, m.halt_address, m.memory.size, hr, top
+                ir, nw, uw, m.halt_address, mem.size, hr, top, io
             )
             t1 = time.perf_counter()
             namespace = dict(_TRACE_GLOBALS)
@@ -1819,12 +1825,7 @@ class TraceEngine:
         if len(seq) > self.max_trace_length:
             self.max_trace_length = len(seq)
         self._traces[pc] = trc
-        cw = self.code_words
-        for wi in trc.widx:
-            cw.setdefault(wi, []).append(trc)
-        mem = m.memory
-        if trc.widx[-1] >= mem._watch_top:
-            mem._watch_top = trc.widx[-1] + 1
+        mem.watch(trc)
         return trc
 
     def _writes_a_register_pin(self, m: ArchState, trc: _Trace) -> bool:
@@ -1874,8 +1875,9 @@ class TraceEngine:
         """
         mem = m.memory
         self._machine = weakref.ref(m)
-        if mem._exec_listener is not self:
-            mem.set_exec_listener(self)
+        if self._memory is not mem:
+            mem.attach(self)
+            self._memory = mem
         if not self._halt_known or m.halt_address != self._halt_addr:
             # halt_address is baked into trace endings; recompile.
             if self._traces or self._nocompile:

@@ -26,7 +26,7 @@ Reported quantities:
   where cores burn cycles waiting).
 
 Every run here executes on the reference engine; the equivalence sweep
-(``python -m repro.multicore``) separately proves fast runs
+(``python -m repro.multicore``) separately proves trace runs
 byte-identical, so these numbers are tier-independent.
 """
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-from repro.cpu.engines import smp_engine_names
+from repro.cpu.engines import engine_names
 from repro.cpu.equivalence import engine_list
 from repro.multicore.scenarios import (
     DEFAULT_QUANTUM,
@@ -120,16 +120,16 @@ def run_differential_multicore(
     quantum: int = DEFAULT_QUANTUM,
     max_total_steps: int = 5_000_000,
 ) -> MulticoreDifferentialResult:
-    """Run one scenario on each SMP-capable tier and diff the manifests.
+    """Run one scenario on each tier and diff the manifests.
 
-    *engines* defaults to every tier carrying the ``smp`` capability
-    flag, oracle (reference) first; the first engine is the oracle the
+    *engines* defaults to every registered tier, oracle (reference)
+    first; the first engine is the oracle the
     rest are diffed against.  Each tier gets a fresh simulator, memory
     image, and device, so runs cannot contaminate each other.  The
     oracle's results are additionally checked against the scenario's
     schedule-independent invariants (:meth:`Scenario.validate`).
     """
-    engines = tuple(engines) if engines is not None else smp_engine_names()
+    engines = tuple(engines) if engines is not None else engine_names()
     spec = scenario(name)
     manifests = []
     for engine in engines:
@@ -197,13 +197,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.multicore",
         description="Sweep multicore scenarios x core counts across the "
-                    "SMP tiers; exit 0 when every run is bit-identical.",
+                    "engine tiers; exit 0 when every run is bit-identical.",
     )
     parser.add_argument(
-        "--engines", type=engine_list(smp_engine_names()),
-        default=smp_engine_names(),
-        help="comma-separated SMP tiers to sweep, oracle first "
-             "(default: every SMP tier)",
+        "--engines", type=engine_list(engine_names()),
+        default=engine_names(),
+        help="comma-separated tiers to sweep, oracle first "
+             "(default: every tier)",
     )
     parser.add_argument(
         "--cores", type=_core_counts, default=SWEEP_CORE_COUNTS,
@@ -217,9 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Sweep scenarios x core counts across SMP tiers; 0 = all identical.
+    """Sweep scenarios x core counts across the tiers; 0 = all identical.
 
-    ``--engines ref,fast,...`` restricts the sweep (first name is the
+    ``--engines reference,trace`` restricts the sweep (first name is the
     oracle); ``--cores 1,2,4`` picks core counts; remaining positional
     arguments select scenarios (default: all registered).  Bad
     arguments exit 2 before anything runs.

@@ -15,8 +15,8 @@ schedule is a pure function of (image, core count, quantum, engine-
 independent architectural behaviour), so a run is byte-reproducible:
 the (core, start-count, length) slice log hashes to a *schedule
 fingerprint*, and per-core run manifests compose with it into one
-multicore manifest whose fingerprint must match on every legal engine
-tier (the ``smp`` capability flag in :mod:`repro.cpu.engines`).
+multicore manifest whose fingerprint must match on every engine tier
+in :mod:`repro.cpu.engines`.
 
 Memory is sequentially consistent by construction - there is only one
 memory and one core touching it at a time - and *every instruction is
@@ -25,10 +25,16 @@ what makes the device's load-test-and-set lock cells sound.
 
 **Why engines agree on interrupt take points.**  The device latches an
 interrupt with :meth:`~repro.cpu.state.ArchState.request_interrupt`
-only at slice boundaries; every non-oracle engine falls back to
-reference stepping while an interrupt is pending, so the interrupt is
-taken at the same instruction on every tier - and never between a
-delayed jump and its delay slot.
+only at slice boundaries; the trace engine falls back to reference
+stepping while an interrupt is pending, so the interrupt is taken at
+the same instruction on every tier - and never between a delayed jump
+and its delay slot.
+
+**Why compiled code is safe on shared memory.**  Every core's trace
+engine attaches to the one memory and registers its traces with the
+memory's shared write watch, so a store by any core drops the stale
+traces of every core; the traces' inline RAM paths stay out of the
+device window, so every device access goes through the MMIO hook.
 
 Per-core resources carved out of the shared address space (all
 configurable):
@@ -89,8 +95,7 @@ class MulticoreSimulator:
             :func:`repro.multicore.scenarios.build_scenario` to get one
             with the interrupt handler linked in).
         num_cores: core count (the evaluation sweeps {1, 2, 4}).
-        engine: per-core execution tier; must carry the ``smp``
-            capability flag (reference or fast).
+        engine: per-core execution tier (any registered tier).
         quantum: instructions per round-robin slice.
         entry_symbol: per-core entry label.  Defaults to ``_main`` -
             cores skip the single-core bootstrap (which would give every
@@ -119,12 +124,7 @@ class MulticoreSimulator:
         num_windows: int = NUM_WINDOWS,
         telemetry=None,
     ):
-        spec = get_spec(engine)
-        if not spec.supports_smp:
-            raise ValueError(
-                f"engine {engine!r} does not support smp (legal tiers: "
-                "those with supports_smp=True in repro.cpu.engines)"
-            )
+        get_spec(engine)  # unknown names raise ValueError
         if num_cores < 1:
             raise ValueError("num_cores must be >= 1")
         if quantum < 1:
@@ -373,7 +373,7 @@ def compose_fingerprint(doc: dict) -> str:
     Excludes ``simulation`` (engine-dependent by design) and the
     ``fingerprint`` field itself; everything else - schedule, device
     counters, console text, per-core shared sections - must agree
-    bit-for-bit across reference/fast runs of the same scenario.
+    bit-for-bit across the tiers' runs of the same scenario.
     """
     shared = {
         key: value

@@ -75,7 +75,7 @@ class RunManifest:
 
     #: workload name (benchmark name, "asm", or caller-supplied label)
     workload: str
-    #: execution backend that produced the run ("reference"/"fast"/"trace")
+    #: execution backend that produced the run ("reference"/"trace")
     engine: str
     #: halt reason name (:class:`~repro.cpu.state.HaltReason`), or "RUNNING"
     halt: str

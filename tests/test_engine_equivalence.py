@@ -1,4 +1,4 @@
-"""Differential equivalence: the fast and block engines must be bit-identical.
+"""Differential equivalence: the trace engine must be bit-identical to the oracle.
 
 Three layers of assurance:
 
@@ -10,8 +10,8 @@ Three layers of assurance:
   spill/refill) diffed the same way;
 * the stateful tools - checkpoint/rollback and the debugger - exercised
   against both engines, including a rollback taken mid-delay-slot on
-  the fast engine (whose pre-decoded thunk cache must survive an
-  in-place state rewind);
+  the trace engine (whose inner stepper's pre-decoded thunk cache must
+  survive an in-place state rewind);
 * observed runs: ``pre_step``/``step`` observers on every workload,
   and ``pre_step`` hooks that latch an interrupt, subscribe a fetch
   filter, patch code or move the register window mid-run;
@@ -74,7 +74,7 @@ class TestWorkloadEquivalence:
 
     def test_ablation_no_windows_bit_identical(self):
         # The flat-register-file ablation exercises different codegen in
-        # the fast engine's register-index folding.
+        # the trace tier's register-index folding.
         from repro.cc import compile_for_risc
 
         compiled = compile_for_risc(benchmark("towers").source, use_windows=False)
@@ -134,7 +134,7 @@ def observed_oracle(name: str):
 
 
 class TestObservedRunEquivalence:
-    @pytest.mark.parametrize("engine", ["fast", "trace"])
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_observed_run_bit_identical(self, name, engine):
         # pre_step fires exactly once per oracle step.
@@ -146,10 +146,7 @@ class TestObservedRunEquivalence:
         assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
         detail = machine.engine.telemetry_snapshot()
         assert detail["oracle_steps"] == 0  # no step left the thunks
-        if engine == "fast":
-            assert detail["observed_steps"] == len(pcs)
-        else:
-            assert detail["fallback_steps"] == len(pcs)
+        assert detail["fallback_steps"] == len(pcs)
 
 
 INTERRUPT_PROGRAM = """
@@ -207,12 +204,9 @@ def assert_hooked_runs_equivalent(source: str, action) -> dict:
     return {engine: run[0] for engine, run in runs.items()}
 
 
-def oracle_steps(machines: dict) -> dict:
-    """``oracle_steps`` of the fast and trace machines."""
-    return {
-        engine: machines[engine].engine.telemetry_snapshot()["oracle_steps"]
-        for engine in ("fast", "trace")
-    }
+def oracle_steps(machines: dict) -> int:
+    """``oracle_steps`` of the trace machine."""
+    return machines["trace"].engine.telemetry_snapshot()["oracle_steps"]
 
 
 class TestPreStepHookEdges:
@@ -227,7 +221,7 @@ class TestPreStepHookEdges:
         assert machines["reference"].interrupts_taken == 1
         assert machines["reference"].result == 7
         # Only the interrupted step went to the oracle.
-        assert oracle_steps(machines) == {"fast": 1, "trace": 1}
+        assert oracle_steps(machines) == 1
 
     def test_hook_subscribes_a_fetch_filter(self):
         def action(m, program, step):
@@ -241,8 +235,8 @@ class TestPreStepHookEdges:
         machines = assert_hooked_runs_equivalent(DELAY_SLOT_PROGRAM, action)
         assert machines["reference"].result != DELAY_SLOT_RESULT
         # The filter applies from the step that subscribed it on.
-        steps_from_12 = machines["fast"].stats.instructions - 11  # no traps
-        assert oracle_steps(machines) == {"fast": steps_from_12, "trace": steps_from_12}
+        steps_from_12 = machines["trace"].stats.instructions - 11  # no traps
+        assert oracle_steps(machines) == steps_from_12
 
     def test_hook_stores_over_the_next_instruction(self):
         def action(m, program, step):
@@ -255,7 +249,7 @@ class TestPreStepHookEdges:
 
         machines = assert_hooked_runs_equivalent(DELAY_SLOT_PROGRAM, action)
         assert machines["reference"].result != DELAY_SLOT_RESULT
-        assert oracle_steps(machines) == {"fast": 0, "trace": 0}
+        assert oracle_steps(machines) == 0
 
     def test_hook_rewrites_the_window_pointer(self):
         def action(m, program, step):
@@ -264,7 +258,7 @@ class TestPreStepHookEdges:
 
         machines = assert_hooked_runs_equivalent(DELAY_SLOT_PROGRAM, action)
         assert machines["reference"].result != DELAY_SLOT_RESULT
-        assert oracle_steps(machines) == {"fast": 0, "trace": 0}
+        assert oracle_steps(machines) == 0
 
 
 def per_word_spill(self, window: int) -> None:
@@ -691,7 +685,7 @@ class TestCheckpointBothEngines:
     def test_rollback_mid_delay_slot(self, engine):
         # Checkpoint taken with a transfer pending (the delay-slot
         # instruction not yet executed): _pending_jump and npc must
-        # round-trip, and on the fast engine the pre-decoded thunks must
+        # round-trip, and on the trace engine the pre-decoded thunks must
         # keep pointing at the rewound (not rebound) state objects.
         machine, __ = load_asm(DELAY_SLOT_PROGRAM, engine)
         for __ in range(200):

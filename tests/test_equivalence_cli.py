@@ -14,7 +14,7 @@ import pytest
 
 import repro.cpu.equivalence as cpu_equivalence
 import repro.multicore.equivalence as mc_equivalence
-from repro.cpu.engines import engine_names, smp_engine_names
+from repro.cpu.engines import engine_names
 
 
 def _refuse(*args, **kwargs):
@@ -85,7 +85,6 @@ class TestMulticoreSweepCli:
         "argv",
         [
             ["--engines", "trace"],
-            ["--engines", "reference,trace"],
             ["--engines", "bogus"],
             ["--engines", "reference,bogus"],
             ["--engines", "reference,fast,block"],
@@ -95,7 +94,7 @@ class TestMulticoreSweepCli:
             ["--cores", "2,0"],
             ["--cores", "two"],
         ],
-        ids=["trace", "ref-trace", "bogus", "ref-bogus", "deleted-tier",
+        ids=["trace", "bogus", "ref-bogus", "deleted-tier",
              "one-engine", "unknown-scenario-after-valid", "zero-cores",
              "zero-in-list", "not-an-int"],
     )
@@ -110,7 +109,7 @@ class TestMulticoreSweepCli:
         )
         assert mc_equivalence.main(["--cores", "1,3", "barrier"]) == 0
         assert calls == [
-            {"num_cores": 1, "engines": smp_engine_names()},
-            {"num_cores": 3, "engines": smp_engine_names()},
+            {"num_cores": 1, "engines": engine_names()},
+            {"num_cores": 3, "engines": engine_names()},
         ]
         assert "2/2 runs equivalent" in capsys.readouterr().out

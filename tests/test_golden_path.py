@@ -92,10 +92,12 @@ def assert_same_run(oracle: RiscMachine, machine: RiscMachine, max_steps: int):
 
 
 def paper_machines(name: str, num_windows: int):
+    """Two trace-tier machines: the oracle runs observed (single-stepped),
+    the other unobserved (compiled)."""
     compiled = compile_cached(benchmark(name).source)
     machines = [
-        compiled.make_machine(engine=engine, num_windows=num_windows)
-        for engine in ("fast", "trace")
+        compiled.make_machine(engine="trace", num_windows=num_windows)
+        for _ in range(2)
     ]
     for machine in machines:
         machine.reset(compiled.program.entry)
@@ -184,9 +186,10 @@ def test_path_under_a_watchdog_tail(limit):
 
 
 def observed_golden_run(name: str):
-    """The golden run as it was: a ``pre_step`` recorder on ``fast``."""
+    """The golden run as it was: a ``pre_step`` recorder, which
+    single-steps every instruction."""
     compiled = compile_cached(benchmark(name).source)
-    machine = compiled.make_machine(engine="fast")
+    machine = compiled.make_machine(engine="trace")
     pcs = array("I")
     machine.observers.subscribe("pre_step", lambda m: pcs.append(m.pc))
     machine.run(compiled.program.entry)
@@ -251,7 +254,7 @@ def test_memory_fault_on_compiled_code_matches_the_oracle():
         location=0x8000, bits=(0,),
     )
     _run_injection(machine, checkpoint, golden, clean, budget)
-    code = sorted(machine.engine.code_words)
+    code = sorted(machine.memory._exec_watch)
     assert code
     flushes = machine.engine.code_flushes
     unfaulted = oracle_trial(golden, clean, budget)

@@ -1,5 +1,8 @@
 """Unit tests for the byte-addressable memory substrate."""
 
+import weakref
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -160,14 +163,24 @@ class RecordingDevice:
 
 
 class RecordingListener:
-    """A compiled-code watch that logs every notification."""
+    """An attached engine with one unit of compiled code per watched word
+    (given as word indices); logs every notification, a store hitting a
+    unit as the unit's address."""
 
     def __init__(self, words):
-        self.code_words = dict.fromkeys(words, True)
+        self.units = [
+            SimpleNamespace(widx=(wi,), eng=weakref.ref(self)) for wi in words
+        ]
         self.calls: list = []
 
-    def invalidate_code(self, address: int) -> None:
-        self.calls.append(address)
+    def attach_to(self, mem: Memory) -> "RecordingListener":
+        mem.attach(self)
+        for unit in self.units:
+            mem.watch(unit)
+        return self
+
+    def invalidate_code(self, unit) -> None:
+        self.calls.append(unit.widx[0] * 4)
 
     def flush_code(self) -> None:
         self.calls.append("flush")
@@ -194,10 +207,11 @@ SPANS = {
 }
 
 
-def bulk_memory(*, extra_watch: bool = False):
-    """A memory with a device and one compiled-code listener; with
-    ``extra_watch`` the listener also watches a word inside the plain
-    spans, so their bulk writes must take the per-word path."""
+def bulk_memory(*, extra_watch: bool = False, attach: bool = True):
+    """A memory with a device and one attached compiled-code listener
+    (unattached without *attach*); with ``extra_watch`` the listener
+    also watches a word inside the plain spans, so their bulk writes
+    must take the per-word path."""
     mem = Memory()
     for i in range(0x3000, 0x6000, 4):
         mem.store_word(i, i * 0x01010101, count=False)
@@ -207,7 +221,8 @@ def bulk_memory(*, extra_watch: bool = False):
     if extra_watch:
         words.append((0x4000 >> 2) + 3)
     listener = RecordingListener(words)
-    mem.set_exec_listener(listener)
+    if attach:
+        listener.attach_to(mem)
     cp = mem.checkpoint(track_deltas=True)
     return mem, cp, device, [listener]
 
@@ -294,8 +309,7 @@ class TestCheckpoint:
 
     def test_delta_restore_dirties_code_only_when_a_watched_word_rolls_back(self):
         mem = Memory(size=4096)
-        listener = RecordingListener([0x100 >> 2])
-        mem.set_exec_listener(listener)
+        listener = RecordingListener([0x100 >> 2]).attach_to(mem)
         cp = mem.checkpoint(track_deltas=True)
         mem.store_word(0x104, 7)  # the watched word's page, another word
         mem.restore(cp)
@@ -318,6 +332,33 @@ class TestCheckpoint:
         assert mem.stats.total_refs == 0
 
 
+class TestSharedWatch:
+    """One write watch per memory, shared by every attached engine."""
+
+    def test_every_engine_hears_every_notification(self):
+        mem = Memory(size=4096)
+        first = RecordingListener([0x100 >> 2]).attach_to(mem)
+        second = RecordingListener([0x100 >> 2, 0x200 >> 2]).attach_to(mem)
+        cp = mem.checkpoint(track_deltas=True)
+        mem.store_word(0x100, 1)  # code of both engines
+        mem.store_byte(0x203, 1)  # code of the second only
+        mem.restore(cp)
+        mem.load_program([0], base=0x800)
+        mem.map_mmio(None)
+        tail = [("rewind", True), "flush", "flush"]
+        assert first.calls == [0x100, *tail]
+        assert second.calls == [0x100, 0x200, *tail]
+
+    def test_units_of_a_dead_engine_leave_at_the_next_attach(self):
+        mem = Memory(size=4096)
+        RecordingListener([0x100 >> 2]).attach_to(mem)  # dies at once
+        mem.pin_word(0x100, 1, 1)
+        live = RecordingListener([0x200 >> 2]).attach_to(mem)
+        assert mem._exec_watch == {0x100 >> 2: [], 0x200 >> 2: live.units}
+        mem.store_word(0x100, 0)
+        assert live.calls == []
+
+
 class TestPins:
     """A pinned word keeps its stuck bits through every store path."""
 
@@ -325,10 +366,8 @@ class TestPins:
 
     @pytest.mark.parametrize("listener", [False, True], ids=["no-listener", "listener"])
     def test_every_store_path_re_applies_the_pin(self, listener):
-        mem, cp, __, (code,) = bulk_memory()
-        if not listener:
-            mem.set_exec_listener(None)
-        watch_before = None if not listener else dict(code.code_words)
+        mem, cp, __, (code,) = bulk_memory(attach=listener)
+        watch_before = None if not listener else dict(mem._exec_watch)
         assert mem.pin_word(self.PINNED, 0x0000_00F0, 0x0000_0050)
         assert mem.load_word(self.PINNED, count=False) & 0xF0 == 0x50
         stores = [
@@ -350,7 +389,7 @@ class TestPins:
         assert mem.load_word(self.PINNED, count=False) == 0xFFFF_FFFF
         assert mem._pins == {}
         if listener:
-            assert code.code_words == watch_before
+            assert mem._exec_watch == watch_before
             assert code.calls == []  # a pin on a word that is not code
         else:
             assert mem._exec_watch is None
@@ -367,10 +406,10 @@ class TestPins:
         mem, __, __, (code,) = bulk_memory()
         assert mem.pin_word(WATCHED, 0x1, 0x1)
         forced = []
-        code.invalidate_code = lambda address: forced.append(
-            (address, mem.load_word(WATCHED, count=False))
+        code.invalidate_code = lambda unit: forced.append(
+            (unit.widx[0] * 4, mem.load_word(WATCHED, count=False))
         )
         mem.store_word(WATCHED, 0x10)
         mem.unpin_word(WATCHED)
         assert forced == [(WATCHED, 0x11)]
-        assert WATCHED >> 2 in code.code_words  # still code after the pin
+        assert mem._exec_watch[WATCHED >> 2] == code.units  # still code after the pin

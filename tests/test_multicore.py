@@ -13,8 +13,10 @@ Four layers:
 * the :class:`~repro.multicore.simulator.MulticoreSimulator` itself:
   byte-identical determinism of the composed manifest, schedule
   sensitivity to the quantum, cross-core self-modifying-code
-  invalidation on the block tier, lock-contention liveness under the
-  watchdog, and scenario invariants across core counts.
+  invalidation on the trace tier (one core's store drops another
+  core's compiled trace through the memory's shared write watch),
+  lock-contention liveness under the watchdog, and scenario invariants
+  across core counts.
 """
 
 import json
@@ -23,7 +25,8 @@ import pytest
 
 from repro import RiscMachine, assemble
 from repro.common.memory import Memory
-from repro.cpu.engines import engine_names, smp_engine_names
+from repro.cpu.engines import engine_names
+from repro.cpu.equivalence import diff_digests, state_digest
 from repro.cpu.machine import HaltReason, TrapCause
 from repro.errors import MemoryFaultError
 from repro.multicore import (
@@ -205,6 +208,99 @@ class TestMemoryMmio:
         assert machine.trap_log[-1].cause is TrapCause.OUT_OF_RANGE_ACCESS
 
 
+class _LoggingDevice:
+    """Four word registers that log every access."""
+
+    def __init__(self, base: int):
+        self.base, self.limit = base, base + 16
+        self.log: list[tuple] = []
+
+    def read(self, address: int) -> int:
+        self.log.append(("read", address))
+        return address ^ 0x5A5A5A5A
+
+    def write(self, address: int, value: int) -> None:
+        self.log.append(("write", address, value))
+
+
+_DEVICE_BASE = 0x8000
+
+#: The loop reaches the device through a register, so every access has
+#: a dynamic address inside the compiled trace; the access after the
+#: loop, on its fall-through arm, is in the same trace.
+_DEVICE_LOOP = f"""
+main:
+    li   r16, {_DEVICE_BASE}
+    li   r17, 0
+    li   r20, 0
+loop:
+    ldl  r18, r16, 4
+    add  r20, r20, r18
+    stl  r17, r16, 8
+    add  r17, r17, #1
+    cmp  r17, #40
+    blt  loop
+    nop
+    {{last}}
+    mov  r26, r20
+    ret
+    nop
+"""
+
+_DEVICE_ACCESSES = {
+    "word": "ldl  r19, r16, 12",
+    "byte-load": "ldbu r19, r16, 12",
+    "half-load": "ldsu r19, r16, 12",
+    "byte-store": "stb  r17, r16, 12",
+    "half-store": "sts  r17, r16, 12",
+}
+
+
+class TestDeviceAccessFromCompiledTraces:
+    """A trace's inline RAM paths must stay out of a device window,
+    including one mapped after the trace was compiled."""
+
+    def _run(self, engine: str, last: str, map_after: int | None):
+        program = assemble(_DEVICE_LOOP.format(last=last))
+        machine = RiscMachine(engine=engine)
+        program.load_into(machine.memory)
+        machine.reset(program.entry)
+        device = _LoggingDevice(_DEVICE_BASE)
+        if map_after is None:
+            machine.memory.map_mmio(device)
+        else:
+            machine.engine.run_loop(machine, map_after, None, None)
+            assert machine.halted is HaltReason.STEP_LIMIT
+            machine.halted = None
+            machine.memory.map_mmio(device)
+        machine.engine.run_loop(machine, 10_000, None, None)
+        return machine, device
+
+    @pytest.mark.parametrize("map_after", [None, 100], ids=["mapped", "mapped-later"])
+    @pytest.mark.parametrize("access", _DEVICE_ACCESSES)
+    def test_same_device_log_and_traps_as_the_oracle(self, access, map_after):
+        runs = {
+            engine: self._run(engine, _DEVICE_ACCESSES[access], map_after)
+            for engine in engine_names()
+        }
+        oracle, oracle_device = runs["reference"]
+        assert oracle_device.log  # the device saw the loop's accesses
+        if access == "word":
+            assert oracle.halted is HaltReason.RETURNED
+        else:
+            trap = oracle.trap_log[-1]
+            assert trap.cause is TrapCause.OUT_OF_RANGE_ACCESS
+            assert trap.address == _DEVICE_BASE + 12
+        for engine, (machine, device) in runs.items():
+            assert device.log == oracle_device.log, engine
+            mismatches = diff_digests(state_digest(oracle), state_digest(machine))
+            assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
+        trace = runs["trace"][0].engine
+        assert trace.traces_compiled > 0
+        if map_after is not None:
+            assert trace.code_flushes == 1  # the map dropped the RAM-only code
+
+
 #: A handler that just resumes: proves the gtlpc/retint round trip.
 _RESUME_HANDLER = """
 __h:
@@ -277,11 +373,11 @@ class TestInterruptDelivery:
         assert machine.pending_interrupt == program.symbols["__h"]
 
 
-# Core 1 runs `body` once (compiling it on the block tier), signals
+# Core 1 runs `body` once (compiling it on the trace tier), signals
 # core 0 through `flag1`, and waits; core 0 then patches the head of
 # `body` (changing `li r16, 1` into `li r16, 42`) and releases core 1
 # through `flag2`; core 1 re-executes the patched body.  The cross-core
-# store must invalidate core 1's compiled block: r20 = 1 + 42 = 43.
+# store must invalidate core 1's compiled trace: r20 = 1 + 42 = 43.
 _CROSS_CORE_SMC = f"""
 _main:
     li   r18, {MMIO_BASE}
@@ -333,14 +429,6 @@ flag2:
 
 
 class TestMulticoreSimulator:
-    def test_rejects_non_smp_engines(self):
-        program = build_scenario("barrier")
-        non_smp = set(engine_names()) - set(smp_engine_names())
-        assert non_smp  # the trace tier, at least
-        for engine in sorted(non_smp):
-            with pytest.raises(ValueError):
-                MulticoreSimulator(program, num_cores=2, engine=engine)
-
     def test_manifest_is_byte_identical_across_runs(self):
         first = run_scenario("producer_consumer", num_cores=2)
         second = run_scenario("producer_consumer", num_cores=2)
@@ -358,14 +446,14 @@ class TestMulticoreSimulator:
     def test_cross_core_smc_invalidation(self):
         program = assemble(_CROSS_CORE_SMC)
         outcomes = {}
-        for engine in smp_engine_names():
+        for engine in engine_names():
             sim = MulticoreSimulator(
                 program, num_cores=2, engine=engine, handler_symbol=None
             ).run(100_000)
             assert [c.halted for c in sim.cores] == [HaltReason.RETURNED] * 2
             outcomes[engine] = (sim.results, sim.schedule_fingerprint())
         assert outcomes["reference"][0] == [7, 43]
-        for engine in smp_engine_names():
+        for engine in engine_names():
             assert outcomes[engine] == outcomes["reference"], engine
 
     def test_watchdog_preserves_liveness_under_contention(self):

@@ -1,35 +1,38 @@
-"""N-core differential equivalence: every SMP tier, bit-identical.
+"""N-core differential equivalence: every tier, bit-identical.
 
 The single-core equivalence suite proves every tier bit-identical on
 one machine; this suite proves it for whole multicore runs.  Every
 registered scenario at 2 and 4 cores must compose an identical
 manifest - schedule fingerprint, device counters, console, and each
-core's full shared manifest section - on the reference and fast tiers.
+core's full shared manifest section - on the reference and trace tiers.
 Divergence anywhere (an interrupt taken one instruction late, a lock
-observed in a different order, a stale pre-decoded instruction
-surviving a cross-core code write) shows up as a manifest mismatch.
+observed in a different order, a device access served from RAM by a
+compiled trace, a stale trace surviving a cross-core code write) shows
+up as a manifest mismatch.
 """
 
 import pytest
 
-from repro.cpu.engines import engine_names, get_spec, smp_engine_names
+from repro.cpu.engines import engine_names
 from repro.multicore import (
+    MulticoreSimulator,
     assert_multicore_equivalent,
+    build_scenario,
     run_differential_multicore,
     scenario_names,
 )
 
 
 def test_smp_tier_registry():
-    names = smp_engine_names()
-    assert names == ("reference", "fast")  # the oracle leads the sweep
-    for name in names:
-        assert get_spec(name).supports_smp
-    # The trace tier inlines RAM fast paths that bypass MMIO and owns
-    # the exec listener exclusively, so it is not SMP-legal.
-    assert not get_spec("trace").supports_smp
-    for name in set(engine_names()) - set(names):
-        assert not get_spec(name).supports_smp
+    # Every registered tier is a per-core tier; the oracle leads the sweep.
+    assert engine_names() == ("reference", "trace")
+    assert run_differential_multicore("doorbell", num_cores=2).engines == engine_names()
+    program = build_scenario("barrier")
+    for name in engine_names():
+        sim = MulticoreSimulator(program, num_cores=2, engine=name)
+        assert {core.engine_name for core in sim.cores} == {name}
+    with pytest.raises(ValueError):
+        MulticoreSimulator(program, num_cores=2, engine="bogus")
 
 
 @pytest.mark.parametrize("name", scenario_names())

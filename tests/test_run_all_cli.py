@@ -17,7 +17,7 @@ def no_render(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["--manifest", "out.json", "--engine", "nope"],
     ["--manifest", "out.json", "--engine", "batch"],
-    ["--engine", "fast"],                      # --engine needs --manifest
+    ["--engine", "trace"],                     # --engine needs --manifest
     ["--store", "dir"],                        # deleted flag
     ["--workers"],                             # trailing flag, no value
     ["--workers", "two"],

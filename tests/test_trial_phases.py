@@ -9,8 +9,8 @@ result - equals the one the fully observed oracle loop below produces.
 That loop is the original trial runner, kept here as the reference and
 pinned to the reference engine; its injector re-asserts stuck-at faults
 at every step boundary and never pins them on the machine.  Every
-phased trial runs twice: on the campaign's tier (``trace``) and on the
-tier it single-steps through (``fast``).  A trial whose fault ran pinned
+phased trial runs on the campaign's tier (``trace``), which
+single-steps through its inner fast engine.  A trial whose fault ran pinned
 must also leave the machine in the oracle's final state, and small
 assembly programs pin faults where a window spill, a window refill or a
 store reaches them.
@@ -60,7 +60,7 @@ COVERING = CampaignConfig(seed=286, injections=28)
 
 
 #: Tiers the phased trial machine runs on.
-TRIAL_TIERS = ("fast", "trace")
+TRIAL_TIERS = ("trace",)
 
 _TRIAL_STATES: dict = {}
 
@@ -317,11 +317,11 @@ def test_a_pin_leaves_nothing_behind():
     pinned_trial(name, spec)
     machine, checkpoint = trial_state(name, "trace")
     assert spec.location >> 2 not in machine.memory._exec_watch
+    assert not machine.memory._pins
     flushes = machine.engine.code_flushes
     pinned_trial(name, spec)
     machine.restore(checkpoint)  # the next trial's restore
     assert machine.engine.code_flushes == flushes
-    assert trial_state(name, "fast")[0].memory._exec_watch is None
 
 
 STUCK_1, STUCK_0 = FaultKind.STUCK_AT_ONE, FaultKind.STUCK_AT_ZERO
@@ -418,8 +418,7 @@ def test_a_fetch_pin_leaves_nothing_behind():
     for engine in TRIAL_TIERS:
         machine = trial_state(name, engine)[0]
         assert corrupted not in machine.decoder._cache, engine
-        fast = machine.engine if engine == "fast" else machine.engine._fast
-        assert pc not in fast._cache, engine
+        assert pc not in machine.engine._fast._cache, engine
     engine = trial_state(name, "trace")[0].engine
     assert not engine._nocompile
     assert all(pc not in trc.addrs for trc in engine._traces.values())
