@@ -60,7 +60,14 @@ from repro.cpu.state import (
 from repro.errors import DecodingError, MemoryFaultError, SimulationError
 from repro.isa.conditions import cond_holds
 from repro.isa.formats import Instruction
-from repro.isa.opcodes import Category, Opcode
+from repro.isa.opcodes import ALL_SPECS, Category, Opcode
+
+#: Stat keys of each opcode's category and of the opcode itself, looked
+#: up once per step.  Both are keyed by opcode: an ``Opcode`` hashes as
+#: an int, where ``.name`` and a ``Category`` key's hash are Python-level
+#: calls.
+_CATEGORY_NAME = {op: spec.category.name for op, spec in ALL_SPECS.items()}
+_OPCODE_NAME = {op: op.name for op in Opcode}
 
 
 @runtime_checkable
@@ -282,10 +289,11 @@ class ReferenceEngine:
             )
             return None
 
-        m.stats.instructions += 1
-        m.stats.cycles += spec.cycles
-        m.stats.by_category[category.name] += 1
-        m.stats.by_opcode[inst.opcode.name] += 1
+        stats = m.stats
+        stats.instructions += 1
+        stats.cycles += spec.cycles
+        stats.by_category[_CATEGORY_NAME[inst.opcode]] += 1
+        stats.by_opcode[_OPCODE_NAME[inst.opcode]] += 1
 
         m.lpc = pc
         m.pc = new_pc

@@ -11,16 +11,25 @@ and stores stop costing a blanket second cycle.  The new hazards:
   memory port);
 * taken jumps still expose one delay slot (unchanged).
 
-``estimate_cycles`` replays a recorded execution trace under this model,
-letting the E1 extension experiment quantify how much of RISC I's
-two-cycle memory penalty the third stage recovers.
+``estimate_cycles`` prices a retired-pc stream under this model.  Both
+models cost each instruction by itself or by its predecessor alone, so
+the estimate needs only per-pc counts and adjacent-pair counts, which
+lets the E1 extension experiment quantify how much of RISC I's
+two-cycle memory penalty the third stage recovers without replaying the
+stream one instruction at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.cpu.tracing import TraceRecord
+from repro.isa.formats import Instruction
+from repro.isa.opcodes import Category
+
+_MEMORY = (Category.LOAD, Category.STORE)
 
 
 @dataclass(frozen=True)
@@ -40,28 +49,37 @@ class PipelineEstimate:
         return self.two_stage_cycles / self.three_stage_cycles
 
 
-def estimate_cycles(trace: list[TraceRecord]) -> PipelineEstimate:
-    """Replay *trace* under the 2-stage and 3-stage timing models."""
-    two_stage = 0
-    three_stage = 0
-    stalls = 0
-    previous: TraceRecord | None = None
-    for record in trace:
-        # RISC I (two-stage): memory instructions monopolise the single
-        # memory port for an extra cycle.
-        two_stage += 2 if record.is_memory else 1
-        # RISC II-style (three-stage): everything is one cycle, except a
-        # use immediately after a load.
-        three_stage += 1
-        if previous is not None and previous.is_load and not previous.taken_jump:
-            loaded = previous.inst.dest
-            if loaded != 0 and loaded in record.inst.operand_registers():
-                three_stage += 1
-                stalls += 1
-        previous = record
+def _load_use(previous: Instruction, inst: Instruction) -> bool:
+    """Whether *inst*, issued right after *previous*, waits on its load
+    (a load is never a transfer, so it is never a taken jump)."""
+    loaded = previous.dest
+    return (
+        previous.spec.category is Category.LOAD
+        and loaded != 0
+        and loaded in inst.operand_registers()
+    )
+
+
+def estimate_cycles(
+    pcs: Sequence[int], insts: Mapping[int, Instruction]
+) -> PipelineEstimate:
+    """Price the retired-pc stream *pcs*, whose instruction at each pc is
+    ``insts[pc]``, under the 2-stage and 3-stage timing models."""
+    # RISC I (two-stage): memory instructions monopolise the single
+    # memory port for an extra cycle.
+    memory = sum(
+        n for pc, n in Counter(pcs).items() if insts[pc].spec.category in _MEMORY
+    )
+    # RISC II-style (three-stage): everything is one cycle, except a use
+    # immediately after a load.
+    stalls = sum(
+        n
+        for (previous, pc), n in Counter(zip(pcs, islice(pcs, 1, None))).items()
+        if _load_use(insts[previous], insts[pc])
+    )
     return PipelineEstimate(
-        instructions=len(trace),
-        two_stage_cycles=two_stage,
-        three_stage_cycles=three_stage,
+        instructions=len(pcs),
+        two_stage_cycles=len(pcs) + memory,
+        three_stage_cycles=len(pcs) + stalls,
         load_use_stalls=stalls,
     )

@@ -1,6 +1,7 @@
 """The windowed register file: 138 physical registers, 8 windows.
 
-Reads and writes go through the overlap mapping in
+Reads and writes index a (window, register) -> physical table built once
+per configuration from the overlap mapping in
 :func:`repro.isa.registers.physical_index`.  ``r0`` is hardwired to zero:
 writes are discarded, reads always return 0, exactly as in the paper
 ("register 0 always contains zero").
@@ -10,6 +11,8 @@ ablation, in which case every window number maps to window 0.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.common.bitops import MASK32
 from repro.isa.registers import (
@@ -23,6 +26,20 @@ from repro.isa.registers import (
 )
 
 
+@lru_cache(maxsize=None)
+def window_table(num_windows: int, use_windows: bool) -> tuple[tuple[int, ...], ...]:
+    """``table[window][reg]``: the physical index of visible *reg* in
+    *window*, for windows ``0 .. num_windows - 1``; a flat file maps
+    every window to window 0.  Shared by every file of one configuration."""
+    return tuple(
+        tuple(
+            physical_index(window if use_windows else 0, reg, num_windows)
+            for reg in range(VISIBLE_REGISTERS)
+        )
+        for window in range(num_windows)
+    )
+
+
 class WindowedRegisterFile:
     """Physical register storage plus the window-relative access paths."""
 
@@ -33,6 +50,7 @@ class WindowedRegisterFile:
         self.use_windows = use_windows
         size = NUM_GLOBALS + num_windows * REGS_PER_WINDOW_UNIQUE
         self._regs = [0] * size
+        self._table = window_table(num_windows, use_windows)
         #: window -> physical starts of its spill unit's LOCAL block and
         #: its HIGH block (the next window's LOW; every window maps to
         #: window 0 in a flat file).
@@ -58,12 +76,25 @@ class WindowedRegisterFile:
         """Window-relative read; r0 is always 0."""
         if reg == 0:
             return 0
+        if reg > 0:
+            try:
+                return self._regs[self._table[window][reg]]
+            except IndexError:
+                pass
+        # Off the table: the mapping wraps the window or rejects the
+        # register.
         return self._regs[self._phys(window, reg)]
 
     def write(self, window: int, reg: int, value: int) -> None:
         """Window-relative write; writes to r0 are discarded."""
         if reg == 0:
             return
+        if reg > 0:
+            try:
+                self._regs[self._table[window][reg]] = value & MASK32
+                return
+            except IndexError:
+                pass
         self._regs[self._phys(window, reg)] = value & MASK32
 
     def read_physical(self, index: int) -> int:

@@ -113,6 +113,7 @@ from __future__ import annotations
 import struct
 import time
 import weakref
+from array import array
 from collections.abc import Callable
 from typing import Any
 
@@ -1509,8 +1510,9 @@ def _codegen_trace(
 #: (start, words, addrs, num_windows, use_windows, halt_address,
 #: memory size, recorder?, trap_on_overflow?, device window); the
 #: machine and trace descriptor bind at make() time.  Values are
-#: ``(make, exit_recs, ixs, ixs_tk)`` - the static exit metadata is a
-#: pure function of the key.
+#: ``(make, exit_recs, ixs, ixs_tk, meta, cycles_bound, psw_writes)`` -
+#: the static exit and per-instruction metadata is a pure function of
+#: the key, so a hit builds no per-instruction tuples.
 _TRACE_FACTORY_CACHE: dict[tuple, tuple] = {}
 _TRACE_FACTORY_CACHE_MAX = 4096
 
@@ -1537,6 +1539,21 @@ def trace_codegen_info() -> dict[str, int | float]:
     carry them in the ``host`` section.
     """
     return {"entries": len(_TRACE_FACTORY_CACHE), **_CODEGEN_COUNTERS}
+
+
+def path_pcs(path: list, limit: int | None = None) -> array:
+    """The pc at every step boundary of a :attr:`TraceEngine.path` log,
+    in order; with *limit*, only the first *limit* steps.
+
+    Each entry ``(addrs, done)`` ran exactly ``addrs[:done]``.
+    """
+    pcs = array("I")
+    for addrs, done in path:
+        if limit is not None and len(pcs) + done >= limit:
+            pcs.extend(addrs[: limit - len(pcs)])
+            break
+        pcs.extend(addrs[:done])
+    return pcs
 
 
 class TraceEngine:
@@ -1598,7 +1615,8 @@ class TraceEngine:
         #: completed)`` pair per dispatch: a trace's addresses and the
         #: steps its thunk returned (it ran exactly ``addrs[:completed]``,
         #: since a trace visits each address once, in order), or
-        #: ``((pc,), 1)`` for a single-stepped fallback.
+        #: ``((pc,), 1)`` for a single-stepped fallback;
+        #: :func:`path_pcs` expands it into the pc at every step.
         self.path: list | None = None
 
     def telemetry_snapshot(self) -> dict:
@@ -1785,32 +1803,34 @@ class TraceEngine:
             info["compile_s"] += time.perf_counter() - t1
             info["source_lines"] += source.count("\n")
             info["misses"] += 1
-            cached = (namespace["make"], recs, ixs, ixs_tk)
+            meta = tuple(
+                (item[2].spec.category.name, item[2].opcode.name, item[2].spec.cycles)
+                for item in seq
+            )
+            frame_ops = sum(1 for item in seq if item[2].opcode in _FRAME_OPS)
+            cycles_bound = (
+                sum(item[2] for item in meta)
+                + _CYCLE_MARGIN
+                + _FRAME_OP_MARGIN * frame_ops
+            )
+            cached = (
+                namespace["make"], recs, ixs, ixs_tk,
+                meta, cycles_bound, _psw_writes(seq),
+            )
             if len(_TRACE_FACTORY_CACHE) >= _TRACE_FACTORY_CACHE_MAX:
                 _TRACE_FACTORY_CACHE.clear()
                 info["clears"] += 1
             _TRACE_FACTORY_CACHE[key] = cached
         else:
             info["hits"] += 1
-        make, recs, ixs, ixs_tk = cached
-        addrs = tuple(item[0] for item in seq)
-        meta = tuple(
-            (item[2].spec.category.name, item[2].opcode.name, item[2].spec.cycles)
-            for item in seq
-        )
-        frame_ops = sum(1 for item in seq if item[2].opcode in _FRAME_OPS)
-        cycles_bound = (
-            sum(item[2] for item in meta)
-            + _CYCLE_MARGIN
-            + _FRAME_OP_MARGIN * frame_ops
-        )
+        make, recs, ixs, ixs_tk, meta, cycles_bound, psw_writes = cached
         trc = _Trace(
             start=pc,
-            addrs=addrs,
-            words=tuple(item[1] for item in seq),
+            addrs=key[2],
+            words=key[1],
             meta=meta,
             cycles_bound=cycles_bound,
-            psw_writes=_psw_writes(seq),
+            psw_writes=psw_writes,
         )
         trc.top = top
         trc.eng = weakref.ref(self)
@@ -2006,4 +2026,4 @@ class TraceEngine:
         return steps
 
 
-__all__ = ["TraceEngine", "TRACE_CODEGEN_VERSION", "trace_codegen_info"]
+__all__ = ["TraceEngine", "TRACE_CODEGEN_VERSION", "path_pcs", "trace_codegen_info"]

@@ -46,12 +46,14 @@ def _pc_counts(path: list) -> Counter:
     """Retirements per pc from a :attr:`TraceEngine.path
     <repro.cpu.traceengine.TraceEngine.path>` log.
 
-    Each entry ``(addrs, done)`` ran ``addrs[:done]``, every address
-    once, so equal entries are counted first and expanded once each.
+    Each entry runs every address at most once, so equal entries are
+    counted first and each is expanded (:func:`path_pcs`) once.
     """
+    from repro.cpu.traceengine import path_pcs  # the tier loads on first use
+
     counts: Counter = Counter()
-    for (addrs, done), hits in Counter(path).items():
-        counts.update(dict.fromkeys(addrs[:done], hits))
+    for entry, hits in Counter(path).items():
+        counts.update(dict.fromkeys(path_pcs((entry,)), hits))
     return counts
 
 

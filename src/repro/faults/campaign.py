@@ -112,11 +112,40 @@ class GoldenRun:
     instructions: int
     cycles: int
     sites: FaultSites
-    #: pc -> ascending step indices at which that PC executed; a trial
-    #: fast-forwards to a PC trigger's boundary with it.
-    visits: dict[int, array] = field(
-        default_factory=dict, compare=False, repr=False
+    #: the PC at every step boundary.
+    trace: array = field(
+        default_factory=lambda: array("I"), compare=False, repr=False
     )
+    #: pc -> its :meth:`steps_at` list, for the PCs asked for so far.
+    _steps: dict[int, array] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def steps_at(self, pc: int) -> array:
+        """Ascending step indices at which *pc* executed; a trial
+        fast-forwards to a PC trigger's boundary with them.  Built on
+        first use, so only for the PCs a trigger names."""
+        steps = self._steps.get(pc)
+        if steps is None:
+            steps = self._steps[pc] = _steps_at(self.trace, pc)
+        return steps
+
+
+def _steps_at(trace: array, pc: int) -> array:
+    """The indices of *pc* in *trace*, found by a byte search for its
+    item (a match must start on an item boundary)."""
+    data = trace.tobytes()
+    item = array(trace.typecode, (pc,)).tobytes()
+    size = len(item)
+    steps = array("I")
+    at = data.find(item)
+    while at >= 0:
+        if at % size:
+            at = data.find(item, at + 1)
+        else:
+            steps.append(at // size)
+            at = data.find(item, at + size)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -151,7 +180,7 @@ class Trial:
 
     def __reduce__(self):
         # A worker-pool payload names the golden run instead of carrying
-        # its ~150 KB of visit arrays: the worker looks it up.
+        # its ~150 KB PC trace: the worker looks it up.
         return _trial, (self.index, self.golden.benchmark, self.spec, self.budget)
 
 
@@ -367,6 +396,7 @@ class CampaignReport:
 
 def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
     """Run *name* unfaulted; returns the reference plus the compiled image."""
+    from repro.cpu.traceengine import path_pcs
     from repro.workloads import benchmark
     from repro.workloads.cache import compile_cached
 
@@ -379,23 +409,15 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
     path: list = []
     machine.engine.path = path
     machine.run(compiled.program.entry)
-    trace = array("I")  # the PC at every step boundary
-    for addrs, done in path:
-        trace.extend(addrs[:done])
     if machine.halted is not HaltReason.RETURNED:
         raise RuntimeError(
             f"golden run of {name} did not complete: {machine.halted}"
         )
-    visits: dict[int, array] = {}
-    for step, pc in enumerate(trace):
-        steps = visits.get(pc)
-        if steps is None:
-            visits[pc] = steps = array("I")
-        steps.append(step)
+    trace = path_pcs(path)
     sites = FaultSites(
         register_count=machine.regs.physical_count,
         memory_top=min(MEMORY_FAULT_TOP, machine.memory.size),
-        pcs=tuple(sorted((pc, len(steps)) for pc, steps in visits.items())),
+        pcs=tuple(sorted(Counter(trace).items())),
         cycle_limit=max(1, machine.stats.cycles - 1),
     )
     golden = GoldenRun(
@@ -404,7 +426,7 @@ def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
         instructions=machine.stats.instructions,
         cycles=machine.stats.cycles,
         sites=sites,
-        visits=visits,
+        trace=trace,
     )
     return golden, compiled
 
@@ -440,7 +462,7 @@ def _classify(
 
 def _pc_trigger_step(golden: GoldenRun, trigger) -> int | None:
     """Golden step index at which PC *trigger* fires (None: never)."""
-    visits = golden.visits.get(trigger.at_pc, ())
+    visits = golden.steps_at(trigger.at_pc)
     return visits[trigger.pc_hits - 1] if trigger.pc_hits <= len(visits) else None
 
 
@@ -509,7 +531,7 @@ def _run_injection(
             if fires_at is None:  # never fires: the run stays golden
                 fires_at = budget
             steps += _fast_forward(machine, min(fires_at, budget), None)
-            visits = golden.visits.get(trigger.at_pc, ())
+            visits = golden.steps_at(trigger.at_pc)
             pc_visits = {trigger.at_pc: bisect_left(visits, steps)}
         if machine.halted is None:
             injector.attach(pc_visits=pc_visits)

@@ -193,4 +193,4 @@ class TestTrialPayload:
         )
         rebuilt = pickle.loads(payload)
         assert rebuilt == trial
-        assert rebuilt.golden.visits == trial.golden.visits
+        assert rebuilt.golden.trace == trial.golden.trace

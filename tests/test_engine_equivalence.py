@@ -35,7 +35,6 @@ from repro.cpu.equivalence import (
 )
 from repro.cpu.machine import HaltReason, TrapCause
 from repro.cpu.state import TRAP_OVERHEAD_CYCLES, _TrapSignal
-from repro.cpu.tracing import ExecutionTracer
 from repro.evaluation.common import FAST_SUBSET
 from repro.isa.registers import REGS_PER_WINDOW_UNIQUE
 from repro.workloads import BENCHMARKS, benchmark
@@ -116,13 +115,15 @@ _OBSERVED_ORACLE: dict = {}
 
 def observed_run(name: str, engine: str):
     """One capped run of workload *name* under a ``pre_step`` PC recorder
-    and an :class:`ExecutionTracer`: (pcs, records, digest, machine)."""
+    and a ``step`` recorder of every completed instruction's (pc,
+    instruction, taken-jump) event: (pcs, records, digest, machine)."""
     compiled = compile_cached(benchmark(name).source)
     machine = compiled.make_machine(engine=engine)
     pcs = []
+    records = []
     machine.observers.subscribe("pre_step", lambda m: pcs.append(m.pc))
-    tracer = ExecutionTracer(machine, limit=OBSERVED_STEP_CAP)
-    records = tracer.run(compiled.program.entry, max_steps=OBSERVED_STEP_CAP)
+    machine.observers.subscribe("step", lambda m, *event: records.append(event))
+    machine.run(compiled.program.entry, max_steps=OBSERVED_STEP_CAP)
     return pcs, records, state_digest(machine), machine
 
 

@@ -25,6 +25,7 @@ from repro.cpu.machine import HaltReason
 from repro.cpu.observers import ObserverBus
 from repro.cpu.traceengine import TraceEngine
 from repro.faults.campaign import (
+    GoldenRun,
     _benchmark_state,
     _golden_run,
     _run_injection,
@@ -187,7 +188,7 @@ def test_path_under_a_watchdog_tail(limit):
 
 def observed_golden_run(name: str):
     """The golden run as it was: a ``pre_step`` recorder, which
-    single-steps every instruction."""
+    single-steps every instruction, and every PC's visit list."""
     compiled = compile_cached(benchmark(name).source)
     machine = compiled.make_machine(engine="trace")
     pcs = array("I")
@@ -196,14 +197,16 @@ def observed_golden_run(name: str):
     visits: dict = {}
     for step, pc in enumerate(pcs):
         visits.setdefault(pc, array("I")).append(step)
-    return machine, visits
+    return machine, pcs, visits
 
 
 @pytest.mark.parametrize("name", ["towers", "ackermann"])
 def test_golden_run_equals_the_observed_recorder(name):
     golden, _compiled = _golden_run(name)
-    machine, visits = observed_golden_run(name)
-    assert golden.visits == visits
+    machine, pcs, visits = observed_golden_run(name)
+    assert golden.trace == pcs
+    assert {pc: golden.steps_at(pc) for pc in visits} == visits
+    assert len(golden.steps_at(0xFFFFFFF0)) == 0  # never executed
     assert golden.result == to_signed(machine.result)
     assert (golden.instructions, golden.cycles) == (
         machine.stats.instructions, machine.stats.cycles,
@@ -212,6 +215,14 @@ def test_golden_run_equals_the_observed_recorder(name):
         sorted((pc, len(steps)) for pc, steps in visits.items())
     )
     assert golden.sites.cycle_limit == machine.stats.cycles - 1
+
+
+def test_steps_at_skips_a_match_across_items():
+    # The bytes of the last item also occur straddling the first two.
+    trace = array("I", [0x11223344, 0x55667788, 0x77881122])
+    golden = GoldenRun("t", 0, 3, 3, None, trace=trace)
+    assert golden.steps_at(0x77881122) == array("I", [2])
+    assert golden.steps_at(0x11223344) == array("I", [0])
 
 
 def test_golden_run_subscribes_no_observer(monkeypatch):

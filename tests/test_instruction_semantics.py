@@ -193,3 +193,12 @@ class TestControlThroughPipeline:
     out:
     """)
         assert machine.result == 123
+
+
+def test_stat_name_dicts_cover_every_opcode_and_category():
+    from repro.cpu.engine import _CATEGORY_NAME, _OPCODE_NAME
+    from repro.isa.opcodes import ALL_SPECS, Category, Opcode
+
+    assert _OPCODE_NAME == {op: op.name for op in Opcode}
+    assert _CATEGORY_NAME == {op: ALL_SPECS[op].category.name for op in Opcode}
+    assert set(_CATEGORY_NAME.values()) == {category.name for category in Category}

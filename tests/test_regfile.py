@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.bitops import MASK32
-from repro.cpu.regfile import WindowedRegisterFile
+from repro.cpu.regfile import WindowedRegisterFile, window_table
 from repro.isa.registers import NUM_PHYSICAL_REGISTERS, REGS_PER_WINDOW_UNIQUE, physical_index
 
 
@@ -122,6 +122,39 @@ class TestSpillUnitAgainstPerRegisterOracle:
             oracle_set_spill_unit(expected, window, values)
             rf.set_spill_unit(window, values)
             assert rf._regs == expected._regs
+
+
+class TestWindowTable:
+    @pytest.mark.parametrize("use_windows", [True, False], ids=["windowed", "flat"])
+    @pytest.mark.parametrize("num_windows", range(2, 9))
+    def test_table_matches_physical_index(self, num_windows, use_windows):
+        rf = WindowedRegisterFile(num_windows=num_windows, use_windows=use_windows)
+        assert rf._table == tuple(
+            tuple(oracle_index(rf, window, reg) for reg in range(32))
+            for window in range(num_windows)
+        )
+        # Window numbers off the table wrap exactly as physical_index does.
+        rf._regs[:] = [0x1000 + i for i in range(rf.physical_count)]
+        windows = range(-2 * num_windows, 2 * num_windows)
+        for window in windows:
+            for reg in range(1, 32):
+                assert rf.read(window, reg) == 0x1000 + oracle_index(rf, window, reg)
+        for window in windows:
+            for reg in range(1, 32):
+                rf.write(window, reg, window << 8 | reg)
+                assert rf._regs[oracle_index(rf, window, reg)] == (window << 8 | reg) & MASK32
+
+    def test_one_table_per_configuration(self):
+        assert WindowedRegisterFile(4)._table is WindowedRegisterFile(4)._table
+        assert window_table(4, True) is not window_table(4, False)
+
+    @pytest.mark.parametrize("reg", [-1, -32, 32, 99])
+    def test_out_of_range_register_raises(self, reg):
+        rf = WindowedRegisterFile()
+        with pytest.raises(ValueError, match="out of range"):
+            rf.read(0, reg)
+        with pytest.raises(ValueError, match="out of range"):
+            rf.write(0, reg, 1)
 
 
 class TestFlatMode:
