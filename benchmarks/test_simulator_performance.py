@@ -17,7 +17,8 @@ from repro.baselines import VaxTraits, CiscExecutor
 from repro.cc import compile_for_risc, compile_to_ir
 from repro.cc.ciscgen import compile_for_cisc
 from repro.cpu.engines import fastest_scalar_engine
-from repro.faults.campaign import _golden_run, _run_injection
+from repro.cpu.runprofile import profile_machine
+from repro.faults.campaign import _golden_from, _golden_run, _run_injection
 from repro.faults.models import FaultKind, FaultSpec, FaultTarget, FaultTrigger
 from repro.hll import run_program
 from repro.workloads import benchmark as benchmark_program
@@ -94,14 +95,23 @@ def test_observed_golden_run_speed(benchmark):
 
 
 def test_golden_run_speed(benchmark):
-    """The campaign's golden run on ackermann: unobserved on the trace
-    tier, with the PC trace rebuilt from the dispatch path.
+    """The campaign's golden run on ackermann: a fresh profile
+    (unobserved on the trace tier, with the dispatch path logged; the
+    campaign reads a memoized one) and the PC trace rebuilt from it.
 
     Paired with the observed recorder by the golden-unobserved-vs-
     observed baseline entry: a golden run that subscribes a per-step
     observer again runs at about the observed recorder's speed.
     """
-    golden = benchmark(lambda: _golden_run("ackermann")[0])
+    compiled = compile_cached(benchmark_program("ackermann").source)
+
+    def golden_run():
+        machine = compiled.make_machine()
+        return _golden_from(
+            "ackermann", profile_machine(machine, compiled.program.entry)
+        )
+
+    golden = benchmark(golden_run)
     benchmark.extra_info["engine"] = "trace"
     benchmark.extra_info["workload"] = "ackermann"
     benchmark.extra_info["steps"] = golden.instructions

@@ -69,7 +69,7 @@ def _load_targets(args) -> list[tuple[str, object]]:
 
 
 def _cross_validate(name: str, report: LintReport, num_windows: int) -> list[str]:
-    """Run the workload on the machine and check the static depth bound."""
+    """Check the static depth bound against the workload's profiled run."""
     from repro.workloads.cache import compile_cached
     from repro.workloads import BENCHMARKS
     from repro.workloads.extended import EXTENDED_BENCHMARKS
@@ -80,9 +80,7 @@ def _cross_validate(name: str, report: LintReport, num_windows: int) -> list[str
     )
     if bench is None:
         return [f"{name}: cannot cross-validate (not a bundled workload)"]
-    compiled = compile_cached(bench.source)
-    __, machine = compiled.run(num_windows=num_windows)
-    stats = machine.stats
+    stats = compile_cached(bench.source).profile(num_windows=num_windows).stats
     problems = report.depth.validate_against(
         stats.max_call_depth, stats.window_overflows, num_windows
     )

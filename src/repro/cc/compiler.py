@@ -8,11 +8,12 @@ differential test goes through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.asm import Program, assemble
 from repro.common.bitops import to_signed
 from repro.cpu.machine import RiscMachine
+from repro.cpu.runprofile import RunProfile, profile_machine
 from repro.hll.parser import parse_program
 from repro.hll.sema import CheckedProgram, analyze
 
@@ -37,12 +38,20 @@ def compile_to_ir(source: str, optimize: bool = True) -> IrProgram:
 
 @dataclass
 class CompiledRisc:
-    """A Mini-C program compiled for RISC I."""
+    """A Mini-C program compiled for RISC I.
+
+    The image never changes; the instance only gains the memo of
+    :meth:`profile`, shared by every caller of
+    :func:`~repro.workloads.cache.compile_cached`.
+    """
 
     asm_source: str
     program: Program
     codegen: CodegenResult
     use_windows: bool
+    _profiles: dict[int, RunProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def code_size_bytes(self) -> int:
@@ -84,6 +93,16 @@ class CompiledRisc:
                                     memory_size=memory_size, engine=engine)
         machine.run(self.program.entry, max_steps=max_steps)
         return to_signed(machine.result), machine
+
+    def profile(self, *, num_windows: int = 8) -> RunProfile:
+        """The numbers of one unobserved ``trace`` run at *num_windows*
+        (:mod:`repro.cpu.runprofile`), built once and kept here."""
+        profile = self._profiles.get(num_windows)
+        if profile is None:
+            profile = self._profiles[num_windows] = profile_machine(
+                self.make_machine(num_windows=num_windows), self.program.entry
+            )
+        return profile
 
     def analyze(self, *, name: str = "compiled", num_windows: int = 8):
         """Static analysis of the compiled binary (a

@@ -100,7 +100,7 @@ so the admission rule is bit-identical architectural results against
 With :attr:`TraceEngine.path` set to a list, ``run_loop`` logs which
 trace each dispatch ran and how many of its steps completed; since a
 trace never revisits an address, that rebuilds the PC at every step
-boundary exactly, with no per-step observer (campaign golden runs).
+boundary exactly, with no per-step observer (:mod:`repro.cpu.runprofile`).
 
 ``TRACE_CODEGEN_VERSION`` names the codegen scheme; bump it whenever
 generated-trace semantics change so that any cache keyed on compiled
@@ -113,7 +113,6 @@ from __future__ import annotations
 import struct
 import time
 import weakref
-from array import array
 from collections.abc import Callable
 from typing import Any
 
@@ -1541,21 +1540,6 @@ def trace_codegen_info() -> dict[str, int | float]:
     return {"entries": len(_TRACE_FACTORY_CACHE), **_CODEGEN_COUNTERS}
 
 
-def path_pcs(path: list, limit: int | None = None) -> array:
-    """The pc at every step boundary of a :attr:`TraceEngine.path` log,
-    in order; with *limit*, only the first *limit* steps.
-
-    Each entry ``(addrs, done)`` ran exactly ``addrs[:done]``.
-    """
-    pcs = array("I")
-    for addrs, done in path:
-        if limit is not None and len(pcs) + done >= limit:
-            pcs.extend(addrs[: limit - len(pcs)])
-            break
-        pcs.extend(addrs[:done])
-    return pcs
-
-
 class TraceEngine:
     """Trace-compiling interpreter, oracle-verified like the others.
 
@@ -1616,7 +1600,8 @@ class TraceEngine:
         #: steps its thunk returned (it ran exactly ``addrs[:completed]``,
         #: since a trace visits each address once, in order), or
         #: ``((pc,), 1)`` for a single-stepped fallback;
-        #: :func:`path_pcs` expands it into the pc at every step.
+        #: :meth:`RunProfile.pcs <repro.cpu.runprofile.RunProfile.pcs>`
+        #: expands it into the pc at every step.
         self.path: list | None = None
 
     def telemetry_snapshot(self) -> dict:
@@ -2026,4 +2011,4 @@ class TraceEngine:
         return steps
 
 
-__all__ = ["TraceEngine", "TRACE_CODEGEN_VERSION", "path_pcs", "trace_codegen_info"]
+__all__ = ["TraceEngine", "TRACE_CODEGEN_VERSION", "trace_codegen_info"]

@@ -8,7 +8,7 @@
 from __future__ import annotations
 
 from repro.workloads.cache import compile_cached
-from repro.evaluation.common import FAST_SUBSET, RISC_NAME, run_benchmark_matrix
+from repro.evaluation.common import FAST_SUBSET, risc_records
 from repro.evaluation.tables import Table
 from repro.windows import sweep_overlap
 from repro.workloads import benchmark
@@ -25,17 +25,16 @@ def a1_windows(names: tuple[str, ...] = FAST_SUBSET) -> Table:
         bench = benchmark(name)
         windowed = compile_cached(bench.source, use_windows=True)
         flat = compile_cached(bench.source, use_windows=False)
-        value_w, machine_w = windowed.run()
-        value_f, machine_f = flat.run()
-        if value_w != value_f:
+        run_w, run_f = windowed.profile(), flat.profile()
+        if run_w.result != run_f.result:
             raise AssertionError(f"{name}: ablation changed the result")
         table.add_row(
             name,
-            machine_w.stats.cycles,
-            machine_f.stats.cycles,
-            f"{machine_f.stats.cycles / machine_w.stats.cycles:.2f}x",
-            machine_w.memory.stats.data_refs,
-            machine_f.memory.stats.data_refs,
+            run_w.stats.cycles,
+            run_f.stats.cycles,
+            f"{run_f.stats.cycles / run_w.stats.cycles:.2f}x",
+            run_w.data_refs,
+            run_f.data_refs,
         )
     return table
 
@@ -50,19 +49,17 @@ def a2_delay_slots(names: tuple[str, ...] = FAST_SUBSET) -> Table:
         bench = benchmark(name)
         optimised = compile_cached(bench.source, optimize_delay_slots=True)
         plain = compile_cached(bench.source, optimize_delay_slots=False)
-        value_o, machine_o = optimised.run()
-        value_p, machine_p = plain.run()
-        if value_o != value_p:
+        run_o, run_p = optimised.profile(), plain.profile()
+        if run_o.result != run_p.result:
             raise AssertionError(f"{name}: ablation changed the result")
-        saved = 100.0 * (machine_p.stats.cycles - machine_o.stats.cycles) / machine_p.stats.cycles
-        table.add_row(name, machine_o.stats.cycles, machine_p.stats.cycles,
+        cycles_o, cycles_p = run_o.stats.cycles, run_p.stats.cycles
+        saved = 100.0 * (cycles_p - cycles_o) / cycles_p
+        table.add_row(name, cycles_o, cycles_p,
                       f"{saved:.1f}%", optimised.code_size_bytes, plain.code_size_bytes)
     return table
 
 
 def a3_overlap(names: tuple[str, ...] | None = None) -> Table:
-    records = run_benchmark_matrix(names, include_baselines=False)
-    benchmarks = sorted({bench for bench, __ in records})
     overlaps = [0, 2, 4, 6, 8]
     table = Table(
         title="A3: Call-related memory words per call vs window overlap size",
@@ -70,8 +67,8 @@ def a3_overlap(names: tuple[str, ...] | None = None) -> Table:
         notes=["small overlaps force argument copies through memory;",
                "large overlaps shrink per-window locals: 6 is the sweet spot"],
     )
-    for bench in benchmarks:
-        trace = list(records[(bench, RISC_NAME)].call_trace)
+    for bench, record in risc_records(names).items():
+        trace = list(record.call_trace)
         if not trace:
             continue
         sweep = sweep_overlap(trace, overlaps)

@@ -1,15 +1,13 @@
-"""Shared benchmark-matrix runner with in-process caching.
+"""The benchmark matrix: every benchmark on RISC I and the baselines.
 
-T4 (code size), T5 (execution time), T6 (window overflow) and the
-ablations all need the same expensive artifact: every benchmark compiled
-and executed on RISC I and on the four baseline models.  This module
-computes those records once per process and caches them.
-
-The baselines share one run per distinct program: the four machines'
-generated programs are grouped by equality, each group's program runs
-once, and the run's per-pc counts are priced for every machine in the
-group.  So the result, instruction count and data references are shared
-within a group, while cycles and code size stay per machine.
+A RISC I record is read from the program's profile
+(:meth:`CompiledRisc.profile <repro.cc.compiler.CompiledRisc.profile>`),
+the one run per program and window count that every section shares.
+The baseline records are cached per benchmark, so any subset reuses
+them.  The baselines share one run per distinct program: the four
+machines' generated programs are grouped by equality, each group's
+program runs once, and its per-pc counts are priced for every machine
+in the group.
 """
 
 from __future__ import annotations
@@ -62,57 +60,59 @@ class BenchmarkRecord:
         return self.cycles * self.cycle_time_ns / 1e6
 
 
-_CACHE: dict[tuple, dict[tuple[str, str], BenchmarkRecord]] = {}
+#: baseline records of each benchmark, by name
+_CISC: dict[str, tuple[BenchmarkRecord, ...]] = {}
+
+
+def _names(names: tuple[str, ...] | None) -> tuple[str, ...]:
+    return tuple(bench.name for bench in BENCHMARKS) if names is None else names
 
 
 def run_benchmark_matrix(
     names: tuple[str, ...] | None = None,
-    *,
-    include_baselines: bool = True,
 ) -> dict[tuple[str, str], BenchmarkRecord]:
-    """Compile and execute benchmarks on every machine; cached per-process.
+    """Every benchmark (default: all) on every machine.
 
     Returns records keyed by ``(benchmark_name, machine_name)``.
     """
-    if names is None:
-        names = tuple(bench.name for bench in BENCHMARKS)
-    key = (names, include_baselines)
-    if key in _CACHE:
-        return _CACHE[key]
     records: dict[tuple[str, str], BenchmarkRecord] = {}
-    for name in names:
-        bench = benchmark(name)
-        records[(name, RISC_NAME)] = _run_risc(bench)
-        if include_baselines:
-            for record in _run_cisc(bench):
-                records[(name, record.machine)] = record
-    _CACHE[key] = records
+    for name in _names(names):
+        records[(name, RISC_NAME)] = _risc_record(name)
+        if name not in _CISC:
+            _CISC[name] = _run_cisc(benchmark(name))
+        for record in _CISC[name]:
+            records[(name, record.machine)] = record
     return records
 
 
-def _run_risc(bench: Benchmark) -> BenchmarkRecord:
-    compiled = compile_cached(bench.source)
-    value, machine = compiled.run()
-    decode_info = machine.decode_cache_stats()
+def risc_records(names: tuple[str, ...] | None = None) -> dict[str, BenchmarkRecord]:
+    """The RISC I record of each benchmark (default: all), by name, in
+    name order."""
+    return {name: _risc_record(name) for name in sorted(_names(names))}
+
+
+def _risc_record(name: str) -> BenchmarkRecord:
+    compiled = compile_cached(benchmark(name).source)
+    profile = compiled.profile()
     return BenchmarkRecord(
-        benchmark=bench.name,
+        benchmark=name,
         machine=RISC_NAME,
         cycle_time_ns=CYCLE_TIME_NS,
-        result=value,
+        result=profile.result,
         code_bytes=compiled.code_size_bytes,
-        instructions=machine.stats.instructions,
-        cycles=machine.stats.cycles,
-        data_refs=machine.memory.stats.data_refs,
-        window_overflows=machine.stats.window_overflows,
-        call_trace=tuple(machine.call_trace),
-        decode_hits=decode_info["hits"],
-        decode_misses=decode_info["misses"],
-        decode_evictions=decode_info["evictions"],
-        engine=machine.engine_name,
+        instructions=profile.stats.instructions,
+        cycles=profile.stats.cycles,
+        data_refs=profile.data_refs,
+        window_overflows=profile.stats.window_overflows,
+        call_trace=profile.call_trace,
+        decode_hits=profile.decode["hits"],
+        decode_misses=profile.decode["misses"],
+        decode_evictions=profile.decode["evictions"],
+        engine="trace",
     )
 
 
-def _run_cisc(bench: Benchmark) -> list[BenchmarkRecord]:
+def _run_cisc(bench: Benchmark) -> tuple[BenchmarkRecord, ...]:
     """One record per baseline machine, in :data:`ALL_TRAITS` order."""
     ir = compile_to_ir(bench.source)
     generated = [compile_for_cisc(ir, traits) for traits in ALL_TRAITS]
@@ -131,11 +131,9 @@ def _run_cisc(bench: Benchmark) -> list[BenchmarkRecord]:
             cycles=cycles,
             data_refs=executor.memory.stats.data_refs,
         ))
-    return records
+    return tuple(records)
 
 
-def machine_names(include_baselines: bool = True) -> list[str]:
-    names = [RISC_NAME]
-    if include_baselines:
-        names += [traits.name for traits in ALL_TRAITS]
-    return names
+def machine_names() -> list[str]:
+    """RISC I, then every baseline machine, in table-column order."""
+    return [RISC_NAME] + [traits.name for traits in ALL_TRAITS]

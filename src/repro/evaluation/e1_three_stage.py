@@ -4,9 +4,10 @@ The paper's future-work direction (realised as RISC II): a third
 pipeline stage with forwarding removes the blanket 2-cycle cost of
 memory instructions at the price of an occasional load-use interlock.
 This experiment prices each benchmark's retired instruction stream
-under both timing models.  The stream comes from one unobserved run on
-the trace tier with :attr:`TraceEngine.path
-<repro.cpu.traceengine.TraceEngine.path>` set: the dispatch path rebuilds
+under both timing models.  The stream is read from the program's
+profile (:meth:`CompiledRisc.profile
+<repro.cc.compiler.CompiledRisc.profile>`), the one unobserved run on
+the trace tier that every section shares: its dispatch path rebuilds
 the pc at every step exactly, so no per-step observer runs.
 """
 
@@ -14,9 +15,12 @@ from __future__ import annotations
 
 from array import array
 
-from repro.cpu.machine import HaltReason, RiscMachine
+from repro.asm import Program
+from repro.cpu.machine import HaltReason
 from repro.cpu.pipeline3 import estimate_cycles
+from repro.cpu.runprofile import RunProfile
 from repro.evaluation.tables import Table
+from repro.isa.decode import decode
 from repro.isa.formats import Instruction
 from repro.workloads import BENCHMARKS
 from repro.workloads.cache import compile_cached
@@ -25,34 +29,29 @@ TRACE_LIMIT = 120_000
 
 
 def retired_stream(
-    machine: RiscMachine, entry: int, limit: int = TRACE_LIMIT
+    profile: RunProfile, program: Program, limit: int = TRACE_LIMIT
 ) -> tuple[array, dict[int, Instruction]]:
-    """Run *machine* (trace tier) from *entry*, unobserved; returns its
-    first *limit* retired pcs and the instruction at each of them.
+    """The first *limit* retired pcs of *profile*, a run of *program*,
+    and the instruction at each of them.
 
     Raises :class:`RuntimeError` unless the run returned without a trap
     and without invalidating a trace: the instruction at a pc is decoded
-    once, which holds only while the code never changes.
+    once, from the program image, which holds only while the code never
+    changes.
     """
-    from repro.cpu.traceengine import path_pcs  # the tier loads on first use
-
-    path: list = []
-    machine.engine.path = path
-    machine.run(entry)
     if (
-        machine.halted is not HaltReason.RETURNED
-        or machine.stats.traps
-        or machine.engine.traces_invalidated
+        profile.halted is not HaltReason.RETURNED
+        or profile.stats.traps
+        or profile.traces_invalidated
     ):
         raise RuntimeError(
             f"e1 needs a run that returns on unchanged code without a trap: "
-            f"{machine.halted}, {machine.stats.traps} traps, "
-            f"{machine.engine.traces_invalidated} traces invalidated"
+            f"{profile.halted}, {profile.stats.traps} traps, "
+            f"{profile.traces_invalidated} traces invalidated"
         )
-    pcs = path_pcs(path, limit)
-    decode = machine.decoder.decode
-    load = machine.memory.load_word
-    return pcs, {pc: decode(load(pc, count=False)) for pc in set(pcs)}
+    pcs = profile.pcs(limit)
+    words = program.to_words()
+    return pcs, {pc: decode(words[(pc - program.base) // 4]) for pc in set(pcs)}
 
 
 def run(names: tuple[str, ...] | None = None) -> Table:
@@ -67,8 +66,7 @@ def run(names: tuple[str, ...] | None = None) -> Table:
     )
     for bench in benches:
         compiled = compile_cached(bench.source)
-        machine = compiled.make_machine(engine="trace")
-        estimate = estimate_cycles(*retired_stream(machine, compiled.program.entry))
+        estimate = estimate_cycles(*retired_stream(compiled.profile(), compiled.program))
         table.add_row(
             bench.name, estimate.instructions, estimate.two_stage_cycles,
             estimate.three_stage_cycles, estimate.load_use_stalls,

@@ -7,7 +7,7 @@ locality-varying traces) and plot the spill traffic knee.
 
 from __future__ import annotations
 
-from repro.evaluation.common import RISC_NAME, run_benchmark_matrix
+from repro.evaluation.common import risc_records
 from repro.evaluation.tables import Table, bar_chart
 from repro.windows import simulate_windows
 from repro.workloads import synthetic_call_trace
@@ -16,15 +16,13 @@ WINDOW_COUNTS = (2, 3, 4, 6, 8, 12, 16)
 
 
 def run(names: tuple[str, ...] | None = None) -> Table:
-    records = run_benchmark_matrix(names, include_baselines=False)
-    benchmarks = sorted({bench for bench, __ in records})
     table = Table(
         title="F4: Spilled words per 100 calls vs window-file size",
         headers=["trace"] + [f"N={count}" for count in WINDOW_COUNTS],
         notes=["knee at 6-8 windows for real programs, matching the design point"],
     )
-    for bench in benchmarks:
-        trace = list(records[(bench, RISC_NAME)].call_trace)
+    for bench, record in risc_records(names).items():
+        trace = list(record.call_trace)
         if not trace:
             continue
         row = [bench]

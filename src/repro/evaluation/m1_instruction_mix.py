@@ -25,23 +25,11 @@ def run(names: tuple[str, ...] | None = None) -> Table:
                "pointer-chasing programs"],
     )
     for bench in benches:
-        compiled = compile_cached(bench.source)
-        __, machine = compiled.run()
-        total = machine.stats.instructions
+        stats = compile_cached(bench.source).profile().stats
+        total = stats.instructions
         row = [bench.name]
         for category in CATEGORIES:
-            count = machine.stats.by_category.get(category, 0)
+            count = stats.by_category.get(category, 0)
             row.append(f"{100.0 * count / total:.1f}")
         table.add_row(*row)
     return table
-
-
-def memory_fraction(name: str) -> float:
-    """Fraction of executed instructions that touch memory (bench helper)."""
-    from repro.workloads import benchmark
-
-    compiled = compile_cached(benchmark(name).source)
-    __, machine = compiled.run()
-    memory_ops = (machine.stats.by_category.get("LOAD", 0)
-                  + machine.stats.by_category.get("STORE", 0))
-    return memory_ops / machine.stats.instructions

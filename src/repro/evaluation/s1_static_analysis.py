@@ -32,8 +32,7 @@ def run(names: tuple[str, ...] | None = None,
     for name in names:
         compiled = compile_cached(benchmark(name).source)
         report = compiled.analyze(name=name, num_windows=num_windows)
-        __, machine = compiled.run(num_windows=num_windows)
-        stats = machine.stats
+        stats = compiled.profile(num_windows=num_windows).stats
         problems = report.depth.validate_against(
             stats.max_call_depth, stats.window_overflows, num_windows
         )
@@ -49,13 +48,3 @@ def run(names: tuple[str, ...] | None = None,
             "OK" if not problems else "; ".join(problems),
         )
     return table
-
-
-def depth_consistency(name: str, num_windows: int = NUM_WINDOWS) -> list[str]:
-    """Cross-validation problems for one benchmark (empty = consistent)."""
-    compiled = compile_cached(benchmark(name).source)
-    report = compiled.analyze(name=name, num_windows=num_windows)
-    __, machine = compiled.run(num_windows=num_windows)
-    return report.depth.validate_against(
-        machine.stats.max_call_depth, machine.stats.window_overflows, num_windows
-    )

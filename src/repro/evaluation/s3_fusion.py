@@ -11,8 +11,10 @@ deltas next to the VAX baseline from T4.
 
 Fusion is a front-end property that never changes architectural
 results, so nothing here runs fused.  As Celio et al. size it, the
-count comes from a dynamic trace: one unfused run per workload on the
-trace tier logs its dispatch path, and a proved pair fuses once each
+count comes from a dynamic trace: the workload's profile
+(:meth:`CompiledRisc.profile <repro.cc.compiler.CompiledRisc.profile>`),
+one unfused run on the trace tier shared with every other section,
+counts the retirements per pc, and a proved pair fuses once each
 time its first half retires, since the proof puts the second half next
 in the same basic block.  ``tests/test_fusion_count.py`` checks that
 join against a per-step count of "first half retired, then second half
@@ -20,8 +22,6 @@ retired next" on the reference oracle.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from repro.analysis.fusion import analyze_program
 from repro.baselines import VaxTraits
@@ -42,42 +42,23 @@ def _all_benchmarks() -> dict[str, object]:
     return by_name
 
 
-def _pc_counts(path: list) -> Counter:
-    """Retirements per pc from a :attr:`TraceEngine.path
-    <repro.cpu.traceengine.TraceEngine.path>` log.
-
-    Each entry runs every address at most once, so equal entries are
-    counted first and each is expanded (:func:`path_pcs`) once.
-    """
-    from repro.cpu.traceengine import path_pcs  # the tier loads on first use
-
-    counts: Counter = Counter()
-    for entry, hits in Counter(path).items():
-        counts.update(dict.fromkeys(path_pcs((entry,)), hits))
-    return counts
-
-
 def fusion_record(name: str) -> dict:
     """Static and dynamic fusion counts for one workload.
 
-    Runs the workload once, unfused, on the trace tier with its dispatch
-    path logged, and joins the proved pairs with the path's per-pc
-    counts: ``pair_hits`` maps each pair's first-half address to the
+    Joins the proved pairs with the per-pc counts of the workload's
+    profile: ``pair_hits`` maps each pair's first-half address to the
     times it would have issued fused.
     """
     bench = _all_benchmarks()[name]
     compiled = compile_cached(bench.source)
     report = analyze_program(compiled.program, name=name)
 
-    machine = compiled.make_machine(engine="trace")
-    path: list = []
-    machine.engine.path = path
-    machine.run(compiled.program.entry)
-    counts = _pc_counts(path)
+    profile = compiled.profile()
+    counts = profile.pc_counts()
 
     hits = {pair.first: counts[pair.first] for pair in report.pairs}
     fused = sum(hits.values())
-    instructions = machine.stats.instructions
+    instructions = profile.stats.instructions
     cycles_saved = sum(
         pair.cycles_saved * hits[pair.first] for pair in report.pairs
     )
@@ -88,7 +69,7 @@ def fusion_record(name: str) -> dict:
         "instructions": instructions,
         "fused": fused,
         "effective_instructions": instructions - fused,
-        "cycles": machine.stats.cycles,
+        "cycles": profile.stats.cycles,
         "cycles_saved": cycles_saved,
         "code_bytes": compiled.code_size_bytes,
         "fused_code_bytes": compiled.code_size_bytes

@@ -47,9 +47,8 @@ int main(void) {{
 
 
 def _measure_risc(source: str) -> tuple[int, int]:
-    compiled = compile_cached(source)
-    __, machine = compiled.run()
-    return machine.stats.instructions, machine.memory.stats.data_refs
+    profile = compile_cached(source).profile()
+    return profile.stats.instructions, profile.data_refs
 
 
 def _measure_cisc(source: str) -> dict[str, tuple[int, int]]:

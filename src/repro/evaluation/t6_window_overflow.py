@@ -6,23 +6,20 @@ only pathologically recursive code (Ackermann) traps often.
 
 from __future__ import annotations
 
-from repro.evaluation.common import RISC_NAME, run_benchmark_matrix
+from repro.evaluation.common import risc_records
 from repro.evaluation.tables import Table
 from repro.windows import simulate_windows
 
 
 def run(names: tuple[str, ...] | None = None,
         window_counts: tuple[int, ...] = (4, 8, 16)) -> Table:
-    records = run_benchmark_matrix(names, include_baselines=False)
-    benchmarks = sorted({bench for bench, __ in records})
     table = Table(
         title="T6: Window overflow rate (% of calls that trap)",
         headers=["benchmark", "calls", "max depth"]
         + [f"{count} windows" for count in window_counts],
         notes=["overflow handled by spilling one 16-register unit to memory"],
     )
-    for bench in benchmarks:
-        record = records[(bench, RISC_NAME)]
+    for bench, record in risc_records(names).items():
         trace = list(record.call_trace)
         calls = trace.count(1)
         row = [bench, calls]
@@ -36,6 +33,5 @@ def run(names: tuple[str, ...] | None = None,
 
 def overflow_rate(bench: str, num_windows: int = 8) -> float:
     """Overflow rate for one benchmark (bench-assertion helper)."""
-    records = run_benchmark_matrix((bench,), include_baselines=False)
-    trace = list(records[(bench, RISC_NAME)].call_trace)
+    trace = list(risc_records((bench,))[bench].call_trace)
     return simulate_windows(trace, num_windows).overflow_rate

@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 from repro.common.bitops import to_signed
 from repro.cpu.engines import fastest_scalar_engine
 from repro.cpu.machine import HaltReason, RiscMachine
+from repro.cpu.runprofile import RunProfile
 from repro.evaluation.tables import Table
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSites, FaultSpec, FaultTarget, random_spec
@@ -395,40 +396,35 @@ class CampaignReport:
 
 
 def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
-    """Run *name* unfaulted; returns the reference plus the compiled image."""
-    from repro.cpu.traceengine import path_pcs
+    """The unfaulted run of *name*, read from its shared profile;
+    returns the reference plus the compiled image."""
     from repro.workloads import benchmark
     from repro.workloads.cache import compile_cached
 
-    bench = benchmark(name)
-    compiled = compile_cached(bench.source)
-    # Unobserved on the trace tier: the engine logs which trace ran and
-    # how many of its instructions completed, which rebuilds the PC at
-    # every step boundary exactly.
-    machine = compiled.make_machine(engine="trace")
-    path: list = []
-    machine.engine.path = path
-    machine.run(compiled.program.entry)
-    if machine.halted is not HaltReason.RETURNED:
+    compiled = compile_cached(benchmark(name).source)
+    return _golden_from(name, compiled.profile()), compiled
+
+
+def _golden_from(name: str, profile: RunProfile) -> GoldenRun:
+    """The golden run of *name* from its profile."""
+    if profile.halted is not HaltReason.RETURNED:
         raise RuntimeError(
-            f"golden run of {name} did not complete: {machine.halted}"
+            f"golden run of {name} did not complete: {profile.halted}"
         )
-    trace = path_pcs(path)
     sites = FaultSites(
-        register_count=machine.regs.physical_count,
-        memory_top=min(MEMORY_FAULT_TOP, machine.memory.size),
-        pcs=tuple(sorted(Counter(trace).items())),
-        cycle_limit=max(1, machine.stats.cycles - 1),
+        register_count=profile.register_count,
+        memory_top=min(MEMORY_FAULT_TOP, profile.memory_size),
+        pcs=tuple(sorted(profile.pc_counts().items())),
+        cycle_limit=max(1, profile.stats.cycles - 1),
     )
-    golden = GoldenRun(
+    return GoldenRun(
         benchmark=name,
-        result=to_signed(machine.result),
-        instructions=machine.stats.instructions,
-        cycles=machine.stats.cycles,
+        result=profile.result,
+        instructions=profile.stats.instructions,
+        cycles=profile.stats.cycles,
         sites=sites,
-        trace=trace,
+        trace=profile.pcs(),
     )
-    return golden, compiled
 
 
 def _classify(

@@ -3,11 +3,13 @@
 Every evaluation table, equivalence sweep, fault campaign, and lint
 report starts by compiling the same handful of Mini-C benchmark sources
 through the full pipeline (parse -> sema -> IR -> codegen -> assemble).
-The pipeline is deterministic and :class:`~repro.cc.compiler.CompiledRisc`
-is immutable after construction (``make_machine`` builds a fresh
+The pipeline is deterministic and a :class:`~repro.cc.compiler.CompiledRisc`
+image never changes after construction (``make_machine`` builds a fresh
 :class:`~repro.common.memory.Memory` per call), so one compile per
 distinct (source, flags) key can safely be shared by every caller in the
-process.
+process.  Sharing the instance also shares its profile
+(:meth:`~repro.cc.compiler.CompiledRisc.profile`): the one run per
+window count whose numbers every report section reads.
 
 :func:`compile_cached` is the drop-in for the common
 ``compile_for_risc(source, ...)`` call; keys are the source text, the

@@ -2,9 +2,11 @@
 
 ``CiscExecutor.run`` prices each static instruction once and resolves
 branch and JSR labels up front.  The oracle here is the loop it
-replaced: every dynamic instruction priced through the traits, every
-label looked up when the transfer executes, and the branch condition
-evaluated from a freshly built relop table.
+replaced: every dynamic instruction priced through the traits (each
+distinct pc is priced once per machine and memoized by the loop itself,
+never through the executor's tables), every label looked up when the
+transfer executes, and the branch condition evaluated from a freshly
+built relop table.
 """
 
 from dataclasses import dataclass
@@ -40,6 +42,8 @@ class PerStepExecutor(CiscExecutor):
         pc = labels[entry or self.program.entry]
         self.regs[SP] -= WORD
         self.memory.store_word(self.regs[SP], to_unsigned(-1), count=False)
+        # pc -> (cycles, bytes, that pair under each sharing machine)
+        prices: dict[int, tuple] = {}
         steps = 0
         while True:
             if steps >= max_steps:
@@ -47,11 +51,19 @@ class PerStepExecutor(CiscExecutor):
             steps += 1
             inst = self.program.instructions[pc]
             self.instructions_executed += 1
-            self.cycles += self.traits.cycles(inst)
-            self.fetch_bytes += self.traits.bytes(inst)
-            for traits, priced in zip(self.sharing, self.shared):
-                priced[0] += traits.cycles(inst)
-                priced[1] += traits.bytes(inst)
+            price = prices.get(pc)
+            if price is None:
+                price = prices[pc] = (
+                    self.traits.cycles(inst), self.traits.bytes(inst),
+                    tuple((traits.cycles(inst), traits.bytes(inst))
+                          for traits in self.sharing),
+                )
+            cycles, fetch, shared = price
+            self.cycles += cycles
+            self.fetch_bytes += fetch
+            for priced, (cycles, fetch) in zip(self.shared, shared):
+                priced[0] += cycles
+                priced[1] += fetch
             next_pc = pc + 1
             if inst.op is CiscOp.JSR:
                 self.regs[SP] = to_unsigned(self.regs[SP] - WORD)

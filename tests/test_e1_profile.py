@@ -1,4 +1,4 @@
-"""E1 prices a retired-pc stream rebuilt from the trace tier's dispatch path.
+"""E1 prices a retired-pc stream rebuilt from a profile's dispatch path.
 
 The oracle is the stream as E1 used to record it: a ``step`` observer on
 the reference engine, one (pc, instruction, taken-jump) event per
@@ -9,7 +9,9 @@ term the profile join drops (a load is never a transfer).
 import pytest
 
 from repro import RiscMachine, assemble
+from repro.asm import Program
 from repro.cpu.pipeline3 import PipelineEstimate, estimate_cycles
+from repro.cpu.runprofile import profile_machine
 from repro.evaluation.e1_three_stage import retired_stream
 from repro.isa.opcodes import Category
 from repro.workloads import BENCHMARKS, benchmark
@@ -55,11 +57,11 @@ def record_estimate(records: list) -> PipelineEstimate:
 
 def assert_stream_matches(name: str, cap: int | None) -> None:
     compiled = compile_cached(benchmark(name).source)
-    machine = compiled.make_machine(engine="trace")
+    profile = compiled.profile()
     if cap is None:
-        pcs, insts = retired_stream(machine, compiled.program.entry)
+        pcs, insts = retired_stream(profile, compiled.program)
     else:
-        pcs, insts = retired_stream(machine, compiled.program.entry, cap)
+        pcs, insts = retired_stream(profile, compiled.program, cap)
     records = observed_records(name, cap)
     assert list(pcs) == [pc for pc, _inst, _taken in records]
     assert all(insts[pc] == inst for pc, inst, _taken in records)
@@ -76,22 +78,22 @@ def test_whole_stream_equals_the_observed_oracle(name):
     assert_stream_matches(name, None)
 
 
-def machine_for(source: str) -> tuple[RiscMachine, int]:
+def machine_for(source: str) -> tuple[RiscMachine, Program]:
     program = assemble(source)
     machine = RiscMachine(engine="trace")
     program.load_into(machine.memory)
-    return machine, program.entry
+    return machine, program
 
 
 def test_refuses_a_trapping_run():
-    machine, entry = machine_for("main:\n ldl r16, r0, 0x401\n ret\n nop")
+    machine, program = machine_for("main:\n ldl r16, r0, 0x401\n ret\n nop")
     with pytest.raises(RuntimeError, match="without a trap"):
-        retired_stream(machine, entry)
+        retired_stream(profile_machine(machine, program.entry), program)
     assert machine.stats.traps == 1
 
 
 def test_refuses_self_modifying_code():
-    machine, entry = machine_for(
+    machine, program = machine_for(
         """
 main:
     li   r17, 0
@@ -110,6 +112,6 @@ donor:
 """
     )
     with pytest.raises(RuntimeError, match="without a trap"):
-        retired_stream(machine, entry)
+        retired_stream(profile_machine(machine, program.entry), program)
     assert machine.halted.name == "RETURNED" and not machine.stats.traps
     assert machine.engine.traces_invalidated > 0

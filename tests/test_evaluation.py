@@ -7,11 +7,12 @@ benchmark subset and check the *shape* claims each experiment makes.
 import pytest
 
 from repro.baselines import ALL_TRAITS, CiscExecutor
-from repro.cc import compile_to_ir
+from repro.cc import compile_to_ir, compiler
 from repro.cc.ciscgen import compile_for_cisc
 from repro.evaluation import Table, run_benchmark_matrix
 from repro.evaluation import (
     ablations,
+    common,
     f1_formats,
     f2_windows,
     f3_delayed_branch,
@@ -69,10 +70,21 @@ class TestMatrix:
                     executor.memory.stats.data_refs, generated.static_bytes,
                 ), (name, traits.name)
 
-    def test_cache_returns_same_object(self):
+    def test_subsets_reuse_every_run(self, monkeypatch):
+        # RISC records come from each program's memoized profile and the
+        # baseline records are cached per benchmark, so any subset of an
+        # earlier matrix runs nothing again.
         first = run_benchmark_matrix(FAST_SUBSET)
-        second = run_benchmark_matrix(FAST_SUBSET)
-        assert first is second
+
+        def no_run(*args):
+            raise AssertionError("the matrix ran a program again")
+
+        monkeypatch.setattr(common, "run_distinct", no_run)
+        monkeypatch.setattr(compiler, "profile_machine", no_run)
+        subset = FAST_SUBSET[1:]
+        assert run_benchmark_matrix(subset) == {
+            key: record for key, record in first.items() if key[0] in subset
+        }
 
 
 class TestT1:

@@ -2,8 +2,8 @@
 and campaign trials keep compiled traces across checkpoint restores.
 
 A golden run used to record the PC under a ``pre_step`` observer at
-every step.  It now runs unobserved on the trace tier with
-``TraceEngine.path`` set: every dispatch logs the trace's addresses and
+every step.  It is now read from the program's profile, one unobserved
+trace-tier run with ``TraceEngine.path`` set: every dispatch logs the trace's addresses and
 the steps its thunk completed, and since a trace visits each address
 once, in order, ``addrs[:completed]`` is exactly the PCs it ran.  The
 ``pre_step`` recorder survives here only as the oracle.
@@ -23,6 +23,7 @@ from repro.common.bitops import to_signed
 from repro.cpu.equivalence import diff_digests, state_digest
 from repro.cpu.machine import HaltReason
 from repro.cpu.observers import ObserverBus
+from repro.cpu.runprofile import profile_machine
 from repro.cpu.traceengine import TraceEngine
 from repro.faults.campaign import (
     GoldenRun,
@@ -234,7 +235,9 @@ def test_golden_run_subscribes_no_observer(monkeypatch):
         subscribe(self, event, fn)
 
     monkeypatch.setattr(ObserverBus, "subscribe", spy)
-    _golden_run("towers")
+    compiled = compile_cached(benchmark("towers").source)
+    # The profile builder itself: _golden_run reads a memoized profile.
+    profile_machine(compiled.make_machine(), compiled.program.entry)
     # Only the default call-trace recorder's frame-boundary handlers.
     assert sorted(subscribed) == ["call", "return"]
 

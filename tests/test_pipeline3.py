@@ -84,8 +84,8 @@ class TestOnRealPrograms:
         }
         """
         compiled = compile_for_risc(source)
-        machine = compiled.make_machine(engine="trace")
-        estimate = estimate_cycles(*retired_stream(machine, compiled.program.entry))
-        assert estimate.instructions == machine.stats.instructions
+        profile = compiled.profile()
+        estimate = estimate_cycles(*retired_stream(profile, compiled.program))
+        assert estimate.instructions == profile.stats.instructions
         assert estimate.three_stage_cycles <= estimate.two_stage_cycles
         assert estimate.speedup >= 1.0
