@@ -175,13 +175,6 @@ class FusionReport:
             counts[pair.kind] += 1
         return {kind: n for kind, n in counts.items() if n}
 
-    def pair_at(self, address: int) -> FusionPair | None:
-        """The proved pair whose first half sits at *address*, if any."""
-        for pair in self.pairs:
-            if pair.first == address:
-                return pair
-        return None
-
     def static_cycles_saved(self) -> int:
         """Cycles saved if every proved pair fired exactly once."""
         return sum(pair.cycles_saved for pair in self.pairs)

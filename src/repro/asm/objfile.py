@@ -64,14 +64,6 @@ class ObjectFile:
         return {reloc.symbol for reloc in self.relocations
                 if reloc.symbol not in self.symbols}
 
-    # -- word patching helpers (big-endian) --------------------------------
-
-    def read_word(self, offset: int) -> int:
-        return int.from_bytes(self.image[offset : offset + 4], "big")
-
-    def write_word(self, offset: int, value: int) -> None:
-        self.image[offset : offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "big")
-
 
 def apply_relocation(image: bytearray, reloc: Relocation, module_base: int,
                      target_address: int) -> None:

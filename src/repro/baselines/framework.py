@@ -558,15 +558,9 @@ class CiscExecutor:
     def write(self, operand, value: int) -> None:
         self._writer(operand)(value)
 
-    def address_of(self, operand) -> int:
-        return self._addresser(operand)()
-
     def _execute(self, inst: CInst) -> int | None:
         """Execute one non-transfer instruction: RTS's return address, else None."""
         return self._decode(inst, None)()
-
-    def _cond(self, relop: str) -> bool:
-        return _relop_test(relop)(*self.last_cmp)
 
     # -- execution -------------------------------------------------------------
 

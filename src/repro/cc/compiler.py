@@ -68,7 +68,7 @@ class CompiledRisc:
         any tier, freed by reference counting once the caller drops it.
         Observed runs stay on pre-decoded thunks: ``pre_step``/``step``
         observers run in its inner ``fast`` engine, and only
-        ``fetch_word``/``mem_access`` observers send steps to the oracle.
+        ``fetch_word`` observers send steps to the oracle.
         """
         from repro.common.memory import Memory
 

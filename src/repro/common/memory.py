@@ -486,10 +486,6 @@ class Memory:
                     return True
         return False
 
-    def stop_tracking(self) -> None:
-        """Drop the delta journal (delta checkpoints become unusable)."""
-        self._journal = None
-
     # -- bulk helpers -------------------------------------------------------
 
     def _plain_span(self, address: int, end: int) -> bool:

@@ -10,7 +10,7 @@ memory (:mod:`repro.multicore`):
   Its :meth:`~ReferenceEngine.step` is the ``pre_step`` hooks followed
   by :meth:`~ReferenceEngine.step_body`, which the compiled tiers call
   for the steps they cannot run themselves: a latched interrupt, or a
-  ``fetch_word``/``mem_access`` observer.
+  ``fetch_word`` observer.
 * ``"trace"`` - :class:`~repro.cpu.traceengine.TraceEngine`, a
   superblock compiler that chains basic blocks across static control
   transfers into linear traces compiled to generated Python source,
@@ -126,8 +126,8 @@ class ReferenceEngine:
 
     Emits every observer event: ``pre_step`` at the top of the step,
     ``fetch_word`` as a filter over the fetched word (a mutated word
-    bypasses the decode cache), ``mem_access`` after each data-side
-    access, and ``step`` after an instruction completes.
+    bypasses the decode cache), and ``step`` after an instruction
+    completes.
     """
 
     name = "reference"
@@ -159,7 +159,7 @@ class ReferenceEngine:
 
         Forces the PSW and register pins, takes a latched interrupt,
         fetches (through any ``fetch_word`` filters, then the fetch
-        pins), executes, and emits ``mem_access`` and ``step``.  A
+        pins), executes, and emits ``step``.  A
         compiled tier that has already run the ``pre_step`` hooks itself
         hands the rest of an observed step here.
         """
@@ -384,22 +384,16 @@ class ReferenceEngine:
 
     def _load(self, m: ArchState, opcode: Opcode, address: int) -> int:
         if opcode is Opcode.LDL:
-            value = m.memory.load_word(address)
-        elif opcode is Opcode.LDSU:
-            value = m.memory.load_half(address)
-        elif opcode is Opcode.LDSS:
-            value = m.memory.load_half(address, signed=True) & MASK32
-        elif opcode is Opcode.LDBU:
-            value = m.memory.load_byte(address)
-        elif opcode is Opcode.LDBS:
-            value = m.memory.load_byte(address, signed=True) & MASK32
-        else:  # pragma: no cover
-            raise SimulationError(f"not a load opcode: {opcode!r}")
-        bus = m.observers
-        if bus.on_mem_access:
-            for fn in bus.on_mem_access:
-                fn(m, "load", address, value)
-        return value
+            return m.memory.load_word(address)
+        if opcode is Opcode.LDSU:
+            return m.memory.load_half(address)
+        if opcode is Opcode.LDSS:
+            return m.memory.load_half(address, signed=True) & MASK32
+        if opcode is Opcode.LDBU:
+            return m.memory.load_byte(address)
+        if opcode is Opcode.LDBS:
+            return m.memory.load_byte(address, signed=True) & MASK32
+        raise SimulationError(f"not a load opcode: {opcode!r}")  # pragma: no cover
 
     def _store(self, m: ArchState, opcode: Opcode, address: int, value: int) -> None:
         if opcode is Opcode.STL:
@@ -410,10 +404,6 @@ class ReferenceEngine:
             m.memory.store_byte(address, value)
         else:  # pragma: no cover
             raise SimulationError(f"not a store opcode: {opcode!r}")
-        bus = m.observers
-        if bus.on_mem_access:
-            for fn in bus.on_mem_access:
-                fn(m, "store", address, value)
 
 
 def create_engine(engine: "str | ExecutionEngine") -> "ExecutionEngine":

@@ -29,12 +29,12 @@ invalidates a thunk.
 While :attr:`ObserverBus.step_observed` is true or an interrupt is
 latched, the engine calls the ``pre_step`` hooks itself, dispatches
 the thunk and fires ``step`` after a completed instruction.  Only a
-latched interrupt or a ``fetch_word``/``mem_access`` observer - the
-events that change fetch or data-side semantics - hands
-the rest of the step to :meth:`ReferenceEngine.step_body
+latched interrupt or a ``fetch_word`` observer - the events that change
+what a step fetches - hands the rest of the step to
+:meth:`ReferenceEngine.step_body
 <repro.cpu.engine.ReferenceEngine.step_body>`.  Boundary events
-(``call``/``return``/``trap``/``halt``) are emitted from the shared
-state core and therefore fire identically under every engine.
+(``call``/``return``) are emitted from the shared state core and
+therefore fire identically under every engine.
 
 Bit-identical results versus the reference are enforced through the
 trace tier by :mod:`repro.cpu.equivalence` on every bundled workload.
@@ -457,14 +457,14 @@ class FastEngine:
 
         Runs the ``pre_step`` hooks first, as the oracle does.  The rest
         of the step goes to the oracle's body only if a hook left work
-        that changes fetch or memory semantics: a latched interrupt, or
-        a ``fetch_word``/``mem_access`` observer.  Otherwise the
-        thunk runs, and a completed instruction fires ``step``.
+        that changes what the step fetches: a latched interrupt, or a
+        ``fetch_word`` observer.  Otherwise the thunk runs, and a
+        completed instruction fires ``step``.
         """
         bus = m.observers
         for hook in bus.on_pre_step:
             hook(m)
-        if m.pending_interrupt is not None or bus.on_fetch_word or bus.on_mem_access:
+        if m.pending_interrupt is not None or bus.on_fetch_word:
             self.oracle_steps += 1
             return self._ref.step_body(m)
         pc = m.pc

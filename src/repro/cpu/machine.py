@@ -92,10 +92,6 @@ class RiscMachine(ArchState):
             oracle interpreter) or ``"trace"`` (superblock traces
             compiled to generated source) - or an :class:`~repro.cpu.engine.ExecutionEngine`
             instance.
-        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry`
-            to record run-boundary metrics into (``sim.runs``,
-            ``sim.instructions``, ``sim.cycles``, ``sim.run_seconds``);
-            defaults to the no-op registry, which costs nothing.
     """
 
     def __init__(
@@ -108,7 +104,6 @@ class RiscMachine(ArchState):
         decoder: CachingDecoder | None = None,
         strict_traps: bool = False,
         engine: "str | ExecutionEngine" = "reference",
-        telemetry=None,
     ):
         super().__init__(
             memory,
@@ -117,7 +112,6 @@ class RiscMachine(ArchState):
             record_call_trace=record_call_trace,
             decoder=decoder,
             strict_traps=strict_traps,
-            telemetry=telemetry,
         )
         self.engine: ExecutionEngine = create_engine(engine)
 
@@ -162,26 +156,9 @@ class RiscMachine(ArchState):
         deadline = None
         if wall_clock_limit is not None:
             deadline = time.monotonic() + wall_clock_limit
-        instructions_before = self.stats.instructions
-        cycles_before = self.stats.cycles
         started = time.perf_counter()
         self.engine.run_loop(self, max_steps, max_cycles, deadline)
-        wall = time.perf_counter() - started
-        self.last_run_wall_seconds = wall
-        # Run-boundary telemetry only: the hot loop never sees the
-        # registry, so a no-op (or absent) registry costs nothing.
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.counter("sim.runs", "completed run() calls").inc()
-            telemetry.counter(
-                "sim.instructions", "dynamic instructions executed"
-            ).inc(self.stats.instructions - instructions_before)
-            telemetry.counter(
-                "sim.cycles", "simulated machine cycles"
-            ).inc(self.stats.cycles - cycles_before)
-            telemetry.timer(
-                "sim.run_seconds", "host wall-clock per run()"
-            ).observe(wall)
+        self.last_run_wall_seconds = time.perf_counter() - started
         return self.stats
 
     def run_manifest(

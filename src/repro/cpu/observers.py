@@ -15,8 +15,6 @@ Events and callback signatures:
 ``fetch_word``  ``fn(pc, word) -> word`` - a *filter*: may rewrite the
                 fetched instruction word (instruction-fault corruption).
                 A mutated word bypasses the decode cache.
-``mem_access``  ``fn(machine, kind, address, value)`` - after every
-                data-side access; ``kind`` is ``"load"`` or ``"store"``.
 ``step``        ``fn(machine, pc, inst, taken_jump)`` - after an
                 instruction completes (never fires for a trapped step).
 ``call``        ``fn(machine, depth)`` - after a CALL/CALLR/CALLINT,
@@ -24,21 +22,19 @@ Events and callback signatures:
                 frame; ``depth`` is the new call depth.
 ``return``      ``fn(machine, depth)`` - after a RET/RETINT releases its
                 frame; ``depth`` is the new (decremented) call depth.
-``trap``        ``fn(machine, record)`` - after a
-                :class:`~repro.cpu.state.TrapRecord` is logged (vectored
-                or halting, including double faults).
-``halt``        ``fn(machine, reason)`` - when the machine halts.
 ==============  ============================================================
 
-The first four events fire on (nearly) every instruction, so engines
+The first three events fire on (nearly) every instruction, so engines
 check :attr:`ObserverBus.step_observed` once per step and skip all
 bookkeeping when nothing is attached.  While it is set, the trace tier
 single-steps through its inner fast engine, which runs one pre-decoded
 thunk per step and calls ``pre_step`` and ``step`` observers itself.
-``fetch_word`` and ``mem_access`` observers change what a step fetches
-or report each data access, so a step with either attached goes to the
-reference oracle.  The last four fire only at procedure/trap/halt
-boundaries and are honoured by every engine.
+A ``fetch_word`` observer changes what a step fetches, so a step with
+one attached goes to the reference oracle.  The last two fire only at
+procedure boundaries and are honoured by every engine.  Traps and
+halts are not events: read :attr:`~repro.cpu.state.ArchState.last_trap`,
+the trap log and :attr:`~repro.cpu.state.ArchState.halted` after the
+run.
 
 Mutate subscriptions only through :meth:`ObserverBus.subscribe` /
 :meth:`ObserverBus.unsubscribe` so ``step_observed`` stays coherent;
@@ -48,19 +44,10 @@ engines may *read* the per-event lists directly when emitting.
 from __future__ import annotations
 
 #: Event names accepted by subscribe/unsubscribe.
-EVENTS = (
-    "pre_step",
-    "fetch_word",
-    "mem_access",
-    "step",
-    "call",
-    "return",
-    "trap",
-    "halt",
-)
+EVENTS = ("pre_step", "fetch_word", "step", "call", "return")
 
 #: Events whose observers impose per-instruction bookkeeping.
-STEP_EVENTS = frozenset({"pre_step", "fetch_word", "mem_access", "step"})
+STEP_EVENTS = frozenset({"pre_step", "fetch_word", "step"})
 
 
 class ObserverBus:
@@ -69,24 +56,18 @@ class ObserverBus:
     __slots__ = (
         "on_pre_step",
         "on_fetch_word",
-        "on_mem_access",
         "on_step",
         "on_call",
         "on_return",
-        "on_trap",
-        "on_halt",
         "step_observed",
     )
 
     def __init__(self) -> None:
         self.on_pre_step: list = []
         self.on_fetch_word: list = []
-        self.on_mem_access: list = []
         self.on_step: list = []
         self.on_call: list = []
         self.on_return: list = []
-        self.on_trap: list = []
-        self.on_halt: list = []
         #: True while any per-instruction event has observers attached.
         self.step_observed = False
 
@@ -106,8 +87,7 @@ class ObserverBus:
         self._list(event).remove(fn)
         if event in STEP_EVENTS:
             self.step_observed = bool(
-                self.on_pre_step or self.on_fetch_word
-                or self.on_mem_access or self.on_step
+                self.on_pre_step or self.on_fetch_word or self.on_step
             )
 
     def observer_count(self, event: str | None = None) -> int:
@@ -125,16 +105,6 @@ class ObserverBus:
         """Notify return subscribers: the machine is back at *depth*."""
         for fn in self.on_return:
             fn(machine, depth)
-
-    def emit_trap(self, machine, record) -> None:
-        """Notify trap subscribers with the just-logged trap *record*."""
-        for fn in self.on_trap:
-            fn(machine, record)
-
-    def emit_halt(self, machine, reason) -> None:
-        """Notify halt subscribers with the machine's halt *reason*."""
-        for fn in self.on_halt:
-            fn(machine, reason)
 
 
 class CallTraceRecorder:

@@ -43,7 +43,6 @@ from repro.isa.registers import (
     REGS_PER_WINDOW_UNIQUE,
     WINDOW_OVERLAP,
 )
-from repro.telemetry.registry import NULL_REGISTRY, MetricsRegistry
 
 #: PC value that means "the initial procedure returned" - outside memory.
 HALT_PC = 0x7FFF_FF00
@@ -333,11 +332,6 @@ class ArchState:
         strict_traps: raise :class:`~repro.errors.TrapError` (carrying
             the :class:`TrapRecord`) on an unvectored trap instead of
             halting.  Off by default: traps halt structurally.
-        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry`
-            the run loop records boundary metrics into; defaults to the
-            no-op :data:`~repro.telemetry.registry.NULL_REGISTRY`, which
-            costs nothing (telemetry is only touched at run boundaries,
-            never per instruction).
     """
 
     def __init__(
@@ -349,7 +343,6 @@ class ArchState:
         record_call_trace: bool = True,
         decoder: CachingDecoder | None = None,
         strict_traps: bool = False,
-        telemetry: MetricsRegistry | None = None,
     ):
         self.memory = memory if memory is not None else Memory()
         self.regs = WindowedRegisterFile(num_windows=num_windows, use_windows=use_windows)
@@ -360,7 +353,6 @@ class ArchState:
         self.stats = ExecutionStats()
         self.decoder = decoder if decoder is not None else CachingDecoder()
         self.strict_traps = strict_traps
-        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         #: host seconds of the most recent :meth:`RiscMachine.run` (None
         #: before the first run); feeds the manifest's ``host`` section.
         self.last_run_wall_seconds: float | None = None
@@ -710,10 +702,8 @@ class ArchState:
     # -- halting ----------------------------------------------------------------
 
     def _set_halted(self, reason: HaltReason) -> None:
-        """Halt the machine and emit the ``halt`` event."""
+        """Halt the machine for *reason*."""
         self.halted = reason
-        if self.observers.on_halt:
-            self.observers.emit_halt(self, reason)
 
     # -- traps ------------------------------------------------------------------
 
@@ -746,8 +736,6 @@ class ArchState:
         self.last_trap = record
         self.stats.traps += 1
         self.stats.by_trap_cause[cause.name] += 1
-        if self.observers.on_trap:
-            self.observers.emit_trap(self, record)
         if handler is None:
             self._set_halted(HaltReason.TRAPPED)
             if self.strict_traps:
@@ -773,8 +761,6 @@ class ArchState:
             self.last_trap = double
             self.stats.traps += 1
             self.stats.by_trap_cause[nested.cause.name] += 1
-            if self.observers.on_trap:
-                self.observers.emit_trap(self, double)
             self._set_halted(HaltReason.TRAPPED)
             if self.strict_traps:
                 raise TrapError(str(double), record=double) from None

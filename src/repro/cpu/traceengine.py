@@ -91,7 +91,7 @@ so the admission rule is bit-identical architectural results against
   :class:`~repro.cpu.fastengine.FastEngine` (``step()`` always
   delegates); per-step observers run there too, a whole observed
   stretch at a time, and it hands a step to the reference oracle for a
-  latched interrupt or a ``fetch_word``/``mem_access`` observer;
+  latched interrupt or a ``fetch_word`` observer;
 * **no cycle outlives a run** - thunks bind the machine and its memory,
   so they exist only inside ``run_loop``; the engine holds its machine,
   and each trace its engine, by weak reference: a finished machine is
@@ -148,7 +148,7 @@ from repro.isa.registers import (
 #: Version of the trace codegen scheme.  Bump on ANY change to the
 #: generated code's shape or semantics; caches keyed on compiled
 #: artefacts include it so stale traces cannot survive a revision.
-TRACE_CODEGEN_VERSION = 4
+TRACE_CODEGEN_VERSION = 5
 
 _M32 = MASK32
 _SIGN = SIGN_BIT32
@@ -389,13 +389,6 @@ def _trace_trap_exit(m: ArchState, T: _Trace, ix: int, exc: Exception) -> int:
     return ix + 1
 
 
-def _trace_reconcile(m: ArchState, T: _Trace) -> None:
-    """Flush deferred stats before an in-trace halt (exact observer state)."""
-    eng = T.eng()
-    if eng is not None:
-        eng._reconcile()
-
-
 _UPI = struct.Struct(">I").unpack_from
 _PKI = struct.Struct(">I").pack_into
 
@@ -507,7 +500,6 @@ _TRACE_GLOBALS = {
     "_EXPLICIT": HaltReason.EXPLICIT,
     "_MemFault": MemoryFaultError,
     "_te": _trace_trap_exit,
-    "_rc": _trace_reconcile,
     "_SP": _spill_arm,
     "_RF": _refill_arm,
     "_FE": _enter_out,
@@ -827,19 +819,15 @@ def _codegen_trace(
 
     def halt_check_static(target: int, indent: str) -> None:
         if target == HALT_PC:
-            emit(f"{indent}_rc(m, T)")
             emit(f"{indent}m._set_halted(_RETURNED)")
         elif halt_addr is not None and target == halt_addr:
-            emit(f"{indent}_rc(m, T)")
             emit(f"{indent}m._set_halted(_EXPLICIT)")
 
     def halt_check_runtime(indent: str) -> None:
         emit(f"{indent}if tg == {HALT_PC}:")
-        emit(f"{indent}    _rc(m, T)")
         emit(f"{indent}    m._set_halted(_RETURNED)")
         if halt_addr is not None:
             emit(f"{indent}elif tg == {halt_addr}:")
-            emit(f"{indent}    _rc(m, T)")
             emit(f"{indent}    m._set_halted(_EXPLICIT)")
 
     def operand_exprs(inst: Instruction) -> tuple[str, str]:
@@ -1654,8 +1642,8 @@ class TraceEngine:
         """Fold pending per-exit hit counters into the machine's stats.
 
         Called whenever deferred state could become observable: before
-        any single-step fallback, on every trap unwind, before an
-        in-trace halt fires observers, and at run-loop exit.  With
+        any single-step fallback, on every trap unwind, and at run-loop
+        exit.  With
         *rewound* (a checkpoint restore already rewound the stats past
         those hits) the pending hits are dropped instead.
         """
@@ -1996,16 +1984,14 @@ class TraceEngine:
             if m.halted is not None:
                 break
             if steps >= max_steps:
-                self._reconcile()
                 m._set_halted(HaltReason.STEP_LIMIT)
             elif max_cycles is not None and stats.cycles + CY[0] >= max_cycles:
-                self._reconcile()
                 m._set_halted(HaltReason.CYCLE_LIMIT)
             elif deadline is not None and steps >= check_at:
                 check_at = steps + 1024
                 if time.monotonic() > deadline:
-                    self._reconcile()
                     m._set_halted(HaltReason.WALL_CLOCK_LIMIT)
+        # A halt in a trace or at a budget leaves exit hits pending.
         if CY[0] or self._retired:
             self._reconcile()
         return steps

@@ -256,6 +256,13 @@ class CampaignReport:
     config: CampaignConfig
     golden: dict[str, GoldenRun]
     results: list[InjectionResult] = field(default_factory=list)
+    #: Trial steps by phase, summed over the trials (see
+    #: :func:`_run_injection`): ``observed`` single-stepped under the
+    #: injector, ``compiled`` run unobserved on the machine's tier, and
+    #: ``pinned``, the compiled steps run with a pinned fault live.  How
+    #: the trials ran, not what they found: kept out of
+    #: :meth:`fingerprint`, :meth:`summary` and :meth:`manifest`.
+    steps: Counter = field(default_factory=Counter, compare=False)
 
     def add(self, index: int, result: InjectionResult) -> None:
         """Append the result of trial *index*.
@@ -687,37 +694,11 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
-def _publish_metrics(registry, report: CampaignReport, steps: Counter) -> None:
-    """Record the ``campaign.*`` counters on *registry*."""
-    if registry is None:
-        return
-    counters = {
-        "campaign.trials": (
-            len(report.results), "trials folded into the campaign report"
-        ),
-        "campaign.steps_observed": (
-            steps["observed"],
-            "trial steps single-stepped under the fault injector",
-        ),
-        "campaign.steps_compiled": (
-            steps["compiled"],
-            "trial steps run unobserved on the compiled tier",
-        ),
-        "campaign.steps_pinned": (
-            steps["pinned"],
-            "compiled trial steps run with a pinned stuck-at fault live",
-        ),
-    }
-    for name, (value, help_text) in counters.items():
-        registry.counter(name, help_text).inc(value)
-
-
 def run_campaign(
     config: CampaignConfig,
     *,
     progress=None,
     workers: int | None = None,
-    registry=None,
 ) -> CampaignReport:
     """Execute the campaign described by *config* deterministically.
 
@@ -735,25 +716,21 @@ def run_campaign(
             raises :class:`~concurrent.futures.process.BrokenProcessPool`;
             on any exception, Ctrl-C included, the queued trials are
             cancelled.
-        registry: optional :class:`~repro.telemetry.MetricsRegistry`
-            receiving the ``campaign.*`` counters.
     """
     goldens: dict[str, GoldenRun] = {}
     trials = _campaign_schedule(config, goldens)
     report = CampaignReport(config=config, golden=goldens)
-    steps: Counter = Counter()
     pool = _process_pool(workers) if workers and workers > 1 else None
     try:
         outcomes = (pool.map if pool is not None else map)(_execute, trials)
         for trial, (result, tally) in zip(trials, outcomes):
             report.add(trial.index, result)
-            steps.update(tally)
+            report.steps.update(tally)
             if progress is not None and len(report.results) % 100 == 0:
                 progress(result.benchmark, len(report.results), len(trials))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    _publish_metrics(registry, report, steps)
     return report
 
 

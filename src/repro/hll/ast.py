@@ -29,10 +29,6 @@ class Type:
     def is_array(self) -> bool:
         return self.array_size is not None
 
-    @property
-    def is_pointer(self) -> bool:
-        return self.pointer > 0 and not self.is_array
-
     def element(self) -> "Type":
         """Type of an element of this array / pointee of this pointer."""
         if self.is_array:

@@ -44,11 +44,6 @@ def decode(word: int) -> Instruction:
     return Instruction(opcode, dest=dest, rs1=rs1, s2=s2, imm=imm, scc=scc)
 
 
-def decode_program(words: list[int]) -> list[Instruction]:
-    """Decode a whole program image."""
-    return [decode(word) for word in words]
-
-
 class CachingDecoder:
     """A memoizing instruction decoder with explicit ownership.
 

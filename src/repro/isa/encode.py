@@ -53,8 +53,3 @@ def encode(inst: Instruction) -> int:
         _check_reg("rs2", inst.s2)
         word |= _place(FIELD_S2, inst.s2)
     return word
-
-
-def encode_program(instructions: list[Instruction]) -> list[int]:
-    """Encode a whole instruction sequence."""
-    return [encode(inst) for inst in instructions]

@@ -364,7 +364,6 @@ def run_scenario(
     engine: str = "reference",
     quantum: int = DEFAULT_QUANTUM,
     max_total_steps: int = 5_000_000,
-    telemetry=None,
 ) -> MulticoreSimulator:
     """Build and run a scenario; returns the finished simulator."""
     sim = MulticoreSimulator(
@@ -372,6 +371,5 @@ def run_scenario(
         num_cores=num_cores,
         engine=engine,
         quantum=quantum,
-        telemetry=telemetry,
     )
     return sim.run(max_total_steps)

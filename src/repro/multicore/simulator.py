@@ -62,7 +62,6 @@ from repro.cpu.machine import RiscMachine
 from repro.cpu.state import HaltReason
 from repro.isa.registers import NUM_WINDOWS
 from repro.multicore.device import PlatformDevice
-from repro.telemetry.registry import NULL_REGISTRY
 
 __all__ = [
     "MULTICORE_SCHEMA",
@@ -106,9 +105,6 @@ class MulticoreSimulator:
             core's ``IRQ_VECTOR`` (``None`` installs nothing).
         memory_size: bytes of shared memory.
         num_windows: per-core register-window file size.
-        telemetry: a :class:`~repro.telemetry.registry.MetricsRegistry`
-            for run-boundary ``multicore.*`` metrics (defaults to the
-            no-op registry).
     """
 
     def __init__(
@@ -122,7 +118,6 @@ class MulticoreSimulator:
         handler_symbol: str | None = "__irq_handler",
         memory_size: int = 1 << 20,
         num_windows: int = NUM_WINDOWS,
-        telemetry=None,
     ):
         get_spec(engine)  # unknown names raise ValueError
         if num_cores < 1:
@@ -133,7 +128,6 @@ class MulticoreSimulator:
         self.num_cores = num_cores
         self.engine = engine
         self.quantum = quantum
-        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self.entry = program.symbols[entry_symbol]
         self.handler_address = (
             program.symbols[handler_symbol] if handler_symbol else 0
@@ -221,43 +215,7 @@ class MulticoreSimulator:
             device.active_core = core_id
             device.service(core_id, core.stats.instructions, core)
         self._ran = True
-        self._record_telemetry()
         return self
-
-    def _record_telemetry(self) -> None:
-        """Run-boundary ``multicore.*`` metrics (no-op registry = free)."""
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            return
-        device = self.device
-        telemetry.counter("multicore.runs", "completed multicore runs").inc()
-        telemetry.counter(
-            "multicore.slices", "scheduler slices executed"
-        ).inc(len(self.schedule))
-        telemetry.counter(
-            "multicore.instructions", "instructions across all cores"
-        ).inc(self.total_instructions)
-        telemetry.counter(
-            "multicore.timer_fires", "timer interrupts fired"
-        ).inc(device.timer_fires)
-        telemetry.counter(
-            "multicore.doorbell_rings", "doorbells rung"
-        ).inc(device.doorbell_rings)
-        telemetry.counter(
-            "multicore.interrupts_delivered", "interrupts delivered to cores"
-        ).inc(device.interrupts_delivered)
-        telemetry.counter(
-            "multicore.lock_acquires", "lock-bank acquisitions"
-        ).inc(device.lock_acquires)
-        telemetry.counter(
-            "multicore.lock_misses", "lock-bank contended reads"
-        ).inc(device.lock_misses)
-        latency = telemetry.histogram(
-            "multicore.interrupt_latency",
-            "boundary-to-boundary interrupt latency (instructions)",
-        )
-        for sample in device.latency_samples:
-            latency.observe(sample)
 
     # -- results -------------------------------------------------------------
 

@@ -9,12 +9,13 @@ A module-scoped reference run (small, ``towers``-only) keeps the suite
 fast; every scenario compares against it.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import pickle
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -29,11 +30,7 @@ from repro.faults.campaign import (
     main,
     run_campaign,
 )
-from repro.telemetry import (
-    CAMPAIGN_SCHEMA,
-    MetricsRegistry,
-    validate_campaign_manifest,
-)
+from repro.telemetry import CAMPAIGN_SCHEMA, validate_campaign_manifest
 
 CONFIG = CampaignConfig(seed=7, injections=12, benchmarks=("towers",))
 N = CONFIG.injections
@@ -48,17 +45,22 @@ def serial_report():
     return run_campaign(CONFIG)
 
 
+@pytest.fixture(scope="module")
+def pool_report():
+    """The same campaign on a two-worker pool."""
+    return run_campaign(CONFIG, workers=2)
+
+
 class TestPoolPath:
-    def test_pool_matches_serial(self, serial_report):
-        registry = MetricsRegistry()
-        report = run_campaign(CONFIG, workers=2, registry=registry)
+    def test_pool_matches_serial(self, serial_report, pool_report):
+        report = pool_report
         assert report.fingerprint() == serial_report.fingerprint()
         assert report.as_records() == serial_report.as_records()
         assert report.manifest() == serial_report.manifest()
         # Workers ship each trial's step split back with its result.
-        assert registry.get("campaign.steps_observed").value + registry.get(
-            "campaign.steps_compiled"
-        ).value == sum(r.instructions for r in serial_report.results)
+        assert report.steps["observed"] + report.steps["compiled"] == sum(
+            r.instructions for r in serial_report.results
+        )
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -101,17 +103,19 @@ class TestReport:
         ]
         assert doc["summary"]["fingerprint"] == serial_report.fingerprint()
 
-    def test_metrics_registry_counters(self, serial_report):
-        registry = MetricsRegistry()
-        run_campaign(CONFIG, registry=registry)
-        assert registry.names() == [
-            "campaign.steps_compiled", "campaign.steps_observed",
-            "campaign.steps_pinned", "campaign.trials",
-        ]
-        assert registry.get("campaign.trials").value == N
-        assert registry.get("campaign.steps_observed").value + registry.get(
-            "campaign.steps_compiled"
-        ).value == sum(r.instructions for r in serial_report.results)
+    def test_step_tally(self, serial_report, pool_report):
+        steps = serial_report.steps
+        assert sorted(steps) == ["compiled", "observed", "pinned"]
+        assert len(serial_report.results) == N
+        assert steps["observed"] + steps["compiled"] == sum(
+            r.instructions for r in serial_report.results
+        )
+        assert pool_report.steps == steps
+        # How the trials ran is no part of what they found.
+        untallied = dataclasses.replace(serial_report, steps=Counter())
+        assert untallied.fingerprint() == serial_report.fingerprint()
+        assert untallied.summary() == serial_report.summary()
+        assert untallied.manifest() == serial_report.manifest()
 
     def test_execute_matches_serial_record(self, serial_report):
         trial = _campaign_schedule(CONFIG, {})[0]

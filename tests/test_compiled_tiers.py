@@ -8,6 +8,8 @@ targets what compiling code adds:
   trace currently executing) and re-compile from the rewritten image;
 * watchdog budgets (``max_steps`` / ``max_cycles``) must stop at exactly
   the same instruction as the reference engine, even mid-trace;
+* a halt inside a trace or at a budget must leave the reference's stats,
+  although the trace's exit hits are folded in only as the loop exits;
 * checkpoints taken mid-trace and mid-delay-slot must round-trip through
   ``restore`` and resume through the compiled path bit-identically;
 * randomly generated instruction sequences (hypothesis) must execute
@@ -161,6 +163,106 @@ class TestWatchdogExactness:
         for engine, digest in zip(ENGINES[1:], digests[1:]):
             mismatches = diff_digests(digests[0], digest)
             assert not mismatches, f"[{engine}] " + "\n".join(mismatches)
+
+
+# A hot loop whose trace runs straight on into *tail* when the count
+# runs out, so the halt that tail reaches fires inside generated code.
+HOT_LOOP_THEN = """
+main:
+    li    r16, 3000
+    li    r17, 0
+    li    r5, stop
+loop:
+    add   r17, r17, r16
+    stl   r17, r0, cell
+    sub   r16, r16, #1
+    cmp   r16, #0
+    bgt   loop
+    nop
+    {tail}
+stop:
+    nop
+    b     stop
+    nop
+cell:
+    .word 0
+"""
+HALT_TAILS = {
+    "returned": ("mov r26, r17\n    ret\n    nop", HaltReason.RETURNED),
+    "explicit-static": ("b stop\n    nop", HaltReason.EXPLICIT),
+    "explicit-runtime": ("jmp alw, r5, 0\n    nop", HaltReason.EXPLICIT),
+}
+
+
+class TestHaltsAfterTraces:
+    """A trace that halts, and a budget that halts the dispatch loop,
+    leave exit hits pending; the loop folds them into the stats once,
+    on its way out, so every halt still ends on the reference's state."""
+
+    @staticmethod
+    def hot_run(engine, tail, explicit=False, **budgets):
+        program = assemble(HOT_LOOP_THEN.format(tail=tail))
+        machine = RiscMachine(engine=engine)
+        if explicit:
+            machine.halt_address = program.symbols["stop"]
+        program.load_into(machine.memory)
+        machine.run(program.entry, **budgets)
+        return machine
+
+    @pytest.mark.parametrize("kind", sorted(HALT_TAILS))
+    def test_in_trace_halt_matches_reference(self, kind, monkeypatch):
+        tail, reason = HALT_TAILS[kind]
+        explicit = reason is HaltReason.EXPLICIT
+        expected = state_digest(self.hot_run("reference", tail, explicit))
+        halted_in = []
+        set_halted = RiscMachine._set_halted
+
+        def spy(machine, why):
+            halted_in.append(traceback.extract_stack(limit=2)[0].filename)
+            set_halted(machine, why)
+
+        monkeypatch.setattr(RiscMachine, "_set_halted", spy)
+        machine = self.hot_run("trace", tail, explicit)
+        assert machine.halted is reason
+        assert len(halted_in) == 1 and halted_in[0].startswith("<trace "), (
+            halted_in
+        )
+        mismatches = diff_digests(expected, state_digest(machine))
+        assert not mismatches, "\n".join(mismatches)
+
+    @pytest.mark.parametrize(
+        ("budgets", "reason"),
+        [
+            ({"max_steps": 5_001}, HaltReason.STEP_LIMIT),
+            ({"max_cycles": 7_777}, HaltReason.CYCLE_LIMIT),
+        ],
+        ids=["step-limit", "cycle-limit"],
+    )
+    def test_budget_halt_after_traces_matches_reference(self, budgets, reason):
+        tail = HALT_TAILS["returned"][0]
+        expected = state_digest(self.hot_run("reference", tail, **budgets))
+        machine = self.hot_run("trace", tail, **budgets)
+        assert machine.halted is reason
+        assert machine.engine.traces_compiled > 0
+        mismatches = diff_digests(expected, state_digest(machine))
+        assert not mismatches, "\n".join(mismatches)
+
+    def test_wall_clock_halt_matches_a_step_limited_reference(self):
+        # A past deadline fires at the first clock check, which a trace
+        # may pass by a few steps; the state is the reference's after
+        # that many steps.
+        tail = HALT_TAILS["returned"][0]
+        machine = self.hot_run("trace", tail, wall_clock_limit=0.0)
+        assert machine.halted is HaltReason.WALL_CLOCK_LIMIT
+        assert machine.engine.traces_compiled > 0
+        steps = machine.stats.instructions
+        assert steps >= 1024
+        reference = self.hot_run("reference", tail, max_steps=steps)
+        assert reference.halted is HaltReason.STEP_LIMIT
+        expected, got = state_digest(reference), state_digest(machine)
+        del expected["halted"], got["halted"]
+        mismatches = diff_digests(expected, got)
+        assert not mismatches, "\n".join(mismatches)
 
 
 class TestCompiledRollback:

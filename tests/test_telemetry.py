@@ -1,144 +1,38 @@
-"""The observability layer: registry, run manifests, observer events.
+"""The observability layer: run manifests and observer events.
 
-Four contracts under test:
+Three contracts under test:
 
-* **registry semantics** - one name, one instrument, one type; the
-  disabled registry hands out a shared null instrument and stays empty;
-* **run-boundary instrumentation** - the execution stack touches the
-  registry a constant number of times per run, never per instruction
-  (the structural form of the "<3% no-op overhead" requirement, which a
-  wall-clock assertion could only test flakily);
 * **manifest determinism** - shared sections byte-identical and
   same-fingerprint across all three engines, round-trippable through
   JSON, schema-validated, and worker-count independent when aggregated;
-* **boundary events** - call, return and halt reach observer-bus
-  subscribers in order, with the same step, cycle and depth on every
-  tier.
+* **boundary events** - call and return reach observer-bus subscribers
+  in order, with the same step, cycle and depth on every tier, and the
+  bus accepts no other boundary event names;
+* **run wall clock** - each ``run()`` records its own host time in
+  ``last_run_wall_seconds``, the one fact it keeps at the run boundary.
 """
 
 import json
+import time
 
 import pytest
 
 from repro import RiscMachine, assemble
 from repro.cpu.engines import engine_names
 from repro.cpu.equivalence import state_digest
+from repro.cpu.observers import ObserverBus
 from repro.evaluation.run_all import collect_manifests
 from repro.telemetry import (
-    MetricsRegistry,
-    NULL_REGISTRY,
     RunManifest,
     aggregate_manifests,
     validate_manifest,
 )
 from repro.telemetry.manifest import MANIFEST_SCHEMA, ManifestError, schema_paths
-from repro.telemetry.registry import _NULL_INSTRUMENT
 from repro.telemetry.report import load_manifests, render_report
 from repro.workloads import benchmark
 from repro.workloads.cache import compile_cached
 
 ENGINES = engine_names()
-
-
-# -- registry ----------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_same_name_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a.b") is registry.counter("a.b")
-        assert registry.histogram("h") is registry.histogram("h")
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError, match="already registered as counter"):
-            registry.histogram("x")
-
-    def test_counter_rejects_negative(self):
-        counter = MetricsRegistry().counter("c")
-        counter.inc()
-        counter.inc(41)
-        assert counter.value == 42
-        with pytest.raises(ValueError, match="cannot decrease"):
-            counter.inc(-1)
-
-    def test_histogram_buckets_and_mean(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
-        for value in (0.5, 5.0, 100.0):
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1]  # <=1, <=10, inf
-        assert hist.mean == pytest.approx(105.5 / 3)
-        with pytest.raises(ValueError, match="must be sorted"):
-            MetricsRegistry().histogram("bad", buckets=(10.0, 1.0))
-
-    def test_timer_context_manager(self):
-        registry = MetricsRegistry()
-        with registry.timer("t"):
-            pass
-        timer = registry.get("t")
-        assert timer.histogram.count == 1
-        assert timer.histogram.sum >= 0
-
-    def test_introspection(self):
-        registry = MetricsRegistry()
-        registry.counter("b", help="second")
-        registry.counter("a", help="first")
-        assert registry.names() == ["a", "b"]
-        assert registry.as_dict()["a"] == {"kind": "counter", "value": 0}
-        assert registry.describe()[0] == {
-            "name": "a", "kind": "counter", "help": "first",
-        }
-        registry.reset()
-        assert len(registry) == 0
-
-    def test_disabled_registry_is_null_and_empty(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("anything")
-        assert counter is _NULL_INSTRUMENT
-        assert counter is registry.timer("other.name")
-        counter.inc(1_000_000)   # all mutators are no-ops
-        registry.get("anything")
-        assert len(registry) == 0 and registry.as_dict() == {}
-        assert not NULL_REGISTRY.enabled
-
-
-class TestRunBoundaryInstrumentation:
-    """The structural no-op-overhead guarantee.
-
-    A counting registry subclass records every factory call; a full
-    block-engine towers run (tens of thousands of instructions) must
-    touch the registry only at the run boundary - a constant, tiny
-    number of times.  This is what bounds enabled *and* disabled
-    overhead: the hot loops never see the registry at all.
-    """
-
-    class CountingRegistry(MetricsRegistry):
-        def __init__(self):
-            super().__init__(enabled=True)
-            self.factory_calls = 0
-
-        def _register(self, name, kind, factory):
-            self.factory_calls += 1
-            return super()._register(name, kind, factory)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_registry_touched_per_run_not_per_instruction(self, engine):
-        registry = self.CountingRegistry()
-        compiled = compile_cached(benchmark("towers").source)
-        machine = compiled.make_machine(engine=engine)
-        machine.telemetry = registry
-        machine.run(compiled.program.entry)
-        assert machine.stats.instructions > 30_000
-        assert registry.factory_calls <= 8  # run-boundary only
-        assert registry.get("sim.runs").value == 1
-        assert registry.get("sim.instructions").value == machine.stats.instructions
-        assert registry.get("sim.cycles").value == machine.stats.cycles
-        assert registry.get("sim.run_seconds").histogram.count == 1
-
-    def test_default_machine_uses_null_registry(self):
-        machine = RiscMachine()
-        assert machine.telemetry is NULL_REGISTRY
 
 
 # -- run manifests -----------------------------------------------------------
@@ -247,13 +141,12 @@ double:
     nop
 """
 
-#: (event, step, cycle, depth or halt reason) for one CALL_PROGRAM run.
-#: main's own entry is not a bus call; the last return leaves main.
+#: (event, step, cycle, depth) for one CALL_PROGRAM run.  main's own
+#: entry is not a bus call; the last return leaves main.
 BOUNDARY_EVENTS = [
     ("call", 1, 1, 2),
     ("return", 4, 4, 1),
     ("return", 7, 7, 0),
-    ("halt", 9, 9, "RETURNED"),
 ]
 
 
@@ -265,17 +158,44 @@ def test_boundary_events_reach_subscribers_in_order(engine):
     seen = []
 
     def record(kind):
-        def on_event(machine, detail):
+        def on_event(machine, depth):
             stats = machine.stats
-            detail = getattr(detail, "name", detail)  # halt: a HaltReason
-            seen.append((kind, stats.instructions, stats.cycles, detail))
+            seen.append((kind, stats.instructions, stats.cycles, depth))
         return on_event
 
-    for kind in ("call", "return", "halt"):
+    for kind in ("call", "return"):
         machine.observers.subscribe(kind, record(kind))
     machine.run(program.entry)
     assert machine.result == 42
     assert seen == BOUNDARY_EVENTS
+
+
+@pytest.mark.parametrize("event", ["mem_access", "trap", "halt", "no_such_event"])
+def test_subscribe_rejects_events_the_bus_does_not_emit(event):
+    """Traps and halts are read from the machine after a run, data
+    accesses from its memory stats; subscribing to them is an error,
+    not a silent no-op."""
+    bus = ObserverBus()
+    with pytest.raises(ValueError, match="unknown observer event"):
+        bus.subscribe(event, lambda *args: None)
+    assert bus.observer_count() == 0
+    assert not bus.step_observed
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_each_run_records_its_own_wall_clock(engine):
+    compiled = compile_cached(benchmark("towers").source)
+    machine = compiled.make_machine(engine=engine)
+    assert machine.last_run_wall_seconds is None
+    machine.run(compiled.program.entry)
+    assert machine.last_run_wall_seconds > 0
+    # A short second run replaces the long first one's time: the value
+    # lies within the host time measured around the call.
+    started = time.perf_counter()
+    machine.run(compiled.program.entry, max_steps=10)
+    elapsed = time.perf_counter() - started
+    assert machine.halted is not None
+    assert 0 < machine.last_run_wall_seconds <= elapsed
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -45,7 +45,6 @@ from repro.faults.models import (
     FaultTrigger,
 )
 from repro.isa.registers import NUM_WINDOWS, physical_index
-from repro.telemetry import MetricsRegistry
 from repro.workloads import benchmark
 from repro.workloads.cache import compile_cached
 
@@ -535,23 +534,19 @@ def test_a_store_rewrites_a_pinned_word():
 
 
 def test_seed_1981_fingerprint_is_pinned():
-    registry = MetricsRegistry()
-    report = run_campaign(CampaignConfig(seed=1981, injections=16), registry=registry)
+    report = run_campaign(CampaignConfig(seed=1981, injections=16))
     assert report.fingerprint() == FINGERPRINT_1981_16
     # Each trial single-stepped only its firing step; its stuck-at
     # trials ran pinned, on the compiled tier.
-    assert registry.get("campaign.steps_observed").value == 16
-    pinned = registry.get("campaign.steps_pinned").value
-    assert 0 < pinned < registry.get("campaign.steps_compiled").value
+    assert report.steps["observed"] == 16
+    assert 0 < report.steps["pinned"] < report.steps["compiled"]
 
 
-def test_registry_reports_where_trial_steps_ran():
+def test_report_steps_say_where_trial_steps_ran():
     config = CampaignConfig(seed=7, injections=6, benchmarks=("towers",))
     serial = run_campaign(config)
-    registry = MetricsRegistry()
-    run_campaign(config, registry=registry)
-    observed = registry.get("campaign.steps_observed").value
-    compiled = registry.get("campaign.steps_compiled").value
+    observed = serial.steps["observed"]
+    compiled = serial.steps["compiled"]
     assert observed > 0 and compiled > observed
     assert observed + compiled == sum(r.instructions for r in serial.results)
 
